@@ -124,7 +124,8 @@ def obstruction_bundle_degree() -> int:
     c = universal_curve()
     z = pulled_back_constraint()
     chi = c.chi_sheaf(z)
-    assert chi.denominator == 1
+    if chi.denominator != 1:
+        raise ArithmeticError(f"Euler characteristic {chi} is not an integer")
     rank = h1_p1(-2)
     chi_pushforward = -int(chi)
     degree = chi_pushforward - rank

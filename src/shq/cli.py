@@ -1,7 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 on success, 2 when the requested (m, n) falls in the
-refused band, 3 on invalid arguments.
+refused band, 3 on invalid arguments, 4 when `compute` printed a result
+but one of its diagnostics failed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .pipeline import (
     build_r_matrix,
     compute_sh,
     exact_rows,
+    matrix_to_dict,
     minimal_chern,
     result_to_dict,
     result_to_text,
@@ -91,8 +93,9 @@ def _cmd_compute(args) -> int:
     res = compute_sh(args.m, args.n, FIELDS[args.field], seed=args.seed)
     if args.format == "text":
         print(result_to_text(res))
-        return 0
-    return _emit(result_to_dict(res))
+    else:
+        _emit(result_to_dict(res))
+    return 0 if all(d.passed for d in res.diagnostics) else 4
 
 
 def _cmd_rmatrix(args) -> int:
@@ -103,13 +106,7 @@ def _cmd_rmatrix(args) -> int:
             "n": args.n,
             "field": FIELDS[args.field].kind,
             "N": minimal_chern(args.m, args.n),
-            "size": r.size,
-            "basis": r.basis,
-            "entries": r.to_strings(),
-            "unknown": [
-                {"row": i + 1, "col": j + 1, "t_power": d}
-                for (i, j, d) in sorted(r.unknown)
-            ],
+            **matrix_to_dict(r),
         }
     )
 

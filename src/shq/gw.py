@@ -19,7 +19,6 @@ lives in the localization module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 

@@ -9,8 +9,10 @@ coefficient is not determined; such matrices refuse any computation
 that would need the missing numbers.
 
 The characteristic polynomial uses the Berkowitz algorithm: division
-free, so it works verbatim over GF(2), and every call verifies its own
-output by substituting the matrix back in (Cayley-Hamilton).
+free, so it works verbatim over GF(2), and every result is verified by
+substituting the matrix back in (Cayley-Hamilton).  That check, the
+kernel dimensions of the powers and the Jordan blocks of eigenvalue
+zero all come from one walk over mat, mat^2, ..., mat^s.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .novikov import CoefficientField, GradingContext, Novikov
+from .novikov import CoefficientField, Novikov, unknown_term_str
 
 
 class IncompleteMatrixError(ValueError):
@@ -129,7 +131,7 @@ class LambdaMatrix:
         """Entries as text, unknowns rendered '?*t^d'."""
         grid = [[str(x) for x in row] for row in self.entries]
         for (i, j, d) in self.unknown:
-            grid[i][j] = "?*t" if d == 1 else f"?*t^{d}"
+            grid[i][j] = unknown_term_str(d)
         return grid
 
     # -- arithmetic --------------------------------------------------------
@@ -158,8 +160,8 @@ class LambdaMatrix:
         if k < 0:
             raise ValueError("negative matrix powers are not needed here")
         out = LambdaMatrix.identity(self.field, self.size)
-        for _ in range(k):
-            out = out * self
+        for out in _powers(self, k):
+            pass
         return out
 
     def apply(self, vec) -> tuple:
@@ -199,14 +201,12 @@ class CharPoly:
         return " + ".join(parts)
 
 
-def char_poly(mat: LambdaMatrix) -> CharPoly:
+def _berkowitz(mat: LambdaMatrix) -> CharPoly:
     """Characteristic polynomial by the Berkowitz vector recurrence.
 
     Division free: only ring operations on the entries, so valid over
-    GF(2) as well as over the rationals.  Before returning, the result
-    is substituted back into the matrix and must annihilate it.
+    GF(2) as well as over the rationals.  Unverified; callers check it.
     """
-    mat._require_complete("characteristic polynomial")
     s = mat.size
     field = mat.field
     one, zero = Novikov.one(field), Novikov.zero(field)
@@ -215,9 +215,8 @@ def char_poly(mat: LambdaMatrix) -> CharPoly:
     C = [one, -E[0][0]]
     for i in range(1, s):
         R = E[i][:i]
-        S = [E[k][i] for k in range(i)]
         col = [one, -E[i][i]]
-        vec = list(S)
+        vec = [E[k][i] for k in range(i)]
         for step in range(i):
             acc = zero
             for k in range(i):
@@ -235,25 +234,72 @@ def char_poly(mat: LambdaMatrix) -> CharPoly:
                     acc = acc + col[r - c] * C[c]
             newC.append(acc)
         C = newC
+    return CharPoly(s, tuple(C[1:]))
 
-    cp = CharPoly(s, tuple(C[1:]))
-    # Cayley-Hamilton self-check: evaluate by Horner in the matrix
-    acc = LambdaMatrix.identity(field, s)
-    for k in range(1, s + 1):
-        acc = acc * mat
-        ak = cp.a[k - 1]
-        acc = LambdaMatrix(
-            tuple(
-                tuple(
-                    acc.entries[p][q] + (ak if p == q else zero)
-                    for q in range(s)
-                )
-                for p in range(s)
-            )
-        )
-    if any(x for row in acc.entries for x in row):
+
+def _powers(mat: LambdaMatrix, k: int):
+    """Yield mat, mat^2, ..., mat^k, each built from the one before."""
+    power = mat
+    for j in range(1, k + 1):
+        if j > 1:
+            power = power * mat
+        yield power
+
+
+def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
+    """The one walk over the powers of mat, holding only the current one.
+
+    With cp it sums the Cayley-Hamilton residual mat^s + a_1 mat^(s-1)
+    + ... + a_s and reports whether it vanishes.  With want_dims it
+    records dim ker(mat^j) for j = 0, 1, ... up to the stabilization
+    index.  Returns (annihilates or None, kernel dims or None).
+    """
+    s = mat.size
+    zero = Novikov.zero(mat.field)
+    residual = None
+    if cp is not None:
+        a = cp.coefficients()  # a_0 = 1, ..., a_s
+        residual = [[a[s] if p == q else zero for q in range(s)] for p in range(s)]
+    dims = [0] if want_dims else None
+    stable = not want_dims
+    d = None
+    for j, power in enumerate(_powers(mat, s), start=1):
+        if residual is not None and a[s - j]:
+            for row, prow in zip(residual, power.entries):
+                for q, x in enumerate(prow):
+                    if x:
+                        row[q] = row[q] + a[s - j] * x
+        if not stable:
+            d = s - rank(power)
+            stable = d in (dims[-1], s)
+            if d != dims[-1]:
+                dims.append(d)
+        # past a zero power every later term of the residual vanishes
+        if stable and (residual is None or d == s):
+            break
+    annihilates = None
+    if residual is not None:
+        annihilates = not any(x for row in residual for x in row)
+    return annihilates, dims
+
+
+def char_poly(mat: LambdaMatrix) -> CharPoly:
+    """Characteristic polynomial, verified before returning: substituted
+    back into the matrix it must annihilate it (Cayley-Hamilton)."""
+    mat._require_complete("characteristic polynomial")
+    cp = _berkowitz(mat)
+    if not _power_chain(mat, cp, want_dims=False)[0]:
         raise ArithmeticError("characteristic polynomial failed to annihilate")
     return cp
+
+
+def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, list]:
+    """(characteristic polynomial, whether it annihilates the matrix,
+    kernel_dims), all from one walk over the powers.  Unlike char_poly,
+    a failed Cayley-Hamilton check is reported, not raised."""
+    mat._require_complete("characteristic polynomial")
+    cp = _berkowitz(mat)
+    return (cp,) + _power_chain(mat, cp, want_dims=True)
 
 
 def _rref(rows: list, ncols: int) -> tuple[list, list]:
@@ -304,20 +350,16 @@ def kernel(mat: LambdaMatrix) -> list:
     return basis
 
 
+def kernel_dims(mat: LambdaMatrix) -> list:
+    """dim ker(mat^j) for j = 0, 1, ..., k with k the stabilization
+    index; the last entry is the dimension of the generalized kernel."""
+    mat._require_complete("kernel dimensions")
+    return _power_chain(mat, None, want_dims=True)[1]
+
+
 def stabilization_index(mat: LambdaMatrix) -> int:
     """Least k with ker(mat^k) = ker(mat^(k+1))."""
-    mat._require_complete("stabilization index")
-    prev = 0
-    k = 0
-    power = LambdaMatrix.identity(mat.field, mat.size)
-    while True:
-        nxt = power * mat
-        d = mat.size - rank(nxt)
-        if d == prev:
-            return k
-        prev = d
-        power = nxt
-        k += 1
+    return len(kernel_dims(mat)) - 1
 
 
 def stabilized_kernel(mat: LambdaMatrix) -> list:
@@ -326,17 +368,8 @@ def stabilized_kernel(mat: LambdaMatrix) -> list:
     return kernel(mat ** k) if k else []
 
 
-def jordan_zero_block_sizes(mat: LambdaMatrix) -> list:
-    """Sizes of the Jordan blocks of eigenvalue zero, descending."""
-    mat._require_complete("Jordan structure")
-    dims = [0]
-    power = LambdaMatrix.identity(mat.field, mat.size)
-    while True:
-        power = power * mat
-        d = mat.size - rank(power)
-        if d == dims[-1]:
-            break
-        dims.append(d)
+def zero_block_sizes(dims) -> list:
+    """Jordan blocks of eigenvalue zero, descending, from kernel_dims."""
     deltas = [dims[k + 1] - dims[k] for k in range(len(dims) - 1)]
     deltas.append(0)
     sizes = []
@@ -345,8 +378,9 @@ def jordan_zero_block_sizes(mat: LambdaMatrix) -> list:
     return sorted(sizes, reverse=True)
 
 
-def image_power_rank(mat: LambdaMatrix, k: int) -> int:
-    return rank(mat ** k)
+def jordan_zero_block_sizes(mat: LambdaMatrix) -> list:
+    """Sizes of the Jordan blocks of eigenvalue zero, descending."""
+    return zero_block_sizes(kernel_dims(mat))
 
 
 def stable_relation(cp: CharPoly) -> tuple[int, tuple]:

@@ -26,9 +26,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-from .gw import tau
 
 
 @dataclass(frozen=True)
@@ -51,10 +48,13 @@ class WeightVector:
 def sample_weights(m: int, seed: int = 0) -> WeightVector:
     """Deterministic generic weights for a torus of rank m+1."""
     rng = random.Random(seed)
+    # |a| <= 40, 1 <= b <= 9 gives exactly 469 distinct a/b; past that
+    # the numerators widen so the pool stays about twice the rank
+    top = 40 if m + 1 <= 469 else 40 * -(-2 * (m + 1) // 469)
     seen = set()
     out = []
     while len(out) < m + 1:
-        w = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        w = Fraction(rng.randint(-top, top), rng.randint(1, 9))
         if w not in seen:
             seen.add(w)
             out.append(w)
@@ -177,16 +177,3 @@ def localize_entry(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
     meets the zero section in -n copies of the constraint cycle, so the
     fixed-point integral is rescaled by -n.  Equals n^2 * tau(a, n)."""
     return Fraction(-n) * fixed_point_integral(m, n, a, weights)
-
-
-def localize_matches_closed_form(
-    m: int, n: int, a: int, trials: int = 3, seed: int = 0
-) -> bool:
-    """Sample several generic weight vectors and compare the localized
-    entry against the closed form n^2 * tau(a, n)."""
-    expected = n * n * tau(a, n)
-    for k in range(trials):
-        w = sample_weights(m, seed + k)
-        if localize_entry(m, n, a, w) != expected:
-            return False
-    return True

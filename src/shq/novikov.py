@@ -221,7 +221,8 @@ def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
 
 def _pdiv_exact(a: dict, b: dict) -> dict:
     q, r = _pdivmod(a, b)
-    assert not r, "inexact polynomial division"
+    if r:
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 
@@ -470,6 +471,11 @@ def _term_str(c, e: int) -> str:
     if isinstance(c, Fraction) and c == -1:
         return f"-{t}"
     return f"{_coeff_str(c)}*{t}"
+
+
+def unknown_term_str(d: int) -> str:
+    """An undetermined coefficient of t^d, rendered '?*t^d'."""
+    return _term_str("?", d)
 
 
 def _laurent_str(d: dict) -> str:

@@ -50,14 +50,14 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .blowup import obstruction_bundle_degree
-from .gw import subdiagonal_entry, tau_table
+from .gw import subdiagonal_entry
 from .linalg import (
     CharPoly,
     LambdaMatrix,
     char_poly,
-    jordan_zero_block_sizes,
+    spectrum,
     stable_relation,
-    stabilized_kernel,
+    zero_block_sizes,
 )
 from .localization import localize_entry, sample_weights
 from .novikov import CoefficientField, GradingContext, Novikov, QQ
@@ -94,7 +94,7 @@ def minimal_chern(m: int, n: int) -> int:
 
 
 def _validate_mn(m: int, n: int):
-    if not (isinstance(m, int) and isinstance(n, int)) or m < 1 or n < 1:
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (m, n)) or m < 1 or n < 1:
         raise ValueError(f"need integers m >= 1 and n >= 1, got m={m!r}, n={n!r}")
 
 
@@ -145,13 +145,9 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
             # d >= 2 coefficients are undetermined unless they vanish
             # identically: each is -n times an integer count, so even
             # twist over GF(2) clears them all
-            d = 2
-            while d * N <= m:
-                a = 0
-                while a < n and d * N + a <= m:
+            for d in _correction_degrees(m, N):
+                for a in range(min(n, m + 1 - d * N)):
                     unknown.add((d * N + a - 1, a, d))
-                    a += 1
-                d += 1
     return LambdaMatrix(
         tuple(tuple(row) for row in grid),
         basis="omega",
@@ -217,9 +213,11 @@ def _lead_coefficient(m: int, n: int, field: CoefficientField) -> Novikov:
     return Novikov.monomial(field, (-1) ** N * n ** (1 + m), 1)
 
 
-def _classical_omega_ring(m: int, field, ctx) -> RingPresentation:
+def _classical_omega_ring(m: int, field, ctx, unknown_terms=()) -> RingPresentation:
     rel = [Novikov.zero(field)] * (m + 1) + [Novikov.one(field)]
-    return RingPresentation("omega", tuple(rel), ctx)
+    return RingPresentation(
+        "omega", tuple(rel), ctx, complete=not unknown_terms, unknown_terms=unknown_terms
+    )
 
 
 def _zero_reason(regime: Regime, field: CoefficientField, n: int) -> str:
@@ -259,13 +257,16 @@ def compute_sh(
     diags = []
     c_is_unit = bool(field.of(-n))
 
+    cp, dims = None, None
     if r.is_complete:
-        cp = char_poly(r)
+        cp, annihilates, dims = spectrum(r)
         diags.append(
             Diagnostic(
                 "cayley_hamilton",
-                True,
-                "characteristic polynomial annihilates the matrix",
+                annihilates,
+                "characteristic polynomial annihilates the matrix"
+                if annihilates
+                else "characteristic polynomial fails to annihilate the matrix",
             )
         )
         p, rel_c = stable_relation(cp)
@@ -282,26 +283,13 @@ def compute_sh(
             # the omega-relation is classical exactly when no correction
             # degree fits (2N > m, Calabi-Yau, or large twist)
             qh_c = None
-            if regime.exact_mode:
-                qh = _classical_omega_ring(m, field, ctx)
-            else:
-                unknown_terms = tuple(
-                    sorted({(m + 1 - d * N, d) for (_, _, d) in _correction_slots(m, N)})
-                )
-                rel = [Novikov.zero(field)] * (m + 1) + [Novikov.one(field)]
-                qh = RingPresentation(
-                    "omega",
-                    tuple(rel),
-                    ctx,
-                    complete=False,
-                    unknown_terms=unknown_terms,
-                )
-            assert p == 0
+            unknown = () if regime.exact_mode else sorted(_unknown_relation_terms(m, N))
+            qh = _classical_omega_ring(m, field, ctx, tuple(unknown))
+            if p:
+                raise ArithmeticError("even twist over GF(2) left a non-nilpotent operator")
             sh = ZeroRing(_zero_reason(regime, field, n))
-        result_char: Optional[CharPoly] = cp
     else:
         # monotone, partial: never fabricate the d >= 2 numbers
-        result_char = None
         lead = _lead_coefficient(m, n, field)
         possible = tuple(range(N, m + 1, N)) if N else ()
         sh = PartialFacts(
@@ -324,22 +312,21 @@ def compute_sh(
             )
         )
 
-    diags.extend(_diagnostics(m, n, field, regime, r, result_char, qh, sh, sh_rank, seed, trials))
+    diags.extend(_diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials))
     return ShResult(
-        m, n, field, N, regime, r, result_char, qh, qh_c, sh, sh_rank, tuple(diags)
+        m, n, field, N, regime, r, cp, qh, qh_c, sh, sh_rank, tuple(diags)
     )
 
 
-def _correction_slots(m: int, N: int) -> list:
-    out = []
-    d = 2
-    while N >= 1 and d * N <= m:
-        a = 0
-        while d * N + a <= m:
-            out.append((d * N + a - 1, a, d))
-            a += 1
-        d += 1
-    return out
+def _correction_degrees(m: int, N: int) -> range:
+    """The t-powers d >= 2 of the corrections that fit, d * N <= m (N >= 1)."""
+    return range(2, m // N + 1)
+
+
+def _unknown_relation_terms(m: int, N: int) -> list:
+    """(generator power, t-power) of each undetermined relation term,
+    d ascending."""
+    return [(m + 1 - d * N, d) for d in _correction_degrees(m, N)]
 
 
 def _partial_presentation(m, n, field, ctx, generator, lead_c) -> RingPresentation:
@@ -350,33 +337,29 @@ def _partial_presentation(m, n, field, ctx, generator, lead_c) -> RingPresentati
     rel = [Novikov.zero(field)] * (deg + 1)
     rel[deg] = Novikov.one(field)
     rel[deg - N] = lead_c
-    unknown_terms = []
-    d = 2
-    while d * N <= m:
-        unknown_terms.append((deg - d * N, d))
-        d += 1
     return RingPresentation(
         generator,
         tuple(rel),
         ctx,
         complete=False,
-        unknown_terms=tuple(unknown_terms),
+        unknown_terms=tuple(_unknown_relation_terms(m, N)),
     )
 
 
 def vanishing_nilpotency(result: ShResult) -> bool:
     """Is the quantum first Chern class of the line bundle nilpotent?
     Must agree with SH being the zero ring."""
-    field = result.field
-    scale = field.of(-result.n)
-    if not scale:
-        return True
-    if not result.qh.complete:
+    if result.field.of(-result.n) and not result.qh.complete:
         raise ValueError(
             "nilpotency is undecidable from an incomplete presentation"
         )
-    c1 = result.qh.gen() * Novikov.constant(field, scale)
-    return is_nilpotent(result.qh, c1)
+    return _c1_nilpotent(result.qh, result.field, result.n)
+
+
+def _c1_nilpotent(qh: RingPresentation, field: CoefficientField, n: int) -> bool:
+    """Whether c1 = -n * omega is nilpotent in qh; trivially so when -n
+    vanishes in the field."""
+    return not field.of(-n) or is_nilpotent(qh, qh.gen() * Novikov.constant(field, -n))
 
 
 def rank_constraints(m: int, n: int, sh_rank: int) -> bool:
@@ -405,7 +388,7 @@ def kodaira_vanishing_applies(m: int, n: int) -> bool:
     return n > 2 * m
 
 
-def _diagnostics(m, n, field, regime, r, cp, qh, sh, sh_rank, seed, trials) -> list:
+def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials) -> list:
     out = []
     N = minimal_chern(m, n)
     numeric_rank = sh_rank if isinstance(sh_rank, int) else None
@@ -421,11 +404,7 @@ def _diagnostics(m, n, field, regime, r, cp, qh, sh, sh_rank, seed, trials) -> l
             )
         )
     else:
-        nil = (
-            True
-            if not field.of(-n)
-            else is_nilpotent(qh, qh.gen() * Novikov.constant(field, field.of(-n)))
-        )
+        nil = _c1_nilpotent(qh, field, n)
         vanished = isinstance(sh, ZeroRing)
         out.append(
             Diagnostic(
@@ -461,11 +440,11 @@ def _diagnostics(m, n, field, regime, r, cp, qh, sh, sh_rank, seed, trials) -> l
     # generalized kernel and block structure (complete matrices only)
     if cp is not None:
         p = numeric_rank if numeric_rank is not None else 0
-        gk = len(stabilized_kernel(r))
+        gk = dims[-1]
         ok = gk == m + 1 - p
         detail = f"generalized kernel has dimension {gk} = {m + 1} - {p}"
         if field.of(-n):
-            blocks = jordan_zero_block_sizes(r)
+            blocks = zero_block_sizes(dims)
             ok = ok and blocks == [m + 1 - p]
             detail += f"; single nilpotent block of size {m + 1 - p}"
         out.append(Diagnostic("generalized_kernel", ok, detail))
@@ -593,14 +572,25 @@ def _sh_dict(sh) -> dict:
         "rank_multiple_of": sh.rank_multiple_of,
         "possible_ranks": list(sh.possible_ranks),
         "lead": {"index": sh.lead_index, "coefficient": str(sh.lead_coefficient)},
-        "undetermined_entries": [
-            {"row": i + 1, "col": j + 1, "t_power": d} for (i, j, d) in sh.undetermined
-        ],
+        "undetermined_entries": _positions(sh.undetermined),
+    }
+
+
+def _positions(triples) -> list:
+    """(row, col, t_power) triples, 0-indexed, as 1-indexed dicts."""
+    return [{"row": i + 1, "col": j + 1, "t_power": d} for (i, j, d) in triples]
+
+
+def matrix_to_dict(r: LambdaMatrix) -> dict:
+    return {
+        "size": r.size,
+        "basis": r.basis,
+        "entries": r.to_strings(),
+        "unknown": _positions(sorted(r.unknown)),
     }
 
 
 def result_to_dict(result: ShResult) -> dict:
-    r = result.r_matrix
     return {
         "m": result.m,
         "n": result.n,
@@ -611,15 +601,7 @@ def result_to_dict(result: ShResult) -> dict:
             "exact_mode": result.regime.exact_mode,
             "description": result.regime.description,
         },
-        "r_matrix": {
-            "size": r.size,
-            "basis": r.basis,
-            "entries": r.to_strings(),
-            "unknown": [
-                {"row": i + 1, "col": j + 1, "t_power": d}
-                for (i, j, d) in sorted(r.unknown)
-            ],
-        },
+        "r_matrix": matrix_to_dict(result.r_matrix),
         "char_poly": None
         if result.char is None
         else [

@@ -13,11 +13,11 @@ computation that depends on the missing numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import LambdaMatrix
-from .novikov import CoefficientField, GradingContext, Novikov
+from .novikov import CoefficientField, GradingContext, Novikov, unknown_term_str
 
 
 class IncompletePresentationError(ValueError):
@@ -148,34 +148,35 @@ class RingPresentation:
                 coeffs[k - deg + idx] = coeffs[k - deg + idx] - f * self.relation[idx]
         return RingElement(self, tuple(coeffs[: self.rank]))
 
+    @property
+    def symbol(self) -> str:
+        return "w" if self.generator == "omega" else "c"
+
     def __str__(self):
-        sym = "w" if self.generator == "omega" else "c"
-        return f"Lambda[{sym}]/({relation_str(self)})"
+        return f"Lambda[{self.symbol}]/({relation_str(self)})"
+
+
+def _term_str(coeff: str, sym: str, k: int) -> str:
+    """One term coeff*sym^k of a polynomial in the generator."""
+    if k == 0:
+        return coeff
+    gen = sym if k == 1 else f"{sym}^{k}"
+    if coeff == "1":
+        return gen
+    if " " in coeff or "/" in coeff:
+        coeff = f"({coeff})"
+    return f"{coeff}*{gen}"
 
 
 def relation_str(pres: RingPresentation) -> str:
     """Relation as text, descending powers, unknown slots as '?*t^d'."""
-    sym = "w" if pres.generator == "omega" else "c"
-    unknown = {k: d for (k, d) in pres.unknown_terms}
+    unknown = dict(pres.unknown_terms)
     parts = []
     for k in range(pres.degree, -1, -1):
         if k in unknown:
-            d = unknown[k]
-            coeff = "?*t" if d == 1 else f"?*t^{d}"
+            parts.append(_term_str(unknown_term_str(unknown[k]), pres.symbol, k))
         elif pres.relation[k]:
-            coeff = str(pres.relation[k])
-        else:
-            continue
-        if k == 0:
-            parts.append(coeff)
-            continue
-        gen = sym if k == 1 else f"{sym}^{k}"
-        if coeff == "1":
-            parts.append(gen)
-        else:
-            if " " in coeff or "/" in coeff:
-                coeff = f"({coeff})"
-            parts.append(f"{coeff}*{gen}")
+            parts.append(_term_str(str(pres.relation[k]), pres.symbol, k))
     return " + ".join(parts)
 
 
@@ -187,7 +188,10 @@ class RingElement:
     coeffs: tuple
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.pres.rank
+        if len(self.coeffs) != self.pres.rank:
+            raise ValueError(
+                f"{len(self.coeffs)} coefficients for a rank-{self.pres.rank} quotient"
+            )
 
     def _check(self, other: "RingElement"):
         if self.pres != other.pres:
@@ -204,10 +208,7 @@ class RingElement:
     def __sub__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        self._check(other)
-        return RingElement(
-            self.pres, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + (-other)
 
     def __neg__(self):
         return RingElement(self.pres, tuple(-a for a in self.coeffs))
@@ -243,22 +244,11 @@ class RingElement:
         return any(self.coeffs)
 
     def __str__(self):
-        sym = "w" if self.pres.generator == "omega" else "c"
-        parts = []
-        for k in range(self.pres.rank - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            gen = sym if k == 1 else f"{sym}^{k}"
-            cs = str(c)
-            if cs == "1":
-                parts.append(gen)
-            else:
-                cs = f"({cs})" if (" " in cs or "/" in cs) else cs
-                parts.append(f"{cs}*{gen}")
+        parts = [
+            _term_str(str(c), self.pres.symbol, k)
+            for k, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        ]
         return " + ".join(parts) if parts else "0"
 
 

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -63,6 +64,25 @@ def test_compute_invalid_m(capsys):
     assert "invalid arguments" in err
 
 
+def test_compute_non_integer_m_exits_3(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["compute", "--m", "True", "--n", "1"])
+    assert e.value.code == 3
+
+
+def test_compute_failed_diagnostic_exits_4(capsys, corrupt_berkowitz):
+    code, out, err = run(capsys, "compute", "--m", "1", "--n", "1")
+    assert code == 4
+    d = json.loads(out)
+    assert not next(x for x in d["diagnostics"] if x["name"] == "cayley_hamilton")["pass"]
+
+
+def test_compute_failed_diagnostic_exits_4_in_text(capsys, corrupt_berkowitz):
+    code, out, err = run(capsys, "compute", "--m", "1", "--n", "1", "--format", "text")
+    assert code == 4
+    assert "diagnostics FAILED: cayley_hamilton" in out
+
+
 def test_missing_argument_exits_3(capsys):
     with pytest.raises(SystemExit) as e:
         main(["compute", "--m", "2"])
@@ -106,6 +126,21 @@ def test_localize(capsys):
     assert [s["value"] for s in d["samples"]] == [4, 4]
     code, out, err = run(capsys, "localize", "--m", "2", "--n", "2", "--a", "5")
     assert code == 3
+
+
+def test_localize_past_the_small_weight_pool(capsys):
+    # 801 torus weights outnumber the 469 values a/b with |a| <= 40, b <= 9
+    def timed_out(signum, frame):
+        raise TimeoutError("localize --m 800 did not return")
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(20)
+    try:
+        d = run_json(capsys, "localize", "--m", "800", "--n", "1", "--a", "0")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert d["match"] is True
 
 
 def test_grr(capsys):

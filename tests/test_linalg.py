@@ -10,13 +10,15 @@ from shq.linalg import (
     IncompleteMatrixError,
     LambdaMatrix,
     char_poly,
-    image_power_rank,
     jordan_zero_block_sizes,
     kernel,
+    kernel_dims,
     rank,
+    spectrum,
     stabilization_index,
     stabilized_kernel,
     stable_relation,
+    zero_block_sizes,
 )
 from shq.novikov import F2, GradingContext, Novikov, QQ
 
@@ -86,6 +88,11 @@ def test_char_poly_matches_permutation_expansion(field, s):
         got = char_poly(m).coefficients()
         expected = permutation_charpoly(m.entries)
         assert list(got) == list(expected)
+
+
+def test_char_poly_raises_when_the_recurrence_is_wrong(corrupt_berkowitz):
+    with pytest.raises(ArithmeticError):
+        char_poly(mat_q([[t, -1], [0, 0]]))
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
@@ -178,9 +185,33 @@ def test_jordan_blocks_sum_to_generalized_kernel():
 
 def test_image_power_rank():
     m = mat_q([[t, -1], [0, 0]])
-    assert image_power_rank(m, 0) == 2
-    assert image_power_rank(m, 1) == 1
-    assert image_power_rank(m, 2) == 1
+    assert rank(m ** 0) == 2
+    assert rank(m ** 1) == 1
+    assert rank(m ** 2) == 1
+
+
+def test_kernel_dims_match_powers():
+    rng = random.Random(43)
+    for _ in range(20):
+        m = random_matrix(rng, QQ, 4)
+        dims = kernel_dims(m)
+        assert dims == [4 - rank(m ** k) for k in range(len(dims))]
+        assert 4 - rank(m ** len(dims)) == dims[-1]
+    shift = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert kernel_dims(shift) == [0, 1, 2, 3]
+    assert kernel_dims(LambdaMatrix.identity(QQ, 3)) == [0]
+
+
+def test_spectrum_agrees_with_the_wrappers():
+    rng = random.Random(47)
+    for field in (QQ, F2):
+        for _ in range(10):
+            m = random_matrix(rng, field, 4)
+            cp, annihilates, dims = spectrum(m)
+            assert annihilates
+            assert cp == char_poly(m)
+            assert dims == kernel_dims(m)
+            assert zero_block_sizes(dims) == jordan_zero_block_sizes(m)
 
 
 # -- splitting off the nilpotent part --------------------------------------
@@ -213,7 +244,7 @@ def test_stable_relation_drops_exact_lambda_power():
         assert rel[-1] == one
         if p:
             assert rel[0]
-        assert p == image_power_rank(m, 4)
+        assert p == rank(m ** 4)
 
 
 # -- unknown entries --------------------------------------------------------

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from shq.novikov import F2, GF2Element, GradingContext, Novikov, QQ, _canonical
+from shq.novikov import (
+    F2,
+    GF2Element,
+    GradingContext,
+    Novikov,
+    QQ,
+    _canonical,
+    _pdiv_exact,
+)
 
 
 def nov(field, num, den=None):
@@ -217,3 +225,12 @@ def test_hash_consistency():
     a = nov(QQ, {0: Fraction(1), 2: Fraction(-1)}, {0: Fraction(1), 1: Fraction(-1)})
     b = Novikov.one(QQ) + Novikov.t(QQ)
     assert a == b and hash(a) == hash(b)
+
+
+def test_inexact_polynomial_division_raises():
+    assert _pdiv_exact({2: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}) == {
+        1: Fraction(1),
+        0: Fraction(1),
+    }
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact({1: Fraction(1)}, {1: Fraction(1), 0: Fraction(1)})

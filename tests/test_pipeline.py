@@ -58,9 +58,11 @@ def test_regime_examples():
 
 
 def test_regime_rejects_bad_input():
-    for m, n in [(0, 1), (1, 0), (-2, 3)]:
+    for m, n in [(0, 1), (1, 0), (-2, 3), (True, 1), (2, True), (False, 1)]:
         with pytest.raises(ValueError):
             classify_regime(m, n)
+    with pytest.raises(ValueError):
+        compute_sh(True, 1)
 
 
 # -- the matrix ------------------------------------------------------------
@@ -139,6 +141,14 @@ def test_compute_over_the_line():
     # omega is sent to -t in the quotient
     reduced = res.sh.reduce((Novikov.zero(QQ), Novikov.one(QQ)))
     assert reduced.coeffs == (mono(QQ, -1, 1),)
+
+
+def test_cayley_hamilton_diagnostic_reports_the_check(corrupt_berkowitz):
+    res = compute_sh(1, 1)
+    (ch,) = [d for d in res.diagnostics if d.name == "cayley_hamilton"]
+    assert not ch.passed
+    assert ch.detail == "characteristic polynomial fails to annihilate the matrix"
+    assert res.char.a == (mono(QQ, -2, 1), mono(QQ, 0))
 
 
 def test_compute_twist_one_family():

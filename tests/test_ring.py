@@ -8,6 +8,7 @@ from shq.linalg import LambdaMatrix, char_poly
 from shq.novikov import F2, GradingContext, Novikov, QQ
 from shq.ring import (
     IncompletePresentationError,
+    RingElement,
     RingPresentation,
     change_generator,
     is_nilpotent,
@@ -249,3 +250,9 @@ def test_relation_rendering():
         "omega", tuple(rel), None, complete=False, unknown_terms=((0, 2),)
     )
     assert relation_str(pres) == "w^6 + 27*t*w^3 + ?*t^2"
+
+
+def test_element_length_checked():
+    pres = RingPresentation("c", (t, zero, one))
+    with pytest.raises(ValueError):
+        RingElement(pres, (one,))
