@@ -33,11 +33,14 @@ class SurfaceRing:
 
     def __post_init__(self):
         r = len(self.labels)
-        assert len(self.form) == r and all(len(row) == r for row in self.form)
-        assert len(self.canonical) == r
+        if len(self.form) != r or any(len(row) != r for row in self.form):
+            raise ValueError(f"form must be {r} x {r}, one row per label")
+        if len(self.canonical) != r:
+            raise ValueError(f"canonical class must have {r} coordinates")
         for p in range(r):
             for q in range(r):
-                assert self.form[p][q] == self.form[q][p], "form must be symmetric"
+                if self.form[p][q] != self.form[q][p]:
+                    raise ValueError("form must be symmetric")
 
     @property
     def rank(self) -> int:

@@ -13,6 +13,11 @@ free, so it works verbatim over GF(2), and every result is verified by
 substituting the matrix back in (Cayley-Hamilton).  That check, the
 kernel dimensions of the powers and the Jordan blocks of eigenvalue
 zero all come from one walk over mat, mat^2, ..., mat^s.
+
+Every product of scalars goes through two kernels, _dot and _axpy.
+Zero entries add no terms and are skipped, so the scalar arithmetic on
+a banded matrix such as the quantum multiplication operator scales
+with its nonzero entries, not with the square of its size.
 """
 
 from __future__ import annotations
@@ -143,18 +148,16 @@ class LambdaMatrix:
         other._require_complete("matrix product")
         if self.size != other.size:
             raise ValueError("size mismatch")
-        s = self.size
         zero = Novikov.zero(self.field)
         rows = []
-        for i in range(s):
-            row = []
-            for j in range(s):
-                acc = zero
-                for k in range(s):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return LambdaMatrix(tuple(rows))
+        for row in self.entries:
+            # row i of the product: the rows of other weighted by row i
+            acc = [zero] * self.size
+            for a, orow in zip(row, other.entries):
+                if a:
+                    acc = _axpy(acc, a, orow)
+            rows.append(acc)
+        return LambdaMatrix(rows)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -167,13 +170,21 @@ class LambdaMatrix:
     def apply(self, vec) -> tuple:
         self._require_complete("matrix-vector product")
         zero = Novikov.zero(self.field)
-        out = []
-        for i in range(self.size):
-            acc = zero
-            for k in range(self.size):
-                acc = acc + self.entries[i][k] * vec[k]
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dot(row, vec, zero) for row in self.entries)
+
+
+def _dot(xs, ys, zero):
+    """Sum of x*y over the pairs of xs and ys where both are nonzero."""
+    acc = zero
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
+def _axpy(xs, a, ys) -> list:
+    """xs + a*ys entry by entry; where ys is zero the entry of xs is kept."""
+    return [x + a * y if y else x for x, y in zip(xs, ys)]
 
 
 @dataclass(frozen=True)
@@ -214,26 +225,14 @@ def _berkowitz(mat: LambdaMatrix) -> CharPoly:
 
     C = [one, -E[0][0]]
     for i in range(1, s):
-        R = E[i][:i]
+        # vec has length i, so _dot reads only the leading i entries of a row
         col = [one, -E[i][i]]
         vec = [E[k][i] for k in range(i)]
         for step in range(i):
-            acc = zero
-            for k in range(i):
-                acc = acc + R[k] * vec[k]
-            col.append(-acc)
+            col.append(-_dot(E[i], vec, zero))
             if step < i - 1:
-                vec = [
-                    sum((E[p][q] * vec[q] for q in range(i)), zero) for p in range(i)
-                ]
-        newC = []
-        for r in range(i + 2):
-            acc = zero
-            for c in range(min(r, i) + 1):
-                if r - c < len(col):
-                    acc = acc + col[r - c] * C[c]
-            newC.append(acc)
-        C = newC
+                vec = [_dot(E[p], vec, zero) for p in range(i)]
+        C = [_dot(col[r::-1], C, zero) for r in range(i + 2)]
     return CharPoly(s, tuple(C[1:]))
 
 
@@ -265,10 +264,9 @@ def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
     d = None
     for j, power in enumerate(_powers(mat, s), start=1):
         if residual is not None and a[s - j]:
-            for row, prow in zip(residual, power.entries):
-                for q, x in enumerate(prow):
-                    if x:
-                        row[q] = row[q] + a[s - j] * x
+            residual = [
+                _axpy(row, a[s - j], prow) for row, prow in zip(residual, power.entries)
+            ]
         if not stable:
             d = s - rank(power)
             stable = d in (dims[-1], s)
@@ -315,8 +313,7 @@ def _rref(rows: list, ncols: int) -> tuple[list, list]:
         rows[r] = [x * inv for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [xk - f * xr for xk, xr in zip(rows[k], rows[r])]
+                rows[k] = _axpy(rows[k], -rows[k][c], rows[r])
         pivots.append(c)
         r += 1
         if r == len(rows):

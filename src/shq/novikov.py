@@ -150,7 +150,6 @@ class GradingContext:
     """Degree bookkeeping: the quantum variable t has degree 2N."""
 
     N: int
-    convention: str = "cohomological"
 
 
 # Polynomials and Laurent polynomials are dicts {exponent: coefficient}
@@ -458,19 +457,15 @@ class Novikov:
         return f"Novikov[{self.field.kind}]({self})"
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def _term_str(c, e: int) -> str:
     if e == 0:
-        return _coeff_str(c)
+        return str(c)
     t = "t" if e == 1 else f"t^{e}"
     if c == 1:
         return t
     if isinstance(c, Fraction) and c == -1:
         return f"-{t}"
-    return f"{_coeff_str(c)}*{t}"
+    return f"{c}*{t}"
 
 
 def unknown_term_str(d: int) -> str:

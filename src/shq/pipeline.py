@@ -215,9 +215,7 @@ def _lead_coefficient(m: int, n: int, field: CoefficientField) -> Novikov:
 
 def _classical_omega_ring(m: int, field, ctx, unknown_terms=()) -> RingPresentation:
     rel = [Novikov.zero(field)] * (m + 1) + [Novikov.one(field)]
-    return RingPresentation(
-        "omega", tuple(rel), ctx, complete=not unknown_terms, unknown_terms=unknown_terms
-    )
+    return RingPresentation("omega", tuple(rel), ctx, unknown_terms)
 
 
 def _zero_reason(regime: Regime, field: CoefficientField, n: int) -> str:
@@ -338,11 +336,7 @@ def _partial_presentation(m, n, field, ctx, generator, lead_c) -> RingPresentati
     rel[deg] = Novikov.one(field)
     rel[deg - N] = lead_c
     return RingPresentation(
-        generator,
-        tuple(rel),
-        ctx,
-        complete=False,
-        unknown_terms=tuple(_unknown_relation_terms(m, N)),
+        generator, tuple(rel), ctx, tuple(_unknown_relation_terms(m, N))
     )
 
 

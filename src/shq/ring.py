@@ -33,13 +33,13 @@ class RingPresentation:
     is degree + 1 and the top coefficient must be one.  The quotient
     has dimension ``degree`` with basis 1, g, ..., g^(degree-1).
     unknown_terms lists (gen_power, t_power) slots of the relation that
-    carry undetermined corrections; complete must be False with any.
+    carry undetermined corrections; the presentation is complete when
+    there are none.
     """
 
     generator: str
     relation: tuple
     grading: Optional[GradingContext] = None
-    complete: bool = True
     unknown_terms: tuple = ()
 
     def __post_init__(self):
@@ -47,8 +47,6 @@ class RingPresentation:
             raise ValueError(f"unknown generator {self.generator!r}")
         if len(self.relation) < 1 or self.relation[-1] != Novikov.one(self.field):
             raise ValueError("relation must be monic")
-        if self.unknown_terms and self.complete:
-            raise ValueError("a presentation with unknown terms is not complete")
         for (k, d) in self.unknown_terms:
             if not (0 <= k < self.degree) or d < 1:
                 raise ValueError(f"unknown term {(k, d)} out of range")
@@ -78,6 +76,10 @@ class RingPresentation:
                     f"unknown term at power {k} declares t-power {d}, "
                     f"homogeneity needs N*d = {self.degree - k}"
                 )
+
+    @property
+    def complete(self) -> bool:
+        return not self.unknown_terms
 
     @property
     def field(self) -> CoefficientField:
@@ -283,9 +285,7 @@ def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
     s = Novikov.constant(pres.field, scale)
     deg = pres.degree
     rel = tuple(pres.relation[k] * s ** (k - deg) for k in range(deg + 1))
-    return RingPresentation(
-        "omega", rel, pres.grading, pres.complete, pres.unknown_terms
-    )
+    return RingPresentation("omega", rel, pres.grading, pres.unknown_terms)
 
 
 def is_nilpotent(pres: RingPresentation, x: RingElement) -> bool:

@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity by a route disjoint from the package
 implementation: sympy symbolics, brute-force enumeration over
-permutations, or classical closed forms.  Tests freeze values produced
-here against the package's own answers.
+permutations, dense loops over every entry, or classical closed
+forms.  Tests freeze values produced here against the package's own
+answers.
 """
 
 from fractions import Fraction
@@ -87,6 +88,60 @@ def permutation_charpoly(entries) -> list:
     out = list(reversed(det[: s + 1]))
     assert out[0] == one
     return out
+
+
+def dense_product(a, b) -> tuple:
+    """Product of two square matrices of Novikov scalars (rows of
+    entries) by the triple loop, every zero included."""
+    s = len(a)
+    zero = Novikov.zero(a[0][0].field)
+    rows = []
+    for i in range(s):
+        row = []
+        for j in range(s):
+            acc = zero
+            for k in range(s):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def dense_apply(a, vec) -> tuple:
+    """Matrix times vector by the double loop, every zero included."""
+    zero = Novikov.zero(a[0][0].field)
+    out = []
+    for row in a:
+        acc = zero
+        for k in range(len(row)):
+            acc = acc + row[k] * vec[k]
+        out.append(acc)
+    return tuple(out)
+
+
+def closed_form(m: int, n: int, field) -> tuple:
+    """(QH relation, SH relation or None for the zero ring) of O(-n) over
+    P^m in the hyperplane generator w, coefficients ascending, from the
+    closed forms alone, for the pairs with every correction determined.
+
+    Monotone window 2n <= m + 1, with N = 1 + m - n:
+    QH = Lambda[w]/(w^(m+1) + n^n t w^n) and SH = Lambda[w]/(w^N + n^n t),
+    the coefficient n^n reduced mod 2 over GF(2).  An even twist over
+    GF(2) makes it vanish: QH is classical and SH = 0.  So do the
+    Calabi-Yau twist n = m + 1 and the large twists n >= 2m + 1.
+    """
+    zero, one = Novikov.zero(field), Novikov.one(field)
+    qh = [zero] * (m + 1) + [one]
+    if 2 * n <= m + 1:
+        coeff = Novikov.monomial(field, n ** n, 1)
+        if coeff:
+            N = 1 + m - n
+            qh[n] = coeff
+            sh = [coeff] + [zero] * (N - 1) + [one]
+            return tuple(qh), tuple(sh)
+    elif n != m + 1 and n < 2 * m + 1:
+        raise ValueError(f"({m}, {n}) has undetermined or undefined corrections")
+    return tuple(qh), None
 
 
 def noether_chi_trivial(k_squared: int, euler: int) -> Fraction:

@@ -1,10 +1,14 @@
 """Surface Riemann-Roch: blow-up bookkeeping and the degree-one count."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import shq
 from shq.blowup import (
     SurfaceRing,
     blow_up,
@@ -42,6 +46,39 @@ def test_blow_up_bookkeeping():
     assert s.canonical == (-3, 1)
     assert s.euler == 4
     assert s.k_squared() == 8
+
+
+@pytest.mark.parametrize(
+    "form, canonical",
+    [
+        (((0, 1),), (0, 0)),  # one row for two labels
+        (((0, 1), (1,)), (0, 0)),  # ragged row
+        (((0, 1), (1, 0)), (0,)),  # canonical class too short
+        (((0, 1), (2, 0)), (0, 0)),  # not symmetric
+    ],
+    ids=["rows", "ragged", "canonical", "asymmetric"],
+)
+def test_malformed_surface_rejected(form, canonical):
+    with pytest.raises(ValueError):
+        SurfaceRing(("a", "b"), form, canonical, 4)
+
+
+def test_asymmetric_form_rejected_under_optimize():
+    # python -O strips asserts; the checks must survive it
+    code = (
+        "from shq.blowup import SurfaceRing\n"
+        "SurfaceRing(('a', 'b'), ((0, 1), (2, 0)), (0, 0), 4)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "ValueError: form must be symmetric" in proc.stderr
 
 
 def test_blow_up_zero_points_is_identity():

@@ -22,7 +22,7 @@ from shq.linalg import (
 )
 from shq.novikov import F2, GradingContext, Novikov, QQ
 
-from oracles import permutation_charpoly
+from oracles import dense_apply, dense_product, permutation_charpoly
 
 
 def mat_q(rows):
@@ -140,6 +140,47 @@ def test_rank_with_rational_function_entries():
     f = (one + t).inverse()
     m = LambdaMatrix(((f, f), (f, f)))
     assert rank(m) == 1
+
+
+# -- zero-skipping products against the dense loops ------------------------
+
+
+def sparse_matrices(field, seed, count=30, s=5):
+    rng = random.Random(seed)
+    mats = [random_matrix(rng, field, s, laurent_only=False) for _ in range(count)]
+    entries = [x for m in mats for row in m.entries for x in row]
+    assert sum(1 for x in entries if not x) >= 0.4 * len(entries)
+    return mats
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_products_match_dense_loops(field):
+    # 1/(1 + t) brings in entries with a nontrivial denominator
+    f = (Novikov.one(field) + Novikov.t(field)).inverse()
+    mats = sparse_matrices(field, 53)
+    for a, b in zip(mats, mats[1:]):
+        b_f = LambdaMatrix(tuple(tuple(x * f for x in row) for row in b.entries))
+        for rhs in (b, b_f):
+            assert (a * rhs).entries == dense_product(a.entries, rhs.entries)
+            for v in rhs.entries:
+                assert a.apply(v) == dense_apply(a.entries, v)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_rank_nullity_on_sparse_matrices(field):
+    s = 5
+    z = Novikov.zero(field)
+    for k, m in enumerate(sparse_matrices(field, 59, s=s)):
+        rows = [list(r) for r in m.entries]
+        if k % 3 == 1:
+            rows[k % s] = [z] * s
+        elif k % 3 == 2:
+            for row in rows:
+                row[k % s] = z
+        m = LambdaMatrix(rows)
+        assert rank(m) + len(kernel(m)) == s
+        for v in kernel(m):
+            assert not any(dense_apply(m.entries, v))
 
 
 # -- nilpotent structure ---------------------------------------------------

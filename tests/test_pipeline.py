@@ -24,6 +24,8 @@ from shq.pipeline import (
 )
 from shq.ring import RingPresentation, multiplication_matrix
 
+from oracles import closed_form
+
 
 def mono(field, c, e=0):
     return Novikov.monomial(field, c, e)
@@ -258,6 +260,23 @@ def test_diagnostics_all_pass_everywhere():
                 res = compute_sh(m, n, field, trials=1)
                 failed = [d.name for d in res.diagnostics if not d.passed]
                 assert not failed, (m, n, field.kind, failed)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_closed_form_past_m_8(field):
+    # every exact_rows pair with 9 <= m <= 16
+    for m in range(9, 17):
+        for n in list(range(1, (m + 1) // 2 + 1)) + [m + 1, 2 * m + 1]:
+            res = compute_sh(m, n, field, trials=1)
+            failed = [d.name for d in res.diagnostics if not d.passed]
+            assert not failed, (m, n, failed)
+            qh, sh = closed_form(m, n, field)
+            assert res.qh.relation == qh, (m, n)
+            if sh is None:
+                assert isinstance(res.sh, ZeroRing) and res.sh_rank == 0, (m, n)
+            else:
+                assert res.sh.relation == sh, (m, n)
+                assert res.sh_rank == len(sh) - 1, (m, n)
 
 
 def test_multiplication_matrix_bases_agree_only_without_corrections():

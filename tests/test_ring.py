@@ -218,7 +218,6 @@ def test_incomplete_presentation_blocks_arithmetic():
         "omega",
         tuple(rel),
         GradingContext(2),
-        complete=False,
         unknown_terms=((2, 2), (0, 3)),
     )
     with pytest.raises(IncompletePresentationError):
@@ -231,13 +230,8 @@ def test_incomplete_presentation_blocks_arithmetic():
 
 def test_unknown_terms_validated():
     with pytest.raises(ValueError):
-        RingPresentation(
-            "omega", (zero, t, one), complete=False, unknown_terms=((1, 1),)
-        )  # slot already holds a trusted nonzero coefficient
-    with pytest.raises(ValueError):
-        RingPresentation(
-            "omega", (zero, zero, one), complete=True, unknown_terms=((0, 1),)
-        )
+        # slot already holds a trusted nonzero coefficient
+        RingPresentation("omega", (zero, t, one), unknown_terms=((1, 1),))
 
 
 def test_relation_rendering():
@@ -246,9 +240,7 @@ def test_relation_rendering():
     rel = [zero] * 7
     rel[3] = Novikov.monomial(QQ, 27, 1)
     rel[6] = one
-    pres = RingPresentation(
-        "omega", tuple(rel), None, complete=False, unknown_terms=((0, 2),)
-    )
+    pres = RingPresentation("omega", tuple(rel), None, unknown_terms=((0, 2),))
     assert relation_str(pres) == "w^6 + 27*t*w^3 + ?*t^2"
 
 
