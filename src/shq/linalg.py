@@ -310,7 +310,7 @@ def _rref(rows: list, ncols: int) -> tuple[list, list]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
                 rows[k] = _axpy(rows[k], -rows[k][c], rows[r])

@@ -18,19 +18,27 @@ weights and leaves an overall factor -n.
 
 The result is a weight-independent integer equal to n^2 * tau(a, n);
 weight independence of the whole sum (not of individual terms) is what
-the tests sample.  All arithmetic is exact over Fraction.
+the tests sample.
+
+Every pair term is homogeneous of degree 0 in the weights, so scaling
+them by a common denominator changes nothing and integer weights are
+as generic as rational ones.  The sampled weights are distinct
+integers; each pair term is a ratio of two integer products, reduced
+by one exact Fraction division.  Fraction weights work the same way.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Pairwise-distinct rational torus weights alpha_0, ..., alpha_m."""
+    """Pairwise-distinct torus weights alpha_0, ..., alpha_m."""
 
     alphas: tuple
 
@@ -38,7 +46,7 @@ class WeightVector:
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError("torus weights must be pairwise distinct")
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Rational:
         return self.alphas[k]
 
     def __len__(self) -> int:
@@ -46,41 +54,53 @@ class WeightVector:
 
 
 def sample_weights(m: int, seed: int = 0) -> WeightVector:
-    """Deterministic generic weights for a torus of rank m+1."""
-    rng = random.Random(seed)
-    # |a| <= 40, 1 <= b <= 9 gives exactly 469 distinct a/b; past that
-    # the numerators widen so the pool stays about twice the rank
-    top = 40 if m + 1 <= 469 else 40 * -(-2 * (m + 1) // 469)
-    seen = set()
-    out = []
-    while len(out) < m + 1:
-        w = Fraction(rng.randint(-top, top), rng.randint(1, 9))
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return WeightVector(tuple(out))
+    """Deterministic generic integer weights for a torus of rank m+1:
+    distinct draws from a range at least twice the rank."""
+    top = max(360, m + 1)
+    return WeightVector(tuple(random.Random(seed).sample(range(-top, top + 1), m + 1)))
 
 
-def two_graph_contributions(a0: Fraction, a1: Fraction) -> tuple:
+def two_graph_contributions(a0: Rational, a1: Rational) -> tuple:
     """Warm-up on O(-1) over the line: the two broken sections
     contribute -alpha_k/(alpha_k - alpha_other); the sum is -1."""
     if a0 == a1:
         raise ValueError("torus weights must be pairwise distinct")
-    return (-a0 / (a0 - a1), -a1 / (a1 - a0))
+    return (Fraction(-a0, a0 - a1), Fraction(-a1, a1 - a0))
 
 
-def _check_inputs(m: int, n: int, a: int, weights: WeightVector):
+def _index_sets(m: int, n: int, a: int, weights: WeightVector) -> tuple[range, range]:
+    """Check the inputs; return the fixed points of the two constraint
+    planes, disjoint since n <= m."""
     if not 1 <= n <= m:
         raise ValueError(f"fixed-point count needs 1 <= n <= m, got n={n}, m={m}")
     if not 0 <= a <= n - 1:
         raise ValueError(f"offset {a} out of range 0..{n - 1}")
     if len(weights) != m + 1:
         raise ValueError(f"need {m + 1} torus weights, got {len(weights)}")
-
-
-def _index_sets(m: int, n: int, a: int) -> tuple[range, range]:
-    # fixed points of the two constraint planes; disjoint since n <= m
     return range(0, a + 1), range(m - (n - a - 1), m + 1)
+
+
+def _pair_index_sets(m, n, a, i, j, weights) -> tuple[range, range]:
+    iset, jset = _index_sets(m, n, a, weights)
+    if i not in iset or j not in jset:
+        raise ValueError(f"pair ({i}, {j}) outside the constraint planes")
+    return iset, jset
+
+
+def _moves(al, i: int, j: int, iset: range, jset: range) -> list:
+    """Deformation weights: each marked point moving inside its plane."""
+    return [al[i] - al[I] for I in iset if I != i] + [
+        al[j] - al[J] for J in jset if J != j
+    ]
+
+
+def _serre(al, n: int, i: int, j: int) -> list:
+    """Obstruction weights A*a_i + (n-A)*a_j for 0 < A < n."""
+    return [A * al[i] + (n - A) * al[j] for A in range(1, n)]
+
+
+def _pair(al, n: int, i: int, j: int, iset: range, jset: range) -> Fraction:
+    return Fraction(math.prod(_serre(al, n, i, j)), math.prod(_moves(al, i, j, iset, jset)))
 
 
 @dataclass(frozen=True)
@@ -96,40 +116,28 @@ class GraphWeights:
     i: int
     j: int
     bubble_over: str
-    node_smoothing: Fraction
+    node_smoothing: Rational
     marked_point_moves: tuple
-    line_bundle_point: Fraction
+    line_bundle_point: Rational
     serre_dual: tuple
 
     def reciprocal_euler(self) -> Fraction:
-        num = self.line_bundle_point
-        for w in self.serre_dual:
-            num *= w
-        den = self.node_smoothing
-        for w in self.marked_point_moves:
-            den *= w
-        return num / den
+        return Fraction(
+            math.prod(self.serre_dual, start=self.line_bundle_point),
+            math.prod(self.marked_point_moves, start=self.node_smoothing),
+        )
 
 
 def graph_weights(
     m: int, n: int, a: int, i: int, j: int, weights: WeightVector
 ) -> tuple[GraphWeights, GraphWeights]:
     """The two fixed graphs through (q_i, q_j), with all weights shown."""
-    _check_inputs(m, n, a, weights)
-    iset, jset = _index_sets(m, n, a)
-    if i not in iset or j not in jset:
-        raise ValueError(f"pair ({i}, {j}) outside the constraint planes")
+    iset, jset = _pair_index_sets(m, n, a, i, j, weights)
     al = weights
-    moves = tuple(al[i] - al[I] for I in iset if I != i) + tuple(
-        al[j] - al[J] for J in jset if J != j
-    )
-    serre = tuple(A * al[i] + (n - A) * al[j] for A in range(1, n))
-    over_zero = GraphWeights(
-        i, j, "zero", al[j] - al[i], moves, Fraction(-n) * al[j], serre
-    )
-    over_inf = GraphWeights(
-        i, j, "infinity", al[i] - al[j], moves, Fraction(-n) * al[i], serre
-    )
+    moves = tuple(_moves(al, i, j, iset, jset))
+    serre = tuple(_serre(al, n, i, j))
+    over_zero = GraphWeights(i, j, "zero", al[j] - al[i], moves, -n * al[j], serre)
+    over_inf = GraphWeights(i, j, "infinity", al[i] - al[j], moves, -n * al[i], serre)
     return over_inf, over_zero
 
 
@@ -142,38 +150,19 @@ def pair_contribution(
         prod_{A+B=n} (A a_i + B a_j)
         / [prod_{I != i} (a_i - a_I) * prod_{J != j} (a_j - a_J)].
     """
-    _check_inputs(m, n, a, weights)
-    iset, jset = _index_sets(m, n, a)
-    if i not in iset or j not in jset:
-        raise ValueError(f"pair ({i}, {j}) outside the constraint planes")
-    al = weights
-    num = Fraction(1)
-    for A in range(1, n):
-        num *= A * al[i] + (n - A) * al[j]
-    den = Fraction(1)
-    for I in iset:
-        if I != i:
-            den *= al[i] - al[I]
-    for J in jset:
-        if J != j:
-            den *= al[j] - al[J]
-    return num / den
+    iset, jset = _pair_index_sets(m, n, a, i, j, weights)
+    return _pair(weights, n, i, j, iset, jset)
 
 
 def fixed_point_integral(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
     """Sum of reciprocal Euler classes over all fixed graphs: -n times
     the pair sum.  Equals -n * tau(a, n) for any generic weights."""
-    _check_inputs(m, n, a, weights)
-    iset, jset = _index_sets(m, n, a)
-    total = Fraction(0)
-    for i in iset:
-        for j in jset:
-            total += pair_contribution(m, n, a, i, j, weights)
-    return Fraction(-n) * total
+    iset, jset = _index_sets(m, n, a, weights)
+    return -n * sum(_pair(weights, n, i, j, iset, jset) for i in iset for j in jset)
 
 
 def localize_entry(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
     """Degree-one matrix entry by localization: the perturbed base plane
     meets the zero section in -n copies of the constraint cycle, so the
     fixed-point integral is rescaled by -n.  Equals n^2 * tau(a, n)."""
-    return Fraction(-n) * fixed_point_integral(m, n, a, weights)
+    return -n * fixed_point_integral(m, n, a, weights)

@@ -141,7 +141,7 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
     if N >= 1:
         for a in range(n):
             grid[N + a - 1][a] = Novikov.monomial(field, subdiagonal_entry(m, n, a), 1)
-        if not (field.characteristic == 2 and n % 2 == 0):
+        if not _c1_vanishes(field, n):
             # d >= 2 coefficients are undetermined unless they vanish
             # identically: each is -n times an integer count, so even
             # twist over GF(2) clears them all
@@ -207,10 +207,22 @@ class ShResult:
     diagnostics: tuple
 
 
+def _c1_vanishes(field: CoefficientField, n: int) -> bool:
+    """Whether c1 = -n * omega is zero in the field: even twist over GF(2)."""
+    return not field.of(-n)
+
+
 def _lead_coefficient(m: int, n: int, field: CoefficientField) -> Novikov:
     """Closed form for a_N: (-1)^N n^(1+m) t."""
     N = minimal_chern(m, n)
     return Novikov.monomial(field, (-1) ** N * n ** (1 + m), 1)
+
+
+def _lead_from_r(r: LambdaMatrix, m: int, n: int) -> Novikov:
+    """a_N from r (monotone): the only principal N x N minors with a t^1
+    term are the N-cycles through one subdiagonal entry r[N+a-1][a]."""
+    N = minimal_chern(m, n)
+    return -((-n) ** (N - 1)) * sum(r.entries[N + a - 1][a] for a in range(n))
 
 
 def _classical_omega_ring(m: int, field, ctx, unknown_terms=()) -> RingPresentation:
@@ -219,7 +231,7 @@ def _classical_omega_ring(m: int, field, ctx, unknown_terms=()) -> RingPresentat
 
 
 def _zero_reason(regime: Regime, field: CoefficientField, n: int) -> str:
-    if field.characteristic == 2 and n % 2 == 0:
+    if _c1_vanishes(field, n):
         return (
             "the first Chern class of the line bundle is zero over GF(2) "
             "for even twist, hence nilpotent"
@@ -253,7 +265,6 @@ def compute_sh(
     ctx = GradingContext(N)
     r = build_r_matrix(m, n, field)
     diags = []
-    c_is_unit = bool(field.of(-n))
 
     cp, dims = None, None
     if r.is_complete:
@@ -269,7 +280,7 @@ def compute_sh(
         )
         p, rel_c = stable_relation(cp)
         sh_rank: Union[int, str] = p
-        if c_is_unit:
+        if not _c1_vanishes(field, n):
             qh_c = RingPresentation("c", tuple(reversed(cp.coefficients())), ctx)
             qh = change_generator(qh_c, n)
             if p == 0:
@@ -304,7 +315,7 @@ def compute_sh(
         diags.append(
             Diagnostic(
                 "lead_coefficient",
-                True,
+                _lead_from_r(r, m, n) == lead,
                 f"a_{N} = (-1)^{N} * {n}^{1 + m} * t = {lead} is nonzero, "
                 "so the stable part survives",
             )
@@ -343,7 +354,7 @@ def _partial_presentation(m, n, field, ctx, generator, lead_c) -> RingPresentati
 def vanishing_nilpotency(result: ShResult) -> bool:
     """Is the quantum first Chern class of the line bundle nilpotent?
     Must agree with SH being the zero ring."""
-    if result.field.of(-result.n) and not result.qh.complete:
+    if not _c1_vanishes(result.field, result.n) and not result.qh.complete:
         raise ValueError(
             "nilpotency is undecidable from an incomplete presentation"
         )
@@ -353,7 +364,7 @@ def vanishing_nilpotency(result: ShResult) -> bool:
 def _c1_nilpotent(qh: RingPresentation, field: CoefficientField, n: int) -> bool:
     """Whether c1 = -n * omega is nilpotent in qh; trivially so when -n
     vanishes in the field."""
-    return not field.of(-n) or is_nilpotent(qh, qh.gen() * Novikov.constant(field, -n))
+    return _c1_vanishes(field, n) or is_nilpotent(qh, qh.gen() * Novikov.constant(field, -n))
 
 
 def rank_constraints(m: int, n: int, sh_rank: int) -> bool:
@@ -437,7 +448,7 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
         gk = dims[-1]
         ok = gk == m + 1 - p
         detail = f"generalized kernel has dimension {gk} = {m + 1} - {p}"
-        if field.of(-n):
+        if not _c1_vanishes(field, n):
             blocks = zero_block_sizes(dims)
             ok = ok and blocks == [m + 1 - p]
             detail += f"; single nilpotent block of size {m + 1 - p}"
@@ -453,28 +464,26 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
                     f"a_{N} = {got} matches (-1)^{N} * {n}^{1 + m} * t",
                 )
             )
-    if cp is not None and field.of(-n):
+    if cp is not None and not _c1_vanishes(field, n):
         mm = multiplication_matrix(qh, qh.gen() * Novikov.constant(field, -n))
-        ok = char_poly(mm) == cp
         detail = "multiplication by -n*omega in QH realizes the same operator"
         if n == 1 or regime.kind != "monotone":
-            # correction-free power basis: the matrices agree entrywise
-            ok = ok and mm == r
+            # correction-free power basis: equal matrices, equal char polys
+            ok = mm == r
             detail += ", entrywise"
         else:
+            ok = char_poly(mm) == cp
             detail += " (different bases for n >= 2: characteristic data match)"
         out.append(Diagnostic("multiplication_matrix", ok, detail))
 
     # localization cross-check on the degree-one entries
     if 1 <= n <= m:
         ok = True
+        samples = [sample_weights(m, seed + k) for k in range(max(1, trials))]
         for a in range(n):
             expected = subdiagonal_entry(m, n, a)
-            for k in range(max(1, trials)):
-                got = localize_entry(m, n, a, sample_weights(m, seed + k))
-                ok = ok and got == expected
-            entry = r.entries[N + a - 1][a]
-            ok = ok and entry == Novikov.monomial(field, expected, 1)
+            ok = ok and all(localize_entry(m, n, a, w) == expected for w in samples)
+            ok = ok and r.entries[N + a - 1][a] == Novikov.monomial(field, expected, 1)
         out.append(
             Diagnostic(
                 "localization_match",
@@ -514,7 +523,7 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
             )
         )
 
-    if field.characteristic == 2 and n % 2 == 0:
+    if _c1_vanishes(field, n):
         out.append(
             Diagnostic(
                 "char2_even_twist",

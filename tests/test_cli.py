@@ -129,7 +129,7 @@ def test_localize(capsys):
 
 
 def test_localize_past_the_small_weight_pool(capsys):
-    # 801 torus weights outnumber the 469 values a/b with |a| <= 40, b <= 9
+    # 801 torus weights, more than the default range of 721 integers holds
     def timed_out(signum, frame):
         raise TimeoutError("localize --m 800 did not return")
 

@@ -37,6 +37,13 @@ def test_two_graph_sum_weight_independent():
         assert sum(two_graph_contributions(a0, a1)) == -1
 
 
+def test_two_graph_exact_for_int_weights():
+    c0, c1 = two_graph_contributions(3, -2)
+    assert type(c0) is Fraction and type(c1) is Fraction
+    assert (c0, c1) == (Fraction(-3, 5), Fraction(-2, 5))
+    assert c0 + c1 == -1
+
+
 def test_two_graph_rejects_equal_weights():
     with pytest.raises(ValueError):
         two_graph_contributions(Fraction(1), Fraction(1))
@@ -48,13 +55,14 @@ def test_weight_vector_distinctness():
 
 
 def test_sample_weights_deterministic_and_distinct():
-    for m in range(1, 9):
+    for m in list(range(1, 9)) + [359, 360, 468, 469, 800, 2000]:
         for seed in range(20):
             w1 = sample_weights(m, seed)
             w2 = sample_weights(m, seed)
             assert w1.alphas == w2.alphas
             assert len(w1) == m + 1
             assert len(set(w1.alphas)) == m + 1
+            assert all(type(x) is int for x in w1.alphas)
 
 
 def test_o_minus_one_over_line():
@@ -119,6 +127,28 @@ def test_translation_invariance():
     w = sample_weights(4, 5)
     shifted = WeightVector(tuple(x + Fraction(7, 3) for x in w.alphas))
     assert localize_entry(4, 3, 1, w) == localize_entry(4, 3, 1, shifted)
+
+
+def test_scaling_the_weights_changes_nothing():
+    # every pair term is homogeneous of degree 0 in the weights, which is
+    # why integer weights are as generic as rational ones
+    w = sample_weights(5, 9)
+    for c in (Fraction(-7, 3), Fraction(1, 11), 5):
+        scaled = WeightVector(tuple(c * x for x in w.alphas))
+        assert localize_entry(5, 3, 1, scaled) == localize_entry(5, 3, 1, w)
+        for i in range(2):
+            for j in range(4, 6):
+                assert pair_contribution(5, 3, 1, i, j, scaled) == pair_contribution(
+                    5, 3, 1, i, j, w
+                )
+
+
+def test_results_are_fractions_for_int_and_fraction_weights():
+    w = sample_weights(4, 2)
+    for weights in (w, WeightVector(tuple(Fraction(x, 3) for x in w.alphas))):
+        assert type(localize_entry(4, 3, 1, weights)) is Fraction
+        for g in graph_weights(4, 3, 1, 0, 4, weights):
+            assert type(g.reciprocal_euler()) is Fraction
 
 
 def test_individual_terms_do_depend_on_weights():

@@ -3,11 +3,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import shq.pipeline
 from shq.gw import subdiagonal_entry
 from shq.linalg import char_poly
 from shq.novikov import F2, FIELDS, QQ, Novikov
 from shq.pipeline import (
     PartialFacts,
+    _lead_from_r,
     UnsupportedRegimeError,
     ZeroRing,
     build_r_matrix,
@@ -249,6 +251,28 @@ def test_lead_coefficient_closed_form_matches_char_poly():
         res = compute_sh(m, n)
         N = res.N
         assert res.char.a[N - 1] == mono(QQ, (-1) ** N * n ** (1 + m), 1)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_lead_read_off_r_matches_char_poly(field):
+    # the O(n) formula the partial-mode diagnostic uses, on every complete
+    # monotone pair with m <= 8
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            if not classify_regime(m, n).exact_mode:
+                continue
+            res = compute_sh(m, n, field, trials=1)
+            assert _lead_from_r(res.r_matrix, m, n) == res.char.a[res.N - 1], (m, n)
+
+
+def test_partial_lead_diagnostic_reads_r(monkeypatch):
+    # a wrong degree-one entry must fail the partial-mode a_N check
+    real = shq.pipeline.subdiagonal_entry
+    monkeypatch.setattr(shq.pipeline, "subdiagonal_entry", lambda m, n, a: real(m, n, a) + 1)
+    res = compute_sh(3, 3, trials=1)
+    assert isinstance(res.sh, PartialFacts)
+    (lead,) = [d for d in res.diagnostics if d.name == "lead_coefficient"]
+    assert not lead.passed
 
 
 def test_diagnostics_all_pass_everywhere():
