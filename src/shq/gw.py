@@ -66,11 +66,17 @@ def subdiagonal_entry(m: int, n: int, a: int) -> int:
     weights on both markings, i.e. 0 <= a <= n-1, and the row index
     stays inside the matrix, i.e. n <= m (equivalently N >= 1).
     """
-    if not 1 <= n <= m:
-        raise ValueError(f"degree-one entries need 1 <= n <= m, got n={n}, m={m}")
+    entries = subdiagonal_entries(m, n)
     if not 0 <= a <= n - 1:
         raise ValueError(f"offset {a} out of range 0..{n - 1}")
-    return n * n * tau(a, n)
+    return entries[a]
+
+
+def subdiagonal_entries(m: int, n: int) -> tuple:
+    """subdiagonal_entry for a = 0, ..., n-1, from one tau table."""
+    if not 1 <= n <= m:
+        raise ValueError(f"degree-one entries need 1 <= n <= m, got n={n}, m={m}")
+    return tuple(n * n * c for c in tau_table(n).coeffs)
 
 
 def obstruction_rank(n: int, d: int) -> int:

@@ -343,7 +343,7 @@ def kernel(mat: LambdaMatrix) -> list:
             v[p] = -red[r][f]
         lead = next(x for x in v if x)
         inv = lead.inverse()
-        basis.append(tuple(x * inv for x in v))
+        basis.append(tuple(x * inv if x else x for x in v))
     return basis
 
 

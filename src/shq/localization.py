@@ -23,8 +23,16 @@ the tests sample.
 Every pair term is homogeneous of degree 0 in the weights, so scaling
 them by a common denominator changes nothing and integer weights are
 as generic as rational ones.  The sampled weights are distinct
-integers; each pair term is a ratio of two integer products, reduced
-by one exact Fraction division.  Fraction weights work the same way.
+integers, and Fraction weights are scaled to integers first.
+
+The sum is factored.  A pair term is S(i, j) / (D_i * E_j): the Serre
+product S(i, j) of the obstruction weights does not depend on the
+offset a, and the move products D_i and E_j each depend on one fixed
+point.  So one Serre table serves every entry of a weight vector, the
+move products are built once per offset, the pair sum is one integer
+numerator over the lcm of the D_i times the lcm of the E_j, and each
+entry costs one exact Fraction division: O(n^3) per weight vector for
+all n entries.
 """
 
 from __future__ import annotations
@@ -68,16 +76,28 @@ def two_graph_contributions(a0: Rational, a1: Rational) -> tuple:
     return (Fraction(-a0, a0 - a1), Fraction(-a1, a1 - a0))
 
 
-def _index_sets(m: int, n: int, a: int, weights: WeightVector) -> tuple[range, range]:
-    """Check the inputs; return the fixed points of the two constraint
-    planes, disjoint since n <= m."""
+def _check(m: int, n: int, weights: WeightVector) -> None:
     if not 1 <= n <= m:
         raise ValueError(f"fixed-point count needs 1 <= n <= m, got n={n}, m={m}")
-    if not 0 <= a <= n - 1:
-        raise ValueError(f"offset {a} out of range 0..{n - 1}")
     if len(weights) != m + 1:
         raise ValueError(f"need {m + 1} torus weights, got {len(weights)}")
+
+
+def _check_offset(n: int, a: int) -> None:
+    if not 0 <= a <= n - 1:
+        raise ValueError(f"offset {a} out of range 0..{n - 1}")
+
+
+def _planes(m: int, n: int, a: int) -> tuple[range, range]:
+    """The fixed points of the two constraint planes, disjoint since n <= m."""
     return range(0, a + 1), range(m - (n - a - 1), m + 1)
+
+
+def _index_sets(m: int, n: int, a: int, weights: WeightVector) -> tuple[range, range]:
+    """Check the inputs; return the fixed points of the two constraint planes."""
+    _check(m, n, weights)
+    _check_offset(n, a)
+    return _planes(m, n, a)
 
 
 def _pair_index_sets(m, n, a, i, j, weights) -> tuple[range, range]:
@@ -87,11 +107,14 @@ def _pair_index_sets(m, n, a, i, j, weights) -> tuple[range, range]:
     return iset, jset
 
 
+def _plane_moves(al, k: int, plane: range) -> list:
+    """Weights of the fixed point q_k moving inside its constraint plane."""
+    return [al[k] - al[K] for K in plane if K != k]
+
+
 def _moves(al, i: int, j: int, iset: range, jset: range) -> list:
     """Deformation weights: each marked point moving inside its plane."""
-    return [al[i] - al[I] for I in iset if I != i] + [
-        al[j] - al[J] for J in jset if J != j
-    ]
+    return _plane_moves(al, i, iset) + _plane_moves(al, j, jset)
 
 
 def _serre(al, n: int, i: int, j: int) -> list:
@@ -101,6 +124,41 @@ def _serre(al, n: int, i: int, j: int) -> list:
 
 def _pair(al, n: int, i: int, j: int, iset: range, jset: range) -> Fraction:
     return Fraction(math.prod(_serre(al, n, i, j)), math.prod(_moves(al, i, j, iset, jset)))
+
+
+def _integral(weights: WeightVector) -> list:
+    """The weights times the lcm of their denominators: integers, and
+    every pair term unchanged."""
+    scale = math.lcm(*(x.denominator for x in weights))
+    return [int(x * scale) for x in weights]
+
+
+def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int) -> list:
+    """scale * sum_{i, j} S(i, j) / (D_i * E_j) for each offset a, with
+    i in 0..a and j in N+a..m.  One Serre table serves every offset; per
+    offset the numerator is summed in integers over the common
+    denominator lcm(D) * lcm(E), then divided once."""
+    al = _integral(weights)
+    N = m + 1 - n
+    # S(i, j) is needed only when some offset a has i <= a and N + a <= j
+    serre = {
+        (i, j): math.prod(_serre(al, n, i, j))
+        for i in range(offsets[-1] + 1)
+        for j in range(N + max(i, offsets[0]), m + 1)
+    }
+    out = []
+    for a in offsets:
+        iset, jset = _planes(m, n, a)
+        ds = [math.prod(_plane_moves(al, i, iset)) for i in iset]
+        es = [math.prod(_plane_moves(al, j, jset)) for j in jset]
+        d_tot, e_tot = math.lcm(*ds), math.lcm(*es)
+        cofactors = [e_tot // e for e in es]
+        num = sum(
+            d_tot // d * sum(serre[i, j] * c for j, c in zip(jset, cofactors))
+            for i, d in zip(iset, ds)
+        )
+        out.append(Fraction(scale * num, d_tot * e_tot))
+    return out
 
 
 @dataclass(frozen=True)
@@ -157,8 +215,9 @@ def pair_contribution(
 def fixed_point_integral(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
     """Sum of reciprocal Euler classes over all fixed graphs: -n times
     the pair sum.  Equals -n * tau(a, n) for any generic weights."""
-    iset, jset = _index_sets(m, n, a, weights)
-    return -n * sum(_pair(weights, n, i, j, iset, jset) for i in iset for j in jset)
+    _check(m, n, weights)
+    _check_offset(n, a)
+    return _pair_sums(m, n, weights, range(a, a + 1), -n)[0]
 
 
 def localize_entry(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
@@ -166,3 +225,10 @@ def localize_entry(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
     meets the zero section in -n copies of the constraint cycle, so the
     fixed-point integral is rescaled by -n.  Equals n^2 * tau(a, n)."""
     return -n * fixed_point_integral(m, n, a, weights)
+
+
+def localize_row(m: int, n: int, weights: WeightVector) -> tuple[Fraction, ...]:
+    """localize_entry for every offset a = 0, ..., n-1 at once, from one
+    Serre table: the n degree-one entries n^2 * tau(a, n)."""
+    _check(m, n, weights)
+    return tuple(_pair_sums(m, n, weights, range(n), n * n))

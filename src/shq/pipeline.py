@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .blowup import obstruction_bundle_degree
-from .gw import subdiagonal_entry
+from .gw import subdiagonal_entries
 from .linalg import (
     CharPoly,
     LambdaMatrix,
@@ -59,7 +59,7 @@ from .linalg import (
     stable_relation,
     zero_block_sizes,
 )
-from .localization import localize_entry, sample_weights
+from .localization import localize_row, sample_weights
 from .novikov import CoefficientField, GradingContext, Novikov, QQ
 from .ring import (
     RingPresentation,
@@ -139,8 +139,8 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
         grid[i][i + 1] = minus_n
     unknown = set()
     if N >= 1:
-        for a in range(n):
-            grid[N + a - 1][a] = Novikov.monomial(field, subdiagonal_entry(m, n, a), 1)
+        for a, entry in enumerate(subdiagonal_entries(m, n)):
+            grid[N + a - 1][a] = Novikov.monomial(field, entry, 1)
         if not _c1_vanishes(field, n):
             # d >= 2 coefficients are undetermined unless they vanish
             # identically: each is -n times an integer count, so even
@@ -223,6 +223,19 @@ def _lead_from_r(r: LambdaMatrix, m: int, n: int) -> Novikov:
     term are the N-cycles through one subdiagonal entry r[N+a-1][a]."""
     N = minimal_chern(m, n)
     return -((-n) ** (N - 1)) * sum(r.entries[N + a - 1][a] for a in range(n))
+
+
+def _lead_diagnostic(got: Novikov, lead: Novikov, m: int, n: int, passed: str) -> Diagnostic:
+    """Compare a computed a_N with the closed form lead; the detail is
+    passed when they agree and names the mismatch otherwise."""
+    if got == lead:
+        return Diagnostic("lead_coefficient", True, passed)
+    N = minimal_chern(m, n)
+    return Diagnostic(
+        "lead_coefficient",
+        False,
+        f"a_{N} = {got} does not match (-1)^{N} * {n}^{1 + m} * t = {lead}",
+    )
 
 
 def _classical_omega_ring(m: int, field, ctx, unknown_terms=()) -> RingPresentation:
@@ -313,9 +326,11 @@ def compute_sh(
         qh_c = _partial_presentation(m, n, field, ctx, "c", lead)
         qh = change_generator(qh_c, n)
         diags.append(
-            Diagnostic(
-                "lead_coefficient",
-                _lead_from_r(r, m, n) == lead,
+            _lead_diagnostic(
+                _lead_from_r(r, m, n),
+                lead,
+                m,
+                n,
                 f"a_{N} = (-1)^{N} * {n}^{1 + m} * t = {lead} is nonzero, "
                 "so the stable part survives",
             )
@@ -458,10 +473,8 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
             lead = _lead_coefficient(m, n, field)
             got = cp.a[N - 1]
             out.append(
-                Diagnostic(
-                    "lead_coefficient",
-                    got == lead,
-                    f"a_{N} = {got} matches (-1)^{N} * {n}^{1 + m} * t",
+                _lead_diagnostic(
+                    got, lead, m, n, f"a_{N} = {got} matches (-1)^{N} * {n}^{1 + m} * t"
                 )
             )
     if cp is not None and not _c1_vanishes(field, n):
@@ -478,12 +491,14 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
 
     # localization cross-check on the degree-one entries
     if 1 <= n <= m:
-        ok = True
-        samples = [sample_weights(m, seed + k) for k in range(max(1, trials))]
-        for a in range(n):
-            expected = subdiagonal_entry(m, n, a)
-            ok = ok and all(localize_entry(m, n, a, w) == expected for w in samples)
-            ok = ok and r.entries[N + a - 1][a] == Novikov.monomial(field, expected, 1)
+        expected = subdiagonal_entries(m, n)
+        ok = all(
+            localize_row(m, n, sample_weights(m, seed + k)) == expected
+            for k in range(max(1, trials))
+        ) and all(
+            r.entries[N + a - 1][a] == Novikov.monomial(field, e, 1)
+            for a, e in enumerate(expected)
+        )
         out.append(
             Diagnostic(
                 "localization_match",

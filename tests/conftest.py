@@ -3,6 +3,7 @@
 import pytest
 
 import shq.linalg
+import shq.pipeline
 
 
 @pytest.fixture
@@ -20,3 +21,17 @@ def corrupt_berkowitz(monkeypatch):
         return shq.linalg.CharPoly(cp.size, tuple(c + c for c in cp.a))
 
     monkeypatch.setattr(shq.linalg, "_berkowitz", corrupted)
+
+
+@pytest.fixture
+def corrupt_localize_row(monkeypatch):
+    """Add one to the a = 1 entry of every localized row the pipeline
+    computes; the other entries are left alone."""
+    real = shq.pipeline.localize_row
+
+    def corrupted(m, n, weights):
+        row = list(real(m, n, weights))
+        row[1] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(shq.pipeline, "localize_row", corrupted)

@@ -7,6 +7,7 @@ forms.  Tests freeze values produced here against the package's own
 answers.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -181,3 +182,21 @@ def sympy_entry(m: int, n: int, a: int, alphas) -> Fraction:
             total += num / den
     total = sympy.Rational(sympy.nsimplify(n * n * total))
     return Fraction(int(total.p), int(total.q))
+
+
+def pair_sum_entry(m: int, n: int, a: int, alphas) -> Fraction:
+    """Degree-one matrix entry as n^2 times the pair sum, one Fraction
+    per pair (i, j): the Serre product over the two move products,
+    every term rebuilt from the weights."""
+    al = list(alphas)
+    iset = range(0, a + 1)
+    jset = range(m - (n - a - 1), m + 1)
+    total = Fraction(0)
+    for i in iset:
+        for j in jset:
+            serre = math.prod(A * al[i] + (n - A) * al[j] for A in range(1, n))
+            moves = math.prod(al[i] - al[I] for I in iset if I != i) * math.prod(
+                al[j] - al[J] for J in jset if J != j
+            )
+            total += Fraction(serre, moves)
+    return n * n * total

@@ -83,6 +83,14 @@ def test_compute_failed_diagnostic_exits_4_in_text(capsys, corrupt_berkowitz):
     assert "diagnostics FAILED: cayley_hamilton" in out
 
 
+def test_compute_failed_localization_exits_4(capsys, corrupt_localize_row):
+    code, out, err = run(capsys, "compute", "--m", "5", "--n", "3")
+    assert code == 4
+    d = json.loads(out)
+    failed = [x["name"] for x in d["diagnostics"] if not x["pass"]]
+    assert failed == ["localization_match"]
+
+
 def test_missing_argument_exits_3(capsys):
     with pytest.raises(SystemExit) as e:
         main(["compute", "--m", "2"])

@@ -9,6 +9,7 @@ from shq.gw import (
     h1_p1,
     obstruction_rank,
     splitting_type,
+    subdiagonal_entries,
     subdiagonal_entry,
     tau,
     tau_table,
@@ -90,6 +91,7 @@ def test_subdiagonal_entry_examples():
     assert subdiagonal_entry(5, 3, 1) == 45  # 3^2 * 5
     assert subdiagonal_entry(3, 3, 0) == 18
     assert subdiagonal_entry(1, 1, 0) == 1
+    assert subdiagonal_entries(5, 3) == (18, 45, 18)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -104,6 +106,16 @@ def test_subdiagonal_entry_rejects_out_of_range():
         subdiagonal_entry(4, 2, 2)
     with pytest.raises(ValueError):
         subdiagonal_entry(2, 3, 0)  # N < 1: no degree-one row fits
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subdiagonal_entries_read_one_table(n):
+    m = n + 1
+    assert subdiagonal_entries(m, n) == tuple(subdiagonal_entry(m, n, a) for a in range(n))
+    with pytest.raises(ValueError):
+        subdiagonal_entries(n, n + 1)  # N < 1
+    with pytest.raises(ValueError):
+        subdiagonal_entries(m, 0)
 
 
 # -- obstruction bundle and splitting -----------------------------------

@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from shq.gw import subdiagonal_entry, tau
+from shq.gw import subdiagonal_entries, subdiagonal_entry, tau
 from shq.localization import (
     WeightVector,
     fixed_point_integral,
     graph_weights,
     localize_entry,
+    localize_row,
     pair_contribution,
     sample_weights,
     two_graph_contributions,
 )
 
-from oracles import sympy_entry
+from oracles import pair_sum_entry, sympy_entry
 
 
 def test_two_graph_warmup():
@@ -167,3 +168,37 @@ def test_input_validation():
         localize_entry(4, 2, 0, w)  # wrong number of weights
     with pytest.raises(ValueError):
         pair_contribution(3, 2, 0, 1, 3, w)  # i outside its plane
+    with pytest.raises(ValueError):
+        localize_row(3, 4, w)  # needs n <= m
+    with pytest.raises(ValueError):
+        localize_row(3, 0, w)
+    with pytest.raises(ValueError):
+        localize_row(4, 2, w)  # wrong number of weights
+
+
+def _fraction_weights(w):
+    # distinct rationals with several denominators
+    return WeightVector(tuple(Fraction(x, 1 + k % 4) for k, x in enumerate(w.alphas)))
+
+
+def test_localize_row_matches_entries_and_oracles():
+    for m in range(1, 7):
+        for n in range(1, m + 1):
+            w = sample_weights(m, m + n)
+            # 1/2, 1/3, ...: equal numerators, distinct only with their denominators
+            unit = WeightVector(tuple(Fraction(1, k + 2) for k in range(m + 1)))
+            for weights in (w, _fraction_weights(w), unit):
+                row = localize_row(m, n, weights)
+                assert len(row) == n
+                assert all(type(x) is Fraction for x in row)
+                for a in range(n):
+                    assert row[a] == localize_entry(m, n, a, weights)
+                    assert row[a] == pair_sum_entry(m, n, a, weights.alphas)
+                    assert row[a] == sympy_entry(m, n, a, weights.alphas)
+                assert row == subdiagonal_entries(m, n)
+
+
+def test_localize_row_at_the_largest_benchmark_case():
+    for s in (0, 1):
+        row = localize_row(32, 32, sample_weights(32, s))
+        assert row == tuple(subdiagonal_entry(32, 32, a) for a in range(32))

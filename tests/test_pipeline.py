@@ -267,12 +267,43 @@ def test_lead_read_off_r_matches_char_poly(field):
 
 def test_partial_lead_diagnostic_reads_r(monkeypatch):
     # a wrong degree-one entry must fail the partial-mode a_N check
-    real = shq.pipeline.subdiagonal_entry
-    monkeypatch.setattr(shq.pipeline, "subdiagonal_entry", lambda m, n, a: real(m, n, a) + 1)
+    real = shq.pipeline.subdiagonal_entries
+    monkeypatch.setattr(
+        shq.pipeline, "subdiagonal_entries", lambda m, n: tuple(e + 1 for e in real(m, n))
+    )
     res = compute_sh(3, 3, trials=1)
     assert isinstance(res.sh, PartialFacts)
     (lead,) = [d for d in res.diagnostics if d.name == "lead_coefficient"]
     assert not lead.passed
+    assert "surviv" not in lead.detail and "does not match" in lead.detail
+
+
+def _diagnostic(res, name):
+    (d,) = [d for d in res.diagnostics if d.name == name]
+    return d
+
+
+def test_lead_diagnostic_details():
+    # the passing detail of each mode, pinned
+    partial = _diagnostic(compute_sh(3, 3, trials=1), "lead_coefficient")
+    assert partial.detail == (
+        "a_1 = (-1)^1 * 3^4 * t = -81*t is nonzero, so the stable part survives"
+    )
+    exact = _diagnostic(compute_sh(5, 2, trials=1), "lead_coefficient")
+    assert exact.detail == "a_4 = 64*t matches (-1)^4 * 2^6 * t"
+
+
+def test_complete_lead_diagnostic_fails_honestly(corrupt_berkowitz):
+    # a doubled characteristic polynomial gives a doubled a_N
+    lead = _diagnostic(compute_sh(5, 2, trials=1), "lead_coefficient")
+    assert not lead.passed
+    assert lead.detail == "a_4 = 128*t does not match (-1)^4 * 2^6 * t = 64*t"
+
+
+def test_localization_diagnostic_can_fail(corrupt_localize_row):
+    res = compute_sh(5, 3, trials=2)
+    assert not _diagnostic(res, "localization_match").passed
+    assert all(d.passed for d in res.diagnostics if d.name != "localization_match")
 
 
 def test_diagnostics_all_pass_everywhere():
