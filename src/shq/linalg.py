@@ -14,10 +14,19 @@ substituting the matrix back in (Cayley-Hamilton).  That check, the
 kernel dimensions of the powers and the Jordan blocks of eigenvalue
 zero all come from one walk over mat, mat^2, ..., mat^s.
 
-Every product of scalars goes through two kernels, _dot and _axpy.
-Zero entries add no terms and are skipped, so the scalar arithmetic on
-a banded matrix such as the quantum multiplication operator scales
-with its nonzero entries, not with the square of its size.
+Graded matrices are computed at t = 1.  If every nonzero entry (i, j)
+is c * t^d with N*d = i - j + 1 and N != 0, then
+mat(t) = t^(1/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
+characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and ranks,
+kernel dimensions and the Cayley-Hamilton residual are those of the
+constant matrix mat(1).  With N = 0 this holds when every t-power is
+zero.  The graded core reads mat(1) as sparse rows of ground-field
+scalars (ints or Fractions over Q, bits over GF(2)) and converts only
+the s characteristic coefficients back to Novikov scalars.
+
+Matrices without a grading (entries such as 1/(1+t)) take the Novikov
+path: every product of scalars goes through two kernels, _dot and
+_axpy, which skip zero entries.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .novikov import CoefficientField, Novikov, unknown_term_str
+from .novikov import CoefficientField, GF2Element, Novikov, unknown_term_str
 
 
 class IncompleteMatrixError(ValueError):
@@ -50,7 +59,7 @@ class LambdaMatrix:
         s = len(rows)
         if s == 0 or any(len(r) != s for r in rows):
             raise ValueError("matrix must be square and nonempty")
-        field = rows[0][0].field
+        field = rows[0][0].field if isinstance(rows[0][0], Novikov) else None
         for r in rows:
             for x in r:
                 if not isinstance(x, Novikov) or x.field != field:
@@ -216,8 +225,23 @@ def _berkowitz(mat: LambdaMatrix) -> CharPoly:
     """Characteristic polynomial by the Berkowitz vector recurrence.
 
     Division free: only ring operations on the entries, so valid over
-    GF(2) as well as over the rationals.  Unverified; callers check it.
+    GF(2) as well as over the rationals.  Graded matrices run it at
+    t = 1 on sparse ground-field rows.  Unverified; callers check it.
     """
+    graded = _at_one(mat)
+    if graded is None:
+        return _novikov_berkowitz(mat)
+    N, mod, rows = graded
+    zero = Novikov.zero(mat.field)
+    a = tuple(
+        _lift(mat.field, N, k, c) if c else zero
+        for k, c in enumerate(_berkowitz_at_one(rows, mod), start=1)
+    )
+    return CharPoly(mat.size, a)
+
+
+def _novikov_berkowitz(mat: LambdaMatrix) -> CharPoly:
+    """The recurrence on the Novikov entries, for ungraded matrices."""
     s = mat.size
     field = mat.field
     one, zero = Novikov.one(field), Novikov.zero(field)
@@ -253,6 +277,13 @@ def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
     records dim ker(mat^j) for j = 0, 1, ... up to the stabilization
     index.  Returns (annihilates or None, kernel dims or None).
     """
+    graded = _at_one(mat)
+    if graded is not None:
+        N, mod, rows = graded
+        c = None if cp is None else _coefficients_at_one(cp, N)
+        # a cp off the grading cannot be read at t = 1: check it below
+        if cp is None or c is not None:
+            return _walk_at_one(rows, mod, c, want_dims)
     s = mat.size
     zero = Novikov.zero(mat.field)
     residual = None
@@ -278,6 +309,175 @@ def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
     annihilates = None
     if residual is not None:
         annihilates = not any(x for row in residual for x in row)
+    return annihilates, dims
+
+
+# -- graded core: mat(1) over the ground field ------------------------------
+
+
+def _at_one(mat: LambdaMatrix):
+    """(N, mod, rows) for a graded matrix, None for any other.
+
+    rows[i] maps column j to the ground-field coefficient of the nonzero
+    entry (i, j): an int, or a Fraction where it is not integral, over
+    Q (mod 0), a bit over GF(2) (mod 2).  With N = 0 the matrix is read
+    at t = 1 only if every t-power is zero.
+    """
+    if mat.grading is None:
+        return None
+    N = mat.grading.N
+    rows = []
+    for row in mat.entries:
+        out = {}
+        for j, x in enumerate(row):
+            if x:
+                c, d = x.monomial_parts()
+                if d and not N:
+                    return None
+                out[j] = _ground(c)
+        rows.append(out)
+    return N, mat.field.characteristic, rows
+
+
+def _ground(c):
+    """A nonzero coefficient as a bit over GF(2), over Q as an int where
+    it is integral."""
+    if isinstance(c, GF2Element):
+        return c.v
+    return c.numerator if c.denominator == 1 else c
+
+
+def _t_power(N: int, k: int) -> Optional[int]:
+    """The t-power of a_k at grading N; None when N does not divide k."""
+    if not N:
+        return 0
+    return k // N if k % N == 0 else None
+
+
+def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
+    """a_k = c * t^(k/N) from the nonzero coefficient c of mat(1)."""
+    d = _t_power(N, k)
+    if d is None:
+        raise ArithmeticError(f"a_{k} = {c} at t = 1 does not fit grading N = {N}")
+    return Novikov.monomial(field, c, d)
+
+
+def _coefficients_at_one(cp: CharPoly, N: int) -> Optional[list]:
+    """[1, c_1, ..., c_s] when every a_k is c_k * t^(k/N), else None."""
+    out = [1]
+    for k, x in enumerate(cp.a, start=1):
+        if not x:
+            out.append(0)
+            continue
+        parts = x.monomial_parts()
+        if parts is None or parts[1] != _t_power(N, k):
+            return None
+        out.append(_ground(parts[0]))
+    return out
+
+
+def _clean(row: dict, mod: int) -> dict:
+    """The nonzero entries of a sparse row, reduced mod 2 over GF(2)."""
+    if mod:
+        return {j: x % mod for j, x in row.items() if x % mod}
+    return {j: x for j, x in row.items() if x}
+
+
+def _berkowitz_at_one(rows: list, mod: int) -> list:
+    """c_1, ..., c_s of the matrix with sparse rows: the recurrence of
+    _novikov_berkowitz with sparse vectors, so each product of the
+    leading block and a vector runs over the vector's nonzero entries."""
+    s = len(rows)
+    cols = [{} for _ in range(s)]
+    for p, row in enumerate(rows):
+        for j, c in row.items():
+            cols[j][p] = c
+    C = [1, -rows[0].get(0, 0)]
+    for i in range(1, s):
+        # row i and column i of the leading (i+1) x (i+1) block, off the diagonal
+        R = [(j, c) for j, c in rows[i].items() if j < i]
+        vec = {p: c for p, c in cols[i].items() if p < i}
+        col = [1, -rows[i].get(i, 0)]
+        for step in range(i):
+            if not R or not vec:
+                break
+            col.append(-sum(c * vec[j] for j, c in R if j in vec))
+            if step < i - 1:
+                acc = {}
+                for j, v in vec.items():
+                    for p, c in cols[j].items():
+                        if p < i:
+                            acc[p] = acc.get(p, 0) + c * v
+                vec = _clean(acc, mod)
+        col += [0] * (i + 2 - len(col))
+        # C <- Toeplitz(col) * C, over the nonzero terms of each
+        out = [0] * (i + 2)
+        terms = [(q, x) for q, x in enumerate(col) if x]
+        for k, c in enumerate(C):
+            if c:
+                for q, x in terms:
+                    if k + q <= i + 1:
+                        out[k + q] += c * x
+        C = [x % mod for x in out] if mod else out
+    return C[1:]
+
+
+def _rank_at_one(rows: list, mod: int) -> int:
+    """Rank of sparse rows by fraction-free elimination: each row is
+    reduced against the pivot row holding its leading column."""
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            a, b = prow[lead], row[lead]
+            new = {j: a * x for j, x in row.items()}
+            for j, x in prow.items():
+                new[j] = new.get(j, 0) - b * x
+            row = _clean(new, mod)
+    return len(pivots)
+
+
+def _walk_at_one(rows: list, mod: int, c: Optional[list], want_dims: bool):
+    """_power_chain at t = 1: the Cayley-Hamilton residual with the
+    coefficients c = [1, c_1, ..., c_s] (or None) and the kernel
+    dimensions of the powers, from one walk over sparse powers."""
+    s = len(rows)
+    residual = None
+    if c is not None:
+        residual = [{p: c[s]} for p in range(s)]
+    dims = [0] if want_dims else None
+    stable = not want_dims
+    power = rows
+    for j in range(1, s + 1):
+        if j > 1:
+            nxt = []
+            for prow in power:
+                acc = {}
+                for k, v in prow.items():
+                    for q, x in rows[k].items():
+                        acc[q] = acc.get(q, 0) + v * x
+                nxt.append(_clean(acc, mod))
+            power = nxt
+        if residual is not None and c[s - j]:
+            a = c[s - j]
+            for row, prow in zip(residual, power):
+                for q, x in prow.items():
+                    row[q] = row.get(q, 0) + a * x
+        if not stable:
+            d = s - _rank_at_one(power, mod)
+            stable = d in (dims[-1], s)
+            if d != dims[-1]:
+                dims.append(d)
+        # past a zero power every later term of the residual vanishes
+        if (stable and residual is None) or not any(power):
+            break
+    annihilates = None
+    if residual is not None:
+        annihilates = not any(_clean(row, mod) for row in residual)
     return annihilates, dims
 
 
@@ -323,6 +523,10 @@ def _rref(rows: list, ncols: int) -> tuple[list, list]:
 
 def rank(mat: LambdaMatrix) -> int:
     mat._require_complete("rank")
+    graded = _at_one(mat)
+    if graded is not None:
+        _, mod, rows = graded
+        return _rank_at_one(rows, mod)
     rows = [list(r) for r in mat.entries]
     return len(_rref(rows, mat.size)[1])
 

@@ -478,7 +478,8 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
                 )
             )
     if cp is not None and not _c1_vanishes(field, n):
-        mm = multiplication_matrix(qh, qh.gen() * Novikov.constant(field, -n))
+        c1 = qh.gen() * Novikov.constant(field, -n)
+        mm = multiplication_matrix(qh, c1, qh.grading)
         detail = "multiplication by -n*omega in QH realizes the same operator"
         if n == 1 or regime.kind != "monotone":
             # correction-free power basis: equal matrices, equal char polys

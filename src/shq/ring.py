@@ -254,11 +254,15 @@ class RingElement:
         return " + ".join(parts) if parts else "0"
 
 
-def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatrix:
+def multiplication_matrix(
+    pres: RingPresentation, x: RingElement, grading: Optional[GradingContext] = None
+) -> LambdaMatrix:
     """Matrix of multiplication by x on the basis g^(rank-1), ..., g, 1.
 
     Column j holds x * g^(rank-1-j); row i reads off the coefficient of
-    g^(rank-1-i)."""
+    g^(rank-1-i).  A grading is checked (ValueError when the product is
+    not homogeneous in it) and lets the linear algebra run at t = 1; x
+    of degree two in the grading of pres passes the check."""
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("multiplication matrix")
@@ -268,7 +272,7 @@ def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatri
         prod = x * pres.gen_power(r - 1 - j)
         cols.append([prod.coeffs[r - 1 - i] for i in range(r)])
     entries = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-    return LambdaMatrix(entries, basis=pres.generator, grading=None)
+    return LambdaMatrix(entries, basis=pres.generator, grading=grading)
 
 
 def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
@@ -282,9 +286,11 @@ def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
     scale = pres.field.of(-n)
     if not scale:
         raise ValueError("generator change needs -n invertible in the field")
-    s = Novikov.constant(pres.field, scale)
     deg = pres.degree
-    rel = tuple(pres.relation[k] * s ** (k - deg) for k in range(deg + 1))
+    rel = tuple(
+        c * Novikov.constant(pres.field, scale ** (k - deg)) if c else c
+        for k, c in enumerate(pres.relation)
+    )
     return RingPresentation("omega", rel, pres.grading, pres.unknown_terms)
 
 

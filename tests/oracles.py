@@ -120,6 +120,83 @@ def dense_apply(a, vec) -> tuple:
     return tuple(out)
 
 
+def _novikov_dot(xs, ys, zero):
+    acc = zero
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
+def novikov_berkowitz(entries) -> tuple:
+    """(a_1, ..., a_s) of a matrix of Novikov scalars by the Berkowitz
+    recurrence run on the Novikov entries themselves, every scalar
+    canonicalised after each operation: the path the graded core
+    replaced."""
+    s = len(entries)
+    field = entries[0][0].field
+    one, zero = Novikov.one(field), Novikov.zero(field)
+    E = entries
+    C = [one, -E[0][0]]
+    for i in range(1, s):
+        col = [one, -E[i][i]]
+        vec = [E[k][i] for k in range(i)]
+        for step in range(i):
+            col.append(-_novikov_dot(E[i], vec, zero))
+            if step < i - 1:
+                vec = [_novikov_dot(E[p], vec, zero) for p in range(i)]
+        C = [_novikov_dot(col[r::-1], C, zero) for r in range(i + 2)]
+    return tuple(C[1:])
+
+
+def novikov_rank(entries) -> int:
+    """Rank over the Novikov field by Gaussian elimination."""
+    rows = [list(r) for r in entries]
+    r = 0
+    for c in range(len(rows[0])):
+        pr = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        for k in range(r + 1, len(rows)):
+            if rows[k][c]:
+                f = rows[k][c] * inv
+                rows[k] = [x - f * y if y else x for x, y in zip(rows[k], rows[r])]
+        r += 1
+    return r
+
+
+def novikov_power_chain(entries, a) -> tuple:
+    """(whether lambda^s + a_1 lambda^(s-1) + ... + a_s annihilates the
+    matrix, dim ker(M^j) for j = 0, 1, ... up to stabilization), from
+    the powers M, ..., M^s multiplied out over Novikov scalars."""
+    s = len(entries)
+    field = entries[0][0].field
+    zero = Novikov.zero(field)
+    coeffs = (Novikov.one(field),) + tuple(a)
+    cols = [[row[q] for row in entries] for q in range(s)]
+    residual = [[coeffs[s] if p == q else zero for q in range(s)] for p in range(s)]
+    dims, stable = [0], False
+    power = entries
+    for j in range(1, s + 1):
+        if j > 1:
+            power = [[_novikov_dot(row, col, zero) for col in cols] for row in power]
+        c = coeffs[s - j]
+        for p, row in enumerate(power):
+            for q, x in enumerate(row):
+                if c and x:
+                    residual[p][q] = residual[p][q] + c * x
+        if not stable:
+            d = s - novikov_rank(power)
+            stable = d in (dims[-1], s)
+            if d != dims[-1]:
+                dims.append(d)
+        if d == s:
+            break  # a zero power: every later term vanishes
+    return not any(x for row in residual for x in row), dims
+
+
 def closed_form(m: int, n: int, field) -> tuple:
     """(QH relation, SH relation or None for the zero ring) of O(-n) over
     P^m in the hyperplane generator w, coefficients ascending, from the

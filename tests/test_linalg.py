@@ -335,3 +335,9 @@ def test_rejects_mixed_fields_and_nonsquare():
         LambdaMatrix(((Novikov.one(QQ), Novikov.one(F2)), (zero, zero)))
     with pytest.raises(ValueError):
         LambdaMatrix(((one, zero),))
+
+
+def test_rejects_entries_that_are_not_novikov_scalars():
+    for rows in ([[1]], [[Fraction(1), zero], [zero, zero]], [[one, 2], [zero, zero]]):
+        with pytest.raises(ValueError, match="all entries must share one coefficient field"):
+            LambdaMatrix(rows)

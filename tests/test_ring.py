@@ -151,6 +151,18 @@ def test_change_generator_example():
     assert pres_w.relation == sh_52().relation
 
 
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_change_generator_matches_novikov_powers(field):
+    # the rescaling (-n)^(k - degree) taken as a power of a Novikov scalar
+    rng = random.Random(7)
+    for n in (1, 3, 5):
+        rel = [Novikov.monomial(field, rng.randint(-3, 3), rng.randint(0, 2)) for _ in range(6)]
+        pres = RingPresentation("c", tuple(rel) + (Novikov.one(field),))
+        s = Novikov.constant(field, -n)
+        expected = tuple(c * s ** (k - 6) for k, c in enumerate(pres.relation))
+        assert change_generator(pres, n).relation == expected
+
+
 def test_change_generator_full_qh():
     # c^6 + 64t*c^2 over n = 2 becomes w^6 + 4t*w^2
     rel = [zero] * 7
