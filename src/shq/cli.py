@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 when the requested (m, n) falls in the
 refused band, 3 on invalid arguments, 4 when `compute` printed a result
-but one of its diagnostics failed.
+but one of its diagnostics failed, or `localize` printed a sample that
+differs from the closed form.
 """
 
 from __future__ import annotations
@@ -129,23 +130,29 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_localize(args) -> int:
+    if args.trials < 1:
+        raise ValueError("need --trials >= 1")
     expected = subdiagonal_entry(args.m, args.n, args.a)
-    samples = []
-    for k in range(max(1, args.trials)):
-        value = localize_entry(
-            args.m, args.n, args.a, sample_weights(args.m, args.seed + k)
-        )
-        samples.append({"seed": args.seed + k, "value": int(value)})
-    return _emit(
+    seeds = range(args.seed, args.seed + args.trials)
+    values = [
+        localize_entry(args.m, args.n, args.a, sample_weights(args.m, seed))
+        for seed in seeds
+    ]
+    match = all(value == expected for value in values)
+    _emit(
         {
             "m": args.m,
             "n": args.n,
             "a": args.a,
             "expected": expected,
-            "samples": samples,
-            "match": all(s["value"] == expected for s in samples),
+            "samples": [
+                {"seed": seed, "value": int(v) if v.denominator == 1 else str(v)}
+                for seed, v in zip(seeds, values)
+            ],
+            "match": match,
         }
     )
+    return 0 if match else 4
 
 
 def _cmd_grr(args) -> int:

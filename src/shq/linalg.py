@@ -20,13 +20,16 @@ mat(t) = t^(1/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
 characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and ranks,
 kernel dimensions and the Cayley-Hamilton residual are those of the
 constant matrix mat(1).  With N = 0 this holds when every t-power is
-zero.  The graded core reads mat(1) as sparse rows of ground-field
-scalars (ints or Fractions over Q, bits over GF(2)) and converts only
-the s characteristic coefficients back to Novikov scalars.
+zero.
 
-Matrices without a grading (entries such as 1/(1+t)) take the Novikov
-path: every product of scalars goes through two kernels, _dot and
-_axpy, which skip zero entries.
+One core computes every matrix: the Berkowitz recurrence, the walk
+over the powers and a fraction-free elimination, all on sparse rows
+that hold only the nonzero entries.  They use nothing but +, -, * and
+truthiness, so two kinds of scalars feed them.  A graded matrix gives
+the ground-field rows of mat(1) (ints or Fractions over Q, bits over
+GF(2)), and only the s characteristic coefficients are lifted back to
+Novikov scalars.  Any other matrix (entries such as 1/(1+t), or N = 0
+with a nonzero t-power) gives its Novikov entries as they stand.
 """
 
 from __future__ import annotations
@@ -171,24 +174,18 @@ class LambdaMatrix:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative matrix powers are not needed here")
-        out = LambdaMatrix.identity(self.field, self.size)
-        for out in _powers(self, k):
-            pass
+        out = self if k else LambdaMatrix.identity(self.field, self.size)
+        for _ in range(k - 1):
+            out = out * self
         return out
 
     def apply(self, vec) -> tuple:
         self._require_complete("matrix-vector product")
         zero = Novikov.zero(self.field)
-        return tuple(_dot(row, vec, zero) for row in self.entries)
-
-
-def _dot(xs, ys, zero):
-    """Sum of x*y over the pairs of xs and ys where both are nonzero."""
-    acc = zero
-    for x, y in zip(xs, ys):
-        if x and y:
-            acc = acc + x * y
-    return acc
+        return tuple(
+            sum((x * y for x, y in zip(row, vec) if x and y), zero)
+            for row in self.entries
+        )
 
 
 def _axpy(xs, a, ys) -> list:
@@ -225,48 +222,15 @@ def _berkowitz(mat: LambdaMatrix) -> CharPoly:
     """Characteristic polynomial by the Berkowitz vector recurrence.
 
     Division free: only ring operations on the entries, so valid over
-    GF(2) as well as over the rationals.  Graded matrices run it at
-    t = 1 on sparse ground-field rows.  Unverified; callers check it.
+    GF(2) as well as over the rationals.  Unverified; callers check it.
     """
-    graded = _at_one(mat)
-    if graded is None:
-        return _novikov_berkowitz(mat)
-    N, mod, rows = graded
+    N, mod, rows = _sparse_rows(mat)
     zero = Novikov.zero(mat.field)
     a = tuple(
         _lift(mat.field, N, k, c) if c else zero
-        for k, c in enumerate(_berkowitz_at_one(rows, mod), start=1)
+        for k, c in enumerate(_sparse_berkowitz(rows, mod), start=1)
     )
     return CharPoly(mat.size, a)
-
-
-def _novikov_berkowitz(mat: LambdaMatrix) -> CharPoly:
-    """The recurrence on the Novikov entries, for ungraded matrices."""
-    s = mat.size
-    field = mat.field
-    one, zero = Novikov.one(field), Novikov.zero(field)
-    E = mat.entries
-
-    C = [one, -E[0][0]]
-    for i in range(1, s):
-        # vec has length i, so _dot reads only the leading i entries of a row
-        col = [one, -E[i][i]]
-        vec = [E[k][i] for k in range(i)]
-        for step in range(i):
-            col.append(-_dot(E[i], vec, zero))
-            if step < i - 1:
-                vec = [_dot(E[p], vec, zero) for p in range(i)]
-        C = [_dot(col[r::-1], C, zero) for r in range(i + 2)]
-    return CharPoly(s, tuple(C[1:]))
-
-
-def _powers(mat: LambdaMatrix, k: int):
-    """Yield mat, mat^2, ..., mat^k, each built from the one before."""
-    power = mat
-    for j in range(1, k + 1):
-        if j > 1:
-            power = power * mat
-        yield power
 
 
 def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
@@ -277,42 +241,31 @@ def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
     records dim ker(mat^j) for j = 0, 1, ... up to the stabilization
     index.  Returns (annihilates or None, kernel dims or None).
     """
+    N, mod, rows = _sparse_rows(mat)
+    c = None
+    if cp is not None:
+        c = None if N is None else _coefficients_at_one(cp, N)
+        if c is None:
+            # ungraded, or a cp off the grading that t = 1 cannot read
+            mod, rows, c = 0, _novikov_rows(mat), cp.coefficients()
+    return _sparse_walk(rows, mod, c, want_dims)
+
+
+# -- the scalars the core runs on ---------------------------------------------
+
+
+def _sparse_rows(mat: LambdaMatrix):
+    """(N, mod, rows) for the core: _at_one's reading of a graded
+    matrix, else N = None, mod 0 and the Novikov rows."""
     graded = _at_one(mat)
     if graded is not None:
-        N, mod, rows = graded
-        c = None if cp is None else _coefficients_at_one(cp, N)
-        # a cp off the grading cannot be read at t = 1: check it below
-        if cp is None or c is not None:
-            return _walk_at_one(rows, mod, c, want_dims)
-    s = mat.size
-    zero = Novikov.zero(mat.field)
-    residual = None
-    if cp is not None:
-        a = cp.coefficients()  # a_0 = 1, ..., a_s
-        residual = [[a[s] if p == q else zero for q in range(s)] for p in range(s)]
-    dims = [0] if want_dims else None
-    stable = not want_dims
-    d = None
-    for j, power in enumerate(_powers(mat, s), start=1):
-        if residual is not None and a[s - j]:
-            residual = [
-                _axpy(row, a[s - j], prow) for row, prow in zip(residual, power.entries)
-            ]
-        if not stable:
-            d = s - rank(power)
-            stable = d in (dims[-1], s)
-            if d != dims[-1]:
-                dims.append(d)
-        # past a zero power every later term of the residual vanishes
-        if stable and (residual is None or d == s):
-            break
-    annihilates = None
-    if residual is not None:
-        annihilates = not any(x for row in residual for x in row)
-    return annihilates, dims
+        return graded
+    return None, 0, _novikov_rows(mat)
 
 
-# -- graded core: mat(1) over the ground field ------------------------------
+def _novikov_rows(mat: LambdaMatrix) -> list:
+    """rows[i] maps column j to the nonzero Novikov entry (i, j)."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
 
 
 def _at_one(mat: LambdaMatrix):
@@ -354,8 +307,11 @@ def _t_power(N: int, k: int) -> Optional[int]:
     return k // N if k % N == 0 else None
 
 
-def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
-    """a_k = c * t^(k/N) from the nonzero coefficient c of mat(1)."""
+def _lift(field: CoefficientField, N: Optional[int], k: int, c) -> Novikov:
+    """a_k from the nonzero coefficient c of the core: c * t^(k/N) when
+    c belongs to mat(1), c itself on Novikov rows (N is None)."""
+    if N is None:
+        return c
     d = _t_power(N, k)
     if d is None:
         raise ArithmeticError(f"a_{k} = {c} at t = 1 does not fit grading N = {N}")
@@ -383,10 +339,10 @@ def _clean(row: dict, mod: int) -> dict:
     return {j: x for j, x in row.items() if x}
 
 
-def _berkowitz_at_one(rows: list, mod: int) -> list:
-    """c_1, ..., c_s of the matrix with sparse rows: the recurrence of
-    _novikov_berkowitz with sparse vectors, so each product of the
-    leading block and a vector runs over the vector's nonzero entries."""
+def _sparse_berkowitz(rows: list, mod: int) -> list:
+    """c_1, ..., c_s of the matrix with sparse rows by the Berkowitz
+    recurrence: each product of the leading block and a vector runs
+    over the vector's nonzero entries."""
     s = len(rows)
     cols = [{} for _ in range(s)]
     for p, row in enumerate(rows):
@@ -422,7 +378,7 @@ def _berkowitz_at_one(rows: list, mod: int) -> list:
     return C[1:]
 
 
-def _rank_at_one(rows: list, mod: int) -> int:
+def _sparse_rank(rows: list, mod: int) -> int:
     """Rank of sparse rows by fraction-free elimination: each row is
     reduced against the pivot row holding its leading column."""
     pivots = {}
@@ -441,9 +397,9 @@ def _rank_at_one(rows: list, mod: int) -> int:
     return len(pivots)
 
 
-def _walk_at_one(rows: list, mod: int, c: Optional[list], want_dims: bool):
-    """_power_chain at t = 1: the Cayley-Hamilton residual with the
-    coefficients c = [1, c_1, ..., c_s] (or None) and the kernel
+def _sparse_walk(rows: list, mod: int, c, want_dims: bool):
+    """_power_chain on sparse rows: the Cayley-Hamilton residual with
+    the coefficients c = [1, c_1, ..., c_s] (or None) and the kernel
     dimensions of the powers, from one walk over sparse powers."""
     s = len(rows)
     residual = None
@@ -468,7 +424,7 @@ def _walk_at_one(rows: list, mod: int, c: Optional[list], want_dims: bool):
                 for q, x in prow.items():
                     row[q] = row.get(q, 0) + a * x
         if not stable:
-            d = s - _rank_at_one(power, mod)
+            d = s - _sparse_rank(power, mod)
             stable = d in (dims[-1], s)
             if d != dims[-1]:
                 dims.append(d)
@@ -523,12 +479,8 @@ def _rref(rows: list, ncols: int) -> tuple[list, list]:
 
 def rank(mat: LambdaMatrix) -> int:
     mat._require_complete("rank")
-    graded = _at_one(mat)
-    if graded is not None:
-        _, mod, rows = graded
-        return _rank_at_one(rows, mod)
-    rows = [list(r) for r in mat.entries]
-    return len(_rref(rows, mat.size)[1])
+    _, mod, rows = _sparse_rows(mat)
+    return _sparse_rank(rows, mod)
 
 
 def kernel(mat: LambdaMatrix) -> list:

@@ -1,8 +1,10 @@
 import json
 import signal
+from fractions import Fraction
 
 import pytest
 
+import shq.cli
 from shq.cli import main
 
 
@@ -134,6 +136,26 @@ def test_localize(capsys):
     assert [s["value"] for s in d["samples"]] == [4, 4]
     code, out, err = run(capsys, "localize", "--m", "2", "--n", "2", "--a", "5")
     assert code == 3
+
+
+def test_localize_reports_a_wrong_value_as_a_mismatch(capsys, monkeypatch):
+    real = shq.cli.localize_entry
+    monkeypatch.setattr(
+        shq.cli, "localize_entry", lambda *args: real(*args) + Fraction(1, 2)
+    )
+    code, out, err = run(capsys, "localize", "--m", "3", "--n", "2", "--a", "1")
+    d = json.loads(out)
+    assert code == 4
+    assert d["match"] is False
+    assert d["samples"][0]["value"] == f"{2 * d['expected'] + 1}/2"
+
+
+def test_localize_rejects_fewer_than_one_trial(capsys):
+    for trials in ("0", "-2"):
+        code, out, err = run(capsys, "localize", "--m", "2", "--n", "2",
+                             "--a", "0", "--trials", trials)
+        assert code == 3
+        assert out == ""
 
 
 def test_localize_past_the_small_weight_pool(capsys):

@@ -1,5 +1,5 @@
-"""The graded core of linalg (matrices read at t = 1) against the
-Novikov-matrix walk it replaced, and the matrices that keep that walk."""
+"""linalg's core against the Novikov-matrix walk it replaced: graded
+matrices read at t = 1, and ungraded ones run on their Novikov entries."""
 
 import random
 from fractions import Fraction
@@ -141,7 +141,7 @@ def test_char_poly_off_the_grading_is_checked_on_the_novikov_path():
     assert _power_chain(r, cp, want_dims=False)[0] is True
 
 
-# -- matrices that keep the Novikov path -------------------------------------
+# -- ungraded matrices: the core on Novikov entries --------------------------
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -166,6 +166,38 @@ def test_grading_zero_with_a_t_power_keeps_the_novikov_path(field):
     assert spectrum(mat) == spectrum(LambdaMatrix(rows))
     constant = LambdaMatrix(((zero, one), (zero, zero)), grading=GradingContext(0))
     assert _at_one(constant) is not None
+
+
+def random_ungraded(rng, field, s):
+    """Random matrix without a grading: Laurent entries with t-powers
+    from -1 to 2, a few of them plus a multiple of 1/(1+t), and half the
+    time a last row that is a multiple of the first, so it is singular."""
+    f = (Novikov.one(field) + Novikov.t(field)).inverse()
+
+    def coefficient():
+        return rng.randint(-2, 2) if field is QQ else 1
+
+    def scalar():
+        x = Novikov.zero(field)
+        if rng.random() < 0.6:
+            x = Novikov.monomial(field, coefficient(), rng.randint(-1, 2))
+            if rng.random() < 0.15:
+                x = x + f * Novikov.constant(field, coefficient())
+        return x
+
+    rows = [[scalar() for _ in range(s)] for _ in range(s)]
+    if rng.random() < 0.5:
+        k = Novikov.monomial(field, 1, rng.randint(-1, 1))
+        rows[-1] = [x * k for x in rows[0]]
+    return LambdaMatrix(rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_random_ungraded_matrices(field):
+    rng = random.Random(7 if field is QQ else 8)
+    for s, count in ((2, 4), (3, 4), (4, 3), (5, 2), (6, 1)):
+        for _ in range(count):
+            assert_matches_oracle(random_ungraded(rng, field, s), graded=False)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

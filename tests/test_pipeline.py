@@ -2,7 +2,7 @@ import json
 import signal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import shq.pipeline
 from shq.gw import subdiagonal_entry
@@ -333,6 +333,34 @@ def test_closed_form_past_m_8(field):
             else:
                 assert res.sh.relation == sh, (m, n)
                 assert res.sh_rank == len(sh) - 1, (m, n)
+
+
+@st.composite
+def complete_pairs_to_100(draw):
+    """(m, n, field) with m <= 100 and every correction determined:
+    monotone 2n <= m + 1, Calabi-Yau n = m + 1 or a large twist."""
+    m = draw(st.integers(1, 100))
+    n = draw(st.one_of(
+        st.integers(1, (m + 1) // 2),
+        st.just(m + 1),
+        st.integers(2 * m + 1, 4 * m + 2),
+    ))
+    return m, n, draw(st.sampled_from([QQ, F2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(complete_pairs_to_100())
+def test_closed_form_to_m_100(pair):
+    m, n, field = pair
+    res = compute_sh(m, n, field, trials=1)
+    assert [d.name for d in res.diagnostics if not d.passed] == []
+    qh, sh = closed_form(m, n, field)
+    assert res.qh.relation == qh
+    if sh is None:
+        assert isinstance(res.sh, ZeroRing) and res.sh_rank == 0
+    else:
+        assert res.sh.relation == sh
+        assert res.sh_rank == len(sh) - 1
 
 
 def test_m_96_within_six_seconds():
