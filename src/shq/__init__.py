@@ -1,9 +1,9 @@
 """Quantum and symplectic cohomology of line bundles over projective space.
 
-Everything is computed exactly, over the rationals or over GF(2), in a
-one-variable Novikov field.  The main entry point is
-:func:`shq.pipeline.compute_sh`; the command line front end lives in
-:mod:`shq.cli`.
+Everything is computed exactly: scalars are Laurent polynomials in one
+quantum variable t over the rationals or over GF(2).  The main entry
+point is :func:`shq.pipeline.compute_sh`; the command line front end
+lives in :mod:`shq.cli`.
 """
 
 from .novikov import (

@@ -52,7 +52,7 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="shq",
         description="Quantum and symplectic cohomology of O(-n) over P^m "
-        "by exact linear algebra over the Novikov field.",
+        "by exact linear algebra over Laurent polynomials in t.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

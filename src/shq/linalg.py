@@ -1,4 +1,4 @@
-"""Exact linear algebra over the Novikov field.
+"""Exact linear algebra over the Novikov scalars.
 
 Matrices here represent quantum multiplication operators on the basis
 omega^m, ..., omega, 1, so entries carry a grading constraint: with t
@@ -28,8 +28,10 @@ that hold only the nonzero entries.  They use nothing but +, -, * and
 truthiness, so two kinds of scalars feed them.  A graded matrix gives
 the ground-field rows of mat(1) (ints or Fractions over Q, bits over
 GF(2)), and only the s characteristic coefficients are lifted back to
-Novikov scalars.  Any other matrix (entries such as 1/(1+t), or N = 0
-with a nonzero t-power) gives its Novikov entries as they stand.
+Novikov scalars.  Any other matrix (entries such as 1 + t, or N = 0
+with a nonzero t-power) gives its Novikov entries as they stand.  The
+kernel back-substitutes on the same elimination of the Novikov rows,
+so nothing but a unit is ever divided by.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class LambdaMatrix:
             acc = [zero] * self.size
             for a, orow in zip(row, other.entries):
                 if a:
-                    acc = _axpy(acc, a, orow)
+                    acc = [x + a * y if y else x for x, y in zip(acc, orow)]
             rows.append(acc)
         return LambdaMatrix(rows)
 
@@ -186,11 +188,6 @@ class LambdaMatrix:
             sum((x * y for x, y in zip(row, vec) if x and y), zero)
             for row in self.entries
         )
-
-
-def _axpy(xs, a, ys) -> list:
-    """xs + a*ys entry by entry; where ys is zero the entry of xs is kept."""
-    return [x + a * y if y else x for x, y in zip(xs, ys)]
 
 
 @dataclass(frozen=True)
@@ -378,9 +375,11 @@ def _sparse_berkowitz(rows: list, mod: int) -> list:
     return C[1:]
 
 
-def _sparse_rank(rows: list, mod: int) -> int:
-    """Rank of sparse rows by fraction-free elimination: each row is
-    reduced against the pivot row holding its leading column."""
+def _echelon(rows: list, mod: int) -> dict:
+    """Pivot rows of sparse rows keyed by leading column, by
+    fraction-free elimination: each row is reduced against the pivot
+    row of its leading column, as pivot[lead] * row - row[lead] * pivot,
+    until it is zero or leads in a column of its own."""
     pivots = {}
     for row in rows:
         while row:
@@ -394,7 +393,7 @@ def _sparse_rank(rows: list, mod: int) -> int:
             for j, x in prow.items():
                 new[j] = new.get(j, 0) - b * x
             row = _clean(new, mod)
-    return len(pivots)
+    return pivots
 
 
 def _sparse_walk(rows: list, mod: int, c, want_dims: bool):
@@ -424,7 +423,7 @@ def _sparse_walk(rows: list, mod: int, c, want_dims: bool):
                 for q, x in prow.items():
                     row[q] = row.get(q, 0) + a * x
         if not stable:
-            d = s - _sparse_rank(power, mod)
+            d = s - len(_echelon(power, mod))
             stable = d in (dims[-1], s)
             if d != dims[-1]:
                 dims.append(d)
@@ -456,50 +455,43 @@ def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, list]:
     return (cp,) + _power_chain(mat, cp, want_dims=True)
 
 
-def _rref(rows: list, ncols: int) -> tuple[list, list]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                rows[k] = _axpy(rows[k], -rows[k][c], rows[r])
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def rank(mat: LambdaMatrix) -> int:
     mat._require_complete("rank")
     _, mod, rows = _sparse_rows(mat)
-    return _sparse_rank(rows, mod)
+    return len(_echelon(rows, mod))
 
 
 def kernel(mat: LambdaMatrix) -> list:
-    """Basis of the kernel, one vector per free column."""
+    """Basis of the kernel, one vector per free column.
+
+    Back-substitution on the echelon form of the Novikov rows, without
+    dividing: the vector starts as the free column's unit vector, and a
+    pivot row whose sum with it is nonzero scales it by its pivot and
+    sets its own column to minus that sum.  Each vector is then divided
+    by its first nonzero entry when that entry is a unit.
+    """
     mat._require_complete("kernel")
     s = mat.size
-    rows = [list(r) for r in mat.entries]
-    red, pivots = _rref(rows, s)
-    free = [c for c in range(s) if c not in pivots]
+    pivots = _echelon(_novikov_rows(mat), 0)
     zero, one = Novikov.zero(mat.field), Novikov.one(mat.field)
     basis = []
-    for f in free:
-        v = [zero] * s
-        v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        lead = next(x for x in v if x)
-        inv = lead.inverse()
-        basis.append(tuple(x * inv if x else x for x in v))
+    for f in range(s):
+        if f in pivots:
+            continue
+        v = {f: one}
+        for p in sorted(pivots, reverse=True):
+            row = pivots[p]
+            acc = sum((x * v[j] for j, x in row.items() if j in v), zero)
+            if acc:
+                a = row[p]
+                v = {j: a * x for j, x in v.items()}
+                v[p] = -acc
+        vec = [v.get(j, zero) for j in range(s)]
+        lead = v[min(v)]
+        if lead.monomial_parts() is not None:
+            inv = lead.inverse()
+            vec = [x * inv if x else x for x in vec]
+        basis.append(tuple(vec))
     return basis
 
 

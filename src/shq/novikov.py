@@ -1,17 +1,14 @@
-"""Exact arithmetic in a one-variable Novikov field.
+"""Exact arithmetic with one-variable Novikov scalars.
 
 Quantum and symplectic cohomology of a line bundle over projective
 space only ever involve finitely many powers of the quantum variable t,
-so the coefficient ring is modelled exactly: scalars live in the field
-of fractions of Laurent polynomials in t over a ground field (the
-rationals, or the field with two elements).
+so the coefficient ring is modelled exactly: scalars are Laurent
+polynomials in t over a ground field (the rationals, or the field with
+two elements).  Their units are the monomials c*t^d with c nonzero,
+and only units can be inverted.
 
-Every scalar is kept in a unique canonical form.  The numerator is a
-Laurent polynomial; the denominator is an ordinary polynomial with
-nonzero constant term (t is a unit, so all its powers can be pushed
-into the numerator), coprime to the polynomial part of the numerator,
-and monic.  Zero is represented as 0/1.  Equality of values is then
-literal equality of representations.
+A scalar is stored as its Laurent polynomial, with no zero coefficients
+stored, so equality of values is literal equality of representations.
 
 Grading: t carries cohomological degree 2N, where N is the minimal
 Chern number of the total space.  A GradingContext records N so that
@@ -92,7 +89,7 @@ class GF2Element:
 
 
 class CoefficientField:
-    """Ground field of the Novikov field: exact rationals or GF(2)."""
+    """Ground field of the Novikov scalars: exact rationals or GF(2)."""
 
     def __init__(self, kind: str):
         if kind not in ("Q", "GF2"):
@@ -152,18 +149,12 @@ class GradingContext:
     N: int
 
 
-# Polynomials and Laurent polynomials are dicts {exponent: coefficient}
-# with no zero values stored.  Plain polynomials have exponents >= 0.
+# Laurent polynomials are dicts {exponent: coefficient} with no zero
+# values stored.
 
 
 def _trim(d: dict) -> dict:
     return {e: c for e, c in d.items() if c}
-
-
-def _shift(d: dict, k: int) -> dict:
-    if k == 0:
-        return dict(d)
-    return {e + k: c for e, c in d.items()}
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -196,100 +187,15 @@ def _pmul(a: dict, b: dict) -> dict:
     return out
 
 
-def _pscale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-
-def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
-    """Polynomial division with remainder; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = max(b)
-    lb = b[db]
-    q: dict = {}
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        f = r[dr] / lb
-        q[dr - db] = f
-        r = _padd(r, _pneg(_pscale(_shift(b, dr - db), f)))
-    return q, r
-
-
-def _pdiv_exact(a: dict, b: dict) -> dict:
-    q, r = _pdivmod(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _monic(a: dict) -> dict:
-    if not a:
-        return a
-    lead = a[max(a)]
-    if lead == 1:
-        return a
-    return {e: c / lead for e, c in a.items()}
-
-
-def _pgcd(a: dict, b: dict) -> dict:
-    """Monic gcd of two polynomials (Euclid); gcd(0, 0) is 0."""
-    a, b = dict(a), dict(b)
-    while b:
-        a, b = b, _monic(_pdivmod(a, b)[1])
-    return _monic(a)
-
-
-def _canonical(field: CoefficientField, num: dict, den: dict) -> tuple[dict, dict]:
-    """Reduce num/den to the unique canonical representation."""
-    num = _trim(num)
-    den = _trim(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator in Novikov scalar")
-    one = field.one
-    if not num:
-        return {}, {0: one}
-    dv = min(den)
-    if dv:
-        # t is a unit: move its powers out of the denominator
-        den = _shift(den, -dv)
-    v = min(num) - dv
-    poly = _shift(num, -min(num))
-    if len(den) == 1:
-        # denominator is a unit: absorb it entirely
-        c = den[0]
-        if c != 1:
-            poly = {e: x / c for e, x in poly.items()}
-        return _shift(poly, v), {0: one}
-    g = _pgcd(poly, den)
-    if max(g) > 0:
-        poly = _pdiv_exact(poly, g)
-        den = _pdiv_exact(den, g)
-    lead = den[max(den)]
-    if lead != 1:
-        den = {e: c / lead for e, c in den.items()}
-        poly = {e: c / lead for e, c in poly.items()}
-    return _shift(poly, v), den
-
-
 class Novikov:
-    """A scalar in the Novikov field, always in canonical form.
+    """A Novikov scalar: the Laurent polynomial num in t, with no zero
+    coefficients stored."""
 
-    num is a Laurent polynomial, den a monic polynomial with nonzero
-    constant term, coprime to the polynomial part of num.
-    """
+    __slots__ = ("field", "num")
 
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: CoefficientField, num: dict, den: Optional[dict] = None):
-        if den is None:
-            den = {0: field.one}
-        num, den = _canonical(field, num, den)
+    def __init__(self, field: CoefficientField, num: dict):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", _trim(num))
 
     def __setattr__(self, name, value):
         raise AttributeError("Novikov scalars are immutable")
@@ -318,14 +224,9 @@ class Novikov:
 
     # -- structure ------------------------------------------------------
 
-    @property
-    def is_laurent(self) -> bool:
-        """True when the denominator is trivial."""
-        return len(self.den) == 1 and 0 in self.den
-
     def monomial_parts(self) -> Optional[tuple]:
         """(coefficient, t-power) when the value is c*t^d, else None."""
-        if len(self.num) != 1 or not self.is_laurent:
+        if len(self.num) != 1:
             return None
         ((e, c),) = self.num.items()
         return c, e
@@ -352,10 +253,7 @@ class Novikov:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_laurent and other.is_laurent:
-            return Novikov(self.field, _padd(self.num, other.num))
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Novikov(self.field, num, _pmul(self.den, other.den))
+        return Novikov(self.field, _padd(self.num, other.num))
 
     __radd__ = __add__
 
@@ -363,7 +261,6 @@ class Novikov:
         out = object.__new__(Novikov)
         object.__setattr__(out, "field", self.field)
         object.__setattr__(out, "num", _pneg(self.num))
-        object.__setattr__(out, "den", self.den)
         return out
 
     def __sub__(self, other):
@@ -382,19 +279,18 @@ class Novikov:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_laurent and other.is_laurent:
-            return Novikov(self.field, _pmul(self.num, other.num))
-        return Novikov(
-            self.field, _pmul(self.num, other.num), _pmul(self.den, other.den)
-        )
+        return Novikov(self.field, _pmul(self.num, other.num))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Novikov":
+        """1/(c*t^d) = c^-1 * t^-d; no other nonzero scalar is a unit."""
         if not self.num:
             raise ZeroDivisionError("inverting zero Novikov scalar")
-        v = min(self.num)
-        return Novikov(self.field, _shift(self.den, -v), _shift(self.num, -v))
+        if len(self.num) != 1:
+            raise ArithmeticError(f"{self} is not a unit c*t^d")
+        ((e, c),) = self.num.items()
+        return Novikov(self.field, {-e: self.field.one / c})
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -430,28 +326,15 @@ class Novikov:
                 return NotImplemented
         if not isinstance(other, Novikov):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return self.field == other.field and self.num == other.num
 
     def __hash__(self):
-        return hash(
-            (
-                self.field.kind,
-                frozenset(self.num.items()),
-                frozenset(self.den.items()),
-            )
-        )
+        return hash((self.field.kind, frozenset(self.num.items())))
 
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        num = _laurent_str(self.num)
-        if self.is_laurent:
-            return num
-        return f"({num})/({_laurent_str(self.den)})"
+        return _laurent_str(self.num)
 
     def __repr__(self):
         return f"Novikov[{self.field.kind}]({self})"

@@ -270,7 +270,9 @@ def compute_sh(
     trials: int = 2,
 ) -> ShResult:
     """Full pipeline for O(-n) over P^m; raises UnsupportedRegimeError
-    in the refused band."""
+    in the refused band and ValueError for trials < 1."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     regime = classify_regime(m, n)
     if regime.kind == "unsupported":
         raise UnsupportedRegimeError(m, n)
@@ -495,7 +497,7 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
         expected = subdiagonal_entries(m, n)
         ok = all(
             localize_row(m, n, sample_weights(m, seed + k)) == expected
-            for k in range(max(1, trials))
+            for k in range(trials)
         ) and all(
             r.entries[N + a - 1][a] == Novikov.monomial(field, e, 1)
             for a, e in enumerate(expected)
@@ -504,7 +506,7 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
             Diagnostic(
                 "localization_match",
                 ok,
-                f"fixed-point sums over {max(1, trials)} weight samples "
+                f"fixed-point sums over {trials} weight samples "
                 "reproduce every degree-one entry",
             )
         )

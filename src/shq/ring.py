@@ -1,9 +1,10 @@
 """Quotient presentations Lambda[g]/(monic relation) and their elements.
 
 Quantum cohomology of the total space is a free rank-(m+1) module over
-the Novikov field with basis the powers of a degree-two generator: the
-quantum first Chern class c of the line bundle, or the quantum lift
-omega of the hyperplane class, the two differing by c = -n * omega.
+the Novikov scalars, Laurent polynomials in t, with basis the powers of
+a degree-two generator: the quantum first Chern class c of the line
+bundle, or the quantum lift omega of the hyperplane class, the two
+differing by c = -n * omega.
 Symplectic cohomology is presented the same way with a lower-degree
 relation.  A presentation may be *incomplete*: the listed coefficients
 are trusted, but specific powers of the generator carry undetermined

@@ -150,7 +150,9 @@ def novikov_berkowitz(entries) -> tuple:
 
 
 def novikov_rank(entries) -> int:
-    """Rank over the Novikov field by Gaussian elimination."""
+    """Rank over the Novikov scalars by dense Gaussian elimination that
+    never divides: each row under the pivot row P becomes
+    P[c] * row - row[c] * P."""
     rows = [list(r) for r in entries]
     r = 0
     for c in range(len(rows[0])):
@@ -158,13 +160,51 @@ def novikov_rank(entries) -> int:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
+        p = rows[r][c]
         for k in range(r + 1, len(rows)):
-            if rows[k][c]:
-                f = rows[k][c] * inv
-                rows[k] = [x - f * y if y else x for x, y in zip(rows[k], rows[r])]
+            x = rows[k][c]
+            if x:
+                rows[k] = [p * a - x * b for a, b in zip(rows[k], rows[r])]
         r += 1
     return r
+
+
+def rref_kernel(entries) -> list:
+    """Kernel basis by reduced row echelon form, one vector per free
+    column, each divided by its first nonzero entry.  Every pivot it
+    meets is inverted, so it needs pivots that are units c*t^d, as in
+    any graded matrix."""
+    s = len(entries)
+    rows = [list(r) for r in entries]
+    r = 0
+    pivots = []
+    for c in range(s):
+        pr = next((k for k in range(r, s) if rows[k][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv if x else x for x in rows[r]]
+        for k in range(s):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y if y else x for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == s:
+            break
+    zero, one = Novikov.zero(entries[0][0].field), Novikov.one(entries[0][0].field)
+    basis = []
+    for f in range(s):
+        if f in pivots:
+            continue
+        v = [zero] * s
+        v[f] = one
+        for k, p in enumerate(pivots):
+            v[p] = -rows[k][f]
+        inv = next(x for x in v if x).inverse()
+        basis.append(tuple(x * inv if x else x for x in v))
+    return basis
 
 
 def novikov_power_chain(entries, a) -> tuple:

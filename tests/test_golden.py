@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 
+import shq
 from shq.cli import main
 from shq.novikov import F2, QQ
 from shq.pipeline import UnsupportedRegimeError, compute_sh, result_to_dict
@@ -62,8 +63,7 @@ def test_outputs_match_golden():
 
 def test_outputs_match_golden_under_optimize():
     # python -O strips asserts; the output must not depend on them
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["shq"].__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shq.__file__)))
     proc = subprocess.run(
         [sys.executable, "-O", os.path.abspath(__file__)],
         env=env,

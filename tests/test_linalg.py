@@ -22,7 +22,7 @@ from shq.linalg import (
 )
 from shq.novikov import F2, GradingContext, Novikov, QQ
 
-from oracles import dense_apply, dense_product, permutation_charpoly
+from oracles import dense_apply, dense_product, novikov_rank, permutation_charpoly
 
 
 def mat_q(rows):
@@ -137,7 +137,7 @@ def test_kernel_rank_dimension_count():
 
 
 def test_rank_with_rational_function_entries():
-    f = (one + t).inverse()
+    f = one + t
     m = LambdaMatrix(((f, f), (f, f)))
     assert rank(m) == 1
 
@@ -155,8 +155,8 @@ def sparse_matrices(field, seed, count=30, s=5):
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_products_match_dense_loops(field):
-    # 1/(1 + t) brings in entries with a nontrivial denominator
-    f = (Novikov.one(field) + Novikov.t(field)).inverse()
+    # 1 + t brings in entries that are not monomials
+    f = Novikov.one(field) + Novikov.t(field)
     mats = sparse_matrices(field, 53)
     for a, b in zip(mats, mats[1:]):
         b_f = LambdaMatrix(tuple(tuple(x * f for x in row) for row in b.entries))
@@ -181,6 +181,50 @@ def test_rank_nullity_on_sparse_matrices(field):
         assert rank(m) + len(kernel(m)) == s
         for v in kernel(m):
             assert not any(dense_apply(m.entries, v))
+
+
+def laurent_kernel_matrix(rng, field, s):
+    """Random ungraded s x s matrix of Laurent entries, most of them not
+    units (1 + t, t^-1 - 2t, ...), whose last d rows (d = 0, 1 or 2) are
+    combinations of the first rows with Laurent multipliers that are not
+    units either, so its kernel has dimension d or more."""
+    def coefficient():
+        return rng.choice([-2, -1, 1, 3]) if field is QQ else 1
+
+    def scalar(terms):
+        x = Novikov.zero(field)
+        for _ in range(terms):
+            x = x + Novikov.monomial(field, coefficient(), rng.randint(-1, 2))
+        return x
+
+    d = rng.randint(0, min(2, s - 1))
+    rows = [[scalar(rng.randint(0, 2)) for _ in range(s)] for _ in range(s - d)]
+    for _ in range(d):
+        combo = [Novikov.zero(field)] * s
+        for row in rows[: s - d]:
+            k = scalar(2)
+            combo = [x + k * y for x, y in zip(combo, row)]
+        rows.append(combo)
+    return LambdaMatrix(rows)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_kernel_of_laurent_matrices_against_the_dense_rank(field):
+    rng = random.Random(61 if field is QQ else 62)
+    seen_non_units = 0
+    for s in range(1, 7):
+        for _ in range(8):
+            m = laurent_kernel_matrix(rng, field, s)
+            basis = kernel(m)
+            assert len(basis) == s - novikov_rank(m.entries)
+            for v in basis:
+                assert not any(dense_apply(m.entries, v))
+            if basis:
+                assert novikov_rank(basis) == len(basis)
+            seen_non_units += any(
+                len(x.num) > 1 for v in basis for x in v
+            )
+    assert seen_non_units >= 5
 
 
 # -- nilpotent structure ---------------------------------------------------

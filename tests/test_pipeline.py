@@ -307,6 +307,15 @@ def test_localization_diagnostic_can_fail(corrupt_localize_row):
     assert all(d.passed for d in res.diagnostics if d.name != "localization_match")
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trials_below_one_rejected(trials):
+    with pytest.raises(ValueError, match="trials >= 1"):
+        compute_sh(4, 2, trials=trials)
+    assert "over 1 weight samples" in _diagnostic(
+        compute_sh(4, 2, trials=1), "localization_match"
+    ).detail
+
+
 def test_diagnostics_all_pass_everywhere():
     for m in range(1, 7):
         supported = [n for n in range(1, 2 * m + 2)
