@@ -79,10 +79,6 @@ def product_of_lines() -> SurfaceRing:
     )
 
 
-def projective_plane() -> SurfaceRing:
-    return SurfaceRing(labels=("h",), form=((1,),), canonical=(-3,), euler=3)
-
-
 def blow_up(s: SurfaceRing, k: int = 1) -> SurfaceRing:
     """Blow up k distinct points."""
     if k < 0:

@@ -19,7 +19,6 @@ lives in the localization module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -79,63 +78,6 @@ def subdiagonal_entries(m: int, n: int) -> tuple:
     return tuple(n * n * c for c in tau_table(n).coeffs)
 
 
-def obstruction_rank(n: int, d: int) -> int:
-    """Rank of the obstruction bundle over degree-d stable maps: n*d."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    return n * d
-
-
-def splitting_type(m: int, n: int, d: int) -> tuple:
-    """Degrees of the tangent bundle of the total space pulled back
-    along a generic degree-d rational curve in the zero section.
-
-    Returned descending: 2d once, d with multiplicity m-1, then the
-    vertical twist -1-n*d.  The degrees sum to (1+m-n)*d - 1.
-    """
-    if m < 1 or n < 1 or d < 1:
-        raise ValueError("need m, n, d >= 1")
-    return (2 * d,) + (d,) * (m - 1) + (-1 - n * d,)
-
-
-def h0_p1(d: int) -> int:
-    """dim H^0 of a degree-d line bundle on the projective line."""
-    return d + 1 if d >= 0 else 0
-
-
 def h1_p1(d: int) -> int:
     """dim H^1 of a degree-d line bundle on the projective line."""
     return -d - 1 if d <= -2 else 0
-
-
-def chi_p1(d: int) -> int:
-    return h0_p1(d) - h1_p1(d)
-
-
-def virdim_sections(m: int, n: int, d: int) -> int:
-    """Expected dimension of the space of degree-d sections, i.e. chi of
-    the splitting type; comes out to m + (1 + m - n)*d."""
-    split = splitting_type(m, n, d)
-    return sum(chi_p1(k) for k in split)
-
-
-def entry_position_degree(m: int, n: int, i: int, j: int) -> Optional[int]:
-    """Which curve degree d can contribute to entry (i, j), 1-indexed,
-    of multiplication by the first Chern class on the basis
-    omega^m, ..., omega, 1.
-
-    Grading forces N*d = i - j + 1 with N = 1 + m - n; additionally the
-    last row receives nothing (the unit pairs with no positive power).
-    Returns d >= 0, or None when no degree fits.
-    """
-    if not (1 <= i <= m + 1 and 1 <= j <= m + 1):
-        raise ValueError("matrix positions are 1-indexed and at most m+1")
-    if i == m + 1:
-        return None
-    N = 1 + m - n
-    k = i - j + 1
-    if N == 0:
-        return 0 if k == 0 else None
-    if k % N or k // N < 0:
-        return None
-    return k // N

@@ -50,16 +50,14 @@ class LambdaMatrix:
     """Square matrix of Novikov scalars, optionally with unknowns.
 
     entries: tuple of tuple of Novikov, rows first.
-    basis: "omega" | "c" | "abstract"; power bases mean column j acts on
-        the class generator^(size-1-j).
     grading: degree bookkeeping used to validate homogeneity.
     unknown: frozenset of (row, col, t_power), 0-indexed positions whose
         coefficient is undetermined; the stored entry there is zero.
     """
 
-    __slots__ = ("entries", "basis", "grading", "unknown")
+    __slots__ = ("entries", "grading", "unknown")
 
-    def __init__(self, entries, basis="abstract", grading=None, unknown=frozenset()):
+    def __init__(self, entries, grading=None, unknown=frozenset()):
         rows = tuple(tuple(r) for r in entries)
         s = len(rows)
         if s == 0 or any(len(r) != s for r in rows):
@@ -76,7 +74,6 @@ class LambdaMatrix:
             if rows[i][j]:
                 raise ValueError("unknown positions must hold a zero placeholder")
         self.entries = rows
-        self.basis = basis
         self.grading = grading
         self.unknown = unknown
         if grading is not None:
@@ -180,14 +177,6 @@ class LambdaMatrix:
         for _ in range(k - 1):
             out = out * self
         return out
-
-    def apply(self, vec) -> tuple:
-        self._require_complete("matrix-vector product")
-        zero = Novikov.zero(self.field)
-        return tuple(
-            sum((x * y for x, y in zip(row, vec) if x and y), zero)
-            for row in self.entries
-        )
 
 
 @dataclass(frozen=True)
@@ -468,7 +457,9 @@ def kernel(mat: LambdaMatrix) -> list:
     dividing: the vector starts as the free column's unit vector, and a
     pivot row whose sum with it is nonzero scales it by its pivot and
     sets its own column to minus that sum.  Each vector is then divided
-    by its first nonzero entry when that entry is a unit.
+    by its first nonzero entry when that entry is a unit, so a vector may
+    keep a common factor that is not a unit: the kernel of
+    ((1 + t, 1 + t), (0, 0)) is [(-1 - t, 1 + t)].
     """
     mat._require_complete("kernel")
     s = mat.size

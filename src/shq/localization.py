@@ -68,14 +68,6 @@ def sample_weights(m: int, seed: int = 0) -> WeightVector:
     return WeightVector(tuple(random.Random(seed).sample(range(-top, top + 1), m + 1)))
 
 
-def two_graph_contributions(a0: Rational, a1: Rational) -> tuple:
-    """Warm-up on O(-1) over the line: the two broken sections
-    contribute -alpha_k/(alpha_k - alpha_other); the sum is -1."""
-    if a0 == a1:
-        raise ValueError("torus weights must be pairwise distinct")
-    return (Fraction(-a0, a0 - a1), Fraction(-a1, a1 - a0))
-
-
 def _check(m: int, n: int, weights: WeightVector) -> None:
     if not 1 <= n <= m:
         raise ValueError(f"fixed-point count needs 1 <= n <= m, got n={n}, m={m}")
@@ -83,28 +75,9 @@ def _check(m: int, n: int, weights: WeightVector) -> None:
         raise ValueError(f"need {m + 1} torus weights, got {len(weights)}")
 
 
-def _check_offset(n: int, a: int) -> None:
-    if not 0 <= a <= n - 1:
-        raise ValueError(f"offset {a} out of range 0..{n - 1}")
-
-
 def _planes(m: int, n: int, a: int) -> tuple[range, range]:
     """The fixed points of the two constraint planes, disjoint since n <= m."""
     return range(0, a + 1), range(m - (n - a - 1), m + 1)
-
-
-def _index_sets(m: int, n: int, a: int, weights: WeightVector) -> tuple[range, range]:
-    """Check the inputs; return the fixed points of the two constraint planes."""
-    _check(m, n, weights)
-    _check_offset(n, a)
-    return _planes(m, n, a)
-
-
-def _pair_index_sets(m, n, a, i, j, weights) -> tuple[range, range]:
-    iset, jset = _index_sets(m, n, a, weights)
-    if i not in iset or j not in jset:
-        raise ValueError(f"pair ({i}, {j}) outside the constraint planes")
-    return iset, jset
 
 
 def _plane_moves(al, k: int, plane: range) -> list:
@@ -112,18 +85,9 @@ def _plane_moves(al, k: int, plane: range) -> list:
     return [al[k] - al[K] for K in plane if K != k]
 
 
-def _moves(al, i: int, j: int, iset: range, jset: range) -> list:
-    """Deformation weights: each marked point moving inside its plane."""
-    return _plane_moves(al, i, iset) + _plane_moves(al, j, jset)
-
-
 def _serre(al, n: int, i: int, j: int) -> list:
     """Obstruction weights A*a_i + (n-A)*a_j for 0 < A < n."""
     return [A * al[i] + (n - A) * al[j] for A in range(1, n)]
-
-
-def _pair(al, n: int, i: int, j: int, iset: range, jset: range) -> Fraction:
-    return Fraction(math.prod(_serre(al, n, i, j)), math.prod(_moves(al, i, j, iset, jset)))
 
 
 def _integral(weights: WeightVector) -> list:
@@ -161,62 +125,12 @@ def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int
     return out
 
 
-@dataclass(frozen=True)
-class GraphWeights:
-    """Uncancelled equivariant data of one fixed broken section.
-
-    bubble_over records where the vertical bubble sits ("zero" or
-    "infinity").  Numerator weights are obstruction directions, the
-    denominator weights are deformations: the node smoothing and the
-    motion of each marked point inside its constraint plane.
-    """
-
-    i: int
-    j: int
-    bubble_over: str
-    node_smoothing: Rational
-    marked_point_moves: tuple
-    line_bundle_point: Rational
-    serre_dual: tuple
-
-    def reciprocal_euler(self) -> Fraction:
-        return Fraction(
-            math.prod(self.serre_dual, start=self.line_bundle_point),
-            math.prod(self.marked_point_moves, start=self.node_smoothing),
-        )
-
-
-def graph_weights(
-    m: int, n: int, a: int, i: int, j: int, weights: WeightVector
-) -> tuple[GraphWeights, GraphWeights]:
-    """The two fixed graphs through (q_i, q_j), with all weights shown."""
-    iset, jset = _pair_index_sets(m, n, a, i, j, weights)
-    al = weights
-    moves = tuple(_moves(al, i, j, iset, jset))
-    serre = tuple(_serre(al, n, i, j))
-    over_zero = GraphWeights(i, j, "zero", al[j] - al[i], moves, -n * al[j], serre)
-    over_inf = GraphWeights(i, j, "infinity", al[i] - al[j], moves, -n * al[i], serre)
-    return over_inf, over_zero
-
-
-def pair_contribution(
-    m: int, n: int, a: int, i: int, j: int, weights: WeightVector
-) -> Fraction:
-    """Merged contribution of the two graphs through (q_i, q_j), with
-    the overall -n factored out:
-
-        prod_{A+B=n} (A a_i + B a_j)
-        / [prod_{I != i} (a_i - a_I) * prod_{J != j} (a_j - a_J)].
-    """
-    iset, jset = _pair_index_sets(m, n, a, i, j, weights)
-    return _pair(weights, n, i, j, iset, jset)
-
-
 def fixed_point_integral(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
     """Sum of reciprocal Euler classes over all fixed graphs: -n times
     the pair sum.  Equals -n * tau(a, n) for any generic weights."""
     _check(m, n, weights)
-    _check_offset(n, a)
+    if not 0 <= a <= n - 1:
+        raise ValueError(f"offset {a} out of range 0..{n - 1}")
     return _pair_sums(m, n, weights, range(a, a + 1), -n)[0]
 
 

@@ -11,8 +11,9 @@ A scalar is stored as its Laurent polynomial, with no zero coefficients
 stored, so equality of values is literal equality of representations.
 
 Grading: t carries cohomological degree 2N, where N is the minimal
-Chern number of the total space.  A GradingContext records N so that
-monomials can report their degree.
+Chern number of the total space.  A GradingContext records N for the
+matrices and presentations that carry it: their entries are checked to
+be homogeneous, and graded matrices are computed at t = 1 (see linalg).
 """
 
 from __future__ import annotations
@@ -230,13 +231,6 @@ class Novikov:
             return None
         ((e, c),) = self.num.items()
         return c, e
-
-    def monomial_degree(self, ctx: GradingContext) -> Optional[int]:
-        """Cohomological degree 2*N*d of a monomial c*t^d; None otherwise."""
-        parts = self.monomial_parts()
-        if parts is None:
-            return None
-        return 2 * ctx.N * parts[1]
 
     # -- arithmetic -----------------------------------------------------
 

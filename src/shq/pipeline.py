@@ -150,7 +150,6 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
                     unknown.add((d * N + a - 1, a, d))
     return LambdaMatrix(
         tuple(tuple(row) for row in grid),
-        basis="omega",
         grading=GradingContext(N),
         unknown=frozenset(unknown),
     )
@@ -274,14 +273,12 @@ def compute_sh(
     if trials < 1:
         raise ValueError("need trials >= 1")
     regime = classify_regime(m, n)
-    if regime.kind == "unsupported":
-        raise UnsupportedRegimeError(m, n)
     N = minimal_chern(m, n)
     ctx = GradingContext(N)
     r = build_r_matrix(m, n, field)
     diags = []
 
-    cp, dims = None, None
+    cp, dims, lead_r = None, None, None
     if r.is_complete:
         cp, annihilates, dims = spectrum(r)
         diags.append(
@@ -327,9 +324,10 @@ def compute_sh(
         sh_rank = f"positive multiple of {N} (at most {possible[-1]})"
         qh_c = _partial_presentation(m, n, field, ctx, "c", lead)
         qh = change_generator(qh_c, n)
+        lead_r = _lead_from_r(r, m, n)
         diags.append(
             _lead_diagnostic(
-                _lead_from_r(r, m, n),
+                lead_r,
                 lead,
                 m,
                 n,
@@ -338,7 +336,9 @@ def compute_sh(
             )
         )
 
-    diags.extend(_diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials))
+    diags.extend(
+        _diagnostics(m, n, field, regime, r, cp, dims, lead_r, qh, sh, sh_rank, seed, trials)
+    )
     return ShResult(
         m, n, field, N, regime, r, cp, qh, qh_c, sh, sh_rank, tuple(diags)
     )
@@ -394,15 +394,6 @@ def rank_constraints(m: int, n: int, sh_rank: int) -> bool:
     return N == 0 or sh_rank % abs(N) == 0
 
 
-def vanishing_by_rank(min_chern: int, rank_bundle: int, rank_base_cohomology: int) -> bool:
-    """Sufficient vanishing criterion: if the minimal Chern number is at
-    least rank(E) * rank(H*(base)) in absolute value, the stable part
-    dies and SH = 0."""
-    if rank_bundle < 1 or rank_base_cohomology < 1:
-        raise ValueError("ranks must be positive")
-    return abs(min_chern) >= rank_bundle * rank_base_cohomology
-
-
 def kodaira_vanishing_applies(m: int, n: int) -> bool:
     """Twist past twice the dimension: classical cohomological vanishing
     forces SH = 0 (the large-twist regime)."""
@@ -410,19 +401,25 @@ def kodaira_vanishing_applies(m: int, n: int) -> bool:
     return n > 2 * m
 
 
-def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials) -> list:
+def _diagnostics(
+    m, n, field, regime, r, cp, dims, lead_r, qh, sh, sh_rank, seed, trials
+) -> list:
+    """The cross-checks of one run; lead_r is a_N read off r in partial
+    mode, None otherwise."""
     out = []
     N = minimal_chern(m, n)
     numeric_rank = sh_rank if isinstance(sh_rank, int) else None
 
     # nilpotency <=> vanishing
     if isinstance(sh, PartialFacts):
-        ok = sh.nonzero and bool(sh.lead_coefficient)
+        ok = sh.nonzero and bool(lead_r)
         out.append(
             Diagnostic(
                 "nilpotency_vanishing",
                 ok,
-                "a_N is nonzero so the class is not nilpotent and SH is not zero",
+                "a_N is nonzero so the class is not nilpotent and SH is not zero"
+                if ok
+                else f"a_{N} = {lead_r} read off r, so nothing shows SH is not zero",
             )
         )
     else:
@@ -545,16 +542,13 @@ def _diagnostics(m, n, field, regime, r, cp, dims, qh, sh, sh_rank, seed, trials
         out.append(
             Diagnostic(
                 "char2_even_twist",
-                numeric_rank == 0 and r == _zero_matrix_like(r),
+                numeric_rank == 0
+                and r.is_complete
+                and not any(x for row in r.entries for x in row),
                 "even twist is zero mod 2: the whole matrix and SH vanish",
             )
         )
     return out
-
-
-def _zero_matrix_like(r: LambdaMatrix) -> LambdaMatrix:
-    z = Novikov.zero(r.field)
-    return LambdaMatrix(tuple(tuple(z for _ in row) for row in r.entries))
 
 
 # -- rendering ------------------------------------------------------------
@@ -605,7 +599,7 @@ def _positions(triples) -> list:
 def matrix_to_dict(r: LambdaMatrix) -> dict:
     return {
         "size": r.size,
-        "basis": r.basis,
+        "basis": "omega",
         "entries": r.to_strings(),
         "unknown": _positions(sorted(r.unknown)),
     }

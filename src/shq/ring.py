@@ -273,7 +273,7 @@ def multiplication_matrix(
         prod = x * pres.gen_power(r - 1 - j)
         cols.append([prod.coeffs[r - 1 - i] for i in range(r)])
     entries = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-    return LambdaMatrix(entries, basis=pres.generator, grading=grading)
+    return LambdaMatrix(entries, grading=grading)
 
 
 def change_generator(pres: RingPresentation, n: int) -> RingPresentation:

@@ -317,3 +317,28 @@ def pair_sum_entry(m: int, n: int, a: int, alphas) -> Fraction:
             )
             total += Fraction(serre, moves)
     return n * n * total
+
+
+def fixed_graph_terms(m: int, n: int, a: int, alphas) -> dict:
+    """Reciprocal Euler class of every fixed broken section, unmerged:
+    {(i, j, bubble_over): Fraction} with bubble_over "infinity" or "zero".
+
+    Both graphs through (q_i, q_j) share the Serre weights
+    A*a_i + (n-A)*a_j and the moves of the marked points inside their
+    planes.  With the bubble over infinity the node smoothing weight is
+    a_i - a_j and the line-bundle point weight -n*a_i; over zero they are
+    a_j - a_i and -n*a_j.  Their sum is -n times the pair term, so all
+    terms add up to the fixed-point integral."""
+    al = list(alphas)
+    iset = range(0, a + 1)
+    jset = range(m - (n - a - 1), m + 1)
+    terms = {}
+    for i in iset:
+        for j in jset:
+            serre = math.prod(A * al[i] + (n - A) * al[j] for A in range(1, n))
+            moves = math.prod(al[i] - al[I] for I in iset if I != i) * math.prod(
+                al[j] - al[J] for J in jset if J != j
+            )
+            terms[i, j, "infinity"] = Fraction(-n * al[i] * serre, (al[i] - al[j]) * moves)
+            terms[i, j, "zero"] = Fraction(-n * al[j] * serre, (al[j] - al[i]) * moves)
+    return terms

@@ -14,13 +14,15 @@ from shq.blowup import (
     blow_up,
     obstruction_bundle_degree,
     product_of_lines,
-    projective_plane,
     pulled_back_constraint,
     universal_curve,
 )
 from shq.localization import fixed_point_integral, localize_entry, sample_weights
 
 from oracles import kunneth_chi, noether_chi_trivial
+
+# the projective plane, as test data: one hyperplane class h with h^2 = 1
+PROJECTIVE_PLANE = SurfaceRing(labels=("h",), form=((1,),), canonical=(-3,), euler=3)
 
 
 def test_product_of_lines_basics():
@@ -31,7 +33,7 @@ def test_product_of_lines_basics():
 
 
 def test_projective_plane_noether():
-    s = projective_plane()
+    s = PROJECTIVE_PLANE
     assert s.k_squared() == 9
     assert s.chi_structure_sheaf() == 1
     # chi(O(d)) = (d+1)(d+2)/2
@@ -40,7 +42,7 @@ def test_projective_plane_noether():
 
 
 def test_blow_up_bookkeeping():
-    s = blow_up(projective_plane(), 1)
+    s = blow_up(PROJECTIVE_PLANE, 1)
     assert s.labels == ("h", "e1")
     assert s.form == ((1, 0), (0, -1))
     assert s.canonical == (-3, 1)
@@ -88,7 +90,7 @@ def test_blow_up_zero_points_is_identity():
 
 @pytest.mark.parametrize("k", range(0, 6))
 def test_blow_up_invariants(k):
-    for base in (product_of_lines(), projective_plane()):
+    for base in (product_of_lines(), PROJECTIVE_PLANE):
         s = blow_up(base, k)
         assert s.rank == base.rank + k
         assert s.k_squared() == base.k_squared() - k

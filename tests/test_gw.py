@@ -1,20 +1,13 @@
-"""Closed-form count data: tau coefficients, ranks, splitting types."""
+"""Closed-form count data: tau coefficients, degree-one entries, the
+line-bundle cohomology behind the obstruction bundle, and where each
+curve degree can sit in r."""
 
 import pytest
 
-from shq.gw import (
-    chi_p1,
-    entry_position_degree,
-    h0_p1,
-    h1_p1,
-    obstruction_rank,
-    splitting_type,
-    subdiagonal_entries,
-    subdiagonal_entry,
-    tau,
-    tau_table,
-    virdim_sections,
-)
+from shq.gw import h1_p1, subdiagonal_entries, subdiagonal_entry, tau, tau_table
+from shq.linalg import LambdaMatrix
+from shq.novikov import F2, QQ, Novikov
+from shq.pipeline import build_r_matrix, minimal_chern
 
 from oracles import sympy_tau
 
@@ -118,96 +111,110 @@ def test_subdiagonal_entries_read_one_table(n):
         subdiagonal_entries(m, 0)
 
 
-# -- obstruction bundle and splitting -----------------------------------
+# -- splitting type and line-bundle cohomology on the line ---------------
 
 
-def test_obstruction_rank():
-    assert obstruction_rank(2, 3) == 6
-    assert obstruction_rank(5, 0) == 0
-    with pytest.raises(ValueError):
-        obstruction_rank(0, 1)
+def splitting(m: int, n: int, d: int) -> tuple:
+    """Degrees of the tangent bundle of the total space along a generic
+    degree-d curve in the zero section, descending: 2d once, d with
+    multiplicity m-1, then the vertical twist -1-n*d."""
+    return (2 * d,) + (d,) * (m - 1) + (-1 - n * d,)
 
 
-def test_splitting_type_examples():
-    assert splitting_type(2, 3, 1) == (2, 1, -4)
-    assert splitting_type(1, 2, 2) == (4, -5)
-    assert splitting_type(3, 1, 1) == (2, 1, 1, -2)
+def h0_p1(k: int) -> int:
+    return max(k + 1, 0)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("d", range(1, 5))
 def test_splitting_degree_sum(m, n, d):
-    assert sum(splitting_type(m, n, d)) == (1 + m - n) * d - 1
-    assert len(splitting_type(m, n, d)) == m + 1
+    # c1 of the total space on a degree-d curve, less the curve's own
+    # Euler characteristic, is the grading N*d - 1 of the product
+    assert sum(splitting(m, n, d)) == minimal_chern(m, n) * d - 1
+    assert len(splitting(m, n, d)) == m + 1
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("d", range(1, 5))
 def test_h1_concentrated_in_vertical_summand(m, n, d):
-    split = splitting_type(m, n, d)
-    assert sum(h1_p1(k) for k in split) == obstruction_rank(n, d)
+    # the obstruction bundle has rank n*d, all of it vertical
+    split = splitting(m, n, d)
+    assert sum(h1_p1(k) for k in split) == n * d
     assert all(h1_p1(k) == 0 for k in split[:-1])
 
 
-# -- line bundle cohomology on the line ----------------------------------
-
-
 def test_h0_h1_chi():
-    assert [h0_p1(d) for d in (-3, -2, -1, 0, 1, 2)] == [0, 0, 0, 1, 2, 3]
     assert [h1_p1(d) for d in (-3, -2, -1, 0, 1)] == [2, 1, 0, 0, 0]
     for d in range(-6, 7):
-        assert chi_p1(d) == d + 1
-        assert chi_p1(d) == h0_p1(d) - h1_p1(d)
-
-
-# -- expected dimensions -------------------------------------------------
+        # Riemann-Roch and Serre duality on the line
+        assert h0_p1(d) - h1_p1(d) == d + 1
+        assert h1_p1(d) == h0_p1(-2 - d)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("d", range(1, 5))
 def test_virdim(m, n, d):
-    assert virdim_sections(m, n, d) == m + (1 + m - n) * d
+    # expected dimension of degree-d sections: chi of the splitting type
+    chi = sum(h0_p1(k) - h1_p1(k) for k in splitting(m, n, d))
+    assert chi == m + minimal_chern(m, n) * d
 
 
 # -- which entries can a given degree hit --------------------------------
+# A degree-d term of r sits at 1-indexed (i, j) with N*d = i - j + 1, and
+# the last row receives nothing.
+
+
+def nonzero_positions(r) -> dict:
+    """1-indexed position -> (coefficient, t-power) of each nonzero entry."""
+    return {
+        (i + 1, j + 1): x.monomial_parts()
+        for i, row in enumerate(r.entries)
+        for j, x in enumerate(row)
+        if x
+    }
 
 
 def test_entry_position_monotone():
     # m=5, n=2: N=4; degree one hits rows i = 4 + (j - 1), i.e. (4,1), (5,2)
-    assert entry_position_degree(5, 2, 4, 1) == 1
-    assert entry_position_degree(5, 2, 5, 2) == 1
-    assert entry_position_degree(5, 2, 2, 1) is None
-    assert entry_position_degree(5, 2, 5, 1) is None
-    # constants on the superdiagonal
-    assert entry_position_degree(5, 2, 1, 2) == 0
-    assert entry_position_degree(5, 2, 3, 4) == 0
+    r = build_r_matrix(5, 2)
+    assert not r.unknown
+    assert nonzero_positions(r) == {
+        **{(i, i + 1): (-2, 0) for i in range(1, 6)},
+        (4, 1): (4, 1),
+        (5, 2): (4, 1),
+    }
 
 
 def test_entry_position_last_row_empty():
-    for j in range(1, 7):
-        assert entry_position_degree(5, 2, 6, j) is None
+    for field in (QQ, F2):
+        for m in range(1, 9):
+            for n in list(range(1, m + 2)) + [2 * m + 1]:
+                r = build_r_matrix(m, n, field)
+                assert not any(r.entries[m])
+                assert all(i < m for (i, _, _) in r.unknown)
 
 
 def test_entry_position_cy():
     # N = 0: only degree zero, only the superdiagonal
-    assert entry_position_degree(3, 4, 1, 2) == 0
-    assert entry_position_degree(3, 4, 2, 1) is None
-    assert entry_position_degree(3, 4, 2, 2) is None
+    assert nonzero_positions(build_r_matrix(3, 4)) == {
+        (i, i + 1): (-4, 0) for i in range(1, 4)
+    }
 
 
 def test_entry_position_large_twist():
     # N = -3 with m = 2: no room below or above for a curve class
-    for i in range(1, 4):
-        for j in range(1, 4):
-            expected = 0 if j == i + 1 and i != 3 else None
-            assert entry_position_degree(2, 6, i, j) == expected
+    assert nonzero_positions(build_r_matrix(2, 6)) == {(1, 2): (-6, 0), (2, 3): (-6, 0)}
 
 
 def test_entry_position_bounds_checked():
+    # the grading rejects a t-power where N*d != i - j + 1
+    r = build_r_matrix(3, 2)
+    grid = [list(row) for row in r.entries]
+    grid[0][0] = Novikov.t(QQ)
     with pytest.raises(ValueError):
-        entry_position_degree(3, 2, 0, 1)
+        LambdaMatrix(grid, grading=r.grading)
     with pytest.raises(ValueError):
-        entry_position_degree(3, 2, 1, 5)
+        LambdaMatrix(r.entries, grading=r.grading, unknown={(0, 3, 1)})

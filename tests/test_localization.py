@@ -8,24 +8,30 @@ import pytest
 from shq.gw import subdiagonal_entries, subdiagonal_entry, tau
 from shq.localization import (
     WeightVector,
+    _serre,
     fixed_point_integral,
-    graph_weights,
     localize_entry,
     localize_row,
-    pair_contribution,
     sample_weights,
-    two_graph_contributions,
 )
 
-from oracles import pair_sum_entry, sympy_entry
+from oracles import fixed_graph_terms, pair_sum_entry, sympy_entry
+
+# Warm-up: O(-1) over the line (m = n = 1) has two fixed broken sections,
+# contributing -a_k/(a_k - a_other) each; their sum is -1.
+
+
+def two_graphs(a0, a1) -> tuple:
+    terms = fixed_graph_terms(1, 1, 0, (a0, a1))
+    return terms[0, 1, "infinity"], terms[0, 1, "zero"]
 
 
 def test_two_graph_warmup():
     a0, a1 = Fraction(3), Fraction(-2)
-    c0, c1 = two_graph_contributions(a0, a1)
+    c0, c1 = two_graphs(a0, a1)
     assert c0 == -a0 / (a0 - a1)
     assert c1 == -a1 / (a1 - a0)
-    assert c0 + c1 == -1
+    assert c0 + c1 == -1 == fixed_point_integral(1, 1, 0, WeightVector((a0, a1)))
 
 
 def test_two_graph_sum_weight_independent():
@@ -35,19 +41,20 @@ def test_two_graph_sum_weight_independent():
         a1 = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
         if a0 == a1:
             continue
-        assert sum(two_graph_contributions(a0, a1)) == -1
+        assert sum(two_graphs(a0, a1)) == -1
+        assert fixed_point_integral(1, 1, 0, WeightVector((a0, a1))) == -1
 
 
 def test_two_graph_exact_for_int_weights():
-    c0, c1 = two_graph_contributions(3, -2)
-    assert type(c0) is Fraction and type(c1) is Fraction
+    c0, c1 = two_graphs(3, -2)
     assert (c0, c1) == (Fraction(-3, 5), Fraction(-2, 5))
-    assert c0 + c1 == -1
+    got = fixed_point_integral(1, 1, 0, WeightVector((3, -2)))
+    assert type(got) is Fraction and got == c0 + c1 == -1
 
 
 def test_two_graph_rejects_equal_weights():
     with pytest.raises(ValueError):
-        two_graph_contributions(Fraction(1), Fraction(1))
+        WeightVector((Fraction(1), Fraction(1)))
 
 
 def test_weight_vector_distinctness():
@@ -80,28 +87,20 @@ def test_localize_entry_examples():
     assert localize_entry(3, 3, 0, sample_weights(3, 1)) == 18
 
 
-def test_graph_weights_merge_to_pair_contribution():
-    w = sample_weights(4, 7)
-    for a in range(3):
-        for i in range(a + 1):
-            for j in range(4 - (3 - a - 1), 5):
-                pair = pair_contribution(4, 3, a, i, j, w)
-                g_inf, g_zero = graph_weights(4, 3, a, i, j, w)
-                assert g_inf.bubble_over == "infinity"
-                assert g_zero.bubble_over == "zero"
-                # node smoothing weights are opposite
-                assert g_inf.node_smoothing == -g_zero.node_smoothing
-                # vertical bubble point weights
-                assert g_inf.line_bundle_point == -3 * w[i]
-                assert g_zero.line_bundle_point == -3 * w[j]
-                merged = g_inf.reciprocal_euler() + g_zero.reciprocal_euler()
-                assert merged == -3 * pair
+def test_fixed_graphs_merge_to_the_fixed_point_integral():
+    # the unmerged sum over both graphs of every pair equals the
+    # factored pair sum the product computes
+    for m, n, seed in [(4, 3, 7), (5, 2, 1), (6, 4, 3), (3, 3, 0)]:
+        w = sample_weights(m, seed)
+        for a in range(n):
+            terms = fixed_graph_terms(m, n, a, w.alphas)
+            assert len(terms) == 2 * (a + 1) * (n - a)
+            assert sum(terms.values()) == fixed_point_integral(m, n, a, w)
 
 
 def test_serre_dual_weights():
     w = sample_weights(5, 3)
-    g_inf, _ = graph_weights(5, 4, 2, 1, 4, w)
-    assert g_inf.serre_dual == tuple(A * w[1] + (4 - A) * w[4] for A in (1, 2, 3))
+    assert _serre(w, 4, 1, 4) == [A * w[1] + (4 - A) * w[4] for A in (1, 2, 3)]
 
 
 def test_weight_independence():
@@ -137,25 +136,22 @@ def test_scaling_the_weights_changes_nothing():
     for c in (Fraction(-7, 3), Fraction(1, 11), 5):
         scaled = WeightVector(tuple(c * x for x in w.alphas))
         assert localize_entry(5, 3, 1, scaled) == localize_entry(5, 3, 1, w)
-        for i in range(2):
-            for j in range(4, 6):
-                assert pair_contribution(5, 3, 1, i, j, scaled) == pair_contribution(
-                    5, 3, 1, i, j, w
-                )
+        assert localize_row(5, 3, scaled) == localize_row(5, 3, w)
 
 
 def test_results_are_fractions_for_int_and_fraction_weights():
     w = sample_weights(4, 2)
     for weights in (w, WeightVector(tuple(Fraction(x, 3) for x in w.alphas))):
         assert type(localize_entry(4, 3, 1, weights)) is Fraction
-        for g in graph_weights(4, 3, 1, 0, 4, weights):
-            assert type(g.reciprocal_euler()) is Fraction
+        assert all(type(x) is Fraction for x in localize_row(4, 3, weights))
 
 
 def test_individual_terms_do_depend_on_weights():
     # only the full sum is an invariant
     w1, w2 = sample_weights(3, 0), sample_weights(3, 1)
-    assert pair_contribution(3, 2, 0, 0, 2, w1) != pair_contribution(3, 2, 0, 0, 2, w2)
+    t1, t2 = fixed_graph_terms(3, 2, 0, w1.alphas), fixed_graph_terms(3, 2, 0, w2.alphas)
+    assert all(t1[key] != t2[key] for key in t1)
+    assert fixed_point_integral(3, 2, 0, w1) == fixed_point_integral(3, 2, 0, w2)
 
 
 def test_input_validation():
@@ -166,8 +162,6 @@ def test_input_validation():
         localize_entry(3, 2, 2, w)  # offset past n-1
     with pytest.raises(ValueError):
         localize_entry(4, 2, 0, w)  # wrong number of weights
-    with pytest.raises(ValueError):
-        pair_contribution(3, 2, 0, 1, 3, w)  # i outside its plane
     with pytest.raises(ValueError):
         localize_row(3, 4, w)  # needs n <= m
     with pytest.raises(ValueError):

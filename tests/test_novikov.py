@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from shq.linalg import LambdaMatrix
 from shq.novikov import (
     F2,
     GradingContext,
@@ -144,27 +145,30 @@ def test_zero_denominator_rejected():
 
 
 def test_monomial_degree():
-    ctx = GradingContext(4)
-    assert Novikov.monomial(QQ, 5, 2).monomial_degree(ctx) == 16
-    assert Novikov.one(QQ).monomial_degree(ctx) == 0
-    assert Novikov.zero(QQ).monomial_degree(ctx) is None
-    assert (Novikov.one(QQ) + Novikov.t(QQ)).monomial_degree(ctx) is None
+    # a monomial c*t^d reports (c, d); t has degree 2N, so its
+    # cohomological degree is 2*N*d
+    assert Novikov.monomial(QQ, 5, 2).monomial_parts() == (5, 2)
+    assert Novikov.one(QQ).monomial_parts() == (1, 0)
+    assert Novikov.zero(QQ).monomial_parts() is None
+    assert (Novikov.one(QQ) + Novikov.t(QQ)).monomial_parts() is None
 
 
 def test_monomial_degree_multiplicative():
     rng = random.Random(11)
-    ctx = GradingContext(3)
     for _ in range(200):
         a = Novikov.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
         b = Novikov.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
-        assert (a * b).monomial_degree(ctx) == a.monomial_degree(
-            ctx
-        ) + b.monomial_degree(ctx)
+        (ca, da), (cb, db) = a.monomial_parts(), b.monomial_parts()
+        assert (a * b).monomial_parts() == (ca * cb, da + db)
 
 
 def test_grading_context_cy():
-    ctx = GradingContext(0)
-    assert Novikov.t(QQ).monomial_degree(ctx) == 0
+    # N = 0: t has degree 0, so the grading pins no t-power on the
+    # superdiagonal, and nothing may sit elsewhere
+    t, zero = Novikov.t(QQ), Novikov.zero(QQ)
+    LambdaMatrix(((zero, t ** 3), (zero, zero)), grading=GradingContext(0))
+    with pytest.raises(ValueError):
+        LambdaMatrix(((Novikov.one(QQ), zero), (zero, zero)), grading=GradingContext(0))
 
 
 # -- rendering ---------------------------------------------------------

@@ -22,7 +22,6 @@ from shq.pipeline import (
     rank_constraints,
     result_to_dict,
     result_to_text,
-    vanishing_by_rank,
     vanishing_nilpotency,
 )
 from shq.ring import RingPresentation, multiplication_matrix
@@ -301,6 +300,31 @@ def test_complete_lead_diagnostic_fails_honestly(corrupt_berkowitz):
     assert lead.detail == "a_4 = 128*t does not match (-1)^4 * 2^6 * t = 64*t"
 
 
+def test_partial_nilpotency_diagnostic_reads_r(monkeypatch):
+    # with every degree-one entry zeroed, a_N read off r is zero and
+    # nothing shows that SH survives
+    passing = _diagnostic(compute_sh(4, 3, trials=1), "nilpotency_vanishing")
+    assert passing.passed
+    assert passing.detail == "a_N is nonzero so the class is not nilpotent and SH is not zero"
+    monkeypatch.setattr(shq.pipeline, "subdiagonal_entries", lambda m, n: (0,) * n)
+    res = compute_sh(4, 3, trials=1)
+    assert isinstance(res.sh, PartialFacts)
+    nil = _diagnostic(res, "nilpotency_vanishing")
+    assert not nil.passed
+    assert nil.detail == "a_2 = 0 read off r, so nothing shows SH is not zero"
+
+
+def test_refusals_keep_their_order():
+    # trials first, then the arguments, then the refused band
+    with pytest.raises(ValueError, match="trials >= 1"):
+        compute_sh(3, 5, trials=0)
+    with pytest.raises(ValueError, match="need integers m >= 1"):
+        compute_sh(0, 5)
+    with pytest.raises(UnsupportedRegimeError) as e:
+        compute_sh(3, 5)
+    assert str(e.value) == str(UnsupportedRegimeError(3, 5))
+
+
 def test_localization_diagnostic_can_fail(corrupt_localize_row):
     res = compute_sh(5, 3, trials=2)
     assert not _diagnostic(res, "localization_match").passed
@@ -423,18 +447,6 @@ def test_rank_constraints():
     assert not rank_constraints(5, 2, 6)
     assert rank_constraints(1, 2, 0)
     assert not rank_constraints(1, 2, 2)
-
-
-def test_vanishing_by_rank():
-    assert vanishing_by_rank(6, 2, 3)
-    assert not vanishing_by_rank(5, 2, 3)
-    # line bundle over P^m with n >= 2m+2 clears the threshold
-    for m in range(1, 6):
-        n = 2 * m + 2
-        assert vanishing_by_rank(minimal_chern(m, n), 1, m + 1)
-        assert not vanishing_by_rank(minimal_chern(m, 2 * m + 1), 1, m + 1)
-    with pytest.raises(ValueError):
-        vanishing_by_rank(3, 0, 2)
 
 
 def test_kodaira_threshold():

@@ -1,0 +1,126 @@
+"""Guard against dead public names in the package.
+
+Every top-level public function or class in ``src/shq`` must be referenced
+somewhere outside its own definition.  A reference is a ``Name``, an
+``Attribute`` or an imported name in ``src/shq`` or in the acceptance
+contract ``tests/test_acceptance.py``; a ``"module.function"`` string in
+``perfbench/tracing.py``, which wraps functions by name; or a console
+script entry ``"shq.module:function"`` in ``pyproject.toml``.  Tests other
+than the acceptance contract do not count: a name only they reach is
+library surface that no run of the product uses.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "shq"
+CONTRACT = ROOT / "tests" / "test_acceptance.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
+PYPROJECT = ROOT / "pyproject.toml"
+
+
+def public_definitions(sources: dict) -> set:
+    """(module, name) of every top-level public function or class."""
+    return {
+        (module, node.name)
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _names_in(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1]
+
+
+def referenced_names(sources: dict, extra_trees=()) -> set:
+    """Every name used in the package outside the top-level definition
+    of that same name (so recursion is not a use), and every name used
+    in extra_trees."""
+    found = set()
+    for tree in sources.values():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            found.update(name for name in _names_in(node) if name != own)
+    for tree in extra_trees:
+        found.update(_names_in(tree))
+    return found
+
+
+def dead_names(sources: dict, extra_trees=(), strings=()) -> list:
+    """Public definitions with no reference; strings holds the
+    (module, name) pairs named outside any Python code."""
+    names = referenced_names(sources, extra_trees)
+    return sorted(
+        name
+        for (module, name) in public_definitions(sources)
+        if name not in names and (module, name) not in strings
+    )
+
+
+def _tracing_strings() -> set:
+    """("module", "name") for each "module.name[.method]" string."""
+    out = set()
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if len(parts) >= 2 and all(p.isidentifier() for p in parts):
+                out.add((parts[0], parts[1]))
+    return out
+
+
+def _script_entries() -> set:
+    """("module", "function") for each "shq.module:function" entry."""
+    return set(re.findall(r'"shq\.(\w+):(\w+)"', PYPROJECT.read_text()))
+
+
+def _package_sources() -> dict:
+    return {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def test_every_public_name_is_reached():
+    sources = _package_sources()
+    assert ("pipeline", "compute_sh") in public_definitions(sources)
+    dead = dead_names(
+        sources,
+        extra_trees=[ast.parse(CONTRACT.read_text())],
+        strings=_tracing_strings() | _script_entries(),
+    )
+    assert not dead, (
+        "public names in src/shq with no caller in the package, the "
+        f"acceptance contract, perfbench/tracing.py or a script entry: {dead}"
+    )
+
+
+def test_the_scan_sees_each_kind_of_reference():
+    sources = {
+        "a": ast.parse(
+            "def used(): return helper()\n"
+            "def helper(): pass\n"
+            "def recursive(k): return recursive(k - 1)\n"
+            "def traced(): pass\n"
+            "def entry(): pass\n"
+            "class Called: pass\n"
+            "def _private(): pass\n"
+        ),
+        "b": ast.parse("from .a import used\nimport x\nx.Called()\n"),
+    }
+    assert dead_names(sources) == ["entry", "recursive", "traced"]
+    assert dead_names(sources, strings={("a", "traced"), ("a", "entry")}) == [
+        "recursive"
+    ]
+    contract = ast.parse("from shq.a import recursive")
+    assert dead_names(sources, [contract], {("a", "traced"), ("a", "entry")}) == []
