@@ -294,13 +294,14 @@ def _t_power(N: int, k: int) -> Optional[int]:
 
 
 def _lift(field: CoefficientField, N: Optional[int], k: int, c) -> Novikov:
-    """a_k from the nonzero coefficient c of the core: c * t^(k/N) when
-    c belongs to mat(1), c itself on Novikov rows (N is None)."""
+    """The Novikov scalar of weight k whose value at t = 1 is the nonzero
+    c: c * t^(k/N), such as a_k from c_k(mat(1)); c itself on Novikov
+    scalars (N is None)."""
     if N is None:
         return c
     d = _t_power(N, k)
     if d is None:
-        raise ArithmeticError(f"a_{k} = {c} at t = 1 does not fit grading N = {N}")
+        raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
     return Novikov.monomial(field, c, d)
 
 

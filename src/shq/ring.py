@@ -10,6 +10,15 @@ relation.  A presentation may be *incomplete*: the listed coefficients
 are trusted, but specific powers of the generator carry undetermined
 corrections recorded in unknown_terms; such presentations refuse any
 computation that depends on the missing numbers.
+
+All arithmetic in the quotient is one reduction step, multiplication
+by the generator modulo the relation (_Core).  A graded presentation
+has a homogeneous relation, so a homogeneous element (each nonzero
+coefficient of g^k a monomial c * t^d of one weight N*d + k) is
+computed at t = 1 on ground-field values, and only results are lifted
+back to Novikov scalars, the way linalg reads graded matrices.  Any
+other element, and every element of an ungraded presentation, runs
+through the same step on its Novikov scalars.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import LambdaMatrix
+from .linalg import LambdaMatrix, _ground, _lift
 from .novikov import CoefficientField, GradingContext, Novikov, unknown_term_str
 
 
@@ -135,21 +144,11 @@ class RingPresentation:
 
     def reduce(self, raw) -> "RingElement":
         """Reduce a polynomial in the generator (coefficients ascending,
-        any length) modulo the relation."""
+        any length) modulo the relation, by Horner's rule over the step."""
         self._require_complete("reduction")
-        z = Novikov.zero(self.field)
         coeffs = [c if isinstance(c, Novikov) else Novikov.constant(self.field, c) for c in raw]
-        if len(coeffs) < self.rank:
-            coeffs += [z] * (self.rank - len(coeffs))
-        deg = self.degree
-        for k in range(len(coeffs) - 1, deg - 1, -1):
-            f = coeffs[k]
-            if not f:
-                continue
-            coeffs[k] = z
-            for idx in range(deg):
-                coeffs[k - deg + idx] = coeffs[k - deg + idx] - f * self.relation[idx]
-        return RingElement(self, tuple(coeffs[: self.rank]))
+        core, (values,), (weight,) = _core(self, coeffs)
+        return RingElement(self, core.lift(core.horner(values), weight))
 
     @property
     def symbol(self) -> str:
@@ -219,15 +218,8 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, RingElement):
             self._check(other)
-            z = Novikov.zero(self.pres.field)
-            raw = [z] * (2 * self.pres.rank - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        raw[i + j] = raw[i + j] + a * b
-            return self.pres.reduce(raw)
+            core, (x, y), (wx, wy) = _core(self.pres, self.coeffs, other.coeffs)
+            return RingElement(self.pres, core.lift(core.product(x, y), wx + wy))
         if isinstance(other, (Novikov, int)):
             s = other if isinstance(other, Novikov) else Novikov.constant(self.pres.field, other)
             return RingElement(self.pres, tuple(a * s for a in self.coeffs))
@@ -267,12 +259,15 @@ def multiplication_matrix(
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("multiplication matrix")
+    core, (col,), (weight,) = _core(pres, x.coeffs)
     r = pres.rank
-    cols = []
-    for j in range(r):
-        prod = x * pres.gen_power(r - 1 - j)
-        cols.append([prod.coeffs[r - 1 - i] for i in range(r)])
-    entries = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    # each column is one step on from the column to its right
+    cols = [None] * r
+    for j in range(r - 1, -1, -1):
+        cols[j] = core.lift(col, weight + r - 1 - j)
+        if j:
+            col = core.step(col)
+    entries = tuple(tuple(cols[j][r - 1 - i] for j in range(r)) for i in range(r))
     return LambdaMatrix(entries, grading=grading)
 
 
@@ -298,5 +293,133 @@ def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
 def is_nilpotent(pres: RingPresentation, x: RingElement) -> bool:
     """Whether x^rank = 0; in a rank-r quotient any nilpotent element
     has vanishing r-th power."""
+    if x.pres != pres:
+        raise ValueError("element does not live in this presentation")
     pres._require_complete("nilpotency test")
-    return not x ** pres.rank
+    core, (values,), _ = _core(pres, x.coeffs)
+    power = values
+    for _ in range(pres.rank - 1):
+        power = core.product(power, values)
+    return not any(power)
+
+
+# -- the arithmetic core -------------------------------------------------------
+
+
+class _Core:
+    """The reduction step of a presentation and what is built on it.
+
+    The step multiplies a list of rank scalars, ascending in g, by g
+    modulo the relation.  It uses only +, -, * and truthiness (and % 2
+    on bits over GF(2)), so it runs on ground values at t = 1 or on
+    Novikov scalars alike (see _core).
+    """
+
+    __slots__ = ("field", "N", "mod", "zero", "novikov_zero", "rank", "rel")
+
+    def __init__(self, field, relation, N=None):
+        self.field = field
+        self.N = N  # None on Novikov scalars
+        self.mod = 0 if N is None else field.characteristic
+        self.novikov_zero = Novikov.zero(field)
+        self.zero = self.novikov_zero if N is None else 0
+        self.rank = len(relation) - 1
+        # (k, c) for each nonzero c below the monic top of the relation
+        self.rel = [(k, c) for k, c in enumerate(relation[:-1]) if c]
+
+    def step(self, v: list) -> list:
+        """v * g modulo the relation."""
+        top = v[-1]
+        out = [self.zero] + v[:-1]
+        if top:
+            mod = self.mod
+            for k, c in self.rel:
+                y = out[k] - top * c
+                out[k] = y % mod if mod else y
+        return out
+
+    def product(self, x: list, y: list) -> list:
+        """x * y by Horner's rule over the nonzero coefficients of y: one
+        step for each power of g below the top of y."""
+        powers = [k for k, c in enumerate(y) if c]
+        acc = [self.zero] * self.rank
+        below = powers[-1] if powers else 0
+        for k in reversed(powers):
+            for _ in range(below - k):
+                acc = self.step(acc)
+            c = y[k]
+            acc = [a + c * b if b else a for a, b in zip(acc, x)]
+            if self.mod:
+                acc = [a % self.mod for a in acc]
+            below = k
+        for _ in range(below):
+            acc = self.step(acc)
+        return acc
+
+    def horner(self, raw: list) -> list:
+        """The polynomial raw in g (ascending, any length) modulo the
+        relation: its top rank coefficients, then a step per lower one."""
+        if not self.rank:
+            return []
+        split = max(len(raw) - self.rank, 0)
+        acc = raw[split:] + [self.zero] * (self.rank + split - len(raw))
+        for c in reversed(raw[:split]):
+            acc = self.step(acc)
+            if c:
+                acc[0] = (acc[0] + c) % self.mod if self.mod else acc[0] + c
+        return acc
+
+    def lift(self, values: list, weight: int) -> tuple:
+        """Novikov coefficients of a result of the given weight: a value c
+        at g^k becomes c * t^((weight - k)/N), by linalg._lift, which
+        raises ArithmeticError off the grading.  Novikov values pass."""
+        return tuple(
+            _lift(self.field, self.N, weight - k, c) if c else self.novikov_zero
+            for k, c in enumerate(values)
+        )
+
+
+def _at_one(pres: RingPresentation, coeffs) -> Optional[tuple]:
+    """(weight, values) for coefficients of g^0, g^1, ... that read at
+    t = 1 in the graded pres, else None.
+
+    They read when they are homogeneous: each nonzero coefficient of g^k
+    is a monomial c * t^d with the same weight N*d + k, and d = 0 when
+    N = 0.  values holds the ground coefficients c (linalg._ground), 0
+    where a coefficient vanishes; a zero list has weight 0.
+    """
+    N = pres.grading.N
+    weight, values = None, []
+    for k, x in enumerate(coeffs):
+        if not x:
+            values.append(0)
+            continue
+        parts = x.monomial_parts()
+        if parts is None or (parts[1] and not N):
+            return None
+        w = N * parts[1] + k
+        if weight is None:
+            weight = w
+        elif w != weight:
+            return None
+        values.append(_ground(parts[0]))
+    return (0 if weight is None else weight), values
+
+
+def _core(pres: RingPresentation, *coeff_lists):
+    """(core, values, weights): the core of pres and the scalars it runs
+    the coefficient lists on.
+
+    A graded pres has a homogeneous relation (RingPresentation checks
+    it), so when every list is homogeneous too (_at_one) the core runs
+    on ground values at t = 1 and only results are lifted back.  Any
+    other input stays on its Novikov scalars, with weights 0.
+    """
+    if pres.grading is not None:
+        read = [_at_one(pres, c) for c in coeff_lists]
+        if None not in read:
+            _, rel = _at_one(pres, pres.relation)
+            core = _Core(pres.field, rel, pres.grading.N)
+            return core, [v for (_, v) in read], [w for (w, _) in read]
+    core = _Core(pres.field, pres.relation)
+    return core, [list(c) for c in coeff_lists], [0] * len(coeff_lists)

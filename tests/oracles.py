@@ -13,6 +13,7 @@ from itertools import permutations
 
 import sympy
 
+from shq.linalg import LambdaMatrix
 from shq.novikov import Novikov, QQ
 
 
@@ -235,6 +236,58 @@ def novikov_power_chain(entries, a) -> tuple:
         if d == s:
             break  # a zero power: every later term vanishes
     return not any(x for row in residual for x in row), dims
+
+
+def novikov_reduce(relation, raw) -> tuple:
+    """A polynomial in the generator (Novikov coefficients ascending, any
+    length) modulo the monic relation, by cancelling the top power with
+    a multiple of the relation, top down."""
+    deg = len(relation) - 1
+    zero = Novikov.zero(relation[-1].field)
+    coeffs = list(raw) + [zero] * max(deg - len(raw), 0)
+    for k in range(len(coeffs) - 1, deg - 1, -1):
+        f = coeffs[k]
+        if not f:
+            continue
+        coeffs[k] = zero
+        for idx in range(deg):
+            coeffs[k - deg + idx] = coeffs[k - deg + idx] - f * relation[idx]
+    return tuple(coeffs[:deg])
+
+
+def novikov_product(relation, a, b) -> tuple:
+    """Product of two reduced elements (coefficient tuples) by the
+    schoolbook convolution over Novikov scalars, then novikov_reduce."""
+    zero = Novikov.zero(relation[-1].field)
+    raw = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                raw[i + j] = raw[i + j] + x * y
+    return novikov_reduce(relation, raw)
+
+
+def novikov_multiplication_matrix(pres, x, grading=None):
+    """Multiplication by the element x of pres on the basis g^(rank-1),
+    ..., g, 1: column j is the full product x * g^(rank-1-j)."""
+    r = pres.rank
+    zero, one = Novikov.zero(pres.field), Novikov.one(pres.field)
+    cols = []
+    for j in range(r):
+        g_power = novikov_reduce(pres.relation, [zero] * (r - 1 - j) + [one])
+        prod = novikov_product(pres.relation, x.coeffs, g_power)
+        cols.append([prod[r - 1 - i] for i in range(r)])
+    return LambdaMatrix(
+        tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)), grading=grading
+    )
+
+
+def novikov_is_nilpotent(pres, x) -> bool:
+    """Whether x^rank vanishes, by rank schoolbook products."""
+    power = novikov_reduce(pres.relation, [Novikov.one(pres.field)])
+    for _ in range(pres.rank):
+        power = novikov_product(pres.relation, power, x.coeffs)
+    return not any(power)
 
 
 def closed_form(m: int, n: int, field) -> tuple:

@@ -2,9 +2,10 @@
 
 golden_sha256.json holds one digest per result, keyed "field:m:n", of
 json.dumps(result_to_dict(compute_sh(m, n, field, trials=1))) for every
-pair with m <= 8 and n <= 2m + 3 outside the refused band, on Q and
-GF(2); and one per field, keyed "table:field", of the standard output of
-`shq table --max-m 8`.  A change to any output names the keys it moved.
+pair with m <= 12 and n <= 2m + 3 outside the refused band, on Q and
+GF(2) (252 results); and one per field, keyed "table:field", of the
+standard output of `shq table --max-m 12`.  A change to any output names
+the keys it moved.
 
 Regenerate the file only for a deliberate change of output:
 
@@ -24,7 +25,7 @@ from shq.cli import main
 from shq.novikov import F2, QQ
 from shq.pipeline import UnsupportedRegimeError, compute_sh, result_to_dict
 
-MAX_M = 8
+MAX_M = 12
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_sha256.json")
 
 

@@ -396,6 +396,37 @@ def test_closed_form_to_m_100(pair):
         assert res.sh_rank == len(sh) - 1
 
 
+@st.composite
+def calabi_yau_and_large_twists_to_200(draw):
+    """(m, n, field) with 100 < m <= 200: the Calabi-Yau twist n = m + 1
+    or a large twist 2m + 1 <= n <= 4m + 2."""
+    m = draw(st.integers(101, 200))
+    n = draw(st.one_of(st.just(m + 1), st.integers(2 * m + 1, 4 * m + 2)))
+    return m, n, draw(st.sampled_from([QQ, F2]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(calabi_yau_and_large_twists_to_200())
+def test_closed_form_past_m_100_within_three_seconds(pair):
+    # each such pair takes well under a second
+    m, n, field = pair
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"compute_sh({m}, {n}) did not return in 3 s")
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(3)
+    try:
+        res = compute_sh(m, n, field, trials=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [d.name for d in res.diagnostics if not d.passed] == []
+    qh, sh = closed_form(m, n, field)
+    assert sh is None and res.qh.relation == qh
+    assert isinstance(res.sh, ZeroRing) and res.sh_rank == 0
+
+
 def test_m_96_within_six_seconds():
     # (96, 48) took 9.5-11 s on the Novikov-matrix path; the graded core
     # takes well under a second

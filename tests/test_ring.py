@@ -6,6 +6,7 @@ import pytest
 
 from shq.linalg import LambdaMatrix, char_poly
 from shq.novikov import F2, GradingContext, Novikov, QQ
+from shq.pipeline import compute_sh
 from shq.ring import (
     IncompletePresentationError,
     RingElement,
@@ -15,6 +16,14 @@ from shq.ring import (
     multiplication_matrix,
     relation_str,
 )
+
+from oracles import (
+    novikov_is_nilpotent,
+    novikov_multiplication_matrix,
+    novikov_product,
+    novikov_reduce,
+)
+from test_graded import complete_pairs
 
 t = Novikov.t(QQ)
 one = Novikov.one(QQ)
@@ -260,3 +269,129 @@ def test_element_length_checked():
     pres = RingPresentation("c", (t, zero, one))
     with pytest.raises(ValueError):
         RingElement(pres, (one,))
+
+
+def test_is_nilpotent_checks_the_presentation():
+    a = omega_ring([zero, zero, one], GradingContext(1))  # w^2
+    b = omega_ring([t, zero, zero, one])  # w^3 + t
+    assert is_nilpotent(a, a.gen()) is True
+    with pytest.raises(ValueError, match="does not live in this presentation"):
+        is_nilpotent(a, b.gen())
+
+
+# -- the t = 1 core against the schoolbook Novikov oracles -----------------
+
+
+def _outcome(fn, *args):
+    """fn(*args), or ValueError when it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def assert_matches_ring_oracles(pres, x):
+    """multiplication_matrix (with and without the grading of pres) and
+    is_nilpotent agree with the schoolbook Novikov oracles."""
+    for grading in {None, pres.grading}:
+        got = _outcome(multiplication_matrix, pres, x, grading)
+        assert got == _outcome(novikov_multiplication_matrix, pres, x, grading)
+    assert is_nilpotent(pres, x) is novikov_is_nilpotent(pres, x)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_qh_presentations_match_the_oracles_up_to_12(field):
+    for m, n in complete_pairs(12):
+        res = compute_sh(m, n, field, trials=1)
+        for pres, c1 in ((res.qh, res.qh.gen() * -n), (res.qh_c, None)):
+            if pres is None:
+                continue
+            c1 = pres.gen() if c1 is None else c1
+            for x in (c1, pres.gen(), pres.one()):
+                assert_matches_ring_oracles(pres, x)
+
+
+def _random_scalar(rng, field, powers, laurent):
+    x = Novikov.zero(field)
+    if rng.random() < 0.6:
+        c = rng.randint(-3, 3) if field is QQ else 1
+        x = Novikov.monomial(field, c, rng.choice(powers))
+        if laurent and rng.random() < 0.2:
+            x = x + Novikov.one(field) + Novikov.t(field)
+    return x
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_random_ungraded_presentations_match_the_oracles(field):
+    rng = random.Random(31 if field is QQ else 32)
+    one_f = Novikov.one(field)
+    for deg in (1, 2, 3, 4, 6):
+        for _ in range(4):
+            rel = [_random_scalar(rng, field, (-1, 0, 1, 2), True) for _ in range(deg)]
+            pres = RingPresentation("omega", tuple(rel) + (one_f,))
+            a, b = (
+                pres.element([_random_scalar(rng, field, (-1, 0, 2), True) for _ in range(deg)])
+                for _ in range(2)
+            )
+            assert (a * b).coeffs == novikov_product(pres.relation, a.coeffs, b.coeffs)
+            raw = [_random_scalar(rng, field, (0, 1), True) for _ in range(3 * deg)]
+            assert pres.element(raw).coeffs == novikov_reduce(pres.relation, raw)
+            for x in (a, b, pres.gen(), a * pres.gen()):
+                assert_matches_ring_oracles(pres, x)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+@pytest.mark.parametrize("N", [-2, 0, 1, 2, 3])
+def test_random_graded_presentations_match_the_oracles(field, N):
+    # monomial coefficients of random t-powers: mostly of mixed weight,
+    # which must stay on Novikov scalars, sometimes homogeneous
+    rng = random.Random(50 + 10 * N + (0 if field is QQ else 1))
+    zero_f, one_f = Novikov.zero(field), Novikov.one(field)
+    for deg in (1, 2, 3, 5):
+        rel = [zero_f] * deg + [one_f]
+        for k in range(deg):
+            if N and (deg - k) % N == 0 and rng.random() < 0.7:
+                rel[k] = Novikov.monomial(field, rng.randint(1, 3), (deg - k) // N)
+        pres = RingPresentation("omega", tuple(rel), GradingContext(N))
+        for _ in range(6):
+            homogeneous = rng.random() < 0.4
+            weight = rng.randint(0, deg)
+            coeffs = []
+            for k in range(deg):
+                d = rng.randint(-1, 2)
+                if homogeneous:
+                    if (N == 0 and k != weight) or (N and (weight - k) % N):
+                        coeffs.append(zero_f)
+                        continue
+                    d = (weight - k) // N if N else 0
+                coeffs.append(_random_scalar(rng, field, (d,), False))
+            x = RingElement(pres, tuple(coeffs))
+            assert_matches_ring_oracles(pres, x)
+            y = pres.element(coeffs[::-1])
+            assert (x * y).coeffs == novikov_product(pres.relation, x.coeffs, y.coeffs)
+
+
+def test_t_minus_one_is_not_nilpotent():
+    # evaluating t - 1 at t = 1 gives 0; it must not be read there
+    for pres in (small_qh(), qh_52()):
+        x = pres.constant(t - one)
+        assert is_nilpotent(pres, x) is False
+        assert multiplication_matrix(pres, x) == novikov_multiplication_matrix(pres, x)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_grading_zero_with_a_t_power_keeps_the_novikov_path(field):
+    # N = 0: t has degree zero, so t*w must not be read as w at t = 1
+    zero_f, one_f, t_f = Novikov.zero(field), Novikov.one(field), Novikov.t(field)
+    cy = RingPresentation("omega", (zero_f, zero_f, zero_f, one_f), GradingContext(0))
+    for x in (
+        cy.element([zero_f, t_f]),
+        cy.constant(t_f),
+        cy.element([zero_f, zero_f, Novikov.t(field, -1)]),
+    ):
+        assert_matches_ring_oracles(cy, x)
+        # the last column is x itself, top power first
+        mat = multiplication_matrix(cy, x)
+        assert [row[-1] for row in mat.entries] == list(reversed(x.coeffs))
+    assert is_nilpotent(cy, cy.element([zero_f, t_f])) is True
+    assert is_nilpotent(cy, cy.constant(t_f)) is False
