@@ -20,7 +20,9 @@ mat(t) = t^(1/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
 characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and ranks,
 kernel dimensions and the Cayley-Hamilton residual are those of the
 constant matrix mat(1).  With N = 0 this holds when every t-power is
-zero.
+zero.  The grading is read once, at construction: the same pass that
+validates the entries stores the rows of mat(1), and every computation
+on the matrix starts from them.
 
 One core computes every matrix: the Berkowitz recurrence, the walk
 over the powers and a fraction-free elimination, all on sparse rows
@@ -50,12 +52,20 @@ class LambdaMatrix:
     """Square matrix of Novikov scalars, optionally with unknowns.
 
     entries: tuple of tuple of Novikov, rows first.
-    grading: degree bookkeeping used to validate homogeneity.
+    grading: degree bookkeeping; every entry and unknown is checked
+        to be homogeneous in it.
     unknown: frozenset of (row, col, t_power), 0-indexed positions whose
         coefficient is undetermined; the stored entry there is zero.
+
+    Construction reads each entry once.  Under a grading it stores
+    _at_one = (N, mod, rows) for the core, or None when mat(1) does not
+    determine mat (no grading, or N = 0 with a nonzero t-power).  rows[i]
+    maps column j to the ground coefficient of the nonzero entry (i, j):
+    an int, or a Fraction where it is not integral, over Q (mod 0), a bit
+    over GF(2) (mod 2).
     """
 
-    __slots__ = ("entries", "grading", "unknown")
+    __slots__ = ("entries", "grading", "unknown", "_at_one")
 
     def __init__(self, entries, grading=None, unknown=frozenset()):
         rows = tuple(tuple(r) for r in entries)
@@ -63,43 +73,45 @@ class LambdaMatrix:
         if s == 0 or any(len(r) != s for r in rows):
             raise ValueError("matrix must be square and nonempty")
         field = rows[0][0].field if isinstance(rows[0][0], Novikov) else None
-        for r in rows:
-            for x in r:
+        N = None if grading is None else grading.N
+        # one pass over the entries validates them and, under a grading,
+        # reads mat(1): with N = 0 only if every t-power is zero
+        ground, readable = [], N is not None
+        for i, row in enumerate(rows):
+            out = {}
+            for j, x in enumerate(row):
                 if not isinstance(x, Novikov) or x.field != field:
                     raise ValueError("all entries must share one coefficient field")
+                if N is None or not x:
+                    continue
+                parts = x.monomial_parts()
+                if parts is None:
+                    raise ValueError(f"entry ({i}, {j}) is not a monomial")
+                c, d = parts
+                k = i - j + 1
+                if N * d != k:
+                    raise ValueError(
+                        f"entry ({i}, {j}) has t-power {d}, grading needs N*d = {k}"
+                    )
+                if d and not N:
+                    readable = False
+                out[j] = _ground(c)
+            ground.append(out)
         unknown = frozenset(unknown)
         for (i, j, d) in unknown:
             if not (0 <= i < s and 0 <= j < s) or d < 0:
                 raise ValueError(f"unknown position {(i, j, d)} out of range")
             if rows[i][j]:
                 raise ValueError("unknown positions must hold a zero placeholder")
-        self.entries = rows
-        self.grading = grading
-        self.unknown = unknown
-        if grading is not None:
-            self._check_homogeneous()
-
-    def _check_homogeneous(self):
-        N = self.grading.N
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if not x:
-                    continue
-                k = i - j + 1
-                parts = x.monomial_parts()
-                if parts is None:
-                    raise ValueError(f"entry ({i}, {j}) is not a monomial")
-                d = parts[1]
-                if N * d != k:
-                    raise ValueError(
-                        f"entry ({i}, {j}) has t-power {d}, grading needs N*d = {k}"
-                    )
-        for (i, j, d) in self.unknown:
-            if N * d != i - j + 1:
+            if N is not None and N * d != i - j + 1:
                 raise ValueError(
                     f"unknown at ({i}, {j}) declares t-power {d}, "
                     f"grading needs N*d = {i - j + 1}"
                 )
+        self.entries = rows
+        self.grading = grading
+        self.unknown = unknown
+        self._at_one = (N, field.characteristic, tuple(ground)) if readable else None
 
     # -- structure --------------------------------------------------------
 
@@ -241,41 +253,14 @@ def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
 
 
 def _sparse_rows(mat: LambdaMatrix):
-    """(N, mod, rows) for the core: _at_one's reading of a graded
-    matrix, else N = None, mod 0 and the Novikov rows."""
-    graded = _at_one(mat)
-    if graded is not None:
-        return graded
-    return None, 0, _novikov_rows(mat)
+    """(N, mod, rows) for the core: the reading of mat(1) stored at
+    construction, else N = None, mod 0 and the Novikov rows."""
+    return mat._at_one or (None, 0, _novikov_rows(mat))
 
 
 def _novikov_rows(mat: LambdaMatrix) -> list:
     """rows[i] maps column j to the nonzero Novikov entry (i, j)."""
     return [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
-
-
-def _at_one(mat: LambdaMatrix):
-    """(N, mod, rows) for a graded matrix, None for any other.
-
-    rows[i] maps column j to the ground-field coefficient of the nonzero
-    entry (i, j): an int, or a Fraction where it is not integral, over
-    Q (mod 0), a bit over GF(2) (mod 2).  With N = 0 the matrix is read
-    at t = 1 only if every t-power is zero.
-    """
-    if mat.grading is None:
-        return None
-    N = mat.grading.N
-    rows = []
-    for row in mat.entries:
-        out = {}
-        for j, x in enumerate(row):
-            if x:
-                c, d = x.monomial_parts()
-                if d and not N:
-                    return None
-                out[j] = _ground(c)
-        rows.append(out)
-    return N, mat.field.characteristic, rows
 
 
 def _ground(c):

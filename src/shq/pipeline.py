@@ -478,7 +478,7 @@ def _diagnostics(
             )
     if cp is not None and not _c1_vanishes(field, n):
         c1 = qh.gen() * Novikov.constant(field, -n)
-        mm = multiplication_matrix(qh, c1, qh.grading)
+        mm = multiplication_matrix(qh, c1)
         detail = "multiplication by -n*omega in QH realizes the same operator"
         if n == 1 or regime.kind != "monotone":
             # correction-free power basis: equal matrices, equal char polys

@@ -18,11 +18,16 @@ coefficient of g^k a monomial c * t^d of one weight N*d + k) is
 computed at t = 1 on ground-field values, and only results are lifted
 back to Novikov scalars, the way linalg reads graded matrices.  Any
 other element, and every element of an ungraded presentation, runs
-through the same step on its Novikov scalars.
+through the same step on its Novikov scalars.  The relation is read
+once, at construction: the check that it is homogeneous also builds
+the step at t = 1.  A multiplication matrix carries the grading of its
+presentation exactly when the element reads at t = 1 with weight 1,
+so multiplication_matrix attaches it itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,41 +56,38 @@ class RingPresentation:
     relation: tuple
     grading: Optional[GradingContext] = None
     unknown_terms: tuple = ()
+    # the step at t = 1 on the ground values of the relation, read once
+    # here; None when there is no grading
+    _core_at_one: Optional[_Core] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.generator not in ("omega", "c"):
             raise ValueError(f"unknown generator {self.generator!r}")
         if len(self.relation) < 1 or self.relation[-1] != Novikov.one(self.field):
             raise ValueError("relation must be monic")
+        N = None if self.grading is None else self.grading.N
         for (k, d) in self.unknown_terms:
             if not (0 <= k < self.degree) or d < 1:
                 raise ValueError(f"unknown term {(k, d)} out of range")
             if self.relation[k]:
                 raise ValueError("unknown relation slots must hold zero")
-        if self.grading is not None:
-            self._check_homogeneous()
-
-    def _check_homogeneous(self):
-        # relation homogeneous of degree 2*degree: coefficient of g^k
-        # must be a monomial t^d with N*d = degree - k
-        N = self.grading.N
-        for k, coeff in enumerate(self.relation):
-            if not coeff:
-                continue
-            parts = coeff.monomial_parts()
-            if parts is None:
-                raise ValueError(f"relation coefficient at power {k} not a monomial")
-            if N * parts[1] != self.degree - k:
-                raise ValueError(
-                    f"relation coefficient at power {k} has t-power {parts[1]}, "
-                    f"homogeneity needs N*d = {self.degree - k}"
-                )
-        for (k, d) in self.unknown_terms:
-            if N * d != self.degree - k:
+            if N is not None and N * d != self.degree - k:
                 raise ValueError(
                     f"unknown term at power {k} declares t-power {d}, "
                     f"homogeneity needs N*d = {self.degree - k}"
                 )
+        if N is not None:
+            # homogeneous of degree 2*degree: the relation reads at t = 1,
+            # with the weight degree of its monic top
+            read = _at_one(N, self.relation)
+            if read is None:
+                raise ValueError(
+                    "relation is not homogeneous: the coefficient of g^k must "
+                    f"be a monomial c*t^d with N*d = {self.degree} - k"
+                )
+            object.__setattr__(self, "_core_at_one", _Core(self.field, read[1], N))
 
     @property
     def complete(self) -> bool:
@@ -227,14 +229,6 @@ class RingElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined in the quotient")
-        out = self.pres.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __bool__(self):
         return any(self.coeffs)
 
@@ -247,15 +241,14 @@ class RingElement:
         return " + ".join(parts) if parts else "0"
 
 
-def multiplication_matrix(
-    pres: RingPresentation, x: RingElement, grading: Optional[GradingContext] = None
-) -> LambdaMatrix:
+def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatrix:
     """Matrix of multiplication by x on the basis g^(rank-1), ..., g, 1.
 
     Column j holds x * g^(rank-1-j); row i reads off the coefficient of
-    g^(rank-1-i).  A grading is checked (ValueError when the product is
-    not homogeneous in it) and lets the linear algebra run at t = 1; x
-    of degree two in the grading of pres passes the check."""
+    g^(rank-1-i).  The matrix carries the grading of pres exactly when x
+    reads at t = 1 with weight 1 (degree two), such as g or c1 = -n*g:
+    then entry (i, j) is c*t^d with N*d = i - j + 1, and linalg computes
+    the matrix at t = 1 too.  Any other x gives an ungraded matrix."""
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("multiplication matrix")
@@ -268,7 +261,8 @@ def multiplication_matrix(
         if j:
             col = core.step(col)
     entries = tuple(tuple(cols[j][r - 1 - i] for j in range(r)) for i in range(r))
-    return LambdaMatrix(entries, grading=grading)
+    graded = core.N is not None and weight == 1
+    return LambdaMatrix(entries, grading=pres.grading if graded else None)
 
 
 def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
@@ -379,16 +373,15 @@ class _Core:
         )
 
 
-def _at_one(pres: RingPresentation, coeffs) -> Optional[tuple]:
+def _at_one(N: int, coeffs) -> Optional[tuple]:
     """(weight, values) for coefficients of g^0, g^1, ... that read at
-    t = 1 in the graded pres, else None.
+    t = 1 under grading N, else None.
 
     They read when they are homogeneous: each nonzero coefficient of g^k
     is a monomial c * t^d with the same weight N*d + k, and d = 0 when
     N = 0.  values holds the ground coefficients c (linalg._ground), 0
     where a coefficient vanishes; a zero list has weight 0.
     """
-    N = pres.grading.N
     weight, values = None, []
     for k, x in enumerate(coeffs):
         if not x:
@@ -410,16 +403,15 @@ def _core(pres: RingPresentation, *coeff_lists):
     """(core, values, weights): the core of pres and the scalars it runs
     the coefficient lists on.
 
-    A graded pres has a homogeneous relation (RingPresentation checks
-    it), so when every list is homogeneous too (_at_one) the core runs
-    on ground values at t = 1 and only results are lifted back.  Any
-    other input stays on its Novikov scalars, with weights 0.
+    A graded pres holds the core at t = 1 on its relation, read at
+    construction, so when every list is homogeneous too (_at_one) that
+    core runs on their ground values and only results are lifted back.
+    Any other input stays on its Novikov scalars, with weights 0.
     """
-    if pres.grading is not None:
-        read = [_at_one(pres, c) for c in coeff_lists]
+    core = pres._core_at_one
+    if core is not None:
+        read = [_at_one(core.N, c) for c in coeff_lists]
         if None not in read:
-            _, rel = _at_one(pres, pres.relation)
-            core = _Core(pres.field, rel, pres.grading.N)
             return core, [v for (_, v) in read], [w for (w, _) in read]
     core = _Core(pres.field, pres.relation)
     return core, [list(c) for c in coeff_lists], [0] * len(coeff_lists)

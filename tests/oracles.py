@@ -267,7 +267,7 @@ def novikov_product(relation, a, b) -> tuple:
     return novikov_reduce(relation, raw)
 
 
-def novikov_multiplication_matrix(pres, x, grading=None):
+def novikov_multiplication_matrix(pres, x):
     """Multiplication by the element x of pres on the basis g^(rank-1),
     ..., g, 1: column j is the full product x * g^(rank-1-j)."""
     r = pres.rank
@@ -277,9 +277,7 @@ def novikov_multiplication_matrix(pres, x, grading=None):
         g_power = novikov_reduce(pres.relation, [zero] * (r - 1 - j) + [one])
         prod = novikov_product(pres.relation, x.coeffs, g_power)
         cols.append([prod[r - 1 - i] for i in range(r)])
-    return LambdaMatrix(
-        tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)), grading=grading
-    )
+    return LambdaMatrix(tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)))
 
 
 def novikov_is_nilpotent(pres, x) -> bool:

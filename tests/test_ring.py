@@ -291,11 +291,17 @@ def _outcome(fn, *args):
 
 
 def assert_matches_ring_oracles(pres, x):
-    """multiplication_matrix (with and without the grading of pres) and
-    is_nilpotent agree with the schoolbook Novikov oracles."""
-    for grading in {None, pres.grading}:
-        got = _outcome(multiplication_matrix, pres, x, grading)
-        assert got == _outcome(novikov_multiplication_matrix, pres, x, grading)
+    """multiplication_matrix and is_nilpotent agree with the schoolbook
+    Novikov oracles, and the matrix carries the grading of pres exactly
+    when x is nonzero and the oracle's matrix reads at t = 1 in it."""
+    got = multiplication_matrix(pres, x)
+    expected = novikov_multiplication_matrix(pres, x)
+    assert got == expected
+    readable = False
+    if pres.grading is not None and x:
+        graded = _outcome(LambdaMatrix, expected.entries, pres.grading)
+        readable = graded is not ValueError and graded._at_one is not None
+    assert got.grading == (pres.grading if readable else None)
     assert is_nilpotent(pres, x) is novikov_is_nilpotent(pres, x)
 
 
@@ -369,6 +375,30 @@ def test_random_graded_presentations_match_the_oracles(field, N):
             assert_matches_ring_oracles(pres, x)
             y = pres.element(coeffs[::-1])
             assert (x * y).coeffs == novikov_product(pres.relation, x.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_multiplication_matrix_derives_its_grading(field):
+    # the grading of pres exactly for an x of weight 1 read at t = 1
+    zero_f, one_f, t_f = Novikov.zero(field), Novikov.one(field), Novikov.t(field)
+    qh = compute_sh(5, 3, field, trials=1).qh  # w^6 + 27t*w^3, N = 3
+    cy = RingPresentation("omega", (zero_f, zero_f, zero_f, one_f), GradingContext(0))
+    plain = RingPresentation("omega", qh.relation)
+    cases = [
+        (qh, qh.gen() * -3, qh.grading),
+        (qh, qh.gen(), qh.grading),
+        (cy, cy.gen(), cy.grading),
+        (qh, qh.one(), None),
+        (qh, qh.constant(t_f - one_f), None),
+        (qh, qh.element([one_f, one_f]), None),
+        (cy, cy.element([zero_f, t_f]), None),
+        (plain, plain.gen(), None),
+    ]
+    for pres, x, grading in cases:
+        mat = multiplication_matrix(pres, x)
+        assert mat.grading == grading
+        assert (mat._at_one is not None) == (grading is not None)
+        assert mat == novikov_multiplication_matrix(pres, x)
 
 
 def test_t_minus_one_is_not_nilpotent():

@@ -1,4 +1,4 @@
-"""Guard against dead public names in the package.
+"""Guard against dead names in the package.
 
 Every top-level public function or class in ``src/shq`` must be referenced
 somewhere outside its own definition.  A reference is a ``Name``, an
@@ -8,6 +8,9 @@ contract ``tests/test_acceptance.py``; a ``"module.function"`` string in
 script entry ``"shq.module:function"`` in ``pyproject.toml``.  Tests other
 than the acceptance contract do not count: a name only they reach is
 library surface that no run of the product uses.
+
+Every top-level private function or class must be referenced from
+``src/shq`` itself, so a helper left behind when its callers go fails.
 """
 
 import ast
@@ -21,14 +24,15 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 PYPROJECT = ROOT / "pyproject.toml"
 
 
-def public_definitions(sources: dict) -> set:
-    """(module, name) of every top-level public function or class."""
+def definitions(sources: dict, private: bool = False) -> set:
+    """(module, name) of every top-level public function or class, or
+    with private of every private one."""
     return {
         (module, node.name)
         for module, tree in sources.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and node.name.startswith("_") == private
     }
 
 
@@ -63,7 +67,7 @@ def dead_names(sources: dict, extra_trees=(), strings=()) -> list:
     names = referenced_names(sources, extra_trees)
     return sorted(
         name
-        for (module, name) in public_definitions(sources)
+        for (module, name) in definitions(sources)
         if name not in names and (module, name) not in strings
     )
 
@@ -93,7 +97,7 @@ def _package_sources() -> dict:
 
 def test_every_public_name_is_reached():
     sources = _package_sources()
-    assert ("pipeline", "compute_sh") in public_definitions(sources)
+    assert ("pipeline", "compute_sh") in definitions(sources)
     dead = dead_names(
         sources,
         extra_trees=[ast.parse(CONTRACT.read_text())],
@@ -103,6 +107,21 @@ def test_every_public_name_is_reached():
         "public names in src/shq with no caller in the package, the "
         f"acceptance contract, perfbench/tracing.py or a script entry: {dead}"
     )
+
+
+def dead_private_names(sources: dict) -> list:
+    """Private definitions that no code in the package references."""
+    names = referenced_names(sources)
+    return sorted(
+        name for (_, name) in definitions(sources, private=True) if name not in names
+    )
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = _package_sources()
+    assert ("linalg", "_sparse_rows") in definitions(sources, private=True)
+    dead = dead_private_names(sources)
+    assert not dead, f"private names in src/shq that nothing in src/shq uses: {dead}"
 
 
 def test_the_scan_sees_each_kind_of_reference():
@@ -124,3 +143,6 @@ def test_the_scan_sees_each_kind_of_reference():
     ]
     contract = ast.parse("from shq.a import recursive")
     assert dead_names(sources, [contract], {("a", "traced"), ("a", "entry")}) == []
+    assert dead_private_names(sources) == ["_private"]
+    sources["b"] = ast.parse("from .a import _private\n")
+    assert dead_private_names(sources) == []
