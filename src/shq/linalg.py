@@ -8,32 +8,39 @@ positions, entries whose t-power is pinned by the grading but whose
 coefficient is not determined; such matrices refuse any computation
 that would need the missing numbers.
 
-The characteristic polynomial uses the Berkowitz algorithm: division
-free, so it works verbatim over GF(2), and every result is verified by
-substituting the matrix back in (Cayley-Hamilton).  That check, the
-kernel dimensions of the powers and the Jordan blocks of eigenvalue
-zero all come from one walk over mat, mat^2, ..., mat^s.
+A characteristic polynomial needs a lower Hessenberg matrix with a
+unit on every superdiagonal entry, such as r (the classical -n there,
+the corrections below) or multiplication by -n*g in a quotient (-n
+times a companion matrix), or the zero matrix (lambda^s).  Anything
+else raises ValueError.  Such a matrix is nonderogatory, so e_last is
+a cyclic vector: the Krylov vectors K_k = mat^k e_last are triangular,
+each pivot a product of superdiagonal units, and forward substitution
+in K_s + c_1 K_(s-1) + ... + c_s K_0 = 0 gives the coefficients (Krylov's
+method, Wilkinson, The Algebraic Eigenvalue Problem, ch. 6).  The
+shape also leaves one Jordan block of eigenvalue zero, so
+dim ker mat^j = min(j, s - p) with p the degree of the stable part,
+and no rank is computed.  Neither check passes by construction:
+Cayley-Hamilton evaluates p(mat) e_0 by Horner's rule, on a vector the
+solve never used, and the Jordan chain check asks u = q(mat) e_last,
+where cp = lambda^(s-p) * q, for mat^(s-p-1) u != 0 and
+mat^(s-p) u = 0.
 
 Graded matrices are computed at t = 1.  If every nonzero entry (i, j)
 is c * t^d with N*d = i - j + 1 and N != 0, then
 mat(t) = t^(1/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
-characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and ranks,
-kernel dimensions and the Cayley-Hamilton residual are those of the
-constant matrix mat(1).  With N = 0 this holds when every t-power is
-zero.  The grading is read once, at construction: the same pass that
-validates the entries stores the rows of mat(1), and every computation
-on the matrix starts from them.
+characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and both
+checks are those of mat(1).  With N = 0 this holds when every t-power
+is zero.  The grading is read once, at construction, by the same pass
+that validates the entries and stores the rows of mat(1).
 
-One core computes every matrix: the Berkowitz recurrence, the walk
-over the powers and a fraction-free elimination, all on sparse rows
-that hold only the nonzero entries.  They use nothing but +, -, * and
-truthiness, so two kinds of scalars feed them.  A graded matrix gives
+The core uses nothing but +, -, *, truthiness and division by a unit
+pivot (exact over Z, by 1 over GF(2)), so two kinds of scalars feed it:
 the ground-field rows of mat(1) (ints or Fractions over Q, bits over
-GF(2)), and only the s characteristic coefficients are lifted back to
-Novikov scalars.  Any other matrix (entries such as 1 + t, or N = 0
-with a nonzero t-power) gives its Novikov entries as they stand.  The
-kernel back-substitutes on the same elimination of the Novikov rows,
-so nothing but a unit is ever divided by.
+GF(2)), of which only the s coefficients are lifted back, and the
+Novikov entries of any other matrix (entries such as 1 + t, or N = 0
+with a nonzero t-power), whose superdiagonal must hold units c*t^d.
+Rank and kernel stay general: a fraction-free elimination on the same
+rows accepts any matrix.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ class LambdaMatrix:
 
     Construction reads each entry once.  Under a grading it stores
     _at_one = (N, mod, rows) for the core, or None when mat(1) does not
-    determine mat (no grading, or N = 0 with a nonzero t-power).  rows[i]
+    determine mat (no grading, or N = 0 with a nonzero t-power) or when
+    an unknown makes the matrix refuse every computation.  rows[i]
     maps column j to the ground coefficient of the nonzero entry (i, j):
     an int, or a Fraction where it is not integral, over Q (mod 0), a bit
     over GF(2) (mod 2).
@@ -74,9 +82,11 @@ class LambdaMatrix:
             raise ValueError("matrix must be square and nonempty")
         field = rows[0][0].field if isinstance(rows[0][0], Novikov) else None
         N = None if grading is None else grading.N
-        # one pass over the entries validates them and, under a grading,
-        # reads mat(1): with N = 0 only if every t-power is zero
-        ground, readable = [], N is not None
+        unknown = frozenset(unknown)
+        # one pass over the entries validates them and, under a grading
+        # and with no unknown, reads mat(1): with N = 0 only if every
+        # t-power is zero
+        ground, readable = [], N is not None and not unknown
         for i, row in enumerate(rows):
             out = {}
             for j, x in enumerate(row):
@@ -93,11 +103,10 @@ class LambdaMatrix:
                     raise ValueError(
                         f"entry ({i}, {j}) has t-power {d}, grading needs N*d = {k}"
                     )
-                if d and not N:
-                    readable = False
-                out[j] = _ground(c)
+                if readable:
+                    readable = bool(N) or not d
+                    out[j] = _ground(c)
             ground.append(out)
-        unknown = frozenset(unknown)
         for (i, j, d) in unknown:
             if not (0 <= i < s and 0 <= j < s) or d < 0:
                 raise ValueError(f"unknown position {(i, j, d)} out of range")
@@ -216,39 +225,6 @@ class CharPoly:
         return " + ".join(parts)
 
 
-def _berkowitz(mat: LambdaMatrix) -> CharPoly:
-    """Characteristic polynomial by the Berkowitz vector recurrence.
-
-    Division free: only ring operations on the entries, so valid over
-    GF(2) as well as over the rationals.  Unverified; callers check it.
-    """
-    N, mod, rows = _sparse_rows(mat)
-    zero = Novikov.zero(mat.field)
-    a = tuple(
-        _lift(mat.field, N, k, c) if c else zero
-        for k, c in enumerate(_sparse_berkowitz(rows, mod), start=1)
-    )
-    return CharPoly(mat.size, a)
-
-
-def _power_chain(mat: LambdaMatrix, cp: Optional[CharPoly], want_dims: bool):
-    """The one walk over the powers of mat, holding only the current one.
-
-    With cp it sums the Cayley-Hamilton residual mat^s + a_1 mat^(s-1)
-    + ... + a_s and reports whether it vanishes.  With want_dims it
-    records dim ker(mat^j) for j = 0, 1, ... up to the stabilization
-    index.  Returns (annihilates or None, kernel dims or None).
-    """
-    N, mod, rows = _sparse_rows(mat)
-    c = None
-    if cp is not None:
-        c = None if N is None else _coefficients_at_one(cp, N)
-        if c is None:
-            # ungraded, or a cp off the grading that t = 1 cannot read
-            mod, rows, c = 0, _novikov_rows(mat), cp.coefficients()
-    return _sparse_walk(rows, mod, c, want_dims)
-
-
 # -- the scalars the core runs on ---------------------------------------------
 
 
@@ -290,20 +266,6 @@ def _lift(field: CoefficientField, N: Optional[int], k: int, c) -> Novikov:
     return Novikov.monomial(field, c, d)
 
 
-def _coefficients_at_one(cp: CharPoly, N: int) -> Optional[list]:
-    """[1, c_1, ..., c_s] when every a_k is c_k * t^(k/N), else None."""
-    out = [1]
-    for k, x in enumerate(cp.a, start=1):
-        if not x:
-            out.append(0)
-            continue
-        parts = x.monomial_parts()
-        if parts is None or parts[1] != _t_power(N, k):
-            return None
-        out.append(_ground(parts[0]))
-    return out
-
-
 def _clean(row: dict, mod: int) -> dict:
     """The nonzero entries of a sparse row, reduced mod 2 over GF(2)."""
     if mod:
@@ -311,43 +273,136 @@ def _clean(row: dict, mod: int) -> dict:
     return {j: x for j, x in row.items() if x}
 
 
-def _sparse_berkowitz(rows: list, mod: int) -> list:
-    """c_1, ..., c_s of the matrix with sparse rows by the Berkowitz
-    recurrence: each product of the leading block and a vector runs
-    over the vector's nonzero entries."""
-    s = len(rows)
-    cols = [{} for _ in range(s)]
-    for p, row in enumerate(rows):
-        for j, c in row.items():
-            cols[j][p] = c
-    C = [1, -rows[0].get(0, 0)]
-    for i in range(1, s):
-        # row i and column i of the leading (i+1) x (i+1) block, off the diagonal
-        R = [(j, c) for j, c in rows[i].items() if j < i]
-        vec = {p: c for p, c in cols[i].items() if p < i}
-        col = [1, -rows[i].get(i, 0)]
-        for step in range(i):
-            if not R or not vec:
-                break
-            col.append(-sum(c * vec[j] for j, c in R if j in vec))
-            if step < i - 1:
-                acc = {}
-                for j, v in vec.items():
-                    for p, c in cols[j].items():
-                        if p < i:
-                            acc[p] = acc.get(p, 0) + c * v
-                vec = _clean(acc, mod)
-        col += [0] * (i + 2 - len(col))
-        # C <- Toeplitz(col) * C, over the nonzero terms of each
-        out = [0] * (i + 2)
-        terms = [(q, x) for q, x in enumerate(col) if x]
-        for k, c in enumerate(C):
-            if c:
-                for q, x in terms:
-                    if k + q <= i + 1:
-                        out[k + q] += c * x
-        C = [x % mod for x in out] if mod else out
-    return C[1:]
+# -- the Hessenberg core --------------------------------------------------------
+
+
+def _hessenberg(mat: LambdaMatrix, what: str):
+    """(N, op) of a complete mat that is lower Hessenberg with a unit on
+    every superdiagonal entry, or zero; ValueError otherwise.  op is
+    (sup, low, mod): the superdiagonal, the (i, j, entry) triples on and
+    below the diagonal, and the modulus of the scalars."""
+    mat._require_complete(what)
+    N, mod, rows = _sparse_rows(mat)
+    sup, low = [0] * (len(rows) - 1), []
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if j > i + 1:
+                raise ValueError(f"entry ({i}, {j}) lies above the superdiagonal")
+            if j == i + 1:
+                sup[i] = x
+            else:
+                low.append((i, j, x))
+    units = all(x and (N is not None or x.monomial_parts()) for x in sup)
+    if not units and (low or any(sup)):
+        raise ValueError("a superdiagonal entry is not a unit and the matrix is not zero")
+    return N, (sup, low, mod)
+
+
+def _apply(op, v: list) -> list:
+    """The matrix times v: the superdiagonal shifts v up, then each
+    entry on or below the diagonal adds its term."""
+    sup, low, mod = op
+    out = [a * x for a, x in zip(sup, v[1:])]
+    out.append(0)
+    for i, j, a in low:
+        if v[j]:
+            out[i] += a * v[j]
+    return [x % mod for x in out] if mod else out
+
+
+def _horner(op, c, e: int) -> list:
+    """q(mat) e_e by Horner's rule, for q = lambda^k + c_1 lambda^(k-1)
+    + ... + c_k with c = [c_1, ..., c_k]."""
+    mod = op[2]
+    v = [0] * (len(op[0]) + 1)
+    v[e] = 1
+    for x in c:
+        v = _apply(op, v)
+        if x:
+            v[e] = (v[e] + x) % mod if mod else v[e] + x
+    return v
+
+
+def _solve(op) -> list:
+    """[c_1, ..., c_s] of an unreduced lower Hessenberg or zero matrix:
+    the Krylov vectors K_k = mat^k e_last, then forward substitution in
+    K_s + c_1 K_(s-1) + ... + c_s K_0 = 0, top row first.  Unverified;
+    callers check it."""
+    s, mod = len(op[0]) + 1, op[2]
+    K = [[0] * (s - 1) + [1]]
+    for _ in range(s):
+        K.append(_apply(op, K[-1]))
+    c, nonzero = [], []
+    for i in range(s):
+        # row i holds c_1, ..., c_(i+1); K_(s-1-i) starts there, with a
+        # product of superdiagonal units as its pivot (zero only in the
+        # zero matrix, where every acc is zero too)
+        acc = K[s][i] + sum(x * K[s - k][i] for k, x in nonzero)
+        x = acc % mod if mod else acc
+        if x:
+            piv = K[s - 1 - i][i]
+            # an integer matrix has integer c_k, so // is exact
+            x = -x // piv if type(x) is int and type(piv) is int else -x / piv
+            x = x % mod if mod else x
+            nonzero.append((i + 1, x))
+        c.append(x)
+    return c
+
+
+def _lifted(mat: LambdaMatrix, N: Optional[int], c) -> CharPoly:
+    """The characteristic polynomial whose coefficients at t = 1 are c."""
+    zero = Novikov.zero(mat.field)
+    return CharPoly(
+        mat.size,
+        tuple(_lift(mat.field, N, k, x) if x else zero for k, x in enumerate(c, 1)),
+    )
+
+
+def _annihilates(op, c) -> bool:
+    """Cayley-Hamilton on e_0, a vector the solve never used."""
+    return not any(_horner(op, c, 0))
+
+
+def _chain_dims(op, c) -> Optional[list]:
+    """dim ker(mat^j) for j = 0, ..., s - p: min(j, s - p) once the
+    Jordan chain of u = q(mat) e_last, cp = lambda^(s-p) q, has length
+    exactly s - p; None when it has not.  A zero matrix gives [0, s]."""
+    sup, low, _ = op
+    s = len(c)
+    if not low and not any(sup):
+        return [0, s]
+    p = max((k for k, x in enumerate(c, 1) if x), default=0)
+    last, u = None, _horner(op, c[:p], s - 1)
+    for _ in range(s - p):
+        last, u = u, _apply(op, u)
+    if any(u) or (last is not None and not any(last)):
+        return None
+    return list(range(s - p + 1))
+
+
+def char_poly(mat: LambdaMatrix) -> CharPoly:
+    """Characteristic polynomial, verified before returning: it must
+    annihilate e_0 (Cayley-Hamilton)."""
+    N, op = _hessenberg(mat, "characteristic polynomial")
+    c = _solve(op)
+    if not _annihilates(op, c):
+        raise ArithmeticError("characteristic polynomial failed to annihilate")
+    return _lifted(mat, N, c)
+
+
+def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
+    """(characteristic polynomial, whether it annihilates the matrix,
+    kernel_dims or None when the Jordan chain check fails).  Unlike
+    char_poly and kernel_dims, a failed check is reported, not raised."""
+    N, op = _hessenberg(mat, "characteristic polynomial")
+    c = _solve(op)
+    return _lifted(mat, N, c), _annihilates(op, c), _chain_dims(op, c)
+
+
+def rank(mat: LambdaMatrix) -> int:
+    mat._require_complete("rank")
+    _, mod, rows = _sparse_rows(mat)
+    return len(_echelon(rows, mod))
 
 
 def _echelon(rows: list, mod: int) -> dict:
@@ -369,71 +424,6 @@ def _echelon(rows: list, mod: int) -> dict:
                 new[j] = new.get(j, 0) - b * x
             row = _clean(new, mod)
     return pivots
-
-
-def _sparse_walk(rows: list, mod: int, c, want_dims: bool):
-    """_power_chain on sparse rows: the Cayley-Hamilton residual with
-    the coefficients c = [1, c_1, ..., c_s] (or None) and the kernel
-    dimensions of the powers, from one walk over sparse powers."""
-    s = len(rows)
-    residual = None
-    if c is not None:
-        residual = [{p: c[s]} for p in range(s)]
-    dims = [0] if want_dims else None
-    stable = not want_dims
-    power = rows
-    for j in range(1, s + 1):
-        if j > 1:
-            nxt = []
-            for prow in power:
-                acc = {}
-                for k, v in prow.items():
-                    for q, x in rows[k].items():
-                        acc[q] = acc.get(q, 0) + v * x
-                nxt.append(_clean(acc, mod))
-            power = nxt
-        if residual is not None and c[s - j]:
-            a = c[s - j]
-            for row, prow in zip(residual, power):
-                for q, x in prow.items():
-                    row[q] = row.get(q, 0) + a * x
-        if not stable:
-            d = s - len(_echelon(power, mod))
-            stable = d in (dims[-1], s)
-            if d != dims[-1]:
-                dims.append(d)
-        # past a zero power every later term of the residual vanishes
-        if (stable and residual is None) or not any(power):
-            break
-    annihilates = None
-    if residual is not None:
-        annihilates = not any(_clean(row, mod) for row in residual)
-    return annihilates, dims
-
-
-def char_poly(mat: LambdaMatrix) -> CharPoly:
-    """Characteristic polynomial, verified before returning: substituted
-    back into the matrix it must annihilate it (Cayley-Hamilton)."""
-    mat._require_complete("characteristic polynomial")
-    cp = _berkowitz(mat)
-    if not _power_chain(mat, cp, want_dims=False)[0]:
-        raise ArithmeticError("characteristic polynomial failed to annihilate")
-    return cp
-
-
-def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, list]:
-    """(characteristic polynomial, whether it annihilates the matrix,
-    kernel_dims), all from one walk over the powers.  Unlike char_poly,
-    a failed Cayley-Hamilton check is reported, not raised."""
-    mat._require_complete("characteristic polynomial")
-    cp = _berkowitz(mat)
-    return (cp,) + _power_chain(mat, cp, want_dims=True)
-
-
-def rank(mat: LambdaMatrix) -> int:
-    mat._require_complete("rank")
-    _, mod, rows = _sparse_rows(mat)
-    return len(_echelon(rows, mod))
 
 
 def kernel(mat: LambdaMatrix) -> list:
@@ -474,9 +464,13 @@ def kernel(mat: LambdaMatrix) -> list:
 
 def kernel_dims(mat: LambdaMatrix) -> list:
     """dim ker(mat^j) for j = 0, 1, ..., k with k the stabilization
-    index; the last entry is the dimension of the generalized kernel."""
-    mat._require_complete("kernel dimensions")
-    return _power_chain(mat, None, want_dims=True)[1]
+    index; the last entry is the dimension of the generalized kernel.
+    Raises ArithmeticError when the Jordan chain check fails."""
+    _, op = _hessenberg(mat, "kernel dimensions")
+    dims = _chain_dims(op, _solve(op))
+    if dims is None:
+        raise ArithmeticError("the Jordan chain of eigenvalue zero has the wrong length")
+    return dims
 
 
 def stabilization_index(mat: LambdaMatrix) -> int:

@@ -459,10 +459,12 @@ def _diagnostics(
     # generalized kernel and block structure (complete matrices only)
     if cp is not None:
         p = numeric_rank if numeric_rank is not None else 0
-        gk = dims[-1]
+        gk = dims[-1] if dims else None
         ok = gk == m + 1 - p
         detail = f"generalized kernel has dimension {gk} = {m + 1} - {p}"
-        if not _c1_vanishes(field, n):
+        if dims is None:
+            detail = f"no Jordan chain of length {m + 1 - p} ends at the last basis vector"
+        elif not _c1_vanishes(field, n):
             blocks = zero_block_sizes(dims)
             ok = ok and blocks == [m + 1 - p]
             detail += f"; single nilpotent block of size {m + 1 - p}"

@@ -7,20 +7,20 @@ import shq.pipeline
 
 
 @pytest.fixture
-def corrupt_berkowitz(monkeypatch):
+def corrupt_char_poly(monkeypatch):
     """Double every coefficient of the first characteristic polynomial
-    the Berkowitz recurrence returns; later calls are left alone."""
-    real = shq.linalg._berkowitz
+    the Krylov solve returns; later calls are left alone."""
+    real = shq.linalg._solve
     calls = []
 
-    def corrupted(mat):
-        cp = real(mat)
-        calls.append(mat)
+    def corrupted(op):
+        c = real(op)
+        calls.append(op)
         if len(calls) > 1:
-            return cp
-        return shq.linalg.CharPoly(cp.size, tuple(c + c for c in cp.a))
+            return c
+        return [x + x for x in c]
 
-    monkeypatch.setattr(shq.linalg, "_berkowitz", corrupted)
+    monkeypatch.setattr(shq.linalg, "_solve", corrupted)
 
 
 @pytest.fixture

@@ -124,7 +124,7 @@ def dense_apply(a, vec) -> tuple:
 def _novikov_dot(xs, ys, zero):
     acc = zero
     for x, y in zip(xs, ys):
-        if x and y:
+        if x.num and y.num:
             acc = acc + x * y
     return acc
 
@@ -216,13 +216,17 @@ def novikov_power_chain(entries, a) -> tuple:
     field = entries[0][0].field
     zero = Novikov.zero(field)
     coeffs = (Novikov.one(field),) + tuple(a)
-    cols = [[row[q] for row in entries] for q in range(s)]
+    # each column as its nonzero (row, entry) pairs
+    cols = [[(k, row[q]) for k, row in enumerate(entries) if row[q]] for q in range(s)]
     residual = [[coeffs[s] if p == q else zero for q in range(s)] for p in range(s)]
     dims, stable = [0], False
     power = entries
     for j in range(1, s + 1):
         if j > 1:
-            power = [[_novikov_dot(row, col, zero) for col in cols] for row in power]
+            power = [
+                [sum((row[k] * x for k, x in col if row[k]), zero) for col in cols]
+                for row in power
+            ]
         c = coeffs[s - j]
         for p, row in enumerate(power):
             for q, x in enumerate(row):

@@ -72,14 +72,14 @@ def test_compute_non_integer_m_exits_3(capsys):
     assert e.value.code == 3
 
 
-def test_compute_failed_diagnostic_exits_4(capsys, corrupt_berkowitz):
+def test_compute_failed_diagnostic_exits_4(capsys, corrupt_char_poly):
     code, out, err = run(capsys, "compute", "--m", "1", "--n", "1")
     assert code == 4
     d = json.loads(out)
     assert not next(x for x in d["diagnostics"] if x["name"] == "cayley_hamilton")["pass"]
 
 
-def test_compute_failed_diagnostic_exits_4_in_text(capsys, corrupt_berkowitz):
+def test_compute_failed_diagnostic_exits_4_in_text(capsys, corrupt_char_poly):
     code, out, err = run(capsys, "compute", "--m", "1", "--n", "1", "--format", "text")
     assert code == 4
     assert "diagnostics FAILED: cayley_hamilton" in out

@@ -1,16 +1,18 @@
-"""linalg's core against the Novikov-matrix walk it replaced: graded
-matrices read at t = 1, and ungraded ones run on their Novikov entries."""
+"""linalg's Hessenberg core against the Novikov-matrix Berkowitz
+recurrence and power walk it replaced: graded matrices read at t = 1,
+ungraded ones run on their Novikov entries, and every other shape is
+refused."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import shq.linalg
 from shq.linalg import (
-    CharPoly,
     LambdaMatrix,
-    _power_chain,
     char_poly,
+    jordan_zero_block_sizes,
     kernel,
     kernel_dims,
     rank,
@@ -68,6 +70,25 @@ def assert_matches_oracle(mat, graded=True):
     return cp
 
 
+def unreduced_or_zero(entries) -> bool:
+    """Whether a matrix is lower Hessenberg with a unit c*t^d on every
+    superdiagonal entry, or zero: the shapes the core accepts."""
+    s = len(entries)
+    if any(entries[i][j] for i in range(s) for j in range(i + 2, s)):
+        return False
+    units = all(entries[i][i + 1].monomial_parts() is not None for i in range(s - 1))
+    return units or not any(x for row in entries for x in row)
+
+
+def assert_refused(mat):
+    """Every characteristic and kernel-dimension entry point raises
+    ValueError; rank stays general."""
+    for f in (spectrum, char_poly, kernel_dims, stabilization_index, jordan_zero_block_sizes):
+        with pytest.raises(ValueError, match="superdiagonal"):
+            f(mat)
+    assert rank(mat) == novikov_rank(mat.entries)
+
+
 def check_pair(m, n, field):
     r = build_r_matrix(m, n, field)
     assert r.is_complete
@@ -85,9 +106,10 @@ def test_every_complete_pair_up_to_16(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_sampled_pairs_up_to_24(field):
-    pool = [(m, n) for (m, n) in complete_pairs(24) if m > 16]
-    for m, n in random.Random(24).sample(pool, 6):
+def test_every_complete_pair_from_17_to_24(field):
+    pairs = [(m, n) for (m, n) in complete_pairs(24) if m > 16]
+    assert len(pairs) > 100
+    for m, n in pairs:
         check_pair(m, n, field)
 
 
@@ -111,16 +133,21 @@ def test_stabilized_kernel_matches_the_rref_kernel_up_to_8(field):
 # -- graded matrices in general ---------------------------------------------
 
 
-def random_graded(rng, field, s, N):
+def random_graded(rng, field, s, N, hessenberg=True):
     """Random homogeneous matrix: entry (i, j) is c * t^d with
-    N*d = i - j + 1, Fraction coefficients over Q."""
+    N*d = i - j + 1, Fraction coefficients over Q.  With hessenberg,
+    nothing lies above the superdiagonal and every superdiagonal entry
+    (t-power 0) is nonzero."""
     rows = []
     for i in range(s):
         row = []
         for j in range(s):
             k = i - j + 1
             fits = k % N == 0 if N else k == 0
-            if not fits or rng.random() < 0.3:
+            if hessenberg and k == 0:
+                c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2]))
+                row.append(Novikov.monomial(field, c if field is QQ else 1, 0))
+            elif not fits or (hessenberg and k < 0) or rng.random() < 0.3:
                 row.append(Novikov.zero(field))
             elif field is QQ:
                 c = Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
@@ -135,6 +162,7 @@ def random_graded(rng, field, s, N):
 @pytest.mark.parametrize("N", [-2, -1, 0, 1, 2, 3])
 def test_random_graded_matrices(field, N):
     rng = random.Random(1000 + 10 * N + (0 if field is QQ else 1))
+    refused = 0
     for s in (1, 2, 3, 4, 6):
         for _ in range(6):
             mat = random_graded(rng, field, s, N)
@@ -144,21 +172,45 @@ def test_random_graded_matrices(field, N):
             plain = LambdaMatrix(mat.entries)
             assert plain._at_one is None
             assert spectrum(plain) == spectrum(mat)
+            # the general graded matrices of the same draw
+            general = random_graded(rng, field, s, N, hessenberg=False)
+            if unreduced_or_zero(general.entries):
+                assert_matches_oracle(general)
+            else:
+                assert_refused(general)
+                assert_refused(LambdaMatrix(general.entries))
+                refused += 1
+    assert refused >= 10
 
 
-def test_graded_char_poly_raises_when_the_recurrence_is_wrong(corrupt_berkowitz):
+def test_graded_char_poly_raises_when_the_recurrence_is_wrong(corrupt_char_poly):
     with pytest.raises(ArithmeticError):
         char_poly(build_r_matrix(5, 2))
 
 
-def test_char_poly_off_the_grading_is_checked_on_the_novikov_path():
-    # the true coefficients, but a_4 moved to t^2: not readable at t = 1
+def test_a_solve_off_the_grading_raises(monkeypatch):
+    # c_1 = 1 has weight 1, which no t-power fits at N = 4
     r = build_r_matrix(5, 2)
     cp = char_poly(r)
-    moved = list(cp.a)
-    moved[3] = Novikov.monomial(QQ, 64, 2)
-    assert _power_chain(r, CharPoly(6, tuple(moved)), want_dims=False)[0] is False
-    assert _power_chain(r, cp, want_dims=False)[0] is True
+    monkeypatch.setattr(shq.linalg, "_solve", lambda op: [1] + [0] * 5)
+    with pytest.raises(ArithmeticError, match="does not fit grading N = 4"):
+        spectrum(r)
+    with pytest.raises(ArithmeticError):
+        char_poly(r)
+    monkeypatch.undo()
+    assert char_poly(r) == cp
+
+
+def test_corrupted_r_is_refused():
+    # one entry above the superdiagonal, or one superdiagonal entry zeroed
+    for field in FIELDS:
+        r = build_r_matrix(6, 3, field)
+        # N = 4: entry (0, 5) above the superdiagonal fits t^-1
+        for (i, j), x in (((0, 5), Novikov.t(field, -1)), ((2, 3), Novikov.zero(field))):
+            rows = [list(row) for row in r.entries]
+            rows[i][j] = x
+            assert_refused(LambdaMatrix(rows, grading=r.grading))
+            assert_refused(LambdaMatrix(rows))
 
 
 # -- ungraded matrices: the core on Novikov entries --------------------------
@@ -188,10 +240,12 @@ def test_grading_zero_with_a_t_power_keeps_the_novikov_path(field):
     assert constant._at_one is not None
 
 
-def random_ungraded(rng, field, s):
+def random_ungraded(rng, field, s, hessenberg=True):
     """Random matrix without a grading: Laurent entries with t-powers
     from -1 to 2, a few of them plus a multiple of 1 + t, and half the
-    time a last row that is a multiple of the first, so it is singular."""
+    time a last row that is a multiple of the first, so it is singular.
+    With hessenberg, nothing lies above the superdiagonal and every
+    superdiagonal entry is a unit c*t^d."""
     f = Novikov.one(field) + Novikov.t(field)
 
     def coefficient():
@@ -205,7 +259,17 @@ def random_ungraded(rng, field, s):
                 x = x + f * Novikov.constant(field, coefficient())
         return x
 
+    def unit():
+        c = rng.choice([-2, -1, 1, 3]) if field is QQ else 1
+        return Novikov.monomial(field, c, rng.randint(-1, 2))
+
     rows = [[scalar() for _ in range(s)] for _ in range(s)]
+    if hessenberg:
+        zero = Novikov.zero(field)
+        rows = [
+            [unit() if j == i + 1 else zero if j > i + 1 else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
     if rng.random() < 0.5:
         k = Novikov.monomial(field, 1, rng.randint(-1, 1))
         rows[-1] = [x * k for x in rows[0]]
@@ -215,9 +279,17 @@ def random_ungraded(rng, field, s):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_random_ungraded_matrices(field):
     rng = random.Random(7 if field is QQ else 8)
+    refused = 0
     for s, count in ((2, 4), (3, 4), (4, 3), (5, 2), (6, 1)):
         for _ in range(count):
             assert_matches_oracle(random_ungraded(rng, field, s), graded=False)
+            general = random_ungraded(rng, field, s, hessenberg=False)
+            if unreduced_or_zero(general.entries):
+                assert_matches_oracle(general, graded=False)
+            else:
+                assert_refused(general)
+                refused += 1
+    assert refused >= 8
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -226,18 +298,22 @@ def test_inhomogeneous_multiplication_matrix_keeps_the_novikov_path(field):
     zero = Novikov.zero(field)
     ctx = GradingContext(2)
     qh = RingPresentation("omega", (zero, zero, t, zero, one), ctx)  # w^4 + t*w^2
-    for x in (
-        qh.one(),
-        qh.element([one, one]),
-        qh.element([t, zero, one]),
-        qh.element([zero, one + t]),
+    # 1 + g has the unit superdiagonal of g; 1 has none, t + g^2 a second
+    # superdiagonal and (1 + t)*g a superdiagonal that is not a unit
+    for x, accepted in (
+        (qh.one(), False),
+        (qh.element([one, one]), True),
+        (qh.element([t, zero, one]), False),
+        (qh.element([zero, one + t]), False),
     ):
         mat = multiplication_matrix(qh, x)
         assert mat.grading is None
-        assert_matches_oracle(mat, graded=False)
+        if accepted:
+            assert_matches_oracle(mat, graded=False)
+        else:
+            assert_refused(mat)
         with pytest.raises(ValueError):
             LambdaMatrix(mat.entries, grading=ctx)
     graded = multiplication_matrix(qh, qh.gen())
     assert graded.grading == ctx
     assert_matches_oracle(graded)
-

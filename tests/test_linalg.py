@@ -23,6 +23,7 @@ from shq.linalg import (
 from shq.novikov import F2, GradingContext, Novikov, QQ
 
 from oracles import dense_apply, dense_product, novikov_rank, permutation_charpoly
+from test_graded import assert_refused, unreduced_or_zero
 
 
 def mat_q(rows):
@@ -52,6 +53,39 @@ def random_matrix(rng, field, s, laurent_only=True):
     )
 
 
+def hessenberg(rng, mat):
+    """mat with zeros above the superdiagonal and a random unit c*t^d on
+    it: the shape the characteristic polynomial accepts."""
+    field = mat.field
+    zero = Novikov.zero(field)
+
+    def unit():
+        c = rng.choice([-2, -1, 1, 3]) if field is QQ else 1
+        return Novikov.monomial(field, c, rng.randint(0, 2))
+
+    return LambdaMatrix(
+        tuple(
+            tuple(
+                unit() if j == i + 1 else zero if j > i + 1 else x
+                for j, x in enumerate(row)
+            )
+            for i, row in enumerate(mat.entries)
+        )
+    )
+
+
+def draws(rng, field, s, count, laurent_only=True):
+    """count random unreduced Hessenberg matrices, each made from a
+    random general matrix, which is refused unless it has that shape."""
+    out = []
+    for _ in range(count):
+        general = random_matrix(rng, field, s, laurent_only)
+        if not unreduced_or_zero(general.entries):
+            assert_refused(general)
+        out.append(hessenberg(rng, general))
+    return out
+
+
 t = Novikov.t(QQ)
 one = Novikov.one(QQ)
 zero = Novikov.zero(QQ)
@@ -68,14 +102,15 @@ def test_char_poly_smallest_quantum_operator():
 
 
 def test_char_poly_identity():
-    cp = char_poly(LambdaMatrix.identity(QQ, 3))
-    assert cp.a == (Novikov.constant(QQ, -3), Novikov.constant(QQ, 3), -one)
+    # a zero superdiagonal in a nonzero matrix: refused
+    assert_refused(LambdaMatrix.identity(QQ, 3))
+    assert char_poly(LambdaMatrix.identity(QQ, 1)).a == (-one,)
 
 
 def test_char_poly_diagonal():
-    m = mat_q([[2, 0], [0, 3]])
-    cp = char_poly(m)
-    # (L-2)(L-3) = L^2 - 5L + 6
+    assert_refused(mat_q([[2, 0], [0, 3]]))
+    # (L-2)(L-3) = L^2 - 5L + 6 from its companion form
+    cp = char_poly(mat_q([[5, 1], [-6, 0]]))
     assert cp.a == (Novikov.constant(QQ, -5), Novikov.constant(QQ, 6))
 
 
@@ -83,14 +118,13 @@ def test_char_poly_diagonal():
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_char_poly_matches_permutation_expansion(field, s):
     rng = random.Random(100 * s + (0 if field is QQ else 1))
-    for _ in range(12):
-        m = random_matrix(rng, field, s, laurent_only=False)
+    for m in draws(rng, field, s, 12, laurent_only=False):
         got = char_poly(m).coefficients()
         expected = permutation_charpoly(m.entries)
         assert list(got) == list(expected)
 
 
-def test_char_poly_raises_when_the_recurrence_is_wrong(corrupt_berkowitz):
+def test_char_poly_raises_when_the_recurrence_is_wrong(corrupt_char_poly):
     with pytest.raises(ArithmeticError):
         char_poly(mat_q([[t, -1], [0, 0]]))
 
@@ -99,8 +133,8 @@ def test_char_poly_raises_when_the_recurrence_is_wrong(corrupt_berkowitz):
 def test_cayley_hamilton_random(field):
     # char_poly re-verifies annihilation internally on every call
     rng = random.Random(17 if field is QQ else 18)
-    for _ in range(100):
-        char_poly(random_matrix(rng, field, 3))
+    for m in draws(rng, field, 3, 100):
+        char_poly(m)
 
 
 def test_char_poly_gf2():
@@ -124,7 +158,9 @@ def test_rank_and_kernel():
 
 def test_kernel_of_invertible_is_empty():
     assert kernel(mat_q([[1, 2], [3, 4]])) == []
-    assert stabilized_kernel(LambdaMatrix.identity(QQ, 4)) == []
+    assert stabilized_kernel(mat_q([[5, 1], [-6, 0]])) == []
+    with pytest.raises(ValueError):
+        stabilized_kernel(LambdaMatrix.identity(QQ, 4))
 
 
 def test_kernel_rank_dimension_count():
@@ -240,7 +276,9 @@ def test_kernel_of_laurent_matrices_against_the_dense_rank(field):
 
 def test_stabilization_index():
     assert stabilization_index(mat_q([[t, -1], [0, 0]])) == 1
-    assert stabilization_index(LambdaMatrix.identity(QQ, 3)) == 0
+    assert stabilization_index(mat_q([[5, 1], [-6, 0]])) == 0
+    with pytest.raises(ValueError):
+        stabilization_index(LambdaMatrix.identity(QQ, 3))
     shift = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert stabilization_index(shift) == 3
 
@@ -263,15 +301,17 @@ def test_jordan_zero_blocks():
     assert jordan_zero_block_sizes(shift) == [3]
     z3 = mat_q([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert jordan_zero_block_sizes(z3) == [1, 1, 1]
-    assert jordan_zero_block_sizes(LambdaMatrix.identity(QQ, 3)) == []
+    assert jordan_zero_block_sizes(mat_q([[5, 1], [-6, 0]])) == []
+    # blocks [2, 1] and the identity: no unreduced Hessenberg form
     mixed = mat_q([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    assert jordan_zero_block_sizes(mixed) == [2, 1]
+    for m in (mixed, LambdaMatrix.identity(QQ, 3)):
+        with pytest.raises(ValueError):
+            jordan_zero_block_sizes(m)
 
 
 def test_jordan_blocks_sum_to_generalized_kernel():
     rng = random.Random(37)
-    for _ in range(20):
-        m = random_matrix(rng, QQ, 4)
+    for m in draws(rng, QQ, 4, 20):
         blocks = jordan_zero_block_sizes(m)
         assert sum(blocks) == len(stabilized_kernel(m))
 
@@ -285,21 +325,21 @@ def test_image_power_rank():
 
 def test_kernel_dims_match_powers():
     rng = random.Random(43)
-    for _ in range(20):
-        m = random_matrix(rng, QQ, 4)
+    for m in draws(rng, QQ, 4, 20):
         dims = kernel_dims(m)
         assert dims == [4 - rank(m ** k) for k in range(len(dims))]
         assert 4 - rank(m ** len(dims)) == dims[-1]
     shift = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert kernel_dims(shift) == [0, 1, 2, 3]
-    assert kernel_dims(LambdaMatrix.identity(QQ, 3)) == [0]
+    assert kernel_dims(mat_q([[5, 1], [-6, 0]])) == [0]
+    with pytest.raises(ValueError):
+        kernel_dims(LambdaMatrix.identity(QQ, 3))
 
 
 def test_spectrum_agrees_with_the_wrappers():
     rng = random.Random(47)
     for field in (QQ, F2):
-        for _ in range(10):
-            m = random_matrix(rng, field, 4)
+        for m in draws(rng, field, 4, 10):
             cp, annihilates, dims = spectrum(m)
             assert annihilates
             assert cp == char_poly(m)
@@ -321,7 +361,7 @@ def test_stable_relation_examples():
 
 
 def test_stable_relation_full_rank():
-    cp = char_poly(mat_q([[2, 0], [0, 3]]))
+    cp = char_poly(mat_q([[5, 1], [-6, 0]]))
     p, rel = stable_relation(cp)
     assert p == 2
     assert rel == (Novikov.constant(QQ, 6), Novikov.constant(QQ, -5), one)
@@ -329,8 +369,7 @@ def test_stable_relation_full_rank():
 
 def test_stable_relation_drops_exact_lambda_power():
     rng = random.Random(41)
-    for _ in range(20):
-        m = random_matrix(rng, QQ, 4)
+    for m in draws(rng, QQ, 4, 20):
         cp = char_poly(m)
         p, rel = stable_relation(cp)
         assert len(rel) == p + 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import shq.pipeline
 from shq.gw import subdiagonal_entry
-from shq.linalg import char_poly
+from shq.linalg import char_poly, spectrum
 from shq.novikov import F2, FIELDS, QQ, Novikov
 from shq.pipeline import (
     PartialFacts,
@@ -147,7 +147,7 @@ def test_compute_over_the_line():
     assert reduced.coeffs == (mono(QQ, -1, 1),)
 
 
-def test_cayley_hamilton_diagnostic_reports_the_check(corrupt_berkowitz):
+def test_cayley_hamilton_diagnostic_reports_the_check(corrupt_char_poly):
     res = compute_sh(1, 1)
     (ch,) = [d for d in res.diagnostics if d.name == "cayley_hamilton"]
     assert not ch.passed
@@ -293,7 +293,20 @@ def test_lead_diagnostic_details():
     assert exact.detail == "a_4 = 64*t matches (-1)^4 * 2^6 * t"
 
 
-def test_complete_lead_diagnostic_fails_honestly(corrupt_berkowitz):
+def test_spectrum_diagnostics_fail_on_a_doubled_solve(corrupt_char_poly):
+    # neither check passes by construction: Horner on e_0 and the Jordan
+    # chain of q(r) e_last both see the doubled coefficients
+    res = compute_sh(5, 2, trials=1)
+    failed = {d.name: d.detail for d in res.diagnostics if not d.passed}
+    assert failed["cayley_hamilton"] == (
+        "characteristic polynomial fails to annihilate the matrix"
+    )
+    assert failed["generalized_kernel"] == (
+        "no Jordan chain of length 2 ends at the last basis vector"
+    )
+
+
+def test_complete_lead_diagnostic_fails_honestly(corrupt_char_poly):
     # a doubled characteristic polynomial gives a doubled a_N
     lead = _diagnostic(compute_sh(5, 2, trials=1), "lead_coefficient")
     assert not lead.passed
@@ -442,6 +455,23 @@ def test_m_96_within_six_seconds():
         signal.signal(signal.SIGALRM, old)
     assert [d.name for d in res.diagnostics if not d.passed] == []
     assert res.sh_rank == 49
+
+
+def test_spectrum_at_m_400_within_one_second():
+    # the Berkowitz recurrence and a walk over 401 powers took about 3 s
+    # on a 2 vCPU Xeon; the Krylov solve and its two checks about 0.04 s
+    def timed_out(signum, frame):
+        raise TimeoutError("spectrum(build_r_matrix(400, 200)) did not return in 1 s")
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(1)
+    try:
+        cp, annihilates, dims = spectrum(build_r_matrix(400, 200))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert annihilates and dims == list(range(201))
+    assert cp.a[200] and sum(1 for a in cp.a if a) == 1
 
 
 def test_multiplication_matrix_bases_agree_only_without_corrections():
