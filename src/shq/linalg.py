@@ -8,39 +8,37 @@ positions, entries whose t-power is pinned by the grading but whose
 coefficient is not determined; such matrices refuse any computation
 that would need the missing numbers.
 
-A characteristic polynomial needs a lower Hessenberg matrix with a
-unit on every superdiagonal entry, such as r (the classical -n there,
-the corrections below) or multiplication by -n*g in a quotient (-n
-times a companion matrix), or the zero matrix (lambda^s).  Anything
-else raises ValueError.  Such a matrix is nonderogatory, so e_last is
-a cyclic vector: the Krylov vectors K_k = mat^k e_last are triangular,
-each pivot a product of superdiagonal units, and forward substitution
-in K_s + c_1 K_(s-1) + ... + c_s K_0 = 0 gives the coefficients (Krylov's
+A characteristic polynomial needs a graded matrix whose mat(1) is
+lower Hessenberg with a nonzero superdiagonal, such as r (the
+classical -n there, the corrections below) or multiplication by -n*g
+in a quotient (-n times a companion matrix), or the zero matrix
+(lambda^s).  Anything else raises ValueError.  Such a matrix is
+nonderogatory, so e_last is a cyclic vector: the Krylov vectors
+K_k = mat^k e_last are triangular, each pivot a product of
+superdiagonal entries, and forward substitution in
+K_s + c_1 K_(s-1) + ... + c_s K_0 = 0 gives the coefficients (Krylov's
 method, Wilkinson, The Algebraic Eigenvalue Problem, ch. 6).  The
 shape also leaves one Jordan block of eigenvalue zero, so
 dim ker mat^j = min(j, s - p) with p the degree of the stable part,
 and no rank is computed.  Neither check passes by construction:
-Cayley-Hamilton evaluates p(mat) e_0 by Horner's rule, on a vector the
-solve never used, and the Jordan chain check asks u = q(mat) e_last,
-where cp = lambda^(s-p) * q, for mat^(s-p-1) u != 0 and
-mat^(s-p) u = 0.
+Cayley-Hamilton evaluates e_0^T p(mat) by Horner's rule, a row the
+solve never used and a cyclic one (e_0^T mat^k ends in a product of
+superdiagonal entries at column k), so it holds exactly when
+p(mat) = 0; the Jordan chain check asks u = q(mat) e_last, where
+cp = lambda^(s-p) * q, for mat^(s-p-1) u != 0 and mat^(s-p) u = 0.
 
-Graded matrices are computed at t = 1.  If every nonzero entry (i, j)
-is c * t^d with N*d = i - j + 1 and N != 0, then
+The core computes at t = 1.  If every nonzero entry (i, j) is
+c * t^d with N*d = i - j + 1 and N != 0, then
 mat(t) = t^(1/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
 characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and both
 checks are those of mat(1).  With N = 0 this holds when every t-power
 is zero.  The grading is read once, at construction, by the same pass
-that validates the entries and stores the rows of mat(1).
-
-The core uses nothing but +, -, *, truthiness and division by a unit
-pivot (exact over Z, by 1 over GF(2)), so two kinds of scalars feed it:
-the ground-field rows of mat(1) (ints or Fractions over Q, bits over
-GF(2)), of which only the s coefficients are lifted back, and the
-Novikov entries of any other matrix (entries such as 1 + t, or N = 0
-with a nonzero t-power), whose superdiagonal must hold units c*t^d.
-Rank and kernel stay general: a fraction-free elimination on the same
-rows accepts any matrix.
+that validates the entries and stores the rows of mat(1): ints or
+Fractions over Q, bits over GF(2).  Only the s coefficients are lifted
+back to Novikov scalars.  A matrix without a grading, or with N = 0
+and a nonzero t-power, has no such reading and the core refuses it.
+Rank and kernel stay general: a fraction-free elimination on the
+Novikov rows accepts any matrix.
 """
 
 from __future__ import annotations
@@ -228,12 +226,6 @@ class CharPoly:
 # -- the scalars the core runs on ---------------------------------------------
 
 
-def _sparse_rows(mat: LambdaMatrix):
-    """(N, mod, rows) for the core: the reading of mat(1) stored at
-    construction, else N = None, mod 0 and the Novikov rows."""
-    return mat._at_one or (None, 0, _novikov_rows(mat))
-
-
 def _novikov_rows(mat: LambdaMatrix) -> list:
     """rows[i] maps column j to the nonzero Novikov entry (i, j)."""
     return [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
@@ -254,35 +246,30 @@ def _t_power(N: int, k: int) -> Optional[int]:
     return k // N if k % N == 0 else None
 
 
-def _lift(field: CoefficientField, N: Optional[int], k: int, c) -> Novikov:
+def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
     """The Novikov scalar of weight k whose value at t = 1 is the nonzero
-    c: c * t^(k/N), such as a_k from c_k(mat(1)); c itself on Novikov
-    scalars (N is None)."""
-    if N is None:
-        return c
+    c: c * t^(k/N), such as a_k from c_k(mat(1))."""
     d = _t_power(N, k)
     if d is None:
         raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
     return Novikov.monomial(field, c, d)
 
 
-def _clean(row: dict, mod: int) -> dict:
-    """The nonzero entries of a sparse row, reduced mod 2 over GF(2)."""
-    if mod:
-        return {j: x % mod for j, x in row.items() if x % mod}
-    return {j: x for j, x in row.items() if x}
-
-
 # -- the Hessenberg core --------------------------------------------------------
 
 
 def _hessenberg(mat: LambdaMatrix, what: str):
-    """(N, op) of a complete mat that is lower Hessenberg with a unit on
-    every superdiagonal entry, or zero; ValueError otherwise.  op is
+    """(N, op) of a complete mat whose mat(1) is lower Hessenberg with
+    a nonzero superdiagonal, or zero; ValueError otherwise.  op is
     (sup, low, mod): the superdiagonal, the (i, j, entry) triples on and
-    below the diagonal, and the modulus of the scalars."""
+    below the diagonal, and the modulus of the scalars, all of mat(1)."""
     mat._require_complete(what)
-    N, mod, rows = _sparse_rows(mat)
+    if mat._at_one is None:
+        raise ValueError(
+            f"{what} needs a graded matrix that reads at t = 1 "
+            "(no grading, or N = 0 with a nonzero t-power)"
+        )
+    N, mod, rows = mat._at_one
     sup, low = [0] * (len(rows) - 1), []
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -292,9 +279,8 @@ def _hessenberg(mat: LambdaMatrix, what: str):
                 sup[i] = x
             else:
                 low.append((i, j, x))
-    units = all(x and (N is not None or x.monomial_parts()) for x in sup)
-    if not units and (low or any(sup)):
-        raise ValueError("a superdiagonal entry is not a unit and the matrix is not zero")
+    if not all(sup) and (low or any(sup)):
+        raise ValueError("a superdiagonal entry is zero and the matrix is not zero")
     return N, (sup, low, mod)
 
 
@@ -335,7 +321,7 @@ def _solve(op) -> list:
     c, nonzero = [], []
     for i in range(s):
         # row i holds c_1, ..., c_(i+1); K_(s-1-i) starts there, with a
-        # product of superdiagonal units as its pivot (zero only in the
+        # product of superdiagonal entries as its pivot (zero only in the
         # zero matrix, where every acc is zero too)
         acc = K[s][i] + sum(x * K[s - k][i] for k, x in nonzero)
         x = acc % mod if mod else acc
@@ -349,7 +335,7 @@ def _solve(op) -> list:
     return c
 
 
-def _lifted(mat: LambdaMatrix, N: Optional[int], c) -> CharPoly:
+def _lifted(mat: LambdaMatrix, N: int, c) -> CharPoly:
     """The characteristic polynomial whose coefficients at t = 1 are c."""
     zero = Novikov.zero(mat.field)
     return CharPoly(
@@ -359,8 +345,14 @@ def _lifted(mat: LambdaMatrix, N: Optional[int], c) -> CharPoly:
 
 
 def _annihilates(op, c) -> bool:
-    """Cayley-Hamilton on e_0, a vector the solve never used."""
-    return not any(_horner(op, c, 0))
+    """Cayley-Hamilton on the cyclic row e_0^T, which the solve never
+    used: e_0^T p(mat) = 0 exactly when p(mat) = 0.  Reversing the basis
+    turns mat^T into a lower Hessenberg matrix again, whose
+    superdiagonal is sup reversed and which sends e_0 to e_last."""
+    sup, low, mod = op
+    s = len(sup) + 1
+    flipped = (sup[::-1], [(s - 1 - j, s - 1 - i, a) for i, j, a in low], mod)
+    return not any(_horner(flipped, c, s - 1))
 
 
 def _chain_dims(op, c) -> Optional[list]:
@@ -382,7 +374,7 @@ def _chain_dims(op, c) -> Optional[list]:
 
 def char_poly(mat: LambdaMatrix) -> CharPoly:
     """Characteristic polynomial, verified before returning: it must
-    annihilate e_0 (Cayley-Hamilton)."""
+    annihilate the matrix (Cayley-Hamilton)."""
     N, op = _hessenberg(mat, "characteristic polynomial")
     c = _solve(op)
     if not _annihilates(op, c):
@@ -401,11 +393,10 @@ def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
 
 def rank(mat: LambdaMatrix) -> int:
     mat._require_complete("rank")
-    _, mod, rows = _sparse_rows(mat)
-    return len(_echelon(rows, mod))
+    return len(_echelon(_novikov_rows(mat)))
 
 
-def _echelon(rows: list, mod: int) -> dict:
+def _echelon(rows: list) -> dict:
     """Pivot rows of sparse rows keyed by leading column, by
     fraction-free elimination: each row is reduced against the pivot
     row of its leading column, as pivot[lead] * row - row[lead] * pivot,
@@ -422,7 +413,7 @@ def _echelon(rows: list, mod: int) -> dict:
             new = {j: a * x for j, x in row.items()}
             for j, x in prow.items():
                 new[j] = new.get(j, 0) - b * x
-            row = _clean(new, mod)
+            row = {j: x for j, x in new.items() if x}
     return pivots
 
 
@@ -439,7 +430,7 @@ def kernel(mat: LambdaMatrix) -> list:
     """
     mat._require_complete("kernel")
     s = mat.size
-    pivots = _echelon(_novikov_rows(mat), 0)
+    pivots = _echelon(_novikov_rows(mat))
     zero, one = Novikov.zero(mat.field), Novikov.one(mat.field)
     basis = []
     for f in range(s):

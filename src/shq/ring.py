@@ -12,17 +12,17 @@ corrections recorded in unknown_terms; such presentations refuse any
 computation that depends on the missing numbers.
 
 All arithmetic in the quotient is one reduction step, multiplication
-by the generator modulo the relation (_Core).  A graded presentation
-has a homogeneous relation, so a homogeneous element (each nonzero
-coefficient of g^k a monomial c * t^d of one weight N*d + k) is
-computed at t = 1 on ground-field values, and only results are lifted
-back to Novikov scalars, the way linalg reads graded matrices.  Any
-other element, and every element of an ungraded presentation, runs
-through the same step on its Novikov scalars.  The relation is read
+by the generator modulo the relation (_Core).  Every presentation is
+graded and its relation homogeneous, so a homogeneous element (each
+nonzero coefficient of g^k a monomial c * t^d of one weight N*d + k,
+d = 0 when N = 0) is computed at t = 1 on ground-field values, and
+only results are lifted back to Novikov scalars, the way linalg reads
+graded matrices.  Arithmetic on any other element, such as 1 + g,
+t - 1 or t*g with N = 0, raises ValueError.  The relation is read
 once, at construction: the check that it is homogeneous also builds
 the step at t = 1.  A multiplication matrix carries the grading of its
-presentation exactly when the element reads at t = 1 with weight 1,
-so multiplication_matrix attaches it itself.
+presentation exactly when the element has weight 1, so
+multiplication_matrix attaches it itself.
 """
 
 from __future__ import annotations
@@ -47,18 +47,17 @@ class RingPresentation:
     relation holds coefficients ascending in the generator; its length
     is degree + 1 and the top coefficient must be one.  The quotient
     has dimension ``degree`` with basis 1, g, ..., g^(degree-1).
-    unknown_terms lists (gen_power, t_power) slots of the relation that
-    carry undetermined corrections; the presentation is complete when
-    there are none.
+    The relation must be homogeneous in grading.  unknown_terms lists
+    (gen_power, t_power) slots of the relation that carry undetermined
+    corrections; the presentation is complete when there are none.
     """
 
     generator: str
     relation: tuple
-    grading: Optional[GradingContext] = None
+    grading: GradingContext
     unknown_terms: tuple = ()
-    # the step at t = 1 on the ground values of the relation, read once
-    # here; None when there is no grading
-    _core_at_one: Optional[_Core] = dataclasses.field(
+    # the step at t = 1 on the ground values of the relation, read once here
+    _core_at_one: _Core = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -67,27 +66,26 @@ class RingPresentation:
             raise ValueError(f"unknown generator {self.generator!r}")
         if len(self.relation) < 1 or self.relation[-1] != Novikov.one(self.field):
             raise ValueError("relation must be monic")
-        N = None if self.grading is None else self.grading.N
+        N = self.grading.N
         for (k, d) in self.unknown_terms:
             if not (0 <= k < self.degree) or d < 1:
                 raise ValueError(f"unknown term {(k, d)} out of range")
             if self.relation[k]:
                 raise ValueError("unknown relation slots must hold zero")
-            if N is not None and N * d != self.degree - k:
+            if N * d != self.degree - k:
                 raise ValueError(
                     f"unknown term at power {k} declares t-power {d}, "
                     f"homogeneity needs N*d = {self.degree - k}"
                 )
-        if N is not None:
-            # homogeneous of degree 2*degree: the relation reads at t = 1,
-            # with the weight degree of its monic top
-            read = _at_one(N, self.relation)
-            if read is None:
-                raise ValueError(
-                    "relation is not homogeneous: the coefficient of g^k must "
-                    f"be a monomial c*t^d with N*d = {self.degree} - k"
-                )
-            object.__setattr__(self, "_core_at_one", _Core(self.field, read[1], N))
+        # homogeneous of degree 2*degree: the relation reads at t = 1,
+        # with the weight degree of its monic top
+        read = _at_one(N, self.relation)
+        if read is None:
+            raise ValueError(
+                "relation is not homogeneous: the coefficient of g^k must "
+                f"be a monomial c*t^d with N*d = {self.degree} - k"
+            )
+        object.__setattr__(self, "_core_at_one", _Core(self.field, read[1], N))
 
     @property
     def complete(self) -> bool:
@@ -246,9 +244,9 @@ def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatri
 
     Column j holds x * g^(rank-1-j); row i reads off the coefficient of
     g^(rank-1-i).  The matrix carries the grading of pres exactly when x
-    reads at t = 1 with weight 1 (degree two), such as g or c1 = -n*g:
-    then entry (i, j) is c*t^d with N*d = i - j + 1, and linalg computes
-    the matrix at t = 1 too.  Any other x gives an ungraded matrix."""
+    has weight 1 (degree two), such as g or c1 = -n*g: then entry (i, j)
+    is c*t^d with N*d = i - j + 1, and linalg computes the matrix at
+    t = 1 too.  Any other weight gives an ungraded matrix."""
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("multiplication matrix")
@@ -261,8 +259,7 @@ def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatri
         if j:
             col = core.step(col)
     entries = tuple(tuple(cols[j][r - 1 - i] for j in range(r)) for i in range(r))
-    graded = core.N is not None and weight == 1
-    return LambdaMatrix(entries, grading=pres.grading if graded else None)
+    return LambdaMatrix(entries, grading=pres.grading if weight == 1 else None)
 
 
 def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
@@ -303,20 +300,18 @@ def is_nilpotent(pres: RingPresentation, x: RingElement) -> bool:
 class _Core:
     """The reduction step of a presentation and what is built on it.
 
-    The step multiplies a list of rank scalars, ascending in g, by g
-    modulo the relation.  It uses only +, -, * and truthiness (and % 2
-    on bits over GF(2)), so it runs on ground values at t = 1 or on
-    Novikov scalars alike (see _core).
+    The step multiplies a list of rank ground values at t = 1 (ints or
+    Fractions over Q, bits over GF(2)), ascending in g, by g modulo the
+    relation, reducing mod 2 over GF(2).
     """
 
-    __slots__ = ("field", "N", "mod", "zero", "novikov_zero", "rank", "rel")
+    __slots__ = ("field", "N", "mod", "novikov_zero", "rank", "rel")
 
-    def __init__(self, field, relation, N=None):
+    def __init__(self, field, relation, N: int):
         self.field = field
-        self.N = N  # None on Novikov scalars
-        self.mod = 0 if N is None else field.characteristic
+        self.N = N
+        self.mod = field.characteristic
         self.novikov_zero = Novikov.zero(field)
-        self.zero = self.novikov_zero if N is None else 0
         self.rank = len(relation) - 1
         # (k, c) for each nonzero c below the monic top of the relation
         self.rel = [(k, c) for k, c in enumerate(relation[:-1]) if c]
@@ -324,7 +319,7 @@ class _Core:
     def step(self, v: list) -> list:
         """v * g modulo the relation."""
         top = v[-1]
-        out = [self.zero] + v[:-1]
+        out = [0] + v[:-1]
         if top:
             mod = self.mod
             for k, c in self.rel:
@@ -336,7 +331,7 @@ class _Core:
         """x * y by Horner's rule over the nonzero coefficients of y: one
         step for each power of g below the top of y."""
         powers = [k for k, c in enumerate(y) if c]
-        acc = [self.zero] * self.rank
+        acc = [0] * self.rank
         below = powers[-1] if powers else 0
         for k in reversed(powers):
             for _ in range(below - k):
@@ -356,7 +351,7 @@ class _Core:
         if not self.rank:
             return []
         split = max(len(raw) - self.rank, 0)
-        acc = raw[split:] + [self.zero] * (self.rank + split - len(raw))
+        acc = raw[split:] + [0] * (self.rank + split - len(raw))
         for c in reversed(raw[:split]):
             acc = self.step(acc)
             if c:
@@ -366,7 +361,7 @@ class _Core:
     def lift(self, values: list, weight: int) -> tuple:
         """Novikov coefficients of a result of the given weight: a value c
         at g^k becomes c * t^((weight - k)/N), by linalg._lift, which
-        raises ArithmeticError off the grading.  Novikov values pass."""
+        raises ArithmeticError off the grading."""
         return tuple(
             _lift(self.field, self.N, weight - k, c) if c else self.novikov_zero
             for k, c in enumerate(values)
@@ -400,18 +395,14 @@ def _at_one(N: int, coeffs) -> Optional[tuple]:
 
 
 def _core(pres: RingPresentation, *coeff_lists):
-    """(core, values, weights): the core of pres and the scalars it runs
-    the coefficient lists on.
-
-    A graded pres holds the core at t = 1 on its relation, read at
-    construction, so when every list is homogeneous too (_at_one) that
-    core runs on their ground values and only results are lifted back.
-    Any other input stays on its Novikov scalars, with weights 0.
-    """
+    """(core, values, weights): the core of pres, read at construction,
+    and the ground values and weights of the coefficient lists at t = 1
+    (_at_one).  A list that is not homogeneous raises ValueError."""
     core = pres._core_at_one
-    if core is not None:
-        read = [_at_one(core.N, c) for c in coeff_lists]
-        if None not in read:
-            return core, [v for (_, v) in read], [w for (w, _) in read]
-    core = _Core(pres.field, pres.relation)
-    return core, [list(c) for c in coeff_lists], [0] * len(coeff_lists)
+    read = [_at_one(core.N, c) for c in coeff_lists]
+    if None in read:
+        raise ValueError(
+            "element is not homogeneous: the coefficient of g^k must be a "
+            f"monomial c*t^d of one weight N*d + k, with N = {core.N}"
+        )
+    return core, [v for (_, v) in read], [w for (w, _) in read]

@@ -9,7 +9,8 @@ import shq.pipeline
 @pytest.fixture
 def corrupt_char_poly(monkeypatch):
     """Double every coefficient of the first characteristic polynomial
-    the Krylov solve returns; later calls are left alone."""
+    the Krylov solve returns; later calls are left alone.  Clearing the
+    list the fixture returns arms it again."""
     real = shq.linalg._solve
     calls = []
 
@@ -21,6 +22,7 @@ def corrupt_char_poly(monkeypatch):
         return [x + x for x in c]
 
     monkeypatch.setattr(shq.linalg, "_solve", corrupted)
+    return calls
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """linalg's Hessenberg core against the Novikov-matrix Berkowitz
 recurrence and power walk it replaced: graded matrices read at t = 1,
-ungraded ones run on their Novikov entries, and every other shape is
-refused."""
+and every other shape, or a matrix with no reading at t = 1 (no
+grading, or N = 0 with a nonzero t-power), is refused."""
 
 import random
 from fractions import Fraction
@@ -22,7 +22,7 @@ from shq.linalg import (
 )
 from shq.novikov import F2, GradingContext, Novikov, QQ
 from shq.pipeline import build_r_matrix, classify_regime
-from shq.ring import RingPresentation, change_generator, multiplication_matrix
+from shq.ring import RingElement, RingPresentation, change_generator, multiplication_matrix
 
 from oracles import (
     novikov_berkowitz,
@@ -56,10 +56,10 @@ def qh_operator(m, n, field, cp):
     return multiplication_matrix(qh, qh.gen() * Novikov.constant(field, -n))
 
 
-def assert_matches_oracle(mat, graded=True):
+def assert_matches_oracle(mat):
     """char_poly, the Cayley-Hamilton check, kernel_dims and rank equal
-    those of the Novikov-matrix walk; graded says which path must run."""
-    assert (mat._at_one is not None) == graded
+    those of the Novikov-matrix walk."""
+    assert mat._at_one is not None
     cp, annihilates, dims = spectrum(mat)
     assert cp.a == novikov_berkowitz(mat.entries)
     assert char_poly(mat) == cp
@@ -87,6 +87,17 @@ def assert_refused(mat):
         with pytest.raises(ValueError, match="superdiagonal"):
             f(mat)
     assert rank(mat) == novikov_rank(mat.entries)
+
+
+def assert_unread_refused(mat):
+    """A matrix with no reading at t = 1 is refused by char_poly,
+    spectrum and kernel_dims before its shape is looked at; rank and
+    kernel stay general."""
+    assert mat._at_one is None
+    for f in (spectrum, char_poly, kernel_dims):
+        with pytest.raises(ValueError, match="reads at t = 1"):
+            f(mat)
+    assert rank(mat) == novikov_rank(mat.entries) == mat.size - len(kernel(mat))
 
 
 def check_pair(m, n, field):
@@ -169,16 +180,12 @@ def test_random_graded_matrices(field, N):
             cp = assert_matches_oracle(mat)
             if s <= 4:
                 assert list(cp.coefficients()) == permutation_charpoly(mat.entries)
-            plain = LambdaMatrix(mat.entries)
-            assert plain._at_one is None
-            assert spectrum(plain) == spectrum(mat)
             # the general graded matrices of the same draw
             general = random_graded(rng, field, s, N, hessenberg=False)
             if unreduced_or_zero(general.entries):
                 assert_matches_oracle(general)
             else:
                 assert_refused(general)
-                assert_refused(LambdaMatrix(general.entries))
                 refused += 1
     assert refused >= 10
 
@@ -210,42 +217,38 @@ def test_corrupted_r_is_refused():
             rows = [list(row) for row in r.entries]
             rows[i][j] = x
             assert_refused(LambdaMatrix(rows, grading=r.grading))
-            assert_refused(LambdaMatrix(rows))
 
 
-# -- ungraded matrices: the core on Novikov entries --------------------------
+# -- matrices with no reading at t = 1 are refused ---------------------------
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_rational_function_entries_keep_the_novikov_path(field):
+def test_rational_function_entries_are_refused(field):
     one, t = Novikov.one(field), Novikov.t(field)
     zero = Novikov.zero(field)
     f = one + t
     mat = LambdaMatrix(((zero, -one, zero), (f, zero, -one), (zero, t, f)))
-    assert_matches_oracle(mat, graded=False)
+    assert_unread_refused(mat)
     with pytest.raises(ValueError):
         LambdaMatrix(mat.entries, grading=GradingContext(1))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_grading_zero_with_a_t_power_keeps_the_novikov_path(field):
-    # N = 0 admits only the superdiagonal, with any t-power
+def test_grading_zero_with_a_t_power_is_refused(field):
+    # N = 0 admits only the superdiagonal, with any t-power, but mat(1)
+    # determines mat only when every t-power is zero
     zero, t2 = Novikov.zero(field), Novikov.t(field, 2)
     one = Novikov.one(field)
     rows = ((zero, t2, zero), (zero, zero, one), (zero, zero, zero))
-    mat = LambdaMatrix(rows, grading=GradingContext(0))
-    assert_matches_oracle(mat, graded=False)
-    assert spectrum(mat) == spectrum(LambdaMatrix(rows))
+    assert_unread_refused(LambdaMatrix(rows, grading=GradingContext(0)))
     constant = LambdaMatrix(((zero, one), (zero, zero)), grading=GradingContext(0))
-    assert constant._at_one is not None
+    assert_matches_oracle(constant)
 
 
-def random_ungraded(rng, field, s, hessenberg=True):
+def random_ungraded(rng, field, s):
     """Random matrix without a grading: Laurent entries with t-powers
     from -1 to 2, a few of them plus a multiple of 1 + t, and half the
-    time a last row that is a multiple of the first, so it is singular.
-    With hessenberg, nothing lies above the superdiagonal and every
-    superdiagonal entry is a unit c*t^d."""
+    time a last row that is a multiple of the first, so it is singular."""
     f = Novikov.one(field) + Novikov.t(field)
 
     def coefficient():
@@ -259,17 +262,7 @@ def random_ungraded(rng, field, s, hessenberg=True):
                 x = x + f * Novikov.constant(field, coefficient())
         return x
 
-    def unit():
-        c = rng.choice([-2, -1, 1, 3]) if field is QQ else 1
-        return Novikov.monomial(field, c, rng.randint(-1, 2))
-
     rows = [[scalar() for _ in range(s)] for _ in range(s)]
-    if hessenberg:
-        zero = Novikov.zero(field)
-        rows = [
-            [unit() if j == i + 1 else zero if j > i + 1 else x for j, x in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
     if rng.random() < 0.5:
         k = Novikov.monomial(field, 1, rng.randint(-1, 1))
         rows[-1] = [x * k for x in rows[0]]
@@ -278,40 +271,31 @@ def random_ungraded(rng, field, s, hessenberg=True):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_random_ungraded_matrices(field):
+    # refused whatever their shape, r without its grading among them
     rng = random.Random(7 if field is QQ else 8)
-    refused = 0
     for s, count in ((2, 4), (3, 4), (4, 3), (5, 2), (6, 1)):
         for _ in range(count):
-            assert_matches_oracle(random_ungraded(rng, field, s), graded=False)
-            general = random_ungraded(rng, field, s, hessenberg=False)
-            if unreduced_or_zero(general.entries):
-                assert_matches_oracle(general, graded=False)
-            else:
-                assert_refused(general)
-                refused += 1
-    assert refused >= 8
+            assert_unread_refused(random_ungraded(rng, field, s))
+    assert_unread_refused(LambdaMatrix(build_r_matrix(6, 3, field).entries))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_inhomogeneous_multiplication_matrix_keeps_the_novikov_path(field):
+def test_inhomogeneous_multiplication_matrix_is_refused(field):
     one, t = Novikov.one(field), Novikov.t(field)
     zero = Novikov.zero(field)
     ctx = GradingContext(2)
     qh = RingPresentation("omega", (zero, zero, t, zero, one), ctx)  # w^4 + t*w^2
-    # 1 + g has the unit superdiagonal of g; 1 has none, t + g^2 a second
-    # superdiagonal and (1 + t)*g a superdiagonal that is not a unit
-    for x, accepted in (
-        (qh.one(), False),
-        (qh.element([one, one]), True),
-        (qh.element([t, zero, one]), False),
-        (qh.element([zero, one + t]), False),
-    ):
+    # 1 + g mixes weights 0 and 1, and (1 + t)*g is no monomial: the
+    # ring reads neither at t = 1
+    for coeffs in ((one, one, zero, zero), (zero, one + t, zero, zero)):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            multiplication_matrix(qh, RingElement(qh, coeffs))
+    # 1 and t + g^2 have weights 0 and 2: ungraded matrices, which the
+    # core refuses
+    for x in (qh.one(), qh.element([t, zero, one])):
         mat = multiplication_matrix(qh, x)
         assert mat.grading is None
-        if accepted:
-            assert_matches_oracle(mat, graded=False)
-        else:
-            assert_refused(mat)
+        assert_unread_refused(mat)
         with pytest.raises(ValueError):
             LambdaMatrix(mat.entries, grading=ctx)
     graded = multiplication_matrix(qh, qh.gen())

@@ -23,17 +23,19 @@ from shq.linalg import (
 from shq.novikov import F2, GradingContext, Novikov, QQ
 
 from oracles import dense_apply, dense_product, novikov_rank, permutation_charpoly
-from test_graded import assert_refused, unreduced_or_zero
+from test_graded import assert_refused, random_graded
 
 
-def mat_q(rows):
+def mat_q(rows, N=None):
+    """A matrix over Q, graded by N when N is given."""
     return LambdaMatrix(
         tuple(
             tuple(
                 x if isinstance(x, Novikov) else Novikov.constant(QQ, x) for x in r
             )
             for r in rows
-        )
+        ),
+        grading=None if N is None else GradingContext(N),
     )
 
 
@@ -53,72 +55,54 @@ def random_matrix(rng, field, s, laurent_only=True):
     )
 
 
-def hessenberg(rng, mat):
-    """mat with zeros above the superdiagonal and a random unit c*t^d on
-    it: the shape the characteristic polynomial accepts."""
-    field = mat.field
-    zero = Novikov.zero(field)
-
-    def unit():
-        c = rng.choice([-2, -1, 1, 3]) if field is QQ else 1
-        return Novikov.monomial(field, c, rng.randint(0, 2))
-
-    return LambdaMatrix(
-        tuple(
-            tuple(
-                unit() if j == i + 1 else zero if j > i + 1 else x
-                for j, x in enumerate(row)
-            )
-            for i, row in enumerate(mat.entries)
-        )
-    )
-
-
-def draws(rng, field, s, count, laurent_only=True):
-    """count random unreduced Hessenberg matrices, each made from a
-    random general matrix, which is refused unless it has that shape."""
-    out = []
-    for _ in range(count):
-        general = random_matrix(rng, field, s, laurent_only)
-        if not unreduced_or_zero(general.entries):
-            assert_refused(general)
-        out.append(hessenberg(rng, general))
-    return out
+def draws(rng, field, s, count):
+    """count random graded matrices of size s, lower Hessenberg with a
+    nonzero superdiagonal, over a few gradings N."""
+    return [random_graded(rng, field, s, rng.choice([-1, 0, 1, 2])) for _ in range(count)]
 
 
 t = Novikov.t(QQ)
 one = Novikov.one(QQ)
 zero = Novikov.zero(QQ)
 
+# graded examples at N = 1: the smallest quantum operator (m = n = 1),
+# the companion matrix of (L - 2t)(L - 3t), the shift and t times the
+# identity, whose zero superdiagonal is refused
+QUANTUM = mat_q([[t, -1], [0, 0]], 1)
+COMPANION = mat_q([[5 * t, 1], [-6 * t * t, 0]], 1)
+SHIFT = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 1)
+
+
+def scalar_identity(s):
+    return mat_q([[t if i == j else 0 for j in range(s)] for i in range(s)], 1)
+
 
 # -- characteristic polynomial -------------------------------------------
 
 
 def test_char_poly_smallest_quantum_operator():
-    m = mat_q([[t, -1], [0, 0]])
-    cp = char_poly(m)
+    cp = char_poly(QUANTUM)
     assert cp.size == 2
     assert cp.a == (-t, zero)
 
 
 def test_char_poly_identity():
     # a zero superdiagonal in a nonzero matrix: refused
-    assert_refused(LambdaMatrix.identity(QQ, 3))
-    assert char_poly(LambdaMatrix.identity(QQ, 1)).a == (-one,)
+    assert_refused(scalar_identity(3))
+    assert char_poly(scalar_identity(1)).a == (-t,)
 
 
 def test_char_poly_diagonal():
-    assert_refused(mat_q([[2, 0], [0, 3]]))
-    # (L-2)(L-3) = L^2 - 5L + 6 from its companion form
-    cp = char_poly(mat_q([[5, 1], [-6, 0]]))
-    assert cp.a == (Novikov.constant(QQ, -5), Novikov.constant(QQ, 6))
+    assert_refused(mat_q([[2 * t, 0], [0, 3 * t]], 1))
+    # (L-2t)(L-3t) = L^2 - 5t L + 6t^2 from its companion form
+    assert char_poly(COMPANION).a == (-5 * t, 6 * t * t)
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_char_poly_matches_permutation_expansion(field, s):
     rng = random.Random(100 * s + (0 if field is QQ else 1))
-    for m in draws(rng, field, s, 12, laurent_only=False):
+    for m in draws(rng, field, s, 12):
         got = char_poly(m).coefficients()
         expected = permutation_charpoly(m.entries)
         assert list(got) == list(expected)
@@ -126,7 +110,7 @@ def test_char_poly_matches_permutation_expansion(field, s):
 
 def test_char_poly_raises_when_the_recurrence_is_wrong(corrupt_char_poly):
     with pytest.raises(ArithmeticError):
-        char_poly(mat_q([[t, -1], [0, 0]]))
+        char_poly(QUANTUM)
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
@@ -139,7 +123,10 @@ def test_cayley_hamilton_random(field):
 
 def test_char_poly_gf2():
     tf = Novikov.t(F2)
-    m = LambdaMatrix(((tf, Novikov.one(F2)), (Novikov.zero(F2), Novikov.zero(F2))))
+    m = LambdaMatrix(
+        ((tf, Novikov.one(F2)), (Novikov.zero(F2), Novikov.zero(F2))),
+        grading=GradingContext(1),
+    )
     cp = char_poly(m)
     assert cp.a == (tf, Novikov.zero(F2))
 
@@ -148,7 +135,7 @@ def test_char_poly_gf2():
 
 
 def test_rank_and_kernel():
-    m = mat_q([[t, -1], [0, 0]])
+    m = QUANTUM
     assert rank(m) == 1
     (v,) = kernel(m)
     # kernel spanned by (1, t)
@@ -158,9 +145,9 @@ def test_rank_and_kernel():
 
 def test_kernel_of_invertible_is_empty():
     assert kernel(mat_q([[1, 2], [3, 4]])) == []
-    assert stabilized_kernel(mat_q([[5, 1], [-6, 0]])) == []
-    with pytest.raises(ValueError):
-        stabilized_kernel(LambdaMatrix.identity(QQ, 4))
+    assert stabilized_kernel(COMPANION) == []
+    with pytest.raises(ValueError, match="superdiagonal"):
+        stabilized_kernel(scalar_identity(4))
 
 
 def test_kernel_rank_dimension_count():
@@ -275,16 +262,15 @@ def test_kernel_of_laurent_matrices_against_the_dense_rank(field):
 
 
 def test_stabilization_index():
-    assert stabilization_index(mat_q([[t, -1], [0, 0]])) == 1
-    assert stabilization_index(mat_q([[5, 1], [-6, 0]])) == 0
-    with pytest.raises(ValueError):
-        stabilization_index(LambdaMatrix.identity(QQ, 3))
-    shift = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert stabilization_index(shift) == 3
+    assert stabilization_index(QUANTUM) == 1
+    assert stabilization_index(COMPANION) == 0
+    with pytest.raises(ValueError, match="superdiagonal"):
+        stabilization_index(scalar_identity(3))
+    assert stabilization_index(SHIFT) == 3
 
 
 def test_stabilized_kernel_example():
-    ker = stabilized_kernel(mat_q([[t, -1], [0, 0]]))
+    ker = stabilized_kernel(QUANTUM)
     assert ker == [(one, t)]
 
 
@@ -297,15 +283,14 @@ def test_dim_kernel_powers_nondecreasing():
 
 
 def test_jordan_zero_blocks():
-    shift = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert jordan_zero_block_sizes(shift) == [3]
-    z3 = mat_q([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert jordan_zero_block_sizes(SHIFT) == [3]
+    z3 = mat_q([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 1)
     assert jordan_zero_block_sizes(z3) == [1, 1, 1]
-    assert jordan_zero_block_sizes(mat_q([[5, 1], [-6, 0]])) == []
-    # blocks [2, 1] and the identity: no unreduced Hessenberg form
-    mixed = mat_q([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    for m in (mixed, LambdaMatrix.identity(QQ, 3)):
-        with pytest.raises(ValueError):
+    assert jordan_zero_block_sizes(COMPANION) == []
+    # blocks [2, 1] and t times the identity: no unreduced Hessenberg form
+    mixed = mat_q([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 1)
+    for m in (mixed, scalar_identity(3)):
+        with pytest.raises(ValueError, match="superdiagonal"):
             jordan_zero_block_sizes(m)
 
 
@@ -317,7 +302,7 @@ def test_jordan_blocks_sum_to_generalized_kernel():
 
 
 def test_image_power_rank():
-    m = mat_q([[t, -1], [0, 0]])
+    m = QUANTUM
     assert rank(m ** 0) == 2
     assert rank(m ** 1) == 1
     assert rank(m ** 2) == 1
@@ -329,11 +314,10 @@ def test_kernel_dims_match_powers():
         dims = kernel_dims(m)
         assert dims == [4 - rank(m ** k) for k in range(len(dims))]
         assert 4 - rank(m ** len(dims)) == dims[-1]
-    shift = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert kernel_dims(shift) == [0, 1, 2, 3]
-    assert kernel_dims(mat_q([[5, 1], [-6, 0]])) == [0]
-    with pytest.raises(ValueError):
-        kernel_dims(LambdaMatrix.identity(QQ, 3))
+    assert kernel_dims(SHIFT) == [0, 1, 2, 3]
+    assert kernel_dims(COMPANION) == [0]
+    with pytest.raises(ValueError, match="superdiagonal"):
+        kernel_dims(scalar_identity(3))
 
 
 def test_spectrum_agrees_with_the_wrappers():
@@ -351,20 +335,18 @@ def test_spectrum_agrees_with_the_wrappers():
 
 
 def test_stable_relation_examples():
-    cp = char_poly(mat_q([[t, -1], [0, 0]]))
+    cp = char_poly(QUANTUM)
     p, rel = stable_relation(cp)
     assert p == 1 and rel == (-t, one)
 
-    shift = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    p, rel = stable_relation(char_poly(shift))
+    p, rel = stable_relation(char_poly(SHIFT))
     assert p == 0 and rel == (one,)
 
 
 def test_stable_relation_full_rank():
-    cp = char_poly(mat_q([[5, 1], [-6, 0]]))
-    p, rel = stable_relation(cp)
+    p, rel = stable_relation(char_poly(COMPANION))
     assert p == 2
-    assert rel == (Novikov.constant(QQ, 6), Novikov.constant(QQ, -5), one)
+    assert rel == (6 * t * t, -5 * t, one)
 
 
 def test_stable_relation_drops_exact_lambda_power():

@@ -26,7 +26,8 @@ from shq.pipeline import (
 )
 from shq.ring import RingPresentation, multiplication_matrix
 
-from oracles import closed_form
+from oracles import closed_form, novikov_berkowitz
+from test_graded import complete_pairs
 
 
 def mono(field, c, e=0):
@@ -304,6 +305,23 @@ def test_spectrum_diagnostics_fail_on_a_doubled_solve(corrupt_char_poly):
     assert failed["generalized_kernel"] == (
         "no Jordan chain of length 2 ends at the last basis vector"
     )
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_cayley_hamilton_fails_on_every_doubled_solve_up_to_12(field, corrupt_char_poly):
+    # the check runs on the row e_0^T, which is cyclic, so it fails
+    # wherever doubling changes cp; over GF(2) doubling gives lambda^s,
+    # which still kills e_0 where e_0 lies in the generalized kernel
+    changed = 0
+    for m, n in complete_pairs(12):
+        cp = novikov_berkowitz(build_r_matrix(m, n, field).entries)
+        doubled = tuple(x + x for x in cp)
+        corrupt_char_poly.clear()
+        res = compute_sh(m, n, field, trials=1)
+        assert res.char.a == doubled
+        assert _diagnostic(res, "cayley_hamilton").passed == (doubled == cp)
+        changed += doubled != cp
+    assert changed == (42 if field is QQ else 24)
 
 
 def test_complete_lead_diagnostic_fails_honestly(corrupt_char_poly):

@@ -30,13 +30,27 @@ one = Novikov.one(QQ)
 zero = Novikov.zero(QQ)
 
 
-def omega_ring(coeffs, grading=None):
-    return RingPresentation("omega", tuple(coeffs), grading)
+def omega_ring(coeffs, N):
+    return RingPresentation("omega", tuple(coeffs), GradingContext(N))
+
+
+def homogeneous(rng, pres, weight, length=None):
+    """Random coefficients of one weight in pres, length rank unless
+    given: the coefficient of g^k is c * t^d with N*d + k = weight
+    (d = 0 when N = 0), c often zero."""
+    N, field = pres.grading.N, pres.field
+    out = []
+    for k in range(pres.rank if length is None else length):
+        c = rng.randint(-3, 3) if field is QQ else rng.randint(0, 1)
+        fits = (weight - k) % N == 0 if N else k == weight
+        d = (weight - k) // N if N else 0
+        out.append(Novikov.monomial(field, c, d) if c and fits else Novikov.zero(field))
+    return out
 
 
 def small_qh():
     # m = 1, n = 1: w^2 + t*w
-    return omega_ring([zero, t, one], GradingContext(1))
+    return omega_ring([zero, t, one], 1)
 
 
 def qh_52():
@@ -44,14 +58,12 @@ def qh_52():
     rel = [zero] * 7
     rel[2] = Novikov.monomial(QQ, 4, 1)
     rel[6] = one
-    return omega_ring(rel, GradingContext(4))
+    return omega_ring(rel, 4)
 
 
 def sh_52():
     # w^4 + 4t
-    return omega_ring(
-        [Novikov.monomial(QQ, 4, 1), zero, zero, zero, one], GradingContext(4)
-    )
+    return omega_ring([Novikov.monomial(QQ, 4, 1), zero, zero, zero, one], 4)
 
 
 # -- reduction ----------------------------------------------------------
@@ -74,8 +86,8 @@ def test_reduce_handles_long_input():
 
 def test_reduce_noop_below_degree():
     qh = qh_52()
-    el = qh.element([one, t, zero, zero, zero, one])
-    assert el.coeffs == (one, t, zero, zero, zero, one)
+    el = qh.element([zero, t, zero, zero, zero, one])
+    assert el.coeffs == (zero, t, zero, zero, zero, one)
 
 
 def test_sh_square_example():
@@ -90,16 +102,11 @@ def test_ring_axioms_random():
     rng = random.Random(8)
     qh = qh_52()
 
-    def rand_el():
-        return qh.element(
-            [
-                Novikov.monomial(QQ, rng.randint(-3, 3), rng.randint(0, 2))
-                for _ in range(6)
-            ]
-        )
-
     for _ in range(60):
-        a, b, c = rand_el(), rand_el(), rand_el()
+        # a + b needs one weight; c may have another
+        w = rng.randint(0, 9)
+        a, b = (qh.element(homogeneous(rng, qh, w)) for _ in range(2))
+        c = qh.element(homogeneous(rng, qh, rng.randint(0, 9)))
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
@@ -132,8 +139,7 @@ def test_multiplication_matrix_is_ring_homomorphism():
     rng = random.Random(12)
     qh = qh_52()
     for _ in range(10):
-        a = qh.element([Novikov.monomial(QQ, rng.randint(-2, 2), 1) for _ in range(6)])
-        b = qh.element([Novikov.constant(QQ, rng.randint(-2, 2)) for _ in range(6)])
+        a, b = (qh.element(homogeneous(rng, qh, rng.randint(0, 9))) for _ in range(2))
         ma, mb = multiplication_matrix(qh, a), multiplication_matrix(qh, b)
         assert multiplication_matrix(qh, a * b) == ma * mb
 
@@ -165,8 +171,9 @@ def test_change_generator_matches_novikov_powers(field):
     # the rescaling (-n)^(k - degree) taken as a power of a Novikov scalar
     rng = random.Random(7)
     for n in (1, 3, 5):
-        rel = [Novikov.monomial(field, rng.randint(-3, 3), rng.randint(0, 2)) for _ in range(6)]
-        pres = RingPresentation("c", tuple(rel) + (Novikov.one(field),))
+        # N = 1: the coefficient of c^k is a multiple of t^(6-k)
+        rel = [Novikov.monomial(field, rng.randint(-3, 3), 6 - k) for k in range(6)]
+        pres = RingPresentation("c", tuple(rel) + (Novikov.one(field),), GradingContext(1))
         s = Novikov.constant(field, -n)
         expected = tuple(c * s ** (k - 6) for k, c in enumerate(pres.relation))
         assert change_generator(pres, n).relation == expected
@@ -195,7 +202,7 @@ def test_change_generator_requires_c():
 
 
 def test_change_generator_gf2_even_twist_rejected():
-    pres_c = RingPresentation("c", (Novikov.t(F2), Novikov.one(F2)))
+    pres_c = RingPresentation("c", (Novikov.t(F2), Novikov.one(F2)), GradingContext(1))
     with pytest.raises(ValueError):
         change_generator(pres_c, 2)
     # odd twist is fine in characteristic two
@@ -209,7 +216,7 @@ def test_change_generator_gf2_even_twist_rejected():
 def test_is_nilpotent():
     qh = small_qh()
     assert is_nilpotent(qh, qh.gen()) is False  # w^2 = -t*w, never dies
-    cy = omega_ring([zero, zero, zero, one], GradingContext(0))
+    cy = omega_ring([zero, zero, zero, one], 0)
     assert is_nilpotent(cy, cy.gen()) is True
     assert is_nilpotent(cy, cy.one()) is False
     assert is_nilpotent(cy, cy.zero()) is True
@@ -221,14 +228,19 @@ def test_is_nilpotent():
 def test_homogeneous_relation_enforced():
     with pytest.raises(ValueError):
         # w^2 + t relation with N = 1: constant slot needs N*d = 2
-        omega_ring([t, zero, one], GradingContext(1))
+        omega_ring([t, zero, one], 1)
     # same relation is fine with N = 2
-    omega_ring([t, zero, one], GradingContext(2))
+    omega_ring([t, zero, one], 2)
 
 
 def test_monic_enforced():
     with pytest.raises(ValueError):
-        omega_ring([t, t])
+        omega_ring([t, t], 1)
+
+
+def test_a_presentation_needs_a_grading():
+    with pytest.raises(TypeError):
+        RingPresentation("omega", (t, one))
 
 
 def test_incomplete_presentation_blocks_arithmetic():
@@ -252,7 +264,7 @@ def test_incomplete_presentation_blocks_arithmetic():
 def test_unknown_terms_validated():
     with pytest.raises(ValueError):
         # slot already holds a trusted nonzero coefficient
-        RingPresentation("omega", (zero, t, one), unknown_terms=((1, 1),))
+        RingPresentation("omega", (zero, t, one), GradingContext(1), unknown_terms=((1, 1),))
 
 
 def test_relation_rendering():
@@ -261,19 +273,19 @@ def test_relation_rendering():
     rel = [zero] * 7
     rel[3] = Novikov.monomial(QQ, 27, 1)
     rel[6] = one
-    pres = RingPresentation("omega", tuple(rel), None, unknown_terms=((0, 2),))
+    pres = RingPresentation("omega", tuple(rel), GradingContext(3), unknown_terms=((0, 2),))
     assert relation_str(pres) == "w^6 + 27*t*w^3 + ?*t^2"
 
 
 def test_element_length_checked():
-    pres = RingPresentation("c", (t, zero, one))
+    pres = RingPresentation("c", (t, zero, one), GradingContext(2))
     with pytest.raises(ValueError):
         RingElement(pres, (one,))
 
 
 def test_is_nilpotent_checks_the_presentation():
-    a = omega_ring([zero, zero, one], GradingContext(1))  # w^2
-    b = omega_ring([t, zero, zero, one])  # w^3 + t
+    a = omega_ring([zero, zero, one], 1)  # w^2
+    b = omega_ring([t, zero, zero, one], 3)  # w^3 + t
     assert is_nilpotent(a, a.gen()) is True
     with pytest.raises(ValueError, match="does not live in this presentation"):
         is_nilpotent(a, b.gen())
@@ -298,7 +310,7 @@ def assert_matches_ring_oracles(pres, x):
     expected = novikov_multiplication_matrix(pres, x)
     assert got == expected
     readable = False
-    if pres.grading is not None and x:
+    if x:
         graded = _outcome(LambdaMatrix, expected.entries, pres.grading)
         readable = graded is not ValueError and graded._at_one is not None
     assert got.grading == (pres.grading if readable else None)
@@ -317,40 +329,10 @@ def test_qh_presentations_match_the_oracles_up_to_12(field):
                 assert_matches_ring_oracles(pres, x)
 
 
-def _random_scalar(rng, field, powers, laurent):
-    x = Novikov.zero(field)
-    if rng.random() < 0.6:
-        c = rng.randint(-3, 3) if field is QQ else 1
-        x = Novikov.monomial(field, c, rng.choice(powers))
-        if laurent and rng.random() < 0.2:
-            x = x + Novikov.one(field) + Novikov.t(field)
-    return x
-
-
-@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
-def test_random_ungraded_presentations_match_the_oracles(field):
-    rng = random.Random(31 if field is QQ else 32)
-    one_f = Novikov.one(field)
-    for deg in (1, 2, 3, 4, 6):
-        for _ in range(4):
-            rel = [_random_scalar(rng, field, (-1, 0, 1, 2), True) for _ in range(deg)]
-            pres = RingPresentation("omega", tuple(rel) + (one_f,))
-            a, b = (
-                pres.element([_random_scalar(rng, field, (-1, 0, 2), True) for _ in range(deg)])
-                for _ in range(2)
-            )
-            assert (a * b).coeffs == novikov_product(pres.relation, a.coeffs, b.coeffs)
-            raw = [_random_scalar(rng, field, (0, 1), True) for _ in range(3 * deg)]
-            assert pres.element(raw).coeffs == novikov_reduce(pres.relation, raw)
-            for x in (a, b, pres.gen(), a * pres.gen()):
-                assert_matches_ring_oracles(pres, x)
-
-
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 @pytest.mark.parametrize("N", [-2, 0, 1, 2, 3])
 def test_random_graded_presentations_match_the_oracles(field, N):
-    # monomial coefficients of random t-powers: mostly of mixed weight,
-    # which must stay on Novikov scalars, sometimes homogeneous
+    # homogeneous elements of random weights against the oracles
     rng = random.Random(50 + 10 * N + (0 if field is QQ else 1))
     zero_f, one_f = Novikov.zero(field), Novikov.one(field)
     for deg in (1, 2, 3, 5):
@@ -360,39 +342,29 @@ def test_random_graded_presentations_match_the_oracles(field, N):
                 rel[k] = Novikov.monomial(field, rng.randint(1, 3), (deg - k) // N)
         pres = RingPresentation("omega", tuple(rel), GradingContext(N))
         for _ in range(6):
-            homogeneous = rng.random() < 0.4
-            weight = rng.randint(0, deg)
-            coeffs = []
-            for k in range(deg):
-                d = rng.randint(-1, 2)
-                if homogeneous:
-                    if (N == 0 and k != weight) or (N and (weight - k) % N):
-                        coeffs.append(zero_f)
-                        continue
-                    d = (weight - k) // N if N else 0
-                coeffs.append(_random_scalar(rng, field, (d,), False))
-            x = RingElement(pres, tuple(coeffs))
+            x, y = (
+                RingElement(pres, tuple(homogeneous(rng, pres, rng.randint(0, deg))))
+                for _ in range(2)
+            )
             assert_matches_ring_oracles(pres, x)
-            y = pres.element(coeffs[::-1])
             assert (x * y).coeffs == novikov_product(pres.relation, x.coeffs, y.coeffs)
+            raw = homogeneous(rng, pres, rng.randint(0, 3 * deg), 3 * deg)
+            assert pres.element(raw).coeffs == novikov_reduce(pres.relation, raw)
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_multiplication_matrix_derives_its_grading(field):
-    # the grading of pres exactly for an x of weight 1 read at t = 1
-    zero_f, one_f, t_f = Novikov.zero(field), Novikov.one(field), Novikov.t(field)
+    # the grading of pres exactly for an x of weight 1
+    zero_f, one_f = Novikov.zero(field), Novikov.one(field)
     qh = compute_sh(5, 3, field, trials=1).qh  # w^6 + 27t*w^3, N = 3
     cy = RingPresentation("omega", (zero_f, zero_f, zero_f, one_f), GradingContext(0))
-    plain = RingPresentation("omega", qh.relation)
     cases = [
         (qh, qh.gen() * -3, qh.grading),
         (qh, qh.gen(), qh.grading),
         (cy, cy.gen(), cy.grading),
         (qh, qh.one(), None),
-        (qh, qh.constant(t_f - one_f), None),
-        (qh, qh.element([one_f, one_f]), None),
-        (cy, cy.element([zero_f, t_f]), None),
-        (plain, plain.gen(), None),
+        (qh, qh.gen_power(2), None),
+        (cy, cy.zero(), None),
     ]
     for pres, x, grading in cases:
         mat = multiplication_matrix(pres, x)
@@ -401,27 +373,35 @@ def test_multiplication_matrix_derives_its_grading(field):
         assert mat == novikov_multiplication_matrix(pres, x)
 
 
-def test_t_minus_one_is_not_nilpotent():
+def assert_not_read(pres, x):
+    """x has no reading at t = 1, so products, its multiplication
+    matrix and the nilpotency test raise ValueError."""
+    for compute in (
+        lambda: x * pres.gen(),
+        lambda: multiplication_matrix(pres, x),
+        lambda: is_nilpotent(pres, x),
+    ):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            compute()
+
+
+def test_t_minus_one_is_refused():
     # evaluating t - 1 at t = 1 gives 0; it must not be read there
     for pres in (small_qh(), qh_52()):
-        x = pres.constant(t - one)
-        assert is_nilpotent(pres, x) is False
-        assert multiplication_matrix(pres, x) == novikov_multiplication_matrix(pres, x)
+        assert_not_read(pres, pres.constant(t - one))
+        assert_not_read(pres, RingElement(pres, (one, one) + (zero,) * (pres.rank - 2)))
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
-def test_grading_zero_with_a_t_power_keeps_the_novikov_path(field):
+def test_grading_zero_with_a_t_power_is_refused(field):
     # N = 0: t has degree zero, so t*w must not be read as w at t = 1
     zero_f, one_f, t_f = Novikov.zero(field), Novikov.one(field), Novikov.t(field)
     cy = RingPresentation("omega", (zero_f, zero_f, zero_f, one_f), GradingContext(0))
-    for x in (
-        cy.element([zero_f, t_f]),
-        cy.constant(t_f),
-        cy.element([zero_f, zero_f, Novikov.t(field, -1)]),
+    for coeffs in (
+        (zero_f, t_f, zero_f),
+        (t_f, zero_f, zero_f),
+        (zero_f, zero_f, Novikov.t(field, -1)),
     ):
-        assert_matches_ring_oracles(cy, x)
-        # the last column is x itself, top power first
-        mat = multiplication_matrix(cy, x)
-        assert [row[-1] for row in mat.entries] == list(reversed(x.coeffs))
-    assert is_nilpotent(cy, cy.element([zero_f, t_f])) is True
-    assert is_nilpotent(cy, cy.constant(t_f)) is False
+        assert_not_read(cy, RingElement(cy, coeffs))
+        with pytest.raises(ValueError, match="not homogeneous"):
+            cy.element(coeffs)
