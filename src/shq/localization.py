@@ -28,16 +28,17 @@ integers, and Fraction weights are scaled to integers first.
 The sum is factored.  A pair term is S(i, j) / (D_i * E_j): the Serre
 product S(i, j) of the obstruction weights does not depend on the
 offset a, and the move products D_i and E_j each depend on one fixed
-point.  So one Serre table serves every entry of a weight vector, the
-move products are built once per offset, the pair sum is one integer
-numerator over the lcm of the D_i times the lcm of the E_j, and each
-entry costs one exact Fraction division: O(n^3) per weight vector for
-all n entries.
+point.  So one Serre table serves every entry of a weight vector, and
+each offset's move products are the previous offset's times or over one
+factor each.  The pair sum is one integer numerator over lcm(D) * lcm(E),
+and each entry costs one exact Fraction division: O(n^3) per weight
+vector for all n entries.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,8 @@ class WeightVector:
     alphas: tuple
 
     def __post_init__(self):
+        if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in self.alphas):
+            raise ValueError(f"torus weights must be ints or Fractions, got {self.alphas!r}")
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError("torus weights must be pairwise distinct")
 
@@ -75,19 +78,10 @@ def _check(m: int, n: int, weights: WeightVector) -> None:
         raise ValueError(f"need {m + 1} torus weights, got {len(weights)}")
 
 
-def _planes(m: int, n: int, a: int) -> tuple[range, range]:
-    """The fixed points of the two constraint planes, disjoint since n <= m."""
-    return range(0, a + 1), range(m - (n - a - 1), m + 1)
-
-
-def _plane_moves(al, k: int, plane: range) -> list:
-    """Weights of the fixed point q_k moving inside its constraint plane."""
-    return [al[k] - al[K] for K in plane if K != k]
-
-
-def _serre(al, n: int, i: int, j: int) -> list:
-    """Obstruction weights A*a_i + (n-A)*a_j for 0 < A < n."""
-    return [A * al[i] + (n - A) * al[j] for A in range(1, n)]
+def _serre_row(n: int, x: int, ys) -> list:
+    """S(i, j) for a_i = x and each a_j = y in ys: the obstruction weights
+    A*x + (n-A)*y, 0 < A < n, are n*y + A*(x - y), one range per product."""
+    return [math.prod(range(n * y + x - y, n * x, x - y)) for y in ys]
 
 
 def _integral(weights: WeightVector) -> list:
@@ -99,27 +93,32 @@ def _integral(weights: WeightVector) -> list:
 
 def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int) -> list:
     """scale * sum_{i, j} S(i, j) / (D_i * E_j) for each offset a, with
-    i in 0..a and j in N+a..m.  One Serre table serves every offset; per
-    offset the numerator is summed in integers over the common
-    denominator lcm(D) * lcm(E), then divided once."""
+    i in 0..a and j in N+a..m.  From one offset to the next the i-plane
+    gains the point a and the j-plane loses N+a-1.  Per offset the
+    numerator is summed in integers over lcm(D) * lcm(E), then divided
+    once."""
     al = _integral(weights)
     N = m + 1 - n
+    first = offsets[0]
     # S(i, j) is needed only when some offset a has i <= a and N + a <= j
-    serre = {
-        (i, j): math.prod(_serre(al, n, i, j))
-        for i in range(offsets[-1] + 1)
-        for j in range(N + max(i, offsets[0]), m + 1)
-    }
+    serre = [
+        _serre_row(n, x, al[N + max(i, first) :]) for i, x in enumerate(al[: offsets[-1] + 1])
+    ]
+    iset, jset = al[: first + 1], al[N + first :]
+    ds = [math.prod(x - y for y in iset if y != x) for x in iset]
+    es = [math.prod(x - y for y in jset if y != x) for x in jset]
     out = []
     for a in offsets:
-        iset, jset = _planes(m, n, a)
-        ds = [math.prod(_plane_moves(al, i, iset)) for i in iset]
-        es = [math.prod(_plane_moves(al, j, jset)) for j in jset]
+        if a > first:
+            new, old = al[a], al[N + a - 1]
+            ds = [d * (x - new) for d, x in zip(ds, al)]
+            ds.append(math.prod(new - x for x in al[:a]))
+            es = [e // (y - old) for e, y in zip(es[1:], al[N + a :])]
         d_tot, e_tot = math.lcm(*ds), math.lcm(*es)
         cofactors = [e_tot // e for e in es]
         num = sum(
-            d_tot // d * sum(serre[i, j] * c for j, c in zip(jset, cofactors))
-            for i, d in zip(iset, ds)
+            d_tot // d * sum(map(operator.mul, row[a - max(i, first) :], cofactors))
+            for i, (d, row) in enumerate(zip(ds, serre))
         )
         out.append(Fraction(scale * num, d_tot * e_tot))
     return out

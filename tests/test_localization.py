@@ -1,5 +1,6 @@
 """Fixed-point sums: weight independence, integrality, closed forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from shq.gw import subdiagonal_entries, subdiagonal_entry, tau
 from shq.localization import (
     WeightVector,
-    _serre,
+    _serre_row,
     fixed_point_integral,
     localize_entry,
     localize_row,
@@ -62,6 +63,14 @@ def test_weight_vector_distinctness():
         WeightVector((Fraction(1), Fraction(2), Fraction(1)))
 
 
+def test_weight_vector_refuses_inexact_weights():
+    # every answer is exact: only ints (not bools) and Fractions are weights
+    for alphas in ((0.5, 1.5, 2.5), (1, 2.0), (True, 3), (0, False), (Fraction(1, 2), "3")):
+        with pytest.raises(ValueError):
+            WeightVector(alphas)
+    assert WeightVector((0, -4, Fraction(7, 3))).alphas == (0, -4, Fraction(7, 3))
+
+
 def test_sample_weights_deterministic_and_distinct():
     for m in list(range(1, 9)) + [359, 360, 468, 469, 800, 2000]:
         for seed in range(20):
@@ -98,9 +107,15 @@ def test_fixed_graphs_merge_to_the_fixed_point_integral():
             assert sum(terms.values()) == fixed_point_integral(m, n, a, w)
 
 
-def test_serre_dual_weights():
-    w = sample_weights(5, 3)
-    assert _serre(w, 4, 1, 4) == [A * w[1] + (4 - A) * w[4] for A in (1, 2, 3)]
+def test_serre_products_are_progressions():
+    # each product of the obstruction weights A*x + (n-A)*y, 0 < A < n, is
+    # one range stepping by x - y, up or down; n = 1 leaves the empty product
+    for n in (1, 2, 3, 7):
+        for x, ys in ((3, (-4, 11, 0)), (-2, (5, -9, 0)), (0, (6, -1))):
+            expected = [math.prod(A * x + (n - A) * y for A in range(1, n)) for y in ys]
+            assert _serre_row(n, x, ys) == expected
+    assert _serre_row(1, 3, (5, -1)) == [1, 1]
+    assert _serre_row(4, 1, (5,)) == [(1 + 15) * (2 + 10) * (3 + 5)]
 
 
 def test_weight_independence():
@@ -176,7 +191,9 @@ def _fraction_weights(w):
 
 
 def test_localize_row_matches_entries_and_oracles():
-    for m in range(1, 7):
+    # localize_row carries move products across offsets; fixed_point_integral
+    # at one offset a > 0 starts both planes part-way
+    for m in range(1, 13):
         for n in range(1, m + 1):
             w = sample_weights(m, m + n)
             # 1/2, 1/3, ...: equal numerators, distinct only with their denominators
@@ -186,10 +203,17 @@ def test_localize_row_matches_entries_and_oracles():
                 assert len(row) == n
                 assert all(type(x) is Fraction for x in row)
                 for a in range(n):
-                    assert row[a] == localize_entry(m, n, a, weights)
                     assert row[a] == pair_sum_entry(m, n, a, weights.alphas)
-                    assert row[a] == sympy_entry(m, n, a, weights.alphas)
+                    assert -n * fixed_point_integral(m, n, a, weights) == row[a]
+                    if m <= 6:
+                        assert row[a] == sympy_entry(m, n, a, weights.alphas)
                 assert row == subdiagonal_entries(m, n)
+
+
+def test_localize_row_past_a_thousand_bits():
+    # at n = 64 the Serre products reach 900 bits and lcm(D) * lcm(E) 1400
+    for m in (64, 90):
+        assert localize_row(m, 64, sample_weights(m, 3)) == subdiagonal_entries(m, 64)
 
 
 def test_localize_row_at_the_largest_benchmark_case():
