@@ -16,30 +16,30 @@ the canonical class, Euler number up by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gw import h1_p1
+from .novikov import Record
 
 
-@dataclass(frozen=True)
-class SurfaceRing:
+class SurfaceRing(Record):
     """Intersection data of a smooth projective surface."""
 
-    labels: tuple
-    form: tuple
-    canonical: tuple
-    euler: int
+    __slots__ = ("labels", "form", "canonical", "euler")
 
-    def __post_init__(self):
-        r = len(self.labels)
-        if len(self.form) != r or any(len(row) != r for row in self.form):
+    def __init__(self, labels: tuple, form: tuple, canonical: tuple, euler: int):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "euler", euler)
+        r = len(labels)
+        if len(form) != r or any(len(row) != r for row in form):
             raise ValueError(f"form must be {r} x {r}, one row per label")
-        if len(self.canonical) != r:
+        if len(canonical) != r:
             raise ValueError(f"canonical class must have {r} coordinates")
         for p in range(r):
             for q in range(r):
-                if self.form[p][q] != self.form[q][p]:
+                if form[p][q] != form[q][p]:
                     raise ValueError("form must be symmetric")
 
     @property

@@ -18,15 +18,17 @@ lives in the localization module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .novikov import Record
 
 
-@dataclass(frozen=True)
-class TauTable:
+class TauTable(Record):
     """Coefficients tau(0, n) .. tau(n-1, n), exact integers."""
 
-    n: int
-    coeffs: tuple
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __getitem__(self, a: int) -> int:
         return self.coeffs[a]

@@ -43,10 +43,9 @@ Novikov rows accepts any matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .novikov import CoefficientField, GF2Element, Novikov, unknown_term_str
+from .novikov import CoefficientField, GF2Element, Novikov, Record, unknown_term_str
 
 
 class IncompleteMatrixError(ValueError):
@@ -198,12 +197,14 @@ class LambdaMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Monic characteristic polynomial lambda^s + a_1 lambda^(s-1) + ... + a_s."""
 
-    size: int
-    a: tuple  # (a_1, ..., a_s)
+    __slots__ = ("size", "a")
+
+    def __init__(self, size: int, a: tuple):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "a", a)  # (a_1, ..., a_s)
 
     @property
     def field(self) -> CoefficientField:

@@ -40,21 +40,22 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from .novikov import Record
 
-@dataclass(frozen=True)
-class WeightVector:
+
+class WeightVector(Record):
     """Pairwise-distinct torus weights alpha_0, ..., alpha_m."""
 
-    alphas: tuple
+    __slots__ = ("alphas",)
 
-    def __post_init__(self):
-        if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in self.alphas):
-            raise ValueError(f"torus weights must be ints or Fractions, got {self.alphas!r}")
-        if len(set(self.alphas)) != len(self.alphas):
+    def __init__(self, alphas: tuple):
+        object.__setattr__(self, "alphas", alphas)
+        if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in alphas):
+            raise ValueError(f"torus weights must be ints or Fractions, got {alphas!r}")
+        if len(set(alphas)) != len(alphas):
             raise ValueError("torus weights must be pairwise distinct")
 
     def __getitem__(self, k: int) -> Rational:

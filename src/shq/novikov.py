@@ -18,9 +18,43 @@ be homogeneous, and graded matrices are computed at t = 1 (see linalg).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union
+
+
+class Record:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in __slots__ and sets each one with
+    object.__setattr__ in its own __init__.  Equality (within one class
+    only), hash and the repr Name(field=value, ...) read the fields named
+    by _fields, which defaults to __slots__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
 class GF2Element:
@@ -143,11 +177,13 @@ F2 = CoefficientField("GF2")
 FIELDS = {"q": QQ, "gf2": F2}
 
 
-@dataclass(frozen=True)
-class GradingContext:
+class GradingContext(Record):
     """Degree bookkeeping: the quantum variable t has degree 2N."""
 
-    N: int
+    __slots__ = ("N",)
+
+    def __init__(self, N: int):
+        object.__setattr__(self, "N", N)
 
 
 # Laurent polynomials are dicts {exponent: coefficient} with no zero

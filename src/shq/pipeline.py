@@ -46,7 +46,6 @@ structure) can be compared across the two constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .blowup import obstruction_bundle_degree
@@ -60,7 +59,7 @@ from .linalg import (
     zero_block_sizes,
 )
 from .localization import localize_row, sample_weights
-from .novikov import CoefficientField, GradingContext, Novikov, QQ
+from .novikov import CoefficientField, GradingContext, Novikov, QQ, Record
 from .ring import (
     RingPresentation,
     change_generator,
@@ -82,11 +81,14 @@ class UnsupportedRegimeError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Regime:
-    kind: str  # monotone | calabi_yau | unsupported | large_min_chern
-    exact_mode: bool
-    description: str
+class Regime(Record):
+    __slots__ = ("kind", "exact_mode", "description")
+
+    def __init__(self, kind: str, exact_mode: bool, description: str):
+        # kind: monotone | calabi_yau | unsupported | large_min_chern
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "exact_mode", exact_mode)
+        object.__setattr__(self, "description", description)
 
 
 def minimal_chern(m: int, n: int) -> int:
@@ -155,19 +157,20 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
     )
 
 
-@dataclass(frozen=True)
-class ZeroRing:
+class ZeroRing(Record):
     """SH is the zero ring."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
     @property
     def rank(self) -> int:
         return 0
 
 
-@dataclass(frozen=True)
-class PartialFacts:
+class PartialFacts(Record):
     """What is still provable when the matrix has undetermined entries.
 
     The leading correction a_N is known in closed form, so the stable
@@ -175,35 +178,56 @@ class PartialFacts:
     coefficient index to be a multiple of N, so the rank is one of
     possible_ranks.  No coefficients are invented for the rest."""
 
-    nonzero: bool
-    rank_multiple_of: int
-    possible_ranks: tuple
-    lead_index: int
-    lead_coefficient: Novikov
-    undetermined: tuple  # (row, col, t_power), 0-indexed
+    __slots__ = (
+        "nonzero", "rank_multiple_of", "possible_ranks", "lead_index",
+        "lead_coefficient", "undetermined",
+    )
+
+    def __init__(
+        self, nonzero: bool, rank_multiple_of: int, possible_ranks: tuple, lead_index: int,
+        lead_coefficient: Novikov, undetermined: tuple,
+    ):
+        object.__setattr__(self, "nonzero", nonzero)
+        object.__setattr__(self, "rank_multiple_of", rank_multiple_of)
+        object.__setattr__(self, "possible_ranks", possible_ranks)
+        object.__setattr__(self, "lead_index", lead_index)
+        object.__setattr__(self, "lead_coefficient", lead_coefficient)
+        object.__setattr__(self, "undetermined", undetermined)  # (row, col, t_power), 0-indexed
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    name: str
-    passed: bool
-    detail: str
+class Diagnostic(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ShResult:
-    m: int
-    n: int
-    field: CoefficientField
-    N: int
-    regime: Regime
-    r_matrix: LambdaMatrix
-    char: Optional[CharPoly]
-    qh: RingPresentation
-    qh_c: Optional[RingPresentation]
-    sh: Union[RingPresentation, ZeroRing, PartialFacts]
-    sh_rank: Union[int, str]
-    diagnostics: tuple
+class ShResult(Record):
+    __slots__ = (
+        "m", "n", "field", "N", "regime", "r_matrix", "char", "qh", "qh_c",
+        "sh", "sh_rank", "diagnostics",
+    )
+
+    def __init__(
+        self, m: int, n: int, field: CoefficientField, N: int, regime: Regime,
+        r_matrix: LambdaMatrix, char: Optional[CharPoly], qh: RingPresentation,
+        qh_c: Optional[RingPresentation], sh: Union[RingPresentation, ZeroRing, PartialFacts],
+        sh_rank: Union[int, str], diagnostics: tuple,
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "r_matrix", r_matrix)
+        object.__setattr__(self, "char", char)
+        object.__setattr__(self, "qh", qh)
+        object.__setattr__(self, "qh_c", qh_c)
+        object.__setattr__(self, "sh", sh)
+        object.__setattr__(self, "sh_rank", sh_rank)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
 
 def _c1_vanishes(field: CoefficientField, n: int) -> bool:

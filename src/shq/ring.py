@@ -27,12 +27,10 @@ multiplication_matrix attaches it itself.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import LambdaMatrix, _ground, _lift
-from .novikov import CoefficientField, GradingContext, Novikov, unknown_term_str
+from .novikov import CoefficientField, GradingContext, Novikov, Record, unknown_term_str
 
 
 class IncompletePresentationError(ValueError):
@@ -40,8 +38,7 @@ class IncompletePresentationError(ValueError):
     marked undetermined."""
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(Record):
     """Lambda[generator] / (relation), relation monic.
 
     relation holds coefficients ascending in the generator; its length
@@ -52,25 +49,28 @@ class RingPresentation:
     corrections; the presentation is complete when there are none.
     """
 
-    generator: str
-    relation: tuple
-    grading: GradingContext
-    unknown_terms: tuple = ()
-    # the step at t = 1 on the ground values of the relation, read once here
-    _core_at_one: _Core = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("generator", "relation", "grading", "unknown_terms", "_core_at_one")
+    # _core_at_one, the step at t = 1 on the ground values of the relation,
+    # is read once here; it follows from the other fields, so equality,
+    # hash and repr leave it out
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        if self.generator not in ("omega", "c"):
-            raise ValueError(f"unknown generator {self.generator!r}")
-        if len(self.relation) < 1 or self.relation[-1] != Novikov.one(self.field):
+    def __init__(
+        self, generator: str, relation: tuple, grading: GradingContext, unknown_terms: tuple = ()
+    ):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "unknown_terms", unknown_terms)
+        if generator not in ("omega", "c"):
+            raise ValueError(f"unknown generator {generator!r}")
+        if len(relation) < 1 or relation[-1] != Novikov.one(self.field):
             raise ValueError("relation must be monic")
-        N = self.grading.N
-        for (k, d) in self.unknown_terms:
+        N = grading.N
+        for (k, d) in unknown_terms:
             if not (0 <= k < self.degree) or d < 1:
                 raise ValueError(f"unknown term {(k, d)} out of range")
-            if self.relation[k]:
+            if relation[k]:
                 raise ValueError("unknown relation slots must hold zero")
             if N * d != self.degree - k:
                 raise ValueError(
@@ -79,7 +79,7 @@ class RingPresentation:
                 )
         # homogeneous of degree 2*degree: the relation reads at t = 1,
         # with the weight degree of its monic top
-        read = _at_one(N, self.relation)
+        read = _at_one(N, relation)
         if read is None:
             raise ValueError(
                 "relation is not homogeneous: the coefficient of g^k must "
@@ -182,18 +182,16 @@ def relation_str(pres: RingPresentation) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     """Element of a quotient presentation; coeffs ascending, length rank."""
 
-    pres: RingPresentation
-    coeffs: tuple
+    __slots__ = ("pres", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.pres.rank:
-            raise ValueError(
-                f"{len(self.coeffs)} coefficients for a rank-{self.pres.rank} quotient"
-            )
+    def __init__(self, pres: RingPresentation, coeffs: tuple):
+        object.__setattr__(self, "pres", pres)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != pres.rank:
+            raise ValueError(f"{len(coeffs)} coefficients for a rank-{pres.rank} quotient")
 
     def _check(self, other: "RingElement"):
         if self.pres != other.pres:
