@@ -1,9 +1,10 @@
 """Command line entry points.
 
 Exit codes: 0 on success, 2 when the requested (m, n) falls in the
-refused band, 3 on invalid arguments, 4 when `compute` printed a result
-but one of its diagnostics failed, or `localize` printed a sample that
-differs from the closed form.
+refused band, 3 on invalid arguments, 4 when `compute` or `table` printed
+a result but a diagnostic failed, or `localize` printed a sample that
+differs from the closed form.  Exact integers print in full, past
+Python's 4300-digit limit on int-to-text conversion.
 """
 
 from __future__ import annotations
@@ -174,7 +175,9 @@ def _cmd_grr(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    return _emit(exact_rows(args.max_m, FIELDS[args.field]))
+    rows, failed = exact_rows(args.max_m, FIELDS[args.field])
+    _emit(rows)
+    return 4 if failed else 0
 
 
 _COMMANDS = {
@@ -189,6 +192,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # print exact integers in full; the arguments are parsed by now
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 before Python 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except UnsupportedRegimeError as e:
@@ -197,6 +204,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"shq: invalid arguments: {e}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -32,11 +32,11 @@ c * t^d with N*d = i - j + 1 and N != 0, then
 mat(t) = t^(1/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
 characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and both
 checks are those of mat(1).  With N = 0 this holds when every t-power
-is zero.  The grading is read once, at construction, by the same pass
-that validates the entries and stores the rows of mat(1): ints or
-Fractions over Q, bits over GF(2).  Only the s coefficients are lifted
-back to Novikov scalars.  A matrix without a grading, or with N = 0
-and a nonzero t-power, has no such reading and the core refuses it.
+is zero.  Such a matrix is stored as the sparse rows of mat(1), ints or
+Fractions over Q, bits over GF(2); equality, hashing and rendering use
+them, and Novikov scalars are built only for the s coefficients and
+when entries are asked for.  A matrix without a grading, or with N = 0
+and a nonzero t-power, keeps its Novikov entries and the core refuses it.
 Rank and kernel stay general: a fraction-free elimination on the
 Novikov rows accepts any matrix.
 """
@@ -55,22 +55,21 @@ class IncompleteMatrixError(ValueError):
 class LambdaMatrix:
     """Square matrix of Novikov scalars, optionally with unknowns.
 
-    entries: tuple of tuple of Novikov, rows first.
     grading: degree bookkeeping; every entry and unknown is checked
         to be homogeneous in it.
     unknown: frozenset of (row, col, t_power), 0-indexed positions whose
-        coefficient is undetermined; the stored entry there is zero.
+        coefficient is undetermined; the entry there is zero.
 
-    Construction reads each entry once.  Under a grading it stores
-    _at_one = (N, mod, rows) for the core, or None when mat(1) does not
-    determine mat (no grading, or N = 0 with a nonzero t-power) or when
-    an unknown makes the matrix refuse every computation.  rows[i]
-    maps column j to the ground coefficient of the nonzero entry (i, j):
-    an int, or a Fraction where it is not integral, over Q (mod 0), a bit
-    over GF(2) (mod 2).
+    A graded matrix is stored as at_one = (N, mod, rows), the rows of
+    mat(1): rows[i] maps column j to c of the nonzero entry
+    (i, j) = c * t^((i - j + 1)/N), an int (a Fraction where not
+    integral) over Q, mod 0, or a bit over GF(2), mod 2.  from_rows takes
+    them directly and the constructor reads graded entries into them;
+    entries is then a view built on first use.  A matrix that mat(1)
+    does not determine keeps its entries, with at_one None.
     """
 
-    __slots__ = ("entries", "grading", "unknown", "_at_one")
+    __slots__ = ("field", "size", "grading", "unknown", "at_one", "_entries")
 
     def __init__(self, entries, grading=None, unknown=frozenset()):
         rows = tuple(tuple(r) for r in entries)
@@ -79,11 +78,8 @@ class LambdaMatrix:
             raise ValueError("matrix must be square and nonempty")
         field = rows[0][0].field if isinstance(rows[0][0], Novikov) else None
         N = None if grading is None else grading.N
-        unknown = frozenset(unknown)
-        # one pass over the entries validates them and, under a grading
-        # and with no unknown, reads mat(1): with N = 0 only if every
-        # t-power is zero
-        ground, readable = [], N is not None and not unknown
+        # one pass validates the entries and reads mat(1) (N = 0: no t-power)
+        ground, readable = [], N is not None
         for i, row in enumerate(rows):
             out = {}
             for j, x in enumerate(row):
@@ -100,34 +96,70 @@ class LambdaMatrix:
                     raise ValueError(
                         f"entry ({i}, {j}) has t-power {d}, grading needs N*d = {k}"
                     )
-                if readable:
-                    readable = bool(N) or not d
-                    out[j] = _ground(c)
+                readable = readable and (bool(N) or not d)
+                out[j] = _ground(c)
             ground.append(out)
+        if readable:
+            self._store(field, grading, unknown, rows=ground)
+        else:
+            self._store(field, grading, unknown, entries=rows)
+
+    @classmethod
+    def from_rows(cls, field, grading, rows, unknown=frozenset()) -> "LambdaMatrix":
+        """The graded matrix whose mat(1) has these rows, each mapping column j
+        to the value at t = 1 of entry (i, j), zeros dropped, mod 2 over GF(2)."""
+        mat = cls.__new__(cls)
+        mat._store(field, grading, unknown, rows=rows)
+        return mat
+
+    def _store(self, field, grading, unknown, rows=None, entries=None):
+        N = None if grading is None else grading.N
+        s, at_one = len(rows if entries is None else entries), None
+        if rows is not None:
+            mod, ground = field.characteristic, []
+            for i, row in enumerate(rows):
+                ground.append({})
+                for j, x in row.items():
+                    x = x % mod if mod else (x.numerator if x.denominator == 1 else x)
+                    if not x:
+                        continue
+                    if not 0 <= j < s or ((i - j + 1) % N if N else i - j + 1):
+                        raise ValueError(f"entry ({i}, {j}) does not fit grading N = {N}")
+                    ground[-1][j] = x
+            at_one = (N, mod, tuple(ground))
+        unknown = frozenset(unknown)
         for (i, j, d) in unknown:
             if not (0 <= i < s and 0 <= j < s) or d < 0:
                 raise ValueError(f"unknown position {(i, j, d)} out of range")
-            if rows[i][j]:
+            if entries[i][j] if at_one is None else j in at_one[2][i]:
                 raise ValueError("unknown positions must hold a zero placeholder")
             if N is not None and N * d != i - j + 1:
                 raise ValueError(
                     f"unknown at ({i}, {j}) declares t-power {d}, "
                     f"grading needs N*d = {i - j + 1}"
                 )
-        self.entries = rows
-        self.grading = grading
-        self.unknown = unknown
-        self._at_one = (N, field.characteristic, tuple(ground)) if readable else None
+        self.field, self.size, self.grading, self.unknown = field, s, grading, unknown
+        self.at_one, self._entries = at_one, entries
 
     # -- structure --------------------------------------------------------
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple:
+        """Rows of Novikov scalars; a graded matrix builds them on first use."""
+        if self._entries is None:
+            self._entries = tuple(map(tuple, self._grid(Novikov.zero(self.field), None)))
+        return self._entries
 
-    @property
-    def field(self) -> CoefficientField:
-        return self.entries[0][0].field
+    def _grid(self, zero, render):
+        """The rows of a graded matrix as an s x s list grid: zero, and each
+        nonzero entry as a Novikov scalar, passed through render if given."""
+        N, _, rows = self.at_one
+        grid = [[zero] * self.size for _ in rows]
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                x = _lift(self.field, N, i - j + 1, c)
+                grid[i][j] = render(x) if render else x
+        return grid
 
     @property
     def is_complete(self) -> bool:
@@ -152,18 +184,28 @@ class LambdaMatrix:
     def __eq__(self, other):
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
-        return self.entries == other.entries and self.unknown == other.unknown
+        a, b = self.at_one, other.at_one
+        # under one N and one field the rows determine the entries
+        same = a[2] == b[2] if a and b and a[:2] == b[:2] else self.entries == other.entries
+        return same and self.unknown == other.unknown
 
     def __hash__(self):
-        return hash((self.entries, self.unknown))
+        # the rows of mat(1) under every storage, so equal entries hash equal
+        rows = self.at_one[2] if self.at_one else (
+            {j: _ground(sum(x.num.values())) for j, x in enumerate(row) if x}
+            for row in self.entries
+        )
+        return hash((tuple(frozenset(row.items()) for row in rows), self.unknown))
 
     def __repr__(self):
         rows = "; ".join(", ".join(str(x) for x in r) for r in self.entries)
         return f"LambdaMatrix[{rows}]"
 
     def to_strings(self) -> list:
-        """Entries as text, unknowns rendered '?*t^d'."""
-        grid = [[str(x) for x in row] for row in self.entries]
+        """Entries as text, unknowns rendered '?*t^d'.  A graded matrix
+        renders each zero as '0' and builds a Novikov scalar only for a
+        nonzero entry."""
+        grid = self._grid("0", str) if self.at_one else [list(map(str, r)) for r in self.entries]
         for (i, j, d) in self.unknown:
             grid[i][j] = unknown_term_str(d)
         return grid
@@ -265,12 +307,12 @@ def _hessenberg(mat: LambdaMatrix, what: str):
     (sup, low, mod): the superdiagonal, the (i, j, entry) triples on and
     below the diagonal, and the modulus of the scalars, all of mat(1)."""
     mat._require_complete(what)
-    if mat._at_one is None:
+    if mat.at_one is None:
         raise ValueError(
             f"{what} needs a graded matrix that reads at t = 1 "
             "(no grading, or N = 0 with a nonzero t-power)"
         )
-    N, mod, rows = mat._at_one
+    N, mod, rows = mat.at_one
     sup, low = [0] * (len(rows) - 1), []
     for i, row in enumerate(rows):
         for j, x in row.items():

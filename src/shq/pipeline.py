@@ -53,7 +53,6 @@ from .gw import subdiagonal_entries
 from .linalg import (
     CharPoly,
     LambdaMatrix,
-    char_poly,
     spectrum,
     stable_relation,
     zero_block_sizes,
@@ -133,16 +132,13 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
     if regime.kind == "unsupported":
         raise UnsupportedRegimeError(m, n)
     N = minimal_chern(m, n)
-    s = m + 1
-    zero = Novikov.zero(field)
-    grid = [[zero] * s for _ in range(s)]
-    minus_n = Novikov.constant(field, -n)
-    for i in range(s - 1):
-        grid[i][i + 1] = minus_n
+    # the rows of r at t = 1: -n on the superdiagonal, n^2 * tau(a, n)
+    # at (N + a - 1, a); from_rows reduces them mod 2 over GF(2)
+    rows = [{i + 1: -n} for i in range(m)] + [{}]
     unknown = set()
     if N >= 1:
         for a, entry in enumerate(subdiagonal_entries(m, n)):
-            grid[N + a - 1][a] = Novikov.monomial(field, entry, 1)
+            rows[N + a - 1][a] = entry
         if not _c1_vanishes(field, n):
             # d >= 2 coefficients are undetermined unless they vanish
             # identically: each is -n times an integer count, so even
@@ -150,11 +146,7 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
             for d in _correction_degrees(m, N):
                 for a in range(min(n, m + 1 - d * N)):
                     unknown.add((d * N + a - 1, a, d))
-    return LambdaMatrix(
-        tuple(tuple(row) for row in grid),
-        grading=GradingContext(N),
-        unknown=frozenset(unknown),
-    )
+    return LambdaMatrix.from_rows(field, GradingContext(N), rows, unknown)
 
 
 class ZeroRing(Record):
@@ -244,8 +236,9 @@ def _lead_coefficient(m: int, n: int, field: CoefficientField) -> Novikov:
 def _lead_from_r(r: LambdaMatrix, m: int, n: int) -> Novikov:
     """a_N from r (monotone): the only principal N x N minors with a t^1
     term are the N-cycles through one subdiagonal entry r[N+a-1][a]."""
-    N = minimal_chern(m, n)
-    return -((-n) ** (N - 1)) * sum(r.entries[N + a - 1][a] for a in range(n))
+    N, rows = minimal_chern(m, n), r.at_one[2]
+    total = sum(rows[N + a - 1].get(a, 0) for a in range(n))
+    return Novikov.monomial(r.field, -((-n) ** (N - 1)) * total, 1)
 
 
 def _lead_diagnostic(got: Novikov, lead: Novikov, m: int, n: int, passed: str) -> Diagnostic:
@@ -511,10 +504,13 @@ def _diagnostics(
             ok = mm == r
             detail += ", entrywise"
         else:
-            ok = char_poly(mm) == cp
+            # a failed Cayley-Hamilton check on mm fails the diagnostic
+            mm_cp, annihilates, _ = spectrum(mm)
+            ok = annihilates and mm_cp == cp
             detail += " (different bases for n >= 2: characteristic data match)"
         out.append(Diagnostic("multiplication_matrix", ok, detail))
 
+    _, mod, rows = r.at_one  # r at t = 1, for the entry checks below
     # localization cross-check on the degree-one entries
     if 1 <= n <= m:
         expected = subdiagonal_entries(m, n)
@@ -522,7 +518,7 @@ def _diagnostics(
             localize_row(m, n, sample_weights(m, seed + k)) == expected
             for k in range(trials)
         ) and all(
-            r.entries[N + a - 1][a] == Novikov.monomial(field, e, 1)
+            rows[N + a - 1].get(a, 0) == (e % mod if mod else e)
             for a, e in enumerate(expected)
         )
         out.append(
@@ -536,7 +532,7 @@ def _diagnostics(
 
     if (m, n) == (1, 1):
         deg = obstruction_bundle_degree()
-        entry_ok = r.entries[0][0] == Novikov.monomial(field, deg, 1)
+        entry_ok = rows[0].get(0, 0) == (deg % mod if mod else deg)
         out.append(
             Diagnostic(
                 "blowup_match",
@@ -570,7 +566,7 @@ def _diagnostics(
                 "char2_even_twist",
                 numeric_rank == 0
                 and r.is_complete
-                and not any(x for row in r.entries for x in row),
+                and not any(rows),
                 "even twist is zero mod 2: the whole matrix and SH vanish",
             )
         )
@@ -693,17 +689,21 @@ def result_to_text(result: ShResult) -> str:
     return "\n".join(lines)
 
 
-def exact_rows(max_m: int, field: CoefficientField = QQ) -> list:
+def exact_rows(max_m: int, field: CoefficientField = QQ) -> tuple[list, list]:
     """One row per exact-mode pair with m <= max_m: the low-twist
     monotone window 2n <= m+1, the Calabi-Yau twist, and the smallest
-    large-twist representative (all larger twists behave identically)."""
+    large-twist representative (all larger twists behave identically).
+    Returns (rows, failed), failed the (m, n) of each pair with a failed
+    diagnostic."""
     if max_m < 1:
         raise ValueError("need max_m >= 1")
-    rows = []
+    rows, failed = [], []
     for m in range(1, max_m + 1):
         ns = list(range(1, (m + 1) // 2 + 1)) + [m + 1, 2 * m + 1]
         for n in ns:
             res = compute_sh(m, n, field)
+            if not all(d.passed for d in res.diagnostics):
+                failed.append((m, n))
             rows.append(
                 {
                     "m": m,
@@ -716,4 +716,4 @@ def exact_rows(max_m: int, field: CoefficientField = QQ) -> list:
                     "sh_rank": res.sh_rank,
                 }
             )
-    return rows
+    return rows, failed

@@ -27,6 +27,7 @@ multiplication_matrix attaches it itself.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional
 
 from .linalg import LambdaMatrix, _ground, _lift
@@ -243,21 +244,26 @@ def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatri
     Column j holds x * g^(rank-1-j); row i reads off the coefficient of
     g^(rank-1-i).  The matrix carries the grading of pres exactly when x
     has weight 1 (degree two), such as g or c1 = -n*g: then entry (i, j)
-    is c*t^d with N*d = i - j + 1, and linalg computes the matrix at
-    t = 1 too.  Any other weight gives an ungraded matrix."""
+    is c*t^d with N*d = i - j + 1, and the ground values are handed over
+    as its rows at t = 1.  Any other weight gives an ungraded matrix."""
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("multiplication matrix")
     core, (col,), (weight,) = _core(pres, x.coeffs)
     r = pres.rank
     # each column is one step on from the column to its right
-    cols = [None] * r
+    rows, cols = [{} for _ in range(r)], [None] * r
     for j in range(r - 1, -1, -1):
-        cols[j] = core.lift(col, weight + r - 1 - j)
+        if weight == 1:
+            for k in compress(range(r), col):
+                rows[r - 1 - k][j] = col[k]
+        else:
+            cols[j] = core.lift(col, weight + r - 1 - j)
         if j:
             col = core.step(col)
-    entries = tuple(tuple(cols[j][r - 1 - i] for j in range(r)) for i in range(r))
-    return LambdaMatrix(entries, grading=pres.grading if weight == 1 else None)
+    if weight == 1:
+        return LambdaMatrix.from_rows(pres.field, pres.grading, rows)
+    return LambdaMatrix(tuple(tuple(c[r - 1 - i] for c in cols) for i in range(r)))
 
 
 def change_generator(pres: RingPresentation, n: int) -> RingPresentation:

@@ -26,6 +26,14 @@ def corrupt_char_poly(monkeypatch):
 
 
 @pytest.fixture
+def corrupt_every_char_poly(monkeypatch):
+    """Double every coefficient of every characteristic polynomial the
+    Krylov solve returns."""
+    real = shq.linalg._solve
+    monkeypatch.setattr(shq.linalg, "_solve", lambda op: [x + x for x in real(op)])
+
+
+@pytest.fixture
 def corrupt_localize_row(monkeypatch):
     """Add one to the a = 1 entry of every localized row the pipeline
     computes; the other entries are left alone."""

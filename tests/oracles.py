@@ -284,6 +284,27 @@ def novikov_multiplication_matrix(pres, x):
     return LambdaMatrix(tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)))
 
 
+def novikov_grid_r(m: int, n: int, field) -> tuple:
+    """(entries, unknown) of r for O(-n) over P^m outside the refused band,
+    written entry by entry as an (m+1) x (m+1) grid of Novikov scalars:
+    -n on the superdiagonal, n^2 * tau(a, n) * t at (N + a - 1, a) when
+    N = 1 + m - n >= 1, and the d >= 2 positions d*N + a - 1, a with
+    a < min(n, m + 1 - d*N) as unknowns unless -n vanishes in the field."""
+    s, N = m + 1, 1 + m - n
+    zero = Novikov.zero(field)
+    grid = [[zero] * s for _ in range(s)]
+    for i in range(m):
+        grid[i][i + 1] = Novikov.constant(field, -n)
+    unknown = set()
+    if N >= 1:
+        for a, c in enumerate(sympy_tau(n)):
+            grid[N + a - 1][a] = Novikov.monomial(field, n * n * c, 1)
+        if field.of(-n):
+            for d in range(2, m // N + 1):
+                unknown.update((d * N + a - 1, a, d) for a in range(min(n, m + 1 - d * N)))
+    return tuple(tuple(row) for row in grid), frozenset(unknown)
+
+
 def novikov_is_nilpotent(pres, x) -> bool:
     """Whether x^rank vanishes, by rank schoolbook products."""
     power = novikov_reduce(pres.relation, [Novikov.one(pres.field)])

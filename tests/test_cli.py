@@ -1,10 +1,12 @@
 import json
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
 
 import shq.cli
+import shq.pipeline
 from shq.cli import main
 
 
@@ -83,6 +85,47 @@ def test_compute_failed_diagnostic_exits_4_in_text(capsys, corrupt_char_poly):
     code, out, err = run(capsys, "compute", "--m", "1", "--n", "1", "--format", "text")
     assert code == 4
     assert "diagnostics FAILED: cayley_hamilton" in out
+
+
+def test_compute_reports_a_failed_cross_check_solve(capsys, corrupt_every_char_poly):
+    # the multiplication-matrix cross-check reads its own Cayley-Hamilton
+    # check instead of raising on it
+    code, out, err = run(capsys, "compute", "--m", "4", "--n", "2")
+    assert code == 4, err
+    d = json.loads(out)
+    failed = {x["name"] for x in d["diagnostics"] if not x["pass"]}
+    assert {"cayley_hamilton", "multiplication_matrix"} <= failed
+
+
+def test_table_exits_4_when_a_diagnostic_fails(capsys, monkeypatch):
+    code, good, _ = run(capsys, "table", "--max-m", "3")
+    assert code == 0
+    real = shq.pipeline.spectrum
+
+    def failing(mat):
+        cp, _, dims = real(mat)
+        return cp, False, dims
+
+    monkeypatch.setattr(shq.pipeline, "spectrum", failing)
+    code, out, _ = run(capsys, "table", "--max-m", "3")
+    assert code == 4
+    assert out == good
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_tau_prints_integers_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "tau", "--n", "1400")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        d = json.loads(out)
+        # the coefficients of prod (A*x + B) over A + B = n sum to n^(n-1)
+        assert d["sum"] == 1400 ** 1399
+        assert len(str(max(d["coefficients"]))) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_compute_failed_localization_exits_4(capsys, corrupt_localize_row):

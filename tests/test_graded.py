@@ -59,7 +59,7 @@ def qh_operator(m, n, field, cp):
 def assert_matches_oracle(mat):
     """char_poly, the Cayley-Hamilton check, kernel_dims and rank equal
     those of the Novikov-matrix walk."""
-    assert mat._at_one is not None
+    assert mat.at_one is not None
     cp, annihilates, dims = spectrum(mat)
     assert cp.a == novikov_berkowitz(mat.entries)
     assert char_poly(mat) == cp
@@ -93,7 +93,7 @@ def assert_unread_refused(mat):
     """A matrix with no reading at t = 1 is refused by char_poly,
     spectrum and kernel_dims before its shape is looked at; rank and
     kernel stay general."""
-    assert mat._at_one is None
+    assert mat.at_one is None
     for f in (spectrum, char_poly, kernel_dims):
         with pytest.raises(ValueError, match="reads at t = 1"):
             f(mat)

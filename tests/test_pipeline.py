@@ -577,7 +577,8 @@ def test_text_rendering_mentions_the_facts():
 
 
 def test_exact_rows():
-    rows = exact_rows(2)
+    rows, failed = exact_rows(2)
+    assert failed == []
     assert [(r["m"], r["n"]) for r in rows] == [
         (1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (2, 5)
     ]
