@@ -2,13 +2,15 @@
 
 Matrices here represent quantum multiplication operators on the basis
 omega^m, ..., omega, 1, so entries carry a grading constraint: with t
-of degree 2N, the entry in row i, column j (0-indexed) can only be a
-monomial c * t^d with N*d = i - j + 1.  Matrices may carry *unknown*
+of degree 2N, a matrix of weight w holds at row i, column j (0-indexed)
+either zero or a monomial c * t^d with N*d = i - j + w.  r and each
+multiplication by a degree-two class have weight 1, the identity has
+weight 0, and a product adds the weights.  Matrices may carry *unknown*
 positions, entries whose t-power is pinned by the grading but whose
 coefficient is not determined; such matrices refuse any computation
 that would need the missing numbers.
 
-A characteristic polynomial needs a graded matrix whose mat(1) is
+A characteristic polynomial needs a matrix of weight 1 whose mat(1) is
 lower Hessenberg with a nonzero superdiagonal, such as r (the
 classical -n there, the corrections below) or multiplication by -n*g
 in a quotient (-n times a companion matrix), or the zero matrix
@@ -27,22 +29,20 @@ superdiagonal entries at column k), so it holds exactly when
 p(mat) = 0; the Jordan chain check asks u = q(mat) e_last, where
 cp = lambda^(s-p) * q, for mat^(s-p-1) u != 0 and mat^(s-p) u = 0.
 
-The core computes at t = 1.  If every nonzero entry (i, j) is
-c * t^d with N*d = i - j + 1 and N != 0, then
-mat(t) = t^(1/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
-characteristic coefficients are a_k = c_k(mat(1)) * t^(k/N), and both
-checks are those of mat(1).  With N = 0 this holds when every t-power
-is zero.  Such a matrix is stored as the sparse rows of mat(1), ints or
-Fractions over Q, bits over GF(2); equality, hashing and rendering use
-them, and Novikov scalars are built only for the s coefficients and
-when entries are asked for.  A matrix without a grading, or with N = 0
-and a nonzero t-power, keeps its Novikov entries and the core refuses it.
-Rank and kernel stay general: a fraction-free elimination on the
-Novikov rows accepts any matrix.
+Everything computes at t = 1.  With N != 0,
+mat(t) = t^(w/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
+characteristic coefficients of a weight-1 matrix are
+a_k = c_k(mat(1)) * t^(k/N), both checks are those of mat(1), ranks are
+those of mat(1) and each kernel vector is D times one of mat(1); with
+N = 0 every t-power is zero.  A matrix is therefore stored as the
+sparse rows of mat(1), ints or Fractions over Q, bits over GF(2), and
+Novikov scalars are built only for the s coefficients, for kernel
+vectors and when entries are asked for.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from .novikov import CoefficientField, GF2Element, Novikov, Record, unknown_term_str
@@ -53,111 +53,67 @@ class IncompleteMatrixError(ValueError):
 
 
 class LambdaMatrix:
-    """Square matrix of Novikov scalars, optionally with unknowns.
+    """Square matrix of Novikov scalars of one weight, optionally with
+    unknowns, stored as its rows at t = 1.
 
-    grading: degree bookkeeping; every entry and unknown is checked
-        to be homogeneous in it.
+    rows[i] maps column j to c of the nonzero entry
+    (i, j) = c * t^((i - j + weight)/N): an int (a Fraction where not
+    integral) over Q, or a bit over GF(2).  The constructor reduces the
+    values it is given mod 2 over GF(2), drops zeros and checks each
+    position against the grading; entries is a view built on first use.
     unknown: frozenset of (row, col, t_power), 0-indexed positions whose
         coefficient is undetermined; the entry there is zero.
-
-    A graded matrix is stored as at_one = (N, mod, rows), the rows of
-    mat(1): rows[i] maps column j to c of the nonzero entry
-    (i, j) = c * t^((i - j + 1)/N), an int (a Fraction where not
-    integral) over Q, mod 0, or a bit over GF(2), mod 2.  from_rows takes
-    them directly and the constructor reads graded entries into them;
-    entries is then a view built on first use.  A matrix that mat(1)
-    does not determine keeps its entries, with at_one None.
     """
 
-    __slots__ = ("field", "size", "grading", "unknown", "at_one", "_entries")
+    __slots__ = ("field", "grading", "weight", "size", "rows", "unknown", "_entries")
 
-    def __init__(self, entries, grading=None, unknown=frozenset()):
-        rows = tuple(tuple(r) for r in entries)
-        s = len(rows)
-        if s == 0 or any(len(r) != s for r in rows):
-            raise ValueError("matrix must be square and nonempty")
-        field = rows[0][0].field if isinstance(rows[0][0], Novikov) else None
-        N = None if grading is None else grading.N
-        # one pass validates the entries and reads mat(1) (N = 0: no t-power)
-        ground, readable = [], N is not None
+    def __init__(self, field: CoefficientField, grading, rows, unknown=(), weight: int = 1):
+        N, mod, s = grading.N, field.characteristic, len(rows)
+        if not s:
+            raise ValueError("matrix must be nonempty")
+        ground = []
         for i, row in enumerate(rows):
-            out = {}
-            for j, x in enumerate(row):
-                if not isinstance(x, Novikov) or x.field != field:
-                    raise ValueError("all entries must share one coefficient field")
-                if N is None or not x:
+            ground.append({})
+            for j, x in row.items():
+                x = x % mod if mod else (x.numerator if x.denominator == 1 else x)
+                if not x:
                     continue
-                parts = x.monomial_parts()
-                if parts is None:
-                    raise ValueError(f"entry ({i}, {j}) is not a monomial")
-                c, d = parts
-                k = i - j + 1
-                if N * d != k:
+                if not 0 <= j < s or ((i - j + weight) % N if N else i - j + weight):
                     raise ValueError(
-                        f"entry ({i}, {j}) has t-power {d}, grading needs N*d = {k}"
+                        f"entry ({i}, {j}) does not fit grading N = {N} at weight {weight}"
                     )
-                readable = readable and (bool(N) or not d)
-                out[j] = _ground(c)
-            ground.append(out)
-        if readable:
-            self._store(field, grading, unknown, rows=ground)
-        else:
-            self._store(field, grading, unknown, entries=rows)
-
-    @classmethod
-    def from_rows(cls, field, grading, rows, unknown=frozenset()) -> "LambdaMatrix":
-        """The graded matrix whose mat(1) has these rows, each mapping column j
-        to the value at t = 1 of entry (i, j), zeros dropped, mod 2 over GF(2)."""
-        mat = cls.__new__(cls)
-        mat._store(field, grading, unknown, rows=rows)
-        return mat
-
-    def _store(self, field, grading, unknown, rows=None, entries=None):
-        N = None if grading is None else grading.N
-        s, at_one = len(rows if entries is None else entries), None
-        if rows is not None:
-            mod, ground = field.characteristic, []
-            for i, row in enumerate(rows):
-                ground.append({})
-                for j, x in row.items():
-                    x = x % mod if mod else (x.numerator if x.denominator == 1 else x)
-                    if not x:
-                        continue
-                    if not 0 <= j < s or ((i - j + 1) % N if N else i - j + 1):
-                        raise ValueError(f"entry ({i}, {j}) does not fit grading N = {N}")
-                    ground[-1][j] = x
-            at_one = (N, mod, tuple(ground))
+                ground[-1][j] = x
         unknown = frozenset(unknown)
         for (i, j, d) in unknown:
             if not (0 <= i < s and 0 <= j < s) or d < 0:
                 raise ValueError(f"unknown position {(i, j, d)} out of range")
-            if entries[i][j] if at_one is None else j in at_one[2][i]:
+            if j in ground[i]:
                 raise ValueError("unknown positions must hold a zero placeholder")
-            if N is not None and N * d != i - j + 1:
+            if N * d != i - j + weight:
                 raise ValueError(
                     f"unknown at ({i}, {j}) declares t-power {d}, "
-                    f"grading needs N*d = {i - j + 1}"
+                    f"grading needs N*d = {i - j + weight}"
                 )
-        self.field, self.size, self.grading, self.unknown = field, s, grading, unknown
-        self.at_one, self._entries = at_one, entries
+        self.field, self.grading, self.weight, self.size = field, grading, weight, s
+        self.rows, self.unknown, self._entries = tuple(ground), unknown, None
 
     # -- structure --------------------------------------------------------
 
     @property
     def entries(self) -> tuple:
-        """Rows of Novikov scalars; a graded matrix builds them on first use."""
+        """Rows of Novikov scalars, built on first use."""
         if self._entries is None:
             self._entries = tuple(map(tuple, self._grid(Novikov.zero(self.field), None)))
         return self._entries
 
     def _grid(self, zero, render):
-        """The rows of a graded matrix as an s x s list grid: zero, and each
-        nonzero entry as a Novikov scalar, passed through render if given."""
-        N, _, rows = self.at_one
-        grid = [[zero] * self.size for _ in rows]
-        for i, row in enumerate(rows):
+        """The entries as an s x s list grid: zero, and each nonzero entry
+        as a Novikov scalar, passed through render if given."""
+        N, w = self.grading.N, self.weight
+        grid = [[zero] * self.size for _ in self.rows]
+        for i, row in enumerate(self.rows):
             for j, c in row.items():
-                x = _lift(self.field, N, i - j + 1, c)
+                x = _lift(self.field, N, i - j + w, c)
                 grid[i][j] = render(x) if render else x
         return grid
 
@@ -173,39 +129,29 @@ class LambdaMatrix:
             )
 
     @classmethod
-    def identity(cls, field: CoefficientField, s: int) -> "LambdaMatrix":
-        one, zero = Novikov.one(field), Novikov.zero(field)
-        return cls(
-            tuple(
-                tuple(one if i == j else zero for j in range(s)) for i in range(s)
-            )
-        )
+    def identity(cls, field: CoefficientField, grading, s: int) -> "LambdaMatrix":
+        return cls(field, grading, [{i: 1} for i in range(s)], weight=0)
+
+    def _key(self):
+        return (self.field, self.grading, self.weight, self.rows, self.unknown)
 
     def __eq__(self, other):
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
-        a, b = self.at_one, other.at_one
-        # under one N and one field the rows determine the entries
-        same = a[2] == b[2] if a and b and a[:2] == b[:2] else self.entries == other.entries
-        return same and self.unknown == other.unknown
+        return self._key() == other._key()
 
     def __hash__(self):
-        # the rows of mat(1) under every storage, so equal entries hash equal
-        rows = self.at_one[2] if self.at_one else (
-            {j: _ground(sum(x.num.values())) for j, x in enumerate(row) if x}
-            for row in self.entries
-        )
-        return hash((tuple(frozenset(row.items()) for row in rows), self.unknown))
+        rows = tuple(frozenset(row.items()) for row in self.rows)
+        return hash((self.field, self.grading, self.weight, rows, self.unknown))
 
     def __repr__(self):
-        rows = "; ".join(", ".join(str(x) for x in r) for r in self.entries)
+        rows = "; ".join(", ".join(r) for r in self.to_strings())
         return f"LambdaMatrix[{rows}]"
 
     def to_strings(self) -> list:
-        """Entries as text, unknowns rendered '?*t^d'.  A graded matrix
-        renders each zero as '0' and builds a Novikov scalar only for a
-        nonzero entry."""
-        grid = self._grid("0", str) if self.at_one else [list(map(str, r)) for r in self.entries]
+        """Entries as text, unknowns rendered '?*t^d'; each zero is '0'
+        and a Novikov scalar is built only for a nonzero entry."""
+        grid = self._grid("0", str)
         for (i, j, d) in self.unknown:
             grid[i][j] = unknown_term_str(d)
         return grid
@@ -217,23 +163,22 @@ class LambdaMatrix:
             return NotImplemented
         self._require_complete("matrix product")
         other._require_complete("matrix product")
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        zero = Novikov.zero(self.field)
+        if (self.field, self.grading, self.size) != (other.field, other.grading, other.size):
+            raise ValueError("a product needs one field, one grading and one size")
         rows = []
-        for row in self.entries:
+        for row in self.rows:
             # row i of the product: the rows of other weighted by row i
-            acc = [zero] * self.size
-            for a, orow in zip(row, other.entries):
-                if a:
-                    acc = [x + a * y if y else x for x, y in zip(acc, orow)]
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
             rows.append(acc)
-        return LambdaMatrix(rows)
+        return LambdaMatrix(self.field, self.grading, rows, weight=self.weight + other.weight)
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative matrix powers are not needed here")
-        out = self if k else LambdaMatrix.identity(self.field, self.size)
+        out = self if k else LambdaMatrix.identity(self.field, self.grading, self.size)
         for _ in range(k - 1):
             out = out * self
         return out
@@ -269,11 +214,6 @@ class CharPoly(Record):
 # -- the scalars the core runs on ---------------------------------------------
 
 
-def _novikov_rows(mat: LambdaMatrix) -> list:
-    """rows[i] maps column j to the nonzero Novikov entry (i, j)."""
-    return [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
-
-
 def _ground(c):
     """A nonzero coefficient as a bit over GF(2), over Q as an int where
     it is integral."""
@@ -302,17 +242,15 @@ def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
 
 
 def _hessenberg(mat: LambdaMatrix, what: str):
-    """(N, op) of a complete mat whose mat(1) is lower Hessenberg with
-    a nonzero superdiagonal, or zero; ValueError otherwise.  op is
-    (sup, low, mod): the superdiagonal, the (i, j, entry) triples on and
-    below the diagonal, and the modulus of the scalars, all of mat(1)."""
+    """(N, op) of a complete mat of weight 1 whose mat(1) is lower
+    Hessenberg with a nonzero superdiagonal, or zero; ValueError
+    otherwise.  op is (sup, low, mod): the superdiagonal, the (i, j,
+    entry) triples on and below the diagonal, and the modulus of the
+    scalars, all of mat(1)."""
     mat._require_complete(what)
-    if mat.at_one is None:
-        raise ValueError(
-            f"{what} needs a graded matrix that reads at t = 1 "
-            "(no grading, or N = 0 with a nonzero t-power)"
-        )
-    N, mod, rows = mat.at_one
+    if mat.weight != 1:
+        raise ValueError(f"{what} needs a matrix of weight 1, not {mat.weight}")
+    N, mod, rows = mat.grading.N, mat.field.characteristic, mat.rows
     sup, low = [0] * (len(rows) - 1), []
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -436,14 +374,15 @@ def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
 
 def rank(mat: LambdaMatrix) -> int:
     mat._require_complete("rank")
-    return len(_echelon(_novikov_rows(mat)))
+    return len(_echelon(mat.rows, mat.field.characteristic))
 
 
-def _echelon(rows: list) -> dict:
+def _echelon(rows, mod: int) -> dict:
     """Pivot rows of sparse rows keyed by leading column, by
-    fraction-free elimination: each row is reduced against the pivot
-    row of its leading column, as pivot[lead] * row - row[lead] * pivot,
-    until it is zero or leads in a column of its own."""
+    fraction-free elimination mod mod (0: none): each row is reduced
+    against the pivot row of its leading column, as
+    pivot[lead] * row - row[lead] * pivot, until it is zero or leads in
+    a column of its own."""
     pivots = {}
     for row in rows:
         while row:
@@ -456,42 +395,41 @@ def _echelon(rows: list) -> dict:
             new = {j: a * x for j, x in row.items()}
             for j, x in prow.items():
                 new[j] = new.get(j, 0) - b * x
-            row = {j: x for j, x in new.items() if x}
+            row = {j: y for j, x in new.items() if (y := x % mod if mod else x)}
     return pivots
 
 
 def kernel(mat: LambdaMatrix) -> list:
     """Basis of the kernel, one vector per free column.
 
-    Back-substitution on the echelon form of the Novikov rows, without
-    dividing: the vector starts as the free column's unit vector, and a
-    pivot row whose sum with it is nonzero scales it by its pivot and
-    sets its own column to minus that sum.  Each vector is then divided
-    by its first nonzero entry when that entry is a unit, so a vector may
-    keep a common factor that is not a unit: the kernel of
-    ((1 + t, 1 + t), (0, 0)) is [(-1 - t, 1 + t)].
+    Back-substitution on the echelon form of mat(1), without dividing:
+    the vector v starts as the free column's unit vector, and a pivot
+    row whose sum with it is nonzero scales it by its pivot and sets
+    its own column to minus that sum.  v is divided by its first nonzero
+    entry v_i and lifted to x_j = v_j * t^((j - i)/N), a kernel vector
+    of mat (D * v up to a unit, see the module docstring).
     """
     mat._require_complete("kernel")
-    s = mat.size
-    pivots = _echelon(_novikov_rows(mat))
-    zero, one = Novikov.zero(mat.field), Novikov.one(mat.field)
+    s, N, field, mod = mat.size, mat.grading.N, mat.field, mat.field.characteristic
+    pivots = _echelon(mat.rows, mod)
+    zero = Novikov.zero(field)
     basis = []
     for f in range(s):
         if f in pivots:
             continue
-        v = {f: one}
+        v = {f: 1}
         for p in sorted(pivots, reverse=True):
             row = pivots[p]
-            acc = sum((x * v[j] for j, x in row.items() if j in v), zero)
-            if acc:
+            acc = sum(x * v[j] for j, x in row.items() if j in v)
+            if acc % mod if mod else acc:
                 a = row[p]
                 v = {j: a * x for j, x in v.items()}
                 v[p] = -acc
-        vec = [v.get(j, zero) for j in range(s)]
-        lead = v[min(v)]
-        if lead.monomial_parts() is not None:
-            inv = lead.inverse()
-            vec = [x * inv if x else x for x in vec]
+        # every entry is nonzero: a pivot scales by a nonzero value
+        i = min(v)
+        vec = [zero] * s
+        for j, x in v.items():
+            vec[j] = _lift(field, N, j - i, x % mod if mod else Fraction(x) / v[i])
         basis.append(tuple(vec))
     return basis
 

@@ -4,8 +4,8 @@ Quantum and symplectic cohomology of a line bundle over projective
 space only ever involve finitely many powers of the quantum variable t,
 so the coefficient ring is modelled exactly: scalars are Laurent
 polynomials in t over a ground field (the rationals, or the field with
-two elements).  Their units are the monomials c*t^d with c nonzero,
-and only units can be inverted.
+two elements).  Their units are the monomials c*t^d with c nonzero;
+nothing here divides by a scalar.
 
 A scalar is stored as its Laurent polynomial, with no zero coefficients
 stored, so equality of values is literal equality of representations.
@@ -89,14 +89,6 @@ class GF2Element:
         return GF2Element(self.v & other.v)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.v:
-            raise ZeroDivisionError("division by zero in GF(2)")
-        return GF2Element(self.v)
 
     def __neg__(self):
         return self
@@ -313,34 +305,12 @@ class Novikov:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Novikov":
-        """1/(c*t^d) = c^-1 * t^-d; no other nonzero scalar is a unit."""
-        if not self.num:
-            raise ZeroDivisionError("inverting zero Novikov scalar")
-        if len(self.num) != 1:
-            raise ArithmeticError(f"{self} is not a unit c*t^d")
-        ((e, c),) = self.num.items()
-        return Novikov(self.field, {-e: self.field.one / c})
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, k: int):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
         out = Novikov.one(self.field)
-        for _ in range(abs(k)):
-            out = out * base
+        for _ in range(k):
+            out = out * self
         return out
 
     # -- comparisons ----------------------------------------------------

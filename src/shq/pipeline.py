@@ -133,7 +133,7 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
         raise UnsupportedRegimeError(m, n)
     N = minimal_chern(m, n)
     # the rows of r at t = 1: -n on the superdiagonal, n^2 * tau(a, n)
-    # at (N + a - 1, a); from_rows reduces them mod 2 over GF(2)
+    # at (N + a - 1, a); LambdaMatrix reduces them mod 2 over GF(2)
     rows = [{i + 1: -n} for i in range(m)] + [{}]
     unknown = set()
     if N >= 1:
@@ -146,7 +146,7 @@ def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix
             for d in _correction_degrees(m, N):
                 for a in range(min(n, m + 1 - d * N)):
                     unknown.add((d * N + a - 1, a, d))
-    return LambdaMatrix.from_rows(field, GradingContext(N), rows, unknown)
+    return LambdaMatrix(field, GradingContext(N), rows, unknown)
 
 
 class ZeroRing(Record):
@@ -236,7 +236,7 @@ def _lead_coefficient(m: int, n: int, field: CoefficientField) -> Novikov:
 def _lead_from_r(r: LambdaMatrix, m: int, n: int) -> Novikov:
     """a_N from r (monotone): the only principal N x N minors with a t^1
     term are the N-cycles through one subdiagonal entry r[N+a-1][a]."""
-    N, rows = minimal_chern(m, n), r.at_one[2]
+    N, rows = minimal_chern(m, n), r.rows
     total = sum(rows[N + a - 1].get(a, 0) for a in range(n))
     return Novikov.monomial(r.field, -((-n) ** (N - 1)) * total, 1)
 
@@ -510,7 +510,8 @@ def _diagnostics(
             detail += " (different bases for n >= 2: characteristic data match)"
         out.append(Diagnostic("multiplication_matrix", ok, detail))
 
-    _, mod, rows = r.at_one  # r at t = 1, for the entry checks below
+    # r at t = 1, for the entry checks below
+    rows, mod = r.rows, r.field.characteristic
     # localization cross-check on the degree-one entries
     if 1 <= n <= m:
         expected = subdiagonal_entries(m, n)

@@ -20,9 +20,9 @@ only results are lifted back to Novikov scalars, the way linalg reads
 graded matrices.  Arithmetic on any other element, such as 1 + g,
 t - 1 or t*g with N = 0, raises ValueError.  The relation is read
 once, at construction: the check that it is homogeneous also builds
-the step at t = 1.  A multiplication matrix carries the grading of its
-presentation exactly when the element has weight 1, so
-multiplication_matrix attaches it itself.
+the step at t = 1.  A multiplication matrix has the grading of its
+presentation and the weight of its element, and is handed over as its
+rows at t = 1.
 """
 
 from __future__ import annotations
@@ -242,28 +242,23 @@ def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatri
     """Matrix of multiplication by x on the basis g^(rank-1), ..., g, 1.
 
     Column j holds x * g^(rank-1-j); row i reads off the coefficient of
-    g^(rank-1-i).  The matrix carries the grading of pres exactly when x
-    has weight 1 (degree two), such as g or c1 = -n*g: then entry (i, j)
-    is c*t^d with N*d = i - j + 1, and the ground values are handed over
-    as its rows at t = 1.  Any other weight gives an ungraded matrix."""
+    g^(rank-1-i).  The matrix has the grading of pres and the weight w
+    of x (1 for a degree-two class such as g or c1 = -n*g): entry (i, j)
+    is c*t^d with N*d = i - j + w, and the ground values are handed over
+    as its rows at t = 1."""
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("multiplication matrix")
     core, (col,), (weight,) = _core(pres, x.coeffs)
     r = pres.rank
     # each column is one step on from the column to its right
-    rows, cols = [{} for _ in range(r)], [None] * r
+    rows = [{} for _ in range(r)]
     for j in range(r - 1, -1, -1):
-        if weight == 1:
-            for k in compress(range(r), col):
-                rows[r - 1 - k][j] = col[k]
-        else:
-            cols[j] = core.lift(col, weight + r - 1 - j)
+        for k in compress(range(r), col):
+            rows[r - 1 - k][j] = col[k]
         if j:
             col = core.step(col)
-    if weight == 1:
-        return LambdaMatrix.from_rows(pres.field, pres.grading, rows)
-    return LambdaMatrix(tuple(tuple(c[r - 1 - i] for c in cols) for i in range(r)))
+    return LambdaMatrix(pres.field, pres.grading, rows, weight=weight)
 
 
 def change_generator(pres: RingPresentation, n: int) -> RingPresentation:

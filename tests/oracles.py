@@ -14,7 +14,7 @@ from itertools import permutations
 import sympy
 
 from shq.linalg import LambdaMatrix
-from shq.novikov import Novikov, QQ
+from shq.novikov import GF2Element, GradingContext, Novikov
 
 
 def sympy_tau(n: int) -> list[int]:
@@ -170,6 +170,39 @@ def novikov_rank(entries) -> int:
     return r
 
 
+def unit_inverse(x):
+    """1/(c*t^d) = c^-1 * t^-d; zero raises ZeroDivisionError and any
+    other scalar that is not a monomial ArithmeticError."""
+    if not x:
+        raise ZeroDivisionError("inverting zero Novikov scalar")
+    parts = x.monomial_parts()
+    if parts is None:
+        raise ArithmeticError(f"{x} is not a unit c*t^d")
+    c, d = parts
+    return Novikov.monomial(x.field, c if isinstance(c, GF2Element) else 1 / c, -d)
+
+
+def graded_matrix(entries, N: int, unknown=(), weight: int = 1) -> LambdaMatrix:
+    """The matrix of weight weight at grading N whose entries are the
+    given grid of zeros and monomials c*t^d: its rows at t = 1 hold the
+    c, and its entries must give the grid back, so a grid with an entry
+    that is not a monomial or sits off the grading raises ValueError."""
+    rows = []
+    for row in entries:
+        rows.append({})
+        for j, x in enumerate(row):
+            parts = x.monomial_parts()
+            if x and parts is None:
+                raise ValueError(f"{x} is not a monomial")
+            if x:
+                c = parts[0]
+                rows[-1][j] = c.v if isinstance(c, GF2Element) else c
+    mat = LambdaMatrix(entries[0][0].field, GradingContext(N), rows, unknown, weight)
+    if mat.entries != tuple(map(tuple, entries)):
+        raise ValueError(f"the grid does not fit grading N = {N} at weight {weight}")
+    return mat
+
+
 def rref_kernel(entries) -> list:
     """Kernel basis by reduced row echelon form, one vector per free
     column, each divided by its first nonzero entry.  Every pivot it
@@ -184,7 +217,7 @@ def rref_kernel(entries) -> list:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
+        inv = unit_inverse(rows[r][c])
         rows[r] = [x * inv if x else x for x in rows[r]]
         for k in range(s):
             if k != r and rows[k][c]:
@@ -203,7 +236,7 @@ def rref_kernel(entries) -> list:
         v[f] = one
         for k, p in enumerate(pivots):
             v[p] = -rows[k][f]
-        inv = next(x for x in v if x).inverse()
+        inv = unit_inverse(next(x for x in v if x))
         basis.append(tuple(x * inv if x else x for x in v))
     return basis
 
@@ -271,9 +304,10 @@ def novikov_product(relation, a, b) -> tuple:
     return novikov_reduce(relation, raw)
 
 
-def novikov_multiplication_matrix(pres, x):
-    """Multiplication by the element x of pres on the basis g^(rank-1),
-    ..., g, 1: column j is the full product x * g^(rank-1-j)."""
+def novikov_multiplication_matrix(pres, x) -> tuple:
+    """The entries of multiplication by the element x of pres on the
+    basis g^(rank-1), ..., g, 1: column j is the full product
+    x * g^(rank-1-j)."""
     r = pres.rank
     zero, one = Novikov.zero(pres.field), Novikov.one(pres.field)
     cols = []
@@ -281,7 +315,7 @@ def novikov_multiplication_matrix(pres, x):
         g_power = novikov_reduce(pres.relation, [zero] * (r - 1 - j) + [one])
         prod = novikov_product(pres.relation, x.coeffs, g_power)
         cols.append([prod[r - 1 - i] for i in range(r)])
-    return LambdaMatrix(tuple(tuple(cols[j][i] for j in range(r)) for i in range(r)))
+    return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
 
 
 def novikov_grid_r(m: int, n: int, field) -> tuple:

@@ -1,24 +1,32 @@
-"""Constructing graded matrices and presentations: every refusal, and
-each entry or relation coefficient read once, when the object is built."""
+"""Constructing graded matrices and presentations: every refusal, each
+relation coefficient read once, when the object is built, and no Novikov
+scalar read to build a matrix."""
 
 import pytest
 
 from shq.linalg import LambdaMatrix, char_poly, spectrum
 from shq.novikov import F2, GradingContext, Novikov, QQ
 from shq.pipeline import build_r_matrix, compute_sh
-from shq.ring import RingPresentation, is_nilpotent, multiplication_matrix
+from shq.ring import RingElement, RingPresentation, is_nilpotent, multiplication_matrix
 
 zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.t(QQ)
 
 
 def matrix(change=None, unknown=((2, 1, 1),), grading=GradingContext(2)):
     """A valid graded 3x3 matrix with one unknown (N*d = i - j + 1 at
-    N = 2), or the same with entry (i, j) replaced: change = (i, j, x)."""
-    rows = [[zero, one, zero], [t, zero, one], [zero, zero, zero]]
+    N = 2), rows ((0, 1, 0), (t, 0, 1), (0, 0, 0)), or the same with the
+    value at t = 1 of entry (i, j) replaced: change = (i, j, c)."""
+    rows = [{1: 1}, {0: 1, 2: 1}, {}]
     if change is not None:
-        i, j, x = change
-        rows[i][j] = x
-    return LambdaMatrix(rows, grading, frozenset(unknown))
+        i, j, c = change
+        rows[i][j] = c
+    return LambdaMatrix(QQ, grading, rows, unknown)
+
+
+def qh_element(coeffs):
+    """An element of w^2 + t^2 at N = 1."""
+    qh = RingPresentation("omega", (Novikov.t(QQ, 2), zero, one), GradingContext(1))
+    return qh, RingElement(qh, coeffs)
 
 
 def presentation(relation=None, unknown=((0, 2),), generator="omega"):
@@ -29,12 +37,12 @@ def presentation(relation=None, unknown=((0, 2),), generator="omega"):
 
 
 REFUSALS = {
-    "matrix-non-novikov-entry": lambda: matrix((1, 1, 0)),
-    "matrix-mixed-fields": lambda: matrix((1, 1, Novikov.zero(F2))),
-    "matrix-non-square": lambda: LambdaMatrix([[one, zero]] * 3),
-    "matrix-empty": lambda: LambdaMatrix(()),
-    "matrix-non-monomial-entry": lambda: matrix((1, 0, one + t)),
-    "matrix-off-grading-entry": lambda: matrix((0, 0, one)),
+    "matrix-mixed-fields": lambda: matrix(unknown=())
+    * LambdaMatrix(F2, GradingContext(2), [{}] * 3),
+    "matrix-non-square": lambda: matrix((0, 3, 1)),
+    "matrix-empty": lambda: LambdaMatrix(QQ, GradingContext(2), ()),
+    "matrix-non-monomial-entry": lambda: multiplication_matrix(*qh_element((zero, one + t))),
+    "matrix-off-grading-entry": lambda: matrix((0, 0, 1)),
     "matrix-off-grading-unknown": lambda: matrix(unknown=((2, 1, 2),)),
     "matrix-out-of-range-unknown": lambda: matrix(unknown=((2, 3, 1),)),
     "matrix-nonzero-placeholder": lambda: matrix(unknown=((1, 0, 1),)),
@@ -85,10 +93,11 @@ def reads(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(16, 8), (12, 1), (12, 13)])
 def test_a_graded_matrix_is_read_at_construction(reads, m, n):
+    # the rows at t = 1 are checked when the matrix is built, and no
+    # Novikov scalar is read for it
     r = build_r_matrix(m, n)
-    reads.clear()
-    assert LambdaMatrix(r.entries, r.grading) == r
-    assert len(reads) == sum(1 for row in r.entries for x in row if x)
+    assert LambdaMatrix(QQ, r.grading, r.rows) == r
+    assert not reads
     # after construction only the checked coefficients a_k are read
     reads.clear()
     cp = spectrum(r)[0]

@@ -1,7 +1,7 @@
-"""linalg's Hessenberg core against the Novikov-matrix Berkowitz
-recurrence and power walk it replaced: graded matrices read at t = 1,
-and every other shape, or a matrix with no reading at t = 1 (no
-grading, or N = 0 with a nonzero t-power), is refused."""
+"""linalg's Hessenberg core, rank and kernel against the Novikov-matrix
+Berkowitz recurrence, power walk, elimination and rref they replaced:
+every matrix is read at t = 1, and every shape the core does not take,
+every weight other than 1 and every grid that is not graded is refused."""
 
 import random
 from fractions import Fraction
@@ -25,7 +25,9 @@ from shq.pipeline import build_r_matrix, classify_regime
 from shq.ring import RingElement, RingPresentation, change_generator, multiplication_matrix
 
 from oracles import (
+    graded_matrix,
     novikov_berkowitz,
+    novikov_multiplication_matrix,
     novikov_power_chain,
     novikov_rank,
     permutation_charpoly,
@@ -57,17 +59,24 @@ def qh_operator(m, n, field, cp):
 
 
 def assert_matches_oracle(mat):
-    """char_poly, the Cayley-Hamilton check, kernel_dims and rank equal
-    those of the Novikov-matrix walk."""
-    assert mat.at_one is not None
+    """char_poly, the Cayley-Hamilton check, kernel_dims, rank and kernel
+    equal those of the Novikov-matrix walk and rref."""
+    assert mat.weight == 1
     cp, annihilates, dims = spectrum(mat)
     assert cp.a == novikov_berkowitz(mat.entries)
     assert char_poly(mat) == cp
     assert annihilates
     assert novikov_power_chain(mat.entries, cp.a) == (True, dims)
     assert kernel_dims(mat) == dims
-    assert rank(mat) == novikov_rank(mat.entries)
+    assert_rank_and_kernel(mat)
     return cp
+
+
+def assert_rank_and_kernel(mat):
+    """rank and kernel of mat and its square equal the oracles'."""
+    for m in (mat, mat * mat):
+        assert rank(m) == novikov_rank(m.entries)
+        assert kernel(m) == rref_kernel(m.entries)
 
 
 def unreduced_or_zero(entries) -> bool:
@@ -82,22 +91,22 @@ def unreduced_or_zero(entries) -> bool:
 
 def assert_refused(mat):
     """Every characteristic and kernel-dimension entry point raises
-    ValueError; rank stays general."""
+    ValueError; rank and kernel take any shape."""
     for f in (spectrum, char_poly, kernel_dims, stabilization_index, jordan_zero_block_sizes):
         with pytest.raises(ValueError, match="superdiagonal"):
             f(mat)
-    assert rank(mat) == novikov_rank(mat.entries)
+    assert_rank_and_kernel(mat)
 
 
-def assert_unread_refused(mat):
-    """A matrix with no reading at t = 1 is refused by char_poly,
-    spectrum and kernel_dims before its shape is looked at; rank and
-    kernel stay general."""
-    assert mat.at_one is None
+def assert_weight_refused(mat):
+    """A matrix of weight other than 1 is refused by char_poly, spectrum
+    and kernel_dims before its shape is looked at; rank and kernel take
+    any weight."""
+    assert mat.weight != 1
     for f in (spectrum, char_poly, kernel_dims):
-        with pytest.raises(ValueError, match="reads at t = 1"):
+        with pytest.raises(ValueError, match="needs a matrix of weight 1"):
             f(mat)
-    assert rank(mat) == novikov_rank(mat.entries) == mat.size - len(kernel(mat))
+    assert_rank_and_kernel(mat)
 
 
 def check_pair(m, n, field):
@@ -166,7 +175,7 @@ def random_graded(rng, field, s, N, hessenberg=True):
             else:
                 row.append(Novikov.monomial(field, rng.randint(0, 1), k // N if N else 0))
         rows.append(row)
-    return LambdaMatrix(rows, grading=GradingContext(N))
+    return graded_matrix(rows, N)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -216,67 +225,69 @@ def test_corrupted_r_is_refused():
         for (i, j), x in (((0, 5), Novikov.t(field, -1)), ((2, 3), Novikov.zero(field))):
             rows = [list(row) for row in r.entries]
             rows[i][j] = x
-            assert_refused(LambdaMatrix(rows, grading=r.grading))
+            assert_refused(graded_matrix(rows, r.grading.N))
 
 
-# -- matrices with no reading at t = 1 are refused ---------------------------
+# -- grids that are not graded, and other weights, are refused ---------------
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_rational_function_entries_are_refused(field):
-    one, t = Novikov.one(field), Novikov.t(field)
+    # no matrix holds 1 + t: its grid does not read into rows, and the
+    # ring refuses it as a relation coefficient and in an element
+    one, t, t2 = Novikov.one(field), Novikov.t(field), Novikov.t(field, 2)
     zero = Novikov.zero(field)
     f = one + t
-    mat = LambdaMatrix(((zero, -one, zero), (f, zero, -one), (zero, t, f)))
-    assert_unread_refused(mat)
-    with pytest.raises(ValueError):
-        LambdaMatrix(mat.entries, grading=GradingContext(1))
+    with pytest.raises(ValueError, match="not a monomial"):
+        graded_matrix(((zero, -one, zero), (f, zero, -one), (zero, t, f)), 1)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        RingPresentation("omega", (f * t2, zero, one), GradingContext(1))
+    qh = RingPresentation("omega", (t2, zero, one), GradingContext(1))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        multiplication_matrix(qh, RingElement(qh, (zero, f)))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_grading_zero_with_a_t_power_is_refused(field):
-    # N = 0 admits only the superdiagonal, with any t-power, but mat(1)
-    # determines mat only when every t-power is zero
-    zero, t2 = Novikov.zero(field), Novikov.t(field, 2)
+    # N = 0 admits only the superdiagonal, and rows at t = 1 only t^0
+    # there: a grid with t^2 does not read into rows, and the ring
+    # refuses t*g
+    zero, t, t2 = Novikov.zero(field), Novikov.t(field), Novikov.t(field, 2)
     one = Novikov.one(field)
     rows = ((zero, t2, zero), (zero, zero, one), (zero, zero, zero))
-    assert_unread_refused(LambdaMatrix(rows, grading=GradingContext(0)))
-    constant = LambdaMatrix(((zero, one), (zero, zero)), grading=GradingContext(0))
+    with pytest.raises(ValueError, match="does not fit grading N = 0"):
+        graded_matrix(rows, 0)
+    cy = RingPresentation("omega", (zero, zero, zero, one), GradingContext(0))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        multiplication_matrix(cy, RingElement(cy, (zero, t, zero)))
+    constant = graded_matrix(((zero, one), (zero, zero)), 0)
     assert_matches_oracle(constant)
-
-
-def random_ungraded(rng, field, s):
-    """Random matrix without a grading: Laurent entries with t-powers
-    from -1 to 2, a few of them plus a multiple of 1 + t, and half the
-    time a last row that is a multiple of the first, so it is singular."""
-    f = Novikov.one(field) + Novikov.t(field)
-
-    def coefficient():
-        return rng.randint(-2, 2) if field is QQ else 1
-
-    def scalar():
-        x = Novikov.zero(field)
-        if rng.random() < 0.6:
-            x = Novikov.monomial(field, coefficient(), rng.randint(-1, 2))
-            if rng.random() < 0.15:
-                x = x + f * Novikov.constant(field, coefficient())
-        return x
-
-    rows = [[scalar() for _ in range(s)] for _ in range(s)]
-    if rng.random() < 0.5:
-        k = Novikov.monomial(field, 1, rng.randint(-1, 1))
-        rows[-1] = [x * k for x in rows[0]]
-    return LambdaMatrix(rows)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_random_ungraded_matrices(field):
-    # refused whatever their shape, r without its grading among them
+    # random rows with a position off the grading are refused at
+    # construction, r's rows at another grading among them; the rows
+    # that fit make a graded matrix
     rng = random.Random(7 if field is QQ else 8)
+    refused = 0
     for s, count in ((2, 4), (3, 4), (4, 3), (5, 2), (6, 1)):
         for _ in range(count):
-            assert_unread_refused(random_ungraded(rng, field, s))
-    assert_unread_refused(LambdaMatrix(build_r_matrix(6, 3, field).entries))
+            N = rng.choice([-1, 0, 2, 3])
+            rows = [
+                {j: rng.choice([-1, 1, 3]) for j in range(s) if rng.random() < 0.4}
+                for _ in range(s)
+            ]
+            positions = [i - j + 1 for i, row in enumerate(rows) for j in row]
+            if all(k % N == 0 if N else k == 0 for k in positions):
+                assert_rank_and_kernel(LambdaMatrix(field, GradingContext(N), rows))
+                continue
+            with pytest.raises(ValueError, match=f"does not fit grading N = {N}"):
+                LambdaMatrix(field, GradingContext(N), rows)
+            refused += 1
+    assert refused >= 5
+    with pytest.raises(ValueError, match="does not fit grading N = 5"):
+        LambdaMatrix(field, GradingContext(5), build_r_matrix(6, 3, field).rows)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -290,14 +301,13 @@ def test_inhomogeneous_multiplication_matrix_is_refused(field):
     for coeffs in ((one, one, zero, zero), (zero, one + t, zero, zero)):
         with pytest.raises(ValueError, match="not homogeneous"):
             multiplication_matrix(qh, RingElement(qh, coeffs))
-    # 1 and t + g^2 have weights 0 and 2: ungraded matrices, which the
-    # core refuses
-    for x in (qh.one(), qh.element([t, zero, one])):
+    # 1, g^2 and t + g^2 have weights 0, 2 and 2: graded matrices of
+    # those weights, equal to the schoolbook ones, which the core refuses
+    for x, weight in ((qh.one(), 0), (qh.gen_power(2), 2), (qh.element([t, zero, one]), 2)):
         mat = multiplication_matrix(qh, x)
-        assert mat.grading is None
-        assert_unread_refused(mat)
-        with pytest.raises(ValueError):
-            LambdaMatrix(mat.entries, grading=ctx)
+        assert (mat.grading, mat.weight) == (ctx, weight)
+        assert mat.entries == novikov_multiplication_matrix(qh, x)
+        assert_weight_refused(mat)
     graded = multiplication_matrix(qh, qh.gen())
-    assert graded.grading == ctx
+    assert (graded.grading, graded.weight) == (ctx, 1)
     assert_matches_oracle(graded)

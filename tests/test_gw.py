@@ -6,7 +6,7 @@ import pytest
 
 from shq.gw import h1_p1, subdiagonal_entries, subdiagonal_entry, tau, tau_table
 from shq.linalg import LambdaMatrix
-from shq.novikov import F2, QQ, Novikov
+from shq.novikov import F2, QQ
 from shq.pipeline import build_r_matrix, minimal_chern
 
 from oracles import sympy_tau
@@ -210,11 +210,11 @@ def test_entry_position_large_twist():
 
 
 def test_entry_position_bounds_checked():
-    # the grading rejects a t-power where N*d != i - j + 1
+    # the grading rejects an entry or a t-power where N*d != i - j + 1
     r = build_r_matrix(3, 2)
-    grid = [list(row) for row in r.entries]
-    grid[0][0] = Novikov.t(QQ)
-    with pytest.raises(ValueError):
-        LambdaMatrix(grid, grading=r.grading)
-    with pytest.raises(ValueError):
-        LambdaMatrix(r.entries, grading=r.grading, unknown={(0, 3, 1)})
+    rows = [dict(row) for row in r.rows]
+    rows[0][0] = 1
+    with pytest.raises(ValueError, match="does not fit grading N = 2"):
+        LambdaMatrix(QQ, r.grading, rows)
+    with pytest.raises(ValueError, match="grading needs N\\*d = -2"):
+        LambdaMatrix(QQ, r.grading, r.rows, unknown={(0, 3, 1)})

@@ -1,7 +1,7 @@
-"""Matrices over the Novikov field: characteristic polynomial, kernels."""
+"""Graded matrices over the Novikov field: characteristic polynomial,
+rank, kernels and products."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -22,36 +22,22 @@ from shq.linalg import (
 )
 from shq.novikov import F2, GradingContext, Novikov, QQ
 
-from oracles import dense_apply, dense_product, novikov_rank, permutation_charpoly
+from oracles import (
+    dense_apply,
+    dense_product,
+    graded_matrix,
+    novikov_rank,
+    permutation_charpoly,
+    rref_kernel,
+)
 from test_graded import assert_refused, random_graded
 
 
-def mat_q(rows, N=None):
-    """A matrix over Q, graded by N when N is given."""
-    return LambdaMatrix(
-        tuple(
-            tuple(
-                x if isinstance(x, Novikov) else Novikov.constant(QQ, x) for x in r
-            )
-            for r in rows
-        ),
-        grading=None if N is None else GradingContext(N),
-    )
-
-
-def random_matrix(rng, field, s, laurent_only=True):
-    def scalar():
-        if rng.random() < 0.4:
-            return Novikov.zero(field)
-        c = rng.randint(-4, 4) if field is QQ else rng.randint(0, 1)
-        e = rng.randint(0, 2)
-        out = Novikov.monomial(field, c, e) if c else Novikov.zero(field)
-        if not laurent_only and rng.random() < 0.2:
-            out = out + Novikov.one(field)
-        return out
-
-    return LambdaMatrix(
-        tuple(tuple(scalar() for _ in range(s)) for _ in range(s))
+def mat_q(rows, N=1):
+    """A matrix over Q of weight 1 at grading N, from a grid of ints and
+    Novikov monomials."""
+    return graded_matrix(
+        [[x if isinstance(x, Novikov) else Novikov.constant(QQ, x) for x in r] for r in rows], N
     )
 
 
@@ -68,13 +54,13 @@ zero = Novikov.zero(QQ)
 # graded examples at N = 1: the smallest quantum operator (m = n = 1),
 # the companion matrix of (L - 2t)(L - 3t), the shift and t times the
 # identity, whose zero superdiagonal is refused
-QUANTUM = mat_q([[t, -1], [0, 0]], 1)
-COMPANION = mat_q([[5 * t, 1], [-6 * t * t, 0]], 1)
-SHIFT = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 1)
+QUANTUM = mat_q([[t, -1], [0, 0]])
+COMPANION = mat_q([[5 * t, 1], [-6 * t * t, 0]])
+SHIFT = mat_q([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def scalar_identity(s):
-    return mat_q([[t if i == j else 0 for j in range(s)] for i in range(s)], 1)
+    return mat_q([[t if i == j else 0 for j in range(s)] for i in range(s)])
 
 
 # -- characteristic polynomial -------------------------------------------
@@ -93,7 +79,7 @@ def test_char_poly_identity():
 
 
 def test_char_poly_diagonal():
-    assert_refused(mat_q([[2 * t, 0], [0, 3 * t]], 1))
+    assert_refused(mat_q([[2 * t, 0], [0, 3 * t]]))
     # (L-2t)(L-3t) = L^2 - 5t L + 6t^2 from its companion form
     assert char_poly(COMPANION).a == (-5 * t, 6 * t * t)
 
@@ -123,10 +109,7 @@ def test_cayley_hamilton_random(field):
 
 def test_char_poly_gf2():
     tf = Novikov.t(F2)
-    m = LambdaMatrix(
-        ((tf, Novikov.one(F2)), (Novikov.zero(F2), Novikov.zero(F2))),
-        grading=GradingContext(1),
-    )
+    m = LambdaMatrix(F2, GradingContext(1), [{0: 1, 1: 1}, {}])
     cp = char_poly(m)
     assert cp.a == (tf, Novikov.zero(F2))
 
@@ -144,7 +127,7 @@ def test_rank_and_kernel():
 
 
 def test_kernel_of_invertible_is_empty():
-    assert kernel(mat_q([[1, 2], [3, 4]])) == []
+    assert kernel(mat_q([[2 * t, 1], [3 * t * t, 4 * t]])) == []
     assert stabilized_kernel(COMPANION) == []
     with pytest.raises(ValueError, match="superdiagonal"):
         stabilized_kernel(scalar_identity(4))
@@ -153,34 +136,18 @@ def test_kernel_of_invertible_is_empty():
 def test_kernel_rank_dimension_count():
     rng = random.Random(23)
     for _ in range(40):
-        m = random_matrix(rng, QQ, 4, laurent_only=False)
+        m = random_graded(rng, QQ, 4, rng.choice([-1, 1, 2]), hessenberg=False)
         assert rank(m) + len(kernel(m)) == 4
         for v in kernel(m):
             assert not any(dense_apply(m.entries, v))
 
 
-def test_rank_with_rational_function_entries():
-    f = one + t
-    m = LambdaMatrix(((f, f), (f, f)))
-    assert rank(m) == 1
-
-
-def test_kernel_keeps_a_non_unit_common_factor():
-    # an ungraded kernel vector is divided only by a unit, so it keeps
-    # the common factor 1 + t: it is -(1 + t) times (1, -1)
-    f = one + t
-    m = LambdaMatrix(((f, f), (zero, zero)))
-    (v,) = kernel(m)
-    assert v == tuple(-f * x for x in (one, -one)) == (-one - t, one + t)
-    assert dense_apply(m.entries, v) == (zero, zero)
-
-
 # -- zero-skipping products against the dense loops ------------------------
 
 
-def sparse_matrices(field, seed, count=30, s=5):
+def sparse_matrices(field, seed, N, count=30, s=5):
     rng = random.Random(seed)
-    mats = [random_matrix(rng, field, s, laurent_only=False) for _ in range(count)]
+    mats = [random_graded(rng, field, s, N, hessenberg=False) for _ in range(count)]
     entries = [x for m in mats for row in m.entries for x in row]
     assert sum(1 for x in entries if not x) >= 0.4 * len(entries)
     return mats
@@ -188,74 +155,76 @@ def sparse_matrices(field, seed, count=30, s=5):
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_products_match_dense_loops(field):
-    # 1 + t brings in entries that are not monomials
-    f = Novikov.one(field) + Novikov.t(field)
-    mats = sparse_matrices(field, 53)
-    for a, b in zip(mats, mats[1:]):
-        b_f = LambdaMatrix(tuple(tuple(x * f for x in row) for row in b.entries))
-        for rhs in (b, b_f):
-            assert (a * rhs).entries == dense_product(a.entries, rhs.entries)
+    # weights add: b * b has weight 2, the identity weight 0
+    for N in (-2, 2, 3):
+        mats = sparse_matrices(field, 53 + N, N)
+        ident = LambdaMatrix.identity(field, GradingContext(N), 5)
+        for a, b in zip(mats, mats[1:]):
+            for rhs in (b, b * b, ident):
+                product = a * rhs
+                assert product.weight == a.weight + rhs.weight
+                assert product.entries == dense_product(a.entries, rhs.entries)
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_rank_nullity_on_sparse_matrices(field):
-    s = 5
+    s, N = 5, 2
     z = Novikov.zero(field)
-    for k, m in enumerate(sparse_matrices(field, 59, s=s)):
+    for k, m in enumerate(sparse_matrices(field, 59, N, s=s)):
         rows = [list(r) for r in m.entries]
         if k % 3 == 1:
             rows[k % s] = [z] * s
         elif k % 3 == 2:
             for row in rows:
                 row[k % s] = z
-        m = LambdaMatrix(rows)
+        m = graded_matrix(rows, N)
         assert rank(m) + len(kernel(m)) == s
         for v in kernel(m):
             assert not any(dense_apply(m.entries, v))
 
 
-def laurent_kernel_matrix(rng, field, s):
-    """Random ungraded s x s matrix of Laurent entries, most of them not
-    units (1 + t, t^-1 - 2t, ...), whose last d rows (d = 0, 1 or 2) are
-    combinations of the first rows with Laurent multipliers that are not
-    units either, so its kernel has dimension d or more."""
+def dependent_graded(rng, field, s):
+    """Random s x s matrix of weight 1 at a grading N from -2 to 3,
+    whose entries are Laurent monomials c*t^d, and whose last d rows
+    (d = 0, 1 or 2) are combinations at t = 1 of earlier rows of the
+    same residue mod N, so its kernel has dimension d or more."""
+    N = rng.choice([-2, -1, 1, 2, 3])
+
     def coefficient():
         return rng.choice([-2, -1, 1, 3]) if field is QQ else 1
 
-    def scalar(terms):
-        x = Novikov.zero(field)
-        for _ in range(terms):
-            x = x + Novikov.monomial(field, coefficient(), rng.randint(-1, 2))
-        return x
-
     d = rng.randint(0, min(2, s - 1))
-    rows = [[scalar(rng.randint(0, 2)) for _ in range(s)] for _ in range(s - d)]
-    for _ in range(d):
-        combo = [Novikov.zero(field)] * s
-        for row in rows[: s - d]:
-            k = scalar(2)
-            combo = [x + k * y for x, y in zip(combo, row)]
+    rows = [
+        {j: coefficient() for j in range(s) if (i - j + 1) % N == 0 and rng.random() < 0.6}
+        for i in range(s - d)
+    ]
+    for k in range(s - d, s):
+        combo = {}
+        for i, row in enumerate(rows[: s - d]):
+            if (k - i) % N == 0:
+                c = coefficient()
+                for j, x in row.items():
+                    combo[j] = combo.get(j, 0) + c * x
         rows.append(combo)
-    return LambdaMatrix(rows)
+    return LambdaMatrix(field, GradingContext(N), rows)
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_kernel_of_laurent_matrices_against_the_dense_rank(field):
     rng = random.Random(61 if field is QQ else 62)
-    seen_non_units = 0
+    seen_negative = 0
     for s in range(1, 7):
         for _ in range(8):
-            m = laurent_kernel_matrix(rng, field, s)
+            m = dependent_graded(rng, field, s)
             basis = kernel(m)
-            assert len(basis) == s - novikov_rank(m.entries)
+            assert basis == rref_kernel(m.entries)
+            assert len(basis) == s - novikov_rank(m.entries) == s - rank(m)
             for v in basis:
                 assert not any(dense_apply(m.entries, v))
             if basis:
                 assert novikov_rank(basis) == len(basis)
-            seen_non_units += any(
-                len(x.num) > 1 for v in basis for x in v
-            )
-    assert seen_non_units >= 5
+            seen_negative += any(min(x.num) < 0 for v in basis for x in v if x)
+    assert seen_negative >= 5
 
 
 # -- nilpotent structure ---------------------------------------------------
@@ -277,18 +246,18 @@ def test_stabilized_kernel_example():
 def test_dim_kernel_powers_nondecreasing():
     rng = random.Random(31)
     for _ in range(20):
-        m = random_matrix(rng, QQ, 4)
+        m = random_graded(rng, QQ, 4, rng.choice([-1, 1, 2]), hessenberg=False)
         dims = [4 - rank(m ** k) for k in range(5)]
         assert all(a <= b for a, b in zip(dims, dims[1:]))
 
 
 def test_jordan_zero_blocks():
     assert jordan_zero_block_sizes(SHIFT) == [3]
-    z3 = mat_q([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 1)
+    z3 = mat_q([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert jordan_zero_block_sizes(z3) == [1, 1, 1]
     assert jordan_zero_block_sizes(COMPANION) == []
     # blocks [2, 1] and t times the identity: no unreduced Hessenberg form
-    mixed = mat_q([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 1)
+    mixed = mat_q([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     for m in (mixed, scalar_identity(3)):
         with pytest.raises(ValueError, match="superdiagonal"):
             jordan_zero_block_sizes(m)
@@ -365,11 +334,7 @@ def test_stable_relation_drops_exact_lambda_power():
 
 
 def test_unknown_positions_block_computation():
-    m = LambdaMatrix(
-        ((zero, -one), (zero, zero)),
-        grading=GradingContext(1),
-        unknown=frozenset({(1, 0, 2)}),
-    )
+    m = LambdaMatrix(QQ, GradingContext(1), [{1: -1}, {}], unknown={(1, 0, 2)})
     assert not m.is_complete
     with pytest.raises(IncompleteMatrixError):
         char_poly(m)
@@ -380,39 +345,62 @@ def test_unknown_positions_block_computation():
 
 
 def test_unknown_positions_validated():
-    with pytest.raises(ValueError):
-        LambdaMatrix(((one, zero), (zero, zero)), unknown={(0, 0, 1)})
-    with pytest.raises(ValueError):
-        LambdaMatrix(((zero, zero), (zero, zero)), unknown={(5, 0, 1)})
+    g = GradingContext(1)
+    with pytest.raises(ValueError, match="zero placeholder"):
+        LambdaMatrix(QQ, g, [{0: 1}, {}], unknown={(0, 0, 1)})
+    with pytest.raises(ValueError, match="out of range"):
+        LambdaMatrix(QQ, g, [{}, {}], unknown={(5, 0, 1)})
+    with pytest.raises(ValueError, match="N\\*d = 2"):
+        LambdaMatrix(QQ, g, [{}, {}], unknown={(1, 0, 1)})
 
 
 def test_homogeneity_enforced():
-    # N = 2: entry (1, 0) has i - j + 1 = 2, so t^1 fits but t^2 does not
-    LambdaMatrix(((zero, -one), (t, zero)), grading=GradingContext(2))
-    with pytest.raises(ValueError):
-        LambdaMatrix(
-            ((zero, -one), (Novikov.t(QQ, 2), zero)), grading=GradingContext(2)
-        )
-    with pytest.raises(ValueError):
-        LambdaMatrix(((one + t, zero), (zero, zero)), grading=GradingContext(2))
+    # N = 2: entry (1, 0) has i - j + 1 = 2, so it fits (as t), and
+    # entry (0, 0) has i - j + 1 = 1, which fits no t-power; at weight 2
+    # it fits (as t) and (1, 0) does not
+    g = GradingContext(2)
+    LambdaMatrix(QQ, g, [{1: -1}, {0: 1}])
+    with pytest.raises(ValueError, match="does not fit grading N = 2 at weight 1"):
+        LambdaMatrix(QQ, g, [{0: 1}, {}])
+    assert LambdaMatrix(QQ, g, [{0: 1}, {}], weight=2).entries[0][0] == t
+    with pytest.raises(ValueError, match="at weight 2"):
+        LambdaMatrix(QQ, g, [{}, {0: 1}], weight=2)
 
 
-def test_matrix_equality_ignores_labels():
-    # the grading only validates; r and its multiplication-matrix
-    # cross-check carry different grading objects and still compare
-    a = LambdaMatrix(((t, -one), (zero, zero)), grading=GradingContext(1))
-    b = LambdaMatrix(((t, -one), (zero, zero)))
-    assert a == b and hash(a) == hash(b)
+def test_matrix_equality_sees_grading_and_weight():
+    # the same rows are a different matrix at another weight, grading or
+    # field: at N = 1 the identity (weight 0) is not t times it (weight 1)
+    g1 = GradingContext(1)
+    ident = LambdaMatrix.identity(QQ, g1, 2)
+    t_ident = LambdaMatrix(QQ, g1, [{0: 1}, {1: 1}])
+    assert ident.rows == t_ident.rows
+    assert ident.entries == ((one, zero), (zero, one))
+    assert t_ident.entries == ((t, zero), (zero, t))
+    assert ident != t_ident and hash(ident) != hash(t_ident)
+    shift = [{1: -1}, {}]
+    for other in (
+        LambdaMatrix(QQ, GradingContext(2), shift),
+        LambdaMatrix(F2, g1, shift),
+        LambdaMatrix(QQ, g1, shift, unknown={(1, 0, 2)}),
+    ):
+        assert LambdaMatrix(QQ, g1, shift) != other
+    # equal data, separately built: equal and equally hashed
+    a, b = QUANTUM, mat_q([[t, -1], [0, 0]])
+    assert a is not b and a == b and hash(a) == hash(b)
 
 
 def test_rejects_mixed_fields_and_nonsquare():
-    with pytest.raises(ValueError):
-        LambdaMatrix(((Novikov.one(QQ), Novikov.one(F2)), (zero, zero)))
-    with pytest.raises(ValueError):
-        LambdaMatrix(((one, zero),))
-
-
-def test_rejects_entries_that_are_not_novikov_scalars():
-    for rows in ([[1]], [[Fraction(1), zero], [zero, zero]], [[one, 2], [zero, zero]]):
-        with pytest.raises(ValueError, match="all entries must share one coefficient field"):
-            LambdaMatrix(rows)
+    g1 = GradingContext(1)
+    q = LambdaMatrix(QQ, g1, [{1: 1}, {}])
+    # a product across fields or gradings, or of two sizes, is refused
+    for other in (
+        LambdaMatrix(F2, g1, [{1: 1}, {}]),
+        LambdaMatrix(QQ, GradingContext(2), [{1: 1}, {}]),
+        LambdaMatrix(QQ, g1, [{}, {}, {}]),
+    ):
+        with pytest.raises(ValueError, match="one field, one grading and one size"):
+            q * other
+    with pytest.raises(ValueError, match="does not fit"):
+        LambdaMatrix(QQ, g1, [{1: 1, 2: 1}, {}])
+    with pytest.raises(ValueError, match="nonempty"):
+        LambdaMatrix(QQ, g1, [])

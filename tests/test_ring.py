@@ -22,6 +22,7 @@ from oracles import (
     novikov_multiplication_matrix,
     novikov_product,
     novikov_reduce,
+    unit_inverse,
 )
 from test_graded import complete_pairs
 
@@ -132,7 +133,7 @@ def test_multiplication_matrix_smallest_case():
 
 def test_multiplication_by_one_is_identity():
     qh = qh_52()
-    assert multiplication_matrix(qh, qh.one()) == LambdaMatrix.identity(QQ, 6)
+    assert multiplication_matrix(qh, qh.one()) == LambdaMatrix.identity(QQ, qh.grading, 6)
 
 
 def test_multiplication_matrix_is_ring_homomorphism():
@@ -141,7 +142,10 @@ def test_multiplication_matrix_is_ring_homomorphism():
     for _ in range(10):
         a, b = (qh.element(homogeneous(rng, qh, rng.randint(0, 9))) for _ in range(2))
         ma, mb = multiplication_matrix(qh, a), multiplication_matrix(qh, b)
-        assert multiplication_matrix(qh, a * b) == ma * mb
+        # weights add; a zero element has weight 0, so a zero product
+        # matches in its entries only
+        mab = multiplication_matrix(qh, a * b)
+        assert mab == ma * mb if a * b else mab.entries == (ma * mb).entries
 
 
 def test_char_poly_of_generator_recovers_relation():
@@ -175,7 +179,7 @@ def test_change_generator_matches_novikov_powers(field):
         rel = [Novikov.monomial(field, rng.randint(-3, 3), 6 - k) for k in range(6)]
         pres = RingPresentation("c", tuple(rel) + (Novikov.one(field),), GradingContext(1))
         s = Novikov.constant(field, -n)
-        expected = tuple(c * s ** (k - 6) for k, c in enumerate(pres.relation))
+        expected = tuple(c * unit_inverse(s) ** (6 - k) for k, c in enumerate(pres.relation))
         assert change_generator(pres, n).relation == expected
 
 
@@ -294,26 +298,13 @@ def test_is_nilpotent_checks_the_presentation():
 # -- the t = 1 core against the schoolbook Novikov oracles -----------------
 
 
-def _outcome(fn, *args):
-    """fn(*args), or ValueError when it raises one."""
-    try:
-        return fn(*args)
-    except ValueError:
-        return ValueError
-
-
-def assert_matches_ring_oracles(pres, x):
+def assert_matches_ring_oracles(pres, x, weight):
     """multiplication_matrix and is_nilpotent agree with the schoolbook
-    Novikov oracles, and the matrix carries the grading of pres exactly
-    when x is nonzero and the oracle's matrix reads at t = 1 in it."""
+    Novikov oracles, and the matrix carries the grading of pres and the
+    weight of x; a zero element has weight 0."""
     got = multiplication_matrix(pres, x)
-    expected = novikov_multiplication_matrix(pres, x)
-    assert got == expected
-    readable = False
-    if x:
-        graded = _outcome(LambdaMatrix, expected.entries, pres.grading)
-        readable = graded is not ValueError and graded.at_one is not None
-    assert got.grading == (pres.grading if readable else None)
+    assert got.entries == novikov_multiplication_matrix(pres, x)
+    assert (got.grading, got.weight) == (pres.grading, weight if x else 0)
     assert is_nilpotent(pres, x) is novikov_is_nilpotent(pres, x)
 
 
@@ -325,8 +316,8 @@ def test_qh_presentations_match_the_oracles_up_to_12(field):
             if pres is None:
                 continue
             c1 = pres.gen() if c1 is None else c1
-            for x in (c1, pres.gen(), pres.one()):
-                assert_matches_ring_oracles(pres, x)
+            for x, weight in ((c1, 1), (pres.gen(), 1), (pres.one(), 0)):
+                assert_matches_ring_oracles(pres, x, weight)
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
@@ -342,11 +333,10 @@ def test_random_graded_presentations_match_the_oracles(field, N):
                 rel[k] = Novikov.monomial(field, rng.randint(1, 3), (deg - k) // N)
         pres = RingPresentation("omega", tuple(rel), GradingContext(N))
         for _ in range(6):
-            x, y = (
-                RingElement(pres, tuple(homogeneous(rng, pres, rng.randint(0, deg))))
-                for _ in range(2)
-            )
-            assert_matches_ring_oracles(pres, x)
+            weight = rng.randint(0, deg)
+            x = RingElement(pres, tuple(homogeneous(rng, pres, weight)))
+            y = RingElement(pres, tuple(homogeneous(rng, pres, rng.randint(0, deg))))
+            assert_matches_ring_oracles(pres, x, weight)
             assert (x * y).coeffs == novikov_product(pres.relation, x.coeffs, y.coeffs)
             raw = homogeneous(rng, pres, rng.randint(0, 3 * deg), 3 * deg)
             assert pres.element(raw).coeffs == novikov_reduce(pres.relation, raw)
@@ -354,23 +344,22 @@ def test_random_graded_presentations_match_the_oracles(field, N):
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_multiplication_matrix_derives_its_grading(field):
-    # the grading of pres exactly for an x of weight 1
+    # the grading of pres and the weight of x
     zero_f, one_f = Novikov.zero(field), Novikov.one(field)
     qh = compute_sh(5, 3, field, trials=1).qh  # w^6 + 27t*w^3, N = 3
     cy = RingPresentation("omega", (zero_f, zero_f, zero_f, one_f), GradingContext(0))
     cases = [
-        (qh, qh.gen() * -3, qh.grading),
-        (qh, qh.gen(), qh.grading),
-        (cy, cy.gen(), cy.grading),
-        (qh, qh.one(), None),
-        (qh, qh.gen_power(2), None),
-        (cy, cy.zero(), None),
+        (qh, qh.gen() * -3, 1),
+        (qh, qh.gen(), 1),
+        (cy, cy.gen(), 1),
+        (qh, qh.one(), 0),
+        (qh, qh.gen_power(2), 2),
+        (cy, cy.zero(), 0),
     ]
-    for pres, x, grading in cases:
+    for pres, x, weight in cases:
         mat = multiplication_matrix(pres, x)
-        assert mat.grading == grading
-        assert (mat.at_one is not None) == (grading is not None)
-        assert mat == novikov_multiplication_matrix(pres, x)
+        assert (mat.grading, mat.weight) == (pres.grading, weight)
+        assert mat.entries == novikov_multiplication_matrix(pres, x)
 
 
 def assert_not_read(pres, x):

@@ -1,16 +1,17 @@
-"""Graded matrices are stored as their rows at t = 1.
+"""Matrices are stored as their rows at t = 1, with a grading and a weight.
 
 r and the multiplication-matrix cross-check are written as ground rows;
 these tests hold them to the Novikov grids built entry by entry, in
-entries, rendering, equality and hash, and check that building and using
-r at m = 400 no longer allocates an s^2 grid.
+entries, rendering, equality and hash, and check that building, using and
+printing r at large m allocates no s^2 grid of Novikov scalars.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from oracles import novikov_grid_r, novikov_multiplication_matrix
+from oracles import graded_matrix, novikov_grid_r, novikov_multiplication_matrix
 from shq.linalg import LambdaMatrix
 from shq.novikov import F2, QQ, GradingContext, Novikov
 from shq.pipeline import UnsupportedRegimeError, build_r_matrix, compute_sh
@@ -30,14 +31,13 @@ def grid_strings(entries, unknown) -> list:
 
 def assert_same_matrix(mat, entries, unknown=frozenset()):
     """mat has the given Novikov entries and unknowns, renders them the
-    same way, and equals and hashes like the grid read with and without
-    its grading."""
+    same way, and equals and hashes like the grid read into rows."""
     assert mat.entries == entries
     assert mat.unknown == unknown
     assert mat.to_strings() == grid_strings(entries, unknown)
-    for other in (LambdaMatrix(entries, mat.grading, unknown), LambdaMatrix(entries, None, unknown)):
-        assert mat == other and other == mat
-        assert hash(mat) == hash(other)
+    other = graded_matrix(entries, mat.grading.N, unknown, mat.weight)
+    assert mat == other and other == mat
+    assert hash(mat) == hash(other)
 
 
 def golden_pairs():
@@ -55,13 +55,13 @@ def test_row_built_r_and_mm_match_the_novikov_grids(field):
         entries, unknown = novikov_grid_r(m, n, field)
         assert_same_matrix(r, entries, unknown)
         # a fresh r, so no entry view is cached on either side of ==
-        assert build_r_matrix(m, n, field) == LambdaMatrix(entries, r.grading, unknown)
+        assert build_r_matrix(m, n, field) == graded_matrix(entries, r.grading.N, unknown)
         res = compute_sh(m, n, field, trials=1)
         if r.is_complete and field.of(-n):
             c1 = res.qh.gen() * Novikov.constant(field, -n)
             mm = multiplication_matrix(res.qh, c1)
             assert mm.grading == r.grading
-            assert_same_matrix(mm, novikov_multiplication_matrix(res.qh, c1).entries)
+            assert_same_matrix(mm, novikov_multiplication_matrix(res.qh, c1))
             seen += 1
     assert seen >= 50
 
@@ -76,42 +76,44 @@ def test_refused_band_has_no_matrix():
 zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.t(QQ)
 
 
-def test_graded_and_ungraded_with_equal_entries_are_equal():
-    entries = ((t, -one), (zero, zero))
-    graded = LambdaMatrix(entries, GradingContext(1))
-    ungraded = LambdaMatrix(entries)
-    assert graded.at_one is not None and ungraded.at_one is None
-    assert graded == ungraded and ungraded == graded
-    assert hash(graded) == hash(ungraded)
-    assert graded != LambdaMatrix(((t, -one), (zero, one)))
-
-
-def test_gradings_that_differ_only_in_n_compare_by_entries():
-    # superdiagonal constants fit every N: equal rows, equal entries
-    shift = ((zero, -one), (zero, zero))
-    a, b = LambdaMatrix(shift, GradingContext(1)), LambdaMatrix(shift, GradingContext(2))
-    assert a.at_one[2] == b.at_one[2]
-    assert a == b and hash(a) == hash(b)
+def test_gradings_that_differ_only_in_n_are_unequal():
+    # superdiagonal constants fit every N: equal rows, equal entries, but
+    # the grading is part of the matrix
+    shift = [{1: -1}, {}]
+    a, b = LambdaMatrix(QQ, GradingContext(1), shift), LambdaMatrix(QQ, GradingContext(2), shift)
+    assert a.rows == b.rows and a.entries == b.entries
+    assert a != b and b != a
     # equal rows at t = 1 but t^2 at N = 1 against t at N = 2
-    c = LambdaMatrix(((zero, -one), (Novikov.t(QQ, 2), zero)), GradingContext(1))
-    d = LambdaMatrix(((zero, -one), (t, zero)), GradingContext(2))
-    assert c.at_one[2] == d.at_one[2]
+    c = LambdaMatrix(QQ, GradingContext(1), [{1: -1}, {0: 1}])
+    d = LambdaMatrix(QQ, GradingContext(2), [{1: -1}, {0: 1}])
+    assert c.entries[1][0] == Novikov.t(QQ, 2) and d.entries[1][0] == t
     assert c != d and d != c
     # the same rows over another field differ too
-    q = LambdaMatrix(((zero, one), (zero, zero)), GradingContext(1))
-    f2 = LambdaMatrix(((Novikov.zero(F2), Novikov.one(F2)), (Novikov.zero(F2),) * 2), GradingContext(1))
-    assert q.at_one[2] == f2.at_one[2]
+    q = LambdaMatrix(QQ, GradingContext(1), [{1: 1}, {}])
+    f2 = LambdaMatrix(F2, GradingContext(1), [{1: 1}, {}])
+    assert q.rows == f2.rows
     assert q != f2
 
 
-def test_from_rows_reduces_and_checks_the_grading():
-    mat = LambdaMatrix.from_rows(F2, GradingContext(1), [{0: 4, 1: -3}, {}])
-    assert mat.at_one == (1, 2, ({1: 1}, {}))
+def test_the_constructor_reduces_and_checks_the_grading():
+    mat = LambdaMatrix(F2, GradingContext(1), [{0: 4, 1: -3}, {}])
+    assert mat.rows == ({1: 1}, {})
     assert mat.to_strings() == [["0", "1"], ["0", "0"]]
+    assert LambdaMatrix(QQ, GradingContext(1), [{1: Fraction(4, 2)}, {}]).rows == ({1: 2}, {})
     with pytest.raises(ValueError, match="does not fit grading N = 2"):
-        LambdaMatrix.from_rows(QQ, GradingContext(2), [{0: 1}, {}])
+        LambdaMatrix(QQ, GradingContext(2), [{0: 1}, {}])
     with pytest.raises(ValueError, match="zero placeholder"):
-        LambdaMatrix.from_rows(QQ, GradingContext(1), [{0: 1}, {}], {(0, 0, 1)})
+        LambdaMatrix(QQ, GradingContext(1), [{0: 1}, {}], {(0, 0, 1)})
+
+
+def test_repr_builds_no_novikov_grid():
+    # (8, 6): N = 3, the d = 2 corrections unknown
+    r = build_r_matrix(8, 6)
+    text = repr(r)
+    assert text.startswith("LambdaMatrix[0, -6, 0, 0, 0, 0, 0, 0, 0; 0, 0, -6,")
+    assert "?*t^2" in text
+    assert r._entries is None
+    assert repr(LambdaMatrix(QQ, GradingContext(1), [{0: 1}, {}])) == "LambdaMatrix[t, 0; 0, 0]"
 
 
 # -- memory --------------------------------------------------------------------

@@ -11,10 +11,16 @@ library surface that no run of the product uses.
 
 Every top-level private function or class must be referenced from
 ``src/shq`` itself, so a helper left behind when its callers go fails.
+
+And every name ``perfbench/tracing.py`` wraps must exist: the tracer
+installs in a fresh interpreter.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,3 +152,17 @@ def test_the_scan_sees_each_kind_of_reference():
     assert dead_private_names(sources) == ["_private"]
     sources["b"] = ast.parse("from .a import _private\n")
     assert dead_private_names(sources) == []
+
+
+def test_the_tracer_installs():
+    # install() rebinds package functions in place, so it runs in a
+    # subprocess; a missing name it wraps raises AttributeError there
+    code = "import shq.cli, tracing; tracing.Tracer().install()"
+    path = os.pathsep.join([str(ROOT / "src"), str(TRACING.parent)])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
