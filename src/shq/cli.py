@@ -30,6 +30,7 @@ from .pipeline import (
     minimal_chern,
     result_to_dict,
     result_to_text,
+    unlimited_int_digits,
 )
 
 
@@ -193,20 +194,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # print exact integers in full; the arguments are parsed by now
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 before Python 3.10.7
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        with unlimited_int_digits():
+            return _COMMANDS[args.command](args)
     except UnsupportedRegimeError as e:
         print(f"shq: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"shq: invalid arguments: {e}", file=sys.stderr)
         return 3
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -133,7 +133,9 @@ class LambdaMatrix:
         return cls(field, grading, [{i: 1} for i in range(s)], weight=0)
 
     def _key(self):
-        return (self.field, self.grading, self.weight, self.rows, self.unknown)
+        # an all-zero matrix has the same entries at every weight
+        weight = self.weight if self.unknown or any(self.rows) else None
+        return (self.field, self.grading, weight, self.rows, self.unknown)
 
     def __eq__(self, other):
         if not isinstance(other, LambdaMatrix):
@@ -141,8 +143,8 @@ class LambdaMatrix:
         return self._key() == other._key()
 
     def __hash__(self):
-        rows = tuple(frozenset(row.items()) for row in self.rows)
-        return hash((self.field, self.grading, self.weight, rows, self.unknown))
+        field, grading, weight, rows, unknown = self._key()
+        return hash((field, grading, weight, tuple(frozenset(r.items()) for r in rows), unknown))
 
     def __repr__(self):
         rows = "; ".join(", ".join(r) for r in self.to_strings())

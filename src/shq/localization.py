@@ -33,6 +33,11 @@ each offset's move products are the previous offset's times or over one
 factor each.  The pair sum is one integer numerator over lcm(D) * lcm(E),
 and each entry costs one exact Fraction division: O(n^3) per weight
 vector for all n entries.
+
+Given a prime p, the same sum is taken modulo p: each offset reduces its
+move products, forms their cofactors by prefix and suffix products and
+takes one inverse, of the total.  A check against known entries needs
+no more, and it avoids the big-integer products of the exact sum.
 """
 
 from __future__ import annotations
@@ -72,6 +77,42 @@ def sample_weights(m: int, seed: int = 0) -> WeightVector:
     return WeightVector(tuple(random.Random(seed).sample(range(-top, top + 1), m + 1)))
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(k: int) -> bool:
+    """Trial division by the first twelve primes, then strong-probable-prime
+    rounds to those bases: exact for every k < 3.1 * 10^23 (Sorenson and
+    Webster 2015), so for every 61-bit k."""
+    if k < 2:
+        return False
+    if any(k % b == 0 for b in _BASES):
+        return k in _BASES
+    d, s = k - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _BASES:
+        x = pow(b, d, k)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == k - 1:
+                break
+            x = x * x % k
+        else:
+            return False
+    return True
+
+
+def sample_prime(seed: int = 0) -> int:
+    """A prime in [2^60, 2^61), deterministic in the seed."""
+    rng = random.Random(seed)
+    while True:
+        k = rng.randrange(1 << 60, 1 << 61) | 1
+        if is_prime(k):
+            return k
+
+
 def _check(m: int, n: int, weights: WeightVector) -> None:
     if not 1 <= n <= m:
         raise ValueError(f"fixed-point count needs 1 <= n <= m, got n={n}, m={m}")
@@ -92,12 +133,27 @@ def _integral(weights: WeightVector) -> list:
     return [int(x * scale) for x in weights]
 
 
-def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int) -> list:
+def _cofactors(xs: list, p: int) -> tuple:
+    """prod(xs) mod p and, for each k, the product of the others mod p."""
+    xs = [x % p for x in xs]
+    pre = [1]
+    for x in xs:
+        pre.append(pre[-1] * x % p)
+    cof, suf = [], 1
+    for k in range(len(xs) - 1, -1, -1):
+        cof.append(pre[k] * suf % p)
+        suf = suf * xs[k] % p
+    return pre[-1], cof[::-1]
+
+
+def _pair_sums(
+    m: int, n: int, weights: WeightVector, offsets: range, scale: int, p: int = 0
+) -> list:
     """scale * sum_{i, j} S(i, j) / (D_i * E_j) for each offset a, with
     i in 0..a and j in N+a..m.  From one offset to the next the i-plane
     gains the point a and the j-plane loses N+a-1.  Per offset the
     numerator is summed in integers over lcm(D) * lcm(E), then divided
-    once."""
+    once; or, given a prime p, summed mod p over prod(D) * prod(E)."""
     al = _integral(weights)
     N = m + 1 - n
     first = offsets[0]
@@ -105,6 +161,8 @@ def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int
     serre = [
         _serre_row(n, x, al[N + max(i, first) :]) for i, x in enumerate(al[: offsets[-1] + 1])
     ]
+    if p:
+        serre = [[s % p for s in row] for row in serre]
     iset, jset = al[: first + 1], al[N + first :]
     ds = [math.prod(x - y for y in iset if y != x) for x in iset]
     es = [math.prod(x - y for y in jset if y != x) for x in jset]
@@ -115,6 +173,16 @@ def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int
             ds = [d * (x - new) for d, x in zip(ds, al)]
             ds.append(math.prod(new - x for x in al[:a]))
             es = [e // (y - old) for e, y in zip(es[1:], al[N + a :])]
+        if p:
+            (d_tot, dcof), (e_tot, ecof) = _cofactors(ds, p), _cofactors(es, p)
+            if not d_tot * e_tot % p:
+                raise ValueError(f"the prime {p} divides a move product")
+            num = sum(
+                c * sum(map(operator.mul, row[a - max(i, first) :], ecof))
+                for i, (c, row) in enumerate(zip(dcof, serre))
+            )
+            out.append(scale * num * pow(d_tot * e_tot, -1, p) % p)
+            continue
         d_tot, e_tot = math.lcm(*ds), math.lcm(*es)
         cofactors = [e_tot // e for e in es]
         num = sum(
@@ -141,8 +209,10 @@ def localize_entry(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
     return -n * fixed_point_integral(m, n, a, weights)
 
 
-def localize_row(m: int, n: int, weights: WeightVector) -> tuple[Fraction, ...]:
+def localize_row(m: int, n: int, weights: WeightVector, p: int = 0) -> tuple:
     """localize_entry for every offset a = 0, ..., n-1 at once, from one
-    Serre table: the n degree-one entries n^2 * tau(a, n)."""
+    Serre table: the n degree-one entries n^2 * tau(a, n).  Given a prime
+    p, the entries as residues mod p; ValueError if p divides a move
+    product, where the residues would say nothing."""
     _check(m, n, weights)
-    return tuple(_pair_sums(m, n, weights, range(n), n * n))
+    return tuple(_pair_sums(m, n, weights, range(n), n * n, p))

@@ -11,8 +11,10 @@ from shq.localization import (
     WeightVector,
     _serre_row,
     fixed_point_integral,
+    is_prime,
     localize_entry,
     localize_row,
+    sample_prime,
     sample_weights,
 )
 
@@ -220,3 +222,52 @@ def test_localize_row_at_the_largest_benchmark_case():
     for s in (0, 1):
         row = localize_row(32, 32, sample_weights(32, s))
         assert row == tuple(subdiagonal_entry(32, 32, a) for a in range(32))
+
+
+# -- the row modulo a prime -------------------------------------------------
+
+
+def test_residue_row_is_the_exact_row_mod_p():
+    primes = (2**61 - 1, sample_prime(0), sample_prime(5))
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            w = sample_weights(m, m + n)
+            unit = WeightVector(tuple(Fraction(1, k + 2) for k in range(m + 1)))
+            for weights in (w, _fraction_weights(w), unit):
+                exact = localize_row(m, n, weights)
+                for p in primes:
+                    row = localize_row(m, n, weights, p)
+                    assert all(type(x) is int for x in row)
+                    assert row == tuple(int(x) % p for x in exact)
+
+
+def test_residue_row_refuses_a_prime_dividing_a_move_product():
+    # the residues would compare 0 with 0; weights p apart make D_1 or
+    # E_0 a multiple of p
+    p = sample_prime(0)
+    for alphas in ((0, p, 1, 2), (0, 1, 2, 2 + p)):
+        with pytest.raises(ValueError, match=f"the prime {p} divides a move product"):
+            localize_row(3, 3, WeightVector(alphas), p)
+        assert localize_row(3, 3, WeightVector(alphas)) == subdiagonal_entries(3, 3)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    top = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
+    for k in range(2, math.isqrt(top) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytearray(len(range(k * k, top, k)))
+    assert [k for k in range(top) if is_prime(k)] == [k for k in range(top) if sieve[k]]
+    # strong pseudoprimes: 2047 = 23 * 89 to base 2; 3215031751 to the
+    # bases 2 to 7 and 3825123056546413051 to every prime base up to 31,
+    # both with no factor below 150
+    assert not is_prime(2047) and not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
+def test_sample_prime_is_seeded_and_in_range():
+    drawn = [sample_prime(seed) for seed in range(20)]
+    assert drawn == [sample_prime(seed) for seed in range(20)]
+    assert all(2**60 <= p < 2**61 and is_prime(p) for p in drawn)
+    assert len(set(drawn)) == 20

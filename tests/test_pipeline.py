@@ -1,11 +1,13 @@
 import json
 import signal
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shq.pipeline
 from shq.gw import subdiagonal_entry
+from shq.localization import sample_prime
 from shq.linalg import char_poly, spectrum
 from shq.novikov import F2, FIELDS, QQ, Novikov
 from shq.pipeline import (
@@ -22,6 +24,7 @@ from shq.pipeline import (
     rank_constraints,
     result_to_dict,
     result_to_text,
+    unlimited_int_digits,
     vanishing_nilpotency,
 )
 from shq.ring import RingPresentation, multiplication_matrix
@@ -362,6 +365,42 @@ def test_localization_diagnostic_can_fail(corrupt_localize_row):
     assert all(d.passed for d in res.diagnostics if d.name != "localization_match")
 
 
+def test_localization_residues_from_n_20(monkeypatch):
+    # below the size rule the sums are exact, from it on residues mod a
+    # prime drawn from the seed
+    calls = []
+    real = shq.pipeline.localize_row
+
+    def recorded(m, n, weights, p=0):
+        calls.append((n, p))
+        return real(m, n, weights, p)
+
+    monkeypatch.setattr(shq.pipeline, "localize_row", recorded)
+    for n in (19, 20):
+        res = compute_sh(n, n, seed=4)
+        assert all(d.passed for d in res.diagnostics)
+    p = sample_prime(4)
+    assert calls == [(19, 0), (19, 0), (20, p), (20, p)]
+    assert _diagnostic(res, "localization_match").detail == (
+        "fixed-point sums over 2 weight samples reproduce every degree-one entry "
+        f"modulo the prime {p}"
+    )
+
+
+def test_residue_localization_diagnostic_can_fail(monkeypatch):
+    real = shq.pipeline.localize_row
+
+    def corrupted(m, n, weights, p=0):
+        row = list(real(m, n, weights, p))
+        row[1] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(shq.pipeline, "localize_row", corrupted)
+    res = compute_sh(24, 24, trials=1)
+    assert "modulo the prime" in _diagnostic(res, "localization_match").detail
+    assert [d.name for d in res.diagnostics if not d.passed] == ["localization_match"]
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_trials_below_one_rejected(trials):
     with pytest.raises(ValueError, match="trials >= 1"):
@@ -473,6 +512,43 @@ def test_m_96_within_six_seconds():
         signal.signal(signal.SIGALRM, old)
     assert [d.name for d in res.diagnostics if not d.passed] == []
     assert res.sh_rank == 49
+
+
+def test_partial_200_within_three_seconds():
+    # the exact fixed-point sums took about 9 s here; residues mod a prime
+    # under one second on a 2 vCPU Xeon
+    def timed_out(signum, frame):
+        raise TimeoutError("compute_sh(200, 200) did not return in 3 s")
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(3)
+    try:
+        res = compute_sh(200, 200, trials=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [d.name for d in res.diagnostics if not d.passed] == []
+
+
+def test_library_writes_ints_past_4300_digits():
+    # a_N = 100^2151 has 4303 digits; the limit is lifted only during the call
+    limit = sys.get_int_max_str_digits()
+    res = compute_sh(2150, 100, trials=1)
+    assert sys.get_int_max_str_digits() == limit
+    assert [d.name for d in res.diagnostics if not d.passed] == []
+    text = json.dumps(result_to_dict(res))
+    assert sys.get_int_max_str_digits() == limit
+    with unlimited_int_digits():
+        assert str(100**2151) in text
+
+
+def test_int_digit_limit_is_restored_after_an_exception():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ZeroDivisionError):
+        with unlimited_int_digits():
+            assert sys.get_int_max_str_digits() == 0
+            1 / 0
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_spectrum_at_m_400_within_one_second():

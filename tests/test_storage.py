@@ -95,6 +95,17 @@ def test_gradings_that_differ_only_in_n_are_unequal():
     assert q != f2
 
 
+def test_zero_matrices_are_equal_at_every_weight():
+    # the weight places the t-powers of nonzero entries; a zero matrix has none
+    g = GradingContext(2)
+    zero0, zero2 = (LambdaMatrix(QQ, g, [{}, {}], weight=w) for w in (0, 2))
+    assert zero0.entries == zero2.entries
+    assert zero0 == zero2 and hash(zero0) == hash(zero2)
+    one0, one2 = (LambdaMatrix(QQ, g, [{0: 1}, {}], weight=w) for w in (0, 2))
+    assert one0.entries != one2.entries and one0 != one2
+    assert zero0 != LambdaMatrix(QQ, g, [{}, {}], {(1, 0, 1)}, weight=1)
+
+
 def test_the_constructor_reduces_and_checks_the_grading():
     mat = LambdaMatrix(F2, GradingContext(1), [{0: 4, 1: -3}, {}])
     assert mat.rows == ({1: 1}, {})
