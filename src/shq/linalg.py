@@ -151,11 +151,11 @@ class LambdaMatrix:
         return f"LambdaMatrix[{rows}]"
 
     def to_strings(self) -> list:
-        """Entries as text, unknowns rendered '?*t^d'; each zero is '0'
-        and a Novikov scalar is built only for a nonzero entry."""
-        grid = self._grid("0", str)
+        """Entries as text, unknowns rendered '?*t^d' once per t-power; each
+        zero is '0' and a Novikov scalar is built only for a nonzero entry."""
+        grid, text = self._grid("0", str), {}
         for (i, j, d) in self.unknown:
-            grid[i][j] = unknown_term_str(d)
+            grid[i][j] = text.get(d) or text.setdefault(d, unknown_term_str(d))
         return grid
 
     # -- arithmetic --------------------------------------------------------

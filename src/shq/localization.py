@@ -34,14 +34,15 @@ factor each.  The pair sum is one integer numerator over lcm(D) * lcm(E),
 and each entry costs one exact Fraction division: O(n^3) per weight
 vector for all n entries.
 
-Given a prime p, the same sum is taken modulo p: each offset reduces its
-move products, forms their cofactors by prefix and suffix products and
-takes one inverse, of the total.  A check against known entries needs
-no more, and it avoids the big-integer products of the exact sum.
+Given a prime p, the same sum is taken modulo p on the inverse move
+products: one modular inverse serves all 1/D_i and one all 1/E_j
+(Montgomery's simultaneous inversion), and each step to the next offset
+multiplies each by one weight difference.  No big integer is kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -70,6 +71,7 @@ class WeightVector(Record):
         return len(self.alphas)
 
 
+@functools.lru_cache(maxsize=32)
 def sample_weights(m: int, seed: int = 0) -> WeightVector:
     """Deterministic generic integer weights for a torus of rank m+1:
     distinct draws from a range at least twice the rank."""
@@ -104,6 +106,7 @@ def is_prime(k: int) -> bool:
     return True
 
 
+@functools.lru_cache
 def sample_prime(seed: int = 0) -> int:
     """A prime in [2^60, 2^61), deterministic in the seed."""
     rng = random.Random(seed)
@@ -133,27 +136,12 @@ def _integral(weights: WeightVector) -> list:
     return [int(x * scale) for x in weights]
 
 
-def _cofactors(xs: list, p: int) -> tuple:
-    """prod(xs) mod p and, for each k, the product of the others mod p."""
-    xs = [x % p for x in xs]
-    pre = [1]
-    for x in xs:
-        pre.append(pre[-1] * x % p)
-    cof, suf = [], 1
-    for k in range(len(xs) - 1, -1, -1):
-        cof.append(pre[k] * suf % p)
-        suf = suf * xs[k] % p
-    return pre[-1], cof[::-1]
-
-
-def _pair_sums(
-    m: int, n: int, weights: WeightVector, offsets: range, scale: int, p: int = 0
-) -> list:
+def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int) -> list:
     """scale * sum_{i, j} S(i, j) / (D_i * E_j) for each offset a, with
     i in 0..a and j in N+a..m.  From one offset to the next the i-plane
     gains the point a and the j-plane loses N+a-1.  Per offset the
     numerator is summed in integers over lcm(D) * lcm(E), then divided
-    once; or, given a prime p, summed mod p over prod(D) * prod(E)."""
+    once."""
     al = _integral(weights)
     N = m + 1 - n
     first = offsets[0]
@@ -161,8 +149,6 @@ def _pair_sums(
     serre = [
         _serre_row(n, x, al[N + max(i, first) :]) for i, x in enumerate(al[: offsets[-1] + 1])
     ]
-    if p:
-        serre = [[s % p for s in row] for row in serre]
     iset, jset = al[: first + 1], al[N + first :]
     ds = [math.prod(x - y for y in iset if y != x) for x in iset]
     es = [math.prod(x - y for y in jset if y != x) for x in jset]
@@ -173,16 +159,6 @@ def _pair_sums(
             ds = [d * (x - new) for d, x in zip(ds, al)]
             ds.append(math.prod(new - x for x in al[:a]))
             es = [e // (y - old) for e, y in zip(es[1:], al[N + a :])]
-        if p:
-            (d_tot, dcof), (e_tot, ecof) = _cofactors(ds, p), _cofactors(es, p)
-            if not d_tot * e_tot % p:
-                raise ValueError(f"the prime {p} divides a move product")
-            num = sum(
-                c * sum(map(operator.mul, row[a - max(i, first) :], ecof))
-                for i, (c, row) in enumerate(zip(dcof, serre))
-            )
-            out.append(scale * num * pow(d_tot * e_tot, -1, p) % p)
-            continue
         d_tot, e_tot = math.lcm(*ds), math.lcm(*es)
         cofactors = [e_tot // e for e in es]
         num = sum(
@@ -190,6 +166,46 @@ def _pair_sums(
             for i, (d, row) in enumerate(zip(ds, serre))
         )
         out.append(Fraction(scale * num, d_tot * e_tot))
+    return out
+
+
+def _inverse_moves(xs: list, p: int) -> list:
+    """1 / prod_{y != x} (x - y) mod p for each point x of a plane, by one
+    pow (Montgomery): prefix products, the inverse of the total, then
+    back-substitution.  ValueError if p divides a move product."""
+    moves = [math.prod([x - y for y in xs if y != x]) % p for x in xs]
+    pre = [1]
+    for d in moves:
+        pre.append(pre[-1] * d % p)
+    if not pre[-1]:
+        raise ValueError(f"the prime {p} divides a move product")
+    inv, out = pow(pre[-1], -1, p), [0] * len(xs)
+    for k in range(len(xs) - 1, -1, -1):
+        out[k], inv = pre[k] * inv % p, inv * moves[k] % p
+    return out
+
+
+def _pair_residues(m: int, n: int, weights: WeightVector, p: int) -> list:
+    """n^2 * sum_{i <= a} (1/D_i) * sum_{j >= N+a} S(i, j) * (1/E_j) mod p
+    for each offset a.  The 1/D_i are inverted at the last offset; as the
+    point a leaves the i-plane, each gains the factor x_i - x_a.  The 1/E_j
+    are inverted at offset 0; as N+a-1 leaves, each gains x_j - x_{N+a-1}."""
+    al = _integral(weights)
+    N = m + 1 - n
+    # j descending, so the pairs of offset a are the first n - a of row i
+    serre = [
+        [s % p for s in _serre_row(n, x, al[: N + i - 1 : -1])] for i, x in enumerate(al[:n])
+    ]
+    inv_ds = [_inverse_moves(al[:n], p)]
+    for a in range(n - 1, 0, -1):
+        inv_ds.append([v * (x - al[a]) % p for v, x in zip(inv_ds[-1], al[:a])])
+    ys = al[: N - 1 : -1]
+    inv_e, out = _inverse_moves(ys, p), []
+    for a, inv_d in enumerate(reversed(inv_ds)):
+        if a:
+            inv_e = [v * (y - al[N + a - 1]) % p for v, y in zip(inv_e, ys[: n - a])]
+        dots = [sum(map(operator.mul, row, inv_e)) for row in serre[: a + 1]]
+        out.append(n * n * sum(map(operator.mul, inv_d, dots)) % p)
     return out
 
 
@@ -215,4 +231,6 @@ def localize_row(m: int, n: int, weights: WeightVector, p: int = 0) -> tuple:
     p, the entries as residues mod p; ValueError if p divides a move
     product, where the residues would say nothing."""
     _check(m, n, weights)
-    return tuple(_pair_sums(m, n, weights, range(n), n * n, p))
+    if p:
+        return tuple(_pair_residues(m, n, weights, p))
+    return tuple(_pair_sums(m, n, weights, range(n), n * n))

@@ -440,10 +440,11 @@ def kodaira_vanishing_applies(m: int, n: int) -> bool:
 
 
 # The localization cross-check sums modulo a prime from this twist on, and
-# exactly below it, where drawing the prime costs more than it saves:
-# compute_sh(n, n) with trials=2 took 5.0 ms exact against 5.1 ms mod p at
-# n = 18, 5.9 against 5.8 at n = 20 and 19.6 against 13.5 at n = 32
-# (Python 3.11.7, 2 vCPU Xeon, best of 15).
+# exactly below.  Residues break even near n = 14, but moving the rule would
+# change the detail text of those runs to save under 1 ms: compute_sh(n, n),
+# trials=2, took 1.74 ms exact against 1.75 mod p at n = 14, 3.36 against
+# 2.73 at 18, 4.50 against 3.30 at 20 and 14.8 against 8.6 at 32 (Python
+# 3.11.7, 2 vCPU Xeon, shared; median of 41, each with its prime drawn).
 _RESIDUE_FROM_N = 20
 
 

@@ -251,6 +251,35 @@ def test_residue_row_refuses_a_prime_dividing_a_move_product():
         assert localize_row(3, 3, WeightVector(alphas)) == subdiagonal_entries(3, 3)
 
 
+def test_residue_row_at_the_partial_benchmark_cases():
+    # the inverse move products are walked across all n offsets; both
+    # trials' weights of each seed, as localization_match draws them
+    for m, n in ((24, 24), (28, 22), (28, 28), (32, 32)):
+        exact = {s: localize_row(m, n, sample_weights(m, s)) for s in range(6)}
+        for seed in range(5):
+            p = sample_prime(seed)
+            for s in (seed, seed + 1):
+                row = localize_row(m, n, sample_weights(m, s), p)
+                assert row == tuple(x % p for x in exact[s])
+
+
+def test_residue_row_refuses_p_at_either_end_of_the_walks():
+    # m = 4, n = 3, N = 2.  x_0 - x_2 is a factor only at the last offset,
+    # where the i-plane is 0..2; x_2 - x_4 only at offset 0, where the
+    # j-plane is 2..4
+    p = sample_prime(1)
+    for alphas in ((0, 1, p, 2, 3), (0, 1, 2, 3, 2 + p)):
+        with pytest.raises(ValueError, match=f"the prime {p} divides a move product"):
+            localize_row(4, 3, WeightVector(alphas), p)
+        assert localize_row(4, 3, WeightVector(alphas)) == subdiagonal_entries(4, 3)
+
+
+def test_seeded_draws_are_memoized():
+    assert sample_prime(7) is sample_prime(7)
+    assert sample_weights(30, 3) is sample_weights(30, 3)
+    assert sample_weights(30, 4) != sample_weights(30, 3)
+
+
 def test_is_prime_agrees_with_a_sieve():
     top = 10**5
     sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
