@@ -35,14 +35,16 @@ characteristic coefficients of a weight-1 matrix are
 a_k = c_k(mat(1)) * t^(k/N), both checks are those of mat(1), ranks are
 those of mat(1) and each kernel vector is D times one of mat(1); with
 N = 0 every t-power is zero.  A matrix is therefore stored as the
-sparse rows of mat(1), ints or Fractions over Q, bits over GF(2), and
-Novikov scalars are built only for the s coefficients, for kernel
-vectors and when entries are asked for.
+sparse rows of mat(1), ints or Fractions over Q, bits over GF(2), and a
+characteristic polynomial as c_1, ..., c_s, the same kind of values.
+Novikov scalars are built only for kernel vectors and when the entries
+of a matrix or the coefficients a_k are asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import is_
 from typing import Optional
 
 from .novikov import CoefficientField, GF2Element, Novikov, Record, unknown_term_str
@@ -187,33 +189,57 @@ class LambdaMatrix:
 
 
 class CharPoly(Record):
-    """Monic characteristic polynomial lambda^s + a_1 lambda^(s-1) + ... + a_s."""
+    """Monic characteristic polynomial lambda^s + a_1 lambda^(s-1) + ...
+    + a_s of a weight-1 matrix, stored at t = 1.
 
-    __slots__ = ("size", "a")
+    values holds c_1, ..., c_s, ints or Fractions over Q, bits over
+    GF(2), and a_k = c_k * t^(k/N); a nonzero c_k where N does not divide
+    k raises ArithmeticError.  a, the Novikov coefficients, is a view
+    built on first use.
+    """
 
-    def __init__(self, size: int, a: tuple):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "a", a)  # (a_1, ..., a_s)
+    __slots__ = ("field", "grading", "values", "_a")
+    _fields = __slots__[:-1]
+
+    def __init__(self, field: CoefficientField, grading, values):
+        values = _scalars(values, field.characteristic)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_a", None)
+        N = grading.N
+        for k, c in enumerate(values, 1):
+            if c and _t_power(N, k) is None:
+                raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
 
     @property
-    def field(self) -> CoefficientField:
-        return self.a[0].field
+    def size(self) -> int:
+        return len(self.values)
 
-    def coefficients(self) -> tuple:
-        """All coefficients, descending in lambda, leading 1 included."""
-        return (Novikov.one(self.field),) + self.a
+    @property
+    def a(self) -> tuple:
+        """(a_1, ..., a_s) as Novikov scalars, built on first use."""
+        if self._a is None:
+            a = tuple(map(self.coefficient, range(1, self.size + 1)))
+            object.__setattr__(self, "_a", a)
+        return self._a
 
-    def __str__(self):
-        parts = ["L^%d" % self.size]
-        for k, c in enumerate(self.a, start=1):
-            if c:
-                e = self.size - k
-                gen = "" if e == 0 else ("*L" if e == 1 else f"*L^{e}")
-                parts.append(f"({c}){gen}")
-        return " + ".join(parts)
+    def coefficient(self, k: int) -> Novikov:
+        """a_k as a Novikov scalar, 1 <= k <= s."""
+        return _lift(self.field, self.grading.N, k, self.values[k - 1])
 
 
 # -- the scalars the core runs on ---------------------------------------------
+
+
+def _scalars(values, mod: int) -> tuple:
+    """Values at t = 1 as stored, a tuple reduced mod 2 over GF(2) and
+    over Q with ints where integral; values itself when it is one."""
+    if mod:
+        out = tuple([x % mod for x in values])
+    else:
+        out = tuple([x.numerator if x.denominator == 1 else x for x in values])
+    return values if type(values) is tuple and all(map(is_, out, values)) else out
 
 
 def _ground(c):
@@ -232,8 +258,10 @@ def _t_power(N: int, k: int) -> Optional[int]:
 
 
 def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
-    """The Novikov scalar of weight k whose value at t = 1 is the nonzero
-    c: c * t^(k/N), such as a_k from c_k(mat(1))."""
+    """The Novikov scalar of weight k whose value at t = 1 is c: zero, or
+    c * t^(k/N), such as a_k from c_k(mat(1))."""
+    if not c:
+        return Novikov.zero(field)
     d = _t_power(N, k)
     if d is None:
         raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
@@ -244,15 +272,14 @@ def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
 
 
 def _hessenberg(mat: LambdaMatrix, what: str):
-    """(N, op) of a complete mat of weight 1 whose mat(1) is lower
-    Hessenberg with a nonzero superdiagonal, or zero; ValueError
-    otherwise.  op is (sup, low, mod): the superdiagonal, the (i, j,
-    entry) triples on and below the diagonal, and the modulus of the
-    scalars, all of mat(1)."""
+    """op of a complete mat of weight 1 whose mat(1) is lower Hessenberg
+    with a nonzero superdiagonal, or zero; ValueError otherwise.  op is
+    (sup, low, mod): the superdiagonal, the (i, j, entry) triples on and
+    below the diagonal, and the modulus of the scalars, all of mat(1)."""
     mat._require_complete(what)
     if mat.weight != 1:
         raise ValueError(f"{what} needs a matrix of weight 1, not {mat.weight}")
-    N, mod, rows = mat.grading.N, mat.field.characteristic, mat.rows
+    mod, rows = mat.field.characteristic, mat.rows
     sup, low = [0] * (len(rows) - 1), []
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -264,7 +291,7 @@ def _hessenberg(mat: LambdaMatrix, what: str):
                 low.append((i, j, x))
     if not all(sup) and (low or any(sup)):
         raise ValueError("a superdiagonal entry is zero and the matrix is not zero")
-    return N, (sup, low, mod)
+    return sup, low, mod
 
 
 def _apply(op, v: list) -> list:
@@ -318,15 +345,6 @@ def _solve(op) -> list:
     return c
 
 
-def _lifted(mat: LambdaMatrix, N: int, c) -> CharPoly:
-    """The characteristic polynomial whose coefficients at t = 1 are c."""
-    zero = Novikov.zero(mat.field)
-    return CharPoly(
-        mat.size,
-        tuple(_lift(mat.field, N, k, x) if x else zero for k, x in enumerate(c, 1)),
-    )
-
-
 def _annihilates(op, c) -> bool:
     """Cayley-Hamilton on the cyclic row e_0^T, which the solve never
     used: e_0^T p(mat) = 0 exactly when p(mat) = 0.  Reversing the basis
@@ -358,20 +376,20 @@ def _chain_dims(op, c) -> Optional[list]:
 def char_poly(mat: LambdaMatrix) -> CharPoly:
     """Characteristic polynomial, verified before returning: it must
     annihilate the matrix (Cayley-Hamilton)."""
-    N, op = _hessenberg(mat, "characteristic polynomial")
+    op = _hessenberg(mat, "characteristic polynomial")
     c = _solve(op)
     if not _annihilates(op, c):
         raise ArithmeticError("characteristic polynomial failed to annihilate")
-    return _lifted(mat, N, c)
+    return CharPoly(mat.field, mat.grading, c)
 
 
 def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
     """(characteristic polynomial, whether it annihilates the matrix,
     kernel_dims or None when the Jordan chain check fails).  Unlike
     char_poly and kernel_dims, a failed check is reported, not raised."""
-    N, op = _hessenberg(mat, "characteristic polynomial")
+    op = _hessenberg(mat, "characteristic polynomial")
     c = _solve(op)
-    return _lifted(mat, N, c), _annihilates(op, c), _chain_dims(op, c)
+    return CharPoly(mat.field, mat.grading, c), _annihilates(op, c), _chain_dims(op, c)
 
 
 def rank(mat: LambdaMatrix) -> int:
@@ -440,7 +458,7 @@ def kernel_dims(mat: LambdaMatrix) -> list:
     """dim ker(mat^j) for j = 0, 1, ..., k with k the stabilization
     index; the last entry is the dimension of the generalized kernel.
     Raises ArithmeticError when the Jordan chain check fails."""
-    _, op = _hessenberg(mat, "kernel dimensions")
+    op = _hessenberg(mat, "kernel dimensions")
     dims = _chain_dims(op, _solve(op))
     if dims is None:
         raise ArithmeticError("the Jordan chain of eigenvalue zero has the wrong length")
@@ -480,14 +498,8 @@ def stable_relation(cp: CharPoly) -> tuple[int, tuple]:
 
     The degree-p factor presents the quotient by the generalized kernel
     of the operator; p = 0 means the operator is nilpotent and the
-    quotient is the zero ring.  Returns (p, coefficients ascending,
-    length p + 1, monic).
+    quotient is the zero ring.  Returns (p, its coefficients at t = 1
+    ascending, length p + 1, monic).
     """
-    coeffs = list(cp.coefficients())  # descending, length s + 1
-    p = 0
-    for k in range(cp.size, 0, -1):
-        if cp.a[k - 1]:
-            p = k
-            break
-    rel = coeffs[: p + 1]  # lambda^s .. lambda^(s-p) coefficients
-    return p, tuple(reversed(rel))
+    p = max((k for k, c in enumerate(cp.values, 1) if c), default=0)
+    return p, tuple(reversed(cp.values[:p])) + (1,)

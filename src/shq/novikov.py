@@ -93,11 +93,6 @@ class GF2Element:
     def __neg__(self):
         return self
 
-    def __pow__(self, k: int):
-        if k < 0 and not self.v:
-            raise ZeroDivisionError("division by zero in GF(2)")
-        return GF2Element(self.v if k != 0 else 1)
-
     def __bool__(self):
         return self.v != 0
 

@@ -228,10 +228,14 @@ def _c1_vanishes(field: CoefficientField, n: int) -> bool:
     return not field.of(-n)
 
 
+def _lead_at_one(m: int, n: int) -> int:
+    """Closed form for a_N at t = 1: (-1)^N n^(1+m)."""
+    return (-1) ** minimal_chern(m, n) * n ** (1 + m)
+
+
 def _lead_coefficient(m: int, n: int, field: CoefficientField) -> Novikov:
     """Closed form for a_N: (-1)^N n^(1+m) t."""
-    N = minimal_chern(m, n)
-    return Novikov.monomial(field, (-1) ** N * n ** (1 + m), 1)
+    return Novikov.monomial(field, _lead_at_one(m, n), 1)
 
 
 def _lead_from_r(r: LambdaMatrix, m: int, n: int) -> Novikov:
@@ -256,8 +260,7 @@ def _lead_diagnostic(got: Novikov, lead: Novikov, m: int, n: int, passed: str) -
 
 
 def _classical_omega_ring(m: int, field, ctx, unknown_terms=()) -> RingPresentation:
-    rel = [Novikov.zero(field)] * (m + 1) + [Novikov.one(field)]
-    return RingPresentation("omega", tuple(rel), ctx, unknown_terms)
+    return RingPresentation("omega", field, ctx, (0,) * (m + 1) + (1,), unknown_terms)
 
 
 def _zero_reason(regime: Regime, field: CoefficientField, n: int) -> str:
@@ -316,7 +319,7 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
     r = build_r_matrix(m, n, field)
     diags = []
 
-    cp, dims, lead_r = None, None, None
+    cp, dims, lead_r, c1 = None, None, None, None
     if r.is_complete:
         cp, annihilates, dims = spectrum(r)
         diags.append(
@@ -331,12 +334,14 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
         p, rel_c = stable_relation(cp)
         sh_rank: Union[int, str] = p
         if not _c1_vanishes(field, n):
-            qh_c = RingPresentation("c", tuple(reversed(cp.coefficients())), ctx)
+            qh_c = RingPresentation("c", field, ctx, tuple(reversed(cp.values)) + (1,))
             qh = change_generator(qh_c, n)
+            # c1 = -n * omega, for the nilpotency and multiplication checks
+            c1 = qh.gen() * -n
             if p == 0:
                 sh = ZeroRing(_zero_reason(regime, field, n))
             else:
-                sh = change_generator(RingPresentation("c", rel_c, ctx), n)
+                sh = change_generator(RingPresentation("c", field, ctx, rel_c), n)
         else:
             # even twist over GF(2): c = 0, so its powers present nothing;
             # the omega-relation is classical exactly when no correction
@@ -360,7 +365,7 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
             undetermined=tuple(sorted(r.unknown)),
         )
         sh_rank = f"positive multiple of {N} (at most {possible[-1]})"
-        qh_c = _partial_presentation(m, n, field, ctx, "c", lead)
+        qh_c = _partial_presentation(m, n, field, ctx)
         qh = change_generator(qh_c, n)
         lead_r = _lead_from_r(r, m, n)
         diags.append(
@@ -375,7 +380,7 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
         )
 
     diags.extend(
-        _diagnostics(m, n, field, regime, r, cp, dims, lead_r, qh, sh, sh_rank, seed, trials)
+        _diagnostics(m, n, field, regime, r, cp, dims, lead_r, qh, c1, sh, sh_rank, seed, trials)
     )
     return ShResult(
         m, n, field, N, regime, r, cp, qh, qh_c, sh, sh_rank, tuple(diags)
@@ -393,17 +398,13 @@ def _unknown_relation_terms(m: int, N: int) -> list:
     return [(m + 1 - d * N, d) for d in _correction_degrees(m, N)]
 
 
-def _partial_presentation(m, n, field, ctx, generator, lead_c) -> RingPresentation:
-    """Incomplete characteristic relation: leading term, the known a_N
-    slot, zeros where homogeneity forbids entries, unknowns at d >= 2."""
-    N = ctx.N
-    deg = m + 1
-    rel = [Novikov.zero(field)] * (deg + 1)
-    rel[deg] = Novikov.one(field)
-    rel[deg - N] = lead_c
-    return RingPresentation(
-        generator, tuple(rel), ctx, tuple(_unknown_relation_terms(m, N))
-    )
+def _partial_presentation(m, n, field, ctx) -> RingPresentation:
+    """Incomplete characteristic relation in c: leading term, the known
+    a_N slot, zeros where homogeneity forbids entries, unknowns at d >= 2."""
+    N, deg = ctx.N, m + 1
+    values = [0] * deg + [1]
+    values[deg - N] = _lead_at_one(m, n)
+    return RingPresentation("c", field, ctx, values, tuple(_unknown_relation_terms(m, N)))
 
 
 def vanishing_nilpotency(result: ShResult) -> bool:
@@ -413,13 +414,8 @@ def vanishing_nilpotency(result: ShResult) -> bool:
         raise ValueError(
             "nilpotency is undecidable from an incomplete presentation"
         )
-    return _c1_nilpotent(result.qh, result.field, result.n)
-
-
-def _c1_nilpotent(qh: RingPresentation, field: CoefficientField, n: int) -> bool:
-    """Whether c1 = -n * omega is nilpotent in qh; trivially so when -n
-    vanishes in the field."""
-    return _c1_vanishes(field, n) or is_nilpotent(qh, qh.gen() * Novikov.constant(field, -n))
+    qh, n = result.qh, result.n
+    return _c1_vanishes(result.field, n) or is_nilpotent(qh, qh.gen() * -n)
 
 
 def rank_constraints(m: int, n: int, sh_rank: int) -> bool:
@@ -449,10 +445,11 @@ _RESIDUE_FROM_N = 20
 
 
 def _diagnostics(
-    m, n, field, regime, r, cp, dims, lead_r, qh, sh, sh_rank, seed, trials
+    m, n, field, regime, r, cp, dims, lead_r, qh, c1, sh, sh_rank, seed, trials
 ) -> list:
     """The cross-checks of one run; lead_r is a_N read off r in partial
-    mode, None otherwise."""
+    mode, None otherwise; c1 = -n * omega in qh, None when qh is partial
+    or -n vanishes in the field."""
     out = []
     N = minimal_chern(m, n)
     numeric_rank = sh_rank if isinstance(sh_rank, int) else None
@@ -470,7 +467,7 @@ def _diagnostics(
             )
         )
     else:
-        nil = _c1_nilpotent(qh, field, n)
+        nil = _c1_vanishes(field, n) or is_nilpotent(qh, c1)
         vanished = isinstance(sh, ZeroRing)
         out.append(
             Diagnostic(
@@ -519,14 +516,13 @@ def _diagnostics(
 
         if regime.kind == "monotone":
             lead = _lead_coefficient(m, n, field)
-            got = cp.a[N - 1]
+            got = cp.coefficient(N)
             out.append(
                 _lead_diagnostic(
                     got, lead, m, n, f"a_{N} = {got} matches (-1)^{N} * {n}^{1 + m} * t"
                 )
             )
     if cp is not None and not _c1_vanishes(field, n):
-        c1 = qh.gen() * Novikov.constant(field, -n)
         mm = multiplication_matrix(qh, c1)
         detail = "multiplication by -n*omega in QH realizes the same operator"
         if n == 1 or regime.kind != "monotone":
@@ -615,9 +611,9 @@ def _diagnostics(
 
 def _relation_pairs(pres: RingPresentation) -> list:
     return [
-        [str(pres.relation[k]), k]
+        [str(pres.coefficient(k)), k]
         for k in range(pres.degree, -1, -1)
-        if pres.relation[k]
+        if pres.values[k]
     ]
 
 
@@ -664,6 +660,13 @@ def matrix_to_dict(r: LambdaMatrix) -> dict:
     }
 
 
+def _char_pairs(cp: CharPoly) -> list:
+    """[coefficient, power of lambda] of each nonzero term, descending."""
+    return [["1", cp.size]] + [
+        [str(cp.coefficient(k)), cp.size - k] for k, c in enumerate(cp.values, 1) if c
+    ]
+
+
 def result_to_dict(result: ShResult) -> dict:
     with unlimited_int_digits():
         return {
@@ -677,13 +680,7 @@ def result_to_dict(result: ShResult) -> dict:
                 "description": result.regime.description,
             },
             "r_matrix": matrix_to_dict(result.r_matrix),
-            "char_poly": None
-            if result.char is None
-            else [
-                [str(c), result.char.size - k]
-                for k, c in enumerate(result.char.coefficients())
-                if c
-            ],
+            "char_poly": None if result.char is None else _char_pairs(result.char),
             "qh": _ring_dict(result.qh),
             "qh_c": None if result.qh_c is None else _ring_dict(result.qh_c),
             "sh": _sh_dict(result.sh),

@@ -14,7 +14,8 @@ from itertools import permutations
 import sympy
 
 from shq.linalg import LambdaMatrix
-from shq.novikov import GF2Element, GradingContext, Novikov
+from shq.novikov import QQ, GF2Element, GradingContext, Novikov
+from shq.ring import RingElement, RingPresentation
 
 
 def sympy_tau(n: int) -> list[int]:
@@ -201,6 +202,38 @@ def graded_matrix(entries, N: int, unknown=(), weight: int = 1) -> LambdaMatrix:
     if mat.entries != tuple(map(tuple, entries)):
         raise ValueError(f"the grid does not fit grading N = {N} at weight {weight}")
     return mat
+
+
+def presentation(generator: str, relation, N: int, unknown_terms=()) -> RingPresentation:
+    """The presentation at grading N whose relation is the given tuple of
+    zeros and monomials c*t^d, ascending: its values at t = 1 hold the c,
+    and its relation must give the tuple back, so a coefficient that is
+    not a monomial or sits off the grading raises ValueError."""
+    values = []
+    for x in relation:
+        parts = x.monomial_parts()
+        if x and parts is None:
+            raise ValueError(f"relation is not homogeneous: {x} is not a monomial")
+        c = parts[0] if x else 0
+        values.append(c.v if isinstance(c, GF2Element) else c)
+    field = relation[-1].field if relation else QQ
+    pres = RingPresentation(generator, field, GradingContext(N), values, unknown_terms)
+    if pres.relation != tuple(relation):
+        raise ValueError(f"relation is not homogeneous at grading N = {N}")
+    return pres
+
+
+def ring_zero(pres):
+    """The zero element of pres."""
+    return RingElement(pres, (0,) * pres.rank, 0)
+
+
+def ring_sum(a, b):
+    """a + b, two elements of one presentation, by adding their Novikov
+    coefficients and reading the sum back, which needs one weight."""
+    if a.pres != b.pres:
+        raise ValueError("elements live in different presentations")
+    return a.pres.reduce([x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 def rref_kernel(entries) -> list:

@@ -1,13 +1,27 @@
-"""Constructing graded matrices and presentations: every refusal, each
-relation coefficient read once, when the object is built, and no Novikov
-scalar read to build a matrix."""
+"""Constructing graded matrices and presentations: every refusal, no
+Novikov scalar read to build a matrix, and none built from r's rows to
+the checks on the QH presentation."""
 
 import pytest
 
-from shq.linalg import LambdaMatrix, char_poly, spectrum
+from shq.linalg import LambdaMatrix, char_poly, spectrum, stable_relation
 from shq.novikov import F2, GradingContext, Novikov, QQ
-from shq.pipeline import build_r_matrix, compute_sh
-from shq.ring import RingElement, RingPresentation, is_nilpotent, multiplication_matrix
+from shq.pipeline import (
+    _classical_omega_ring,
+    build_r_matrix,
+    compute_sh,
+    result_to_dict,
+    result_to_text,
+)
+from shq.ring import (
+    RingPresentation,
+    change_generator,
+    is_nilpotent,
+    multiplication_matrix,
+    relation_str,
+)
+
+from oracles import presentation as oracle_presentation
 
 zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.t(QQ)
 
@@ -24,16 +38,16 @@ def matrix(change=None, unknown=((2, 1, 1),), grading=GradingContext(2)):
 
 
 def qh_element(coeffs):
-    """An element of w^2 + t^2 at N = 1."""
-    qh = RingPresentation("omega", (Novikov.t(QQ, 2), zero, one), GradingContext(1))
-    return qh, RingElement(qh, coeffs)
+    """w^2 + t^2 at N = 1 and the polynomial coeffs in w read into it."""
+    qh = oracle_presentation("omega", (Novikov.t(QQ, 2), zero, one), 1)
+    return qh, qh.reduce(coeffs)
 
 
 def presentation(relation=None, unknown=((0, 2),), generator="omega"):
     """w^4 + 3t*w^2 + ?*t^2 at N = 2, or the given relation."""
     if relation is None:
         relation = (zero, zero, Novikov.monomial(QQ, 3, 1), zero, one)
-    return RingPresentation(generator, relation, GradingContext(2), unknown)
+    return oracle_presentation(generator, relation, 2, unknown)
 
 
 REFUSALS = {
@@ -108,16 +122,63 @@ def test_a_graded_matrix_is_read_at_construction(reads, m, n):
     assert len(reads) <= nonzero
 
 
-def test_a_graded_relation_is_read_at_construction(reads):
+def test_a_graded_relation_is_read_at_construction():
+    # the relation is read as its values at t = 1, checked against the
+    # grading when the presentation is built; its Novikov view is built
+    # only when asked for, and the values and grading alone rebuild an
+    # equal presentation
     qh = compute_sh(16, 8, trials=1).qh
-    reads.clear()
-    rebuilt = RingPresentation(qh.generator, qh.relation, qh.grading)
-    assert sum(1 for x in reads if any(x is c for c in qh.relation)) == sum(
-        1 for c in qh.relation if c
-    )
-    c1 = rebuilt.gen() * -8
-    reads.clear()
-    is_nilpotent(rebuilt, c1)
-    multiplication_matrix(rebuilt, c1)
-    assert reads, "the element is read"
-    assert not any(x is c for x in reads for c in rebuilt.relation)
+    assert qh._relation is None
+    rebuilt = RingPresentation(qh.generator, qh.field, qh.grading, qh.values)
+    assert rebuilt == qh and rebuilt._relation is None
+    assert oracle_presentation(qh.generator, qh.relation, qh.grading.N) == qh
+    with pytest.raises(ValueError, match="not homogeneous"):
+        # 1 at g^8 of a degree-9 relation would be t^(1/8)
+        RingPresentation(qh.generator, qh.field, qh.grading, (0,) * 8 + (1, 1))
+    # partial mode renders its degree-25 relations without the view
+    partial = compute_sh(24, 24, trials=1)
+    result_to_dict(partial), result_to_text(partial)
+    assert partial.qh._relation is None and partial.qh_c._relation is None
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The Novikov scalars built, one item per Novikov.__init__ call."""
+    built = []
+    original = Novikov.__init__
+
+    def counted(self, field, num):
+        built.append(num)
+        original(self, field, num)
+
+    monkeypatch.setattr(Novikov, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+@pytest.mark.parametrize("m, n", [(16, 8), (12, 1), (8, 3)])
+def test_the_ring_checks_build_no_novikov_scalar(constructions, field, m, n):
+    # from spectrum(r) to the nilpotency and multiplication-matrix checks
+    # on c1 = -n*w, everything runs on values at t = 1
+    r = build_r_matrix(m, n, field)
+    constructions.clear()
+    cp = spectrum(r)[0]
+    p, rel_c = stable_relation(cp)
+    if not field.of(-n):
+        # c1 = 0: the classical ring in w, whose generator is nilpotent
+        qh = _classical_omega_ring(m, field, r.grading)
+        assert p == 0 and is_nilpotent(qh, qh.gen())
+        assert constructions == []
+        return
+    qh_c = RingPresentation("c", field, r.grading, tuple(reversed(cp.values)) + (1,))
+    qh = change_generator(qh_c, n)
+    sh = change_generator(RingPresentation("c", field, r.grading, rel_c), n)
+    c1 = qh.gen() * -n
+    nilpotent = is_nilpotent(qh, c1)
+    mm = multiplication_matrix(qh, c1)
+    assert constructions == []
+    assert p == sh.rank and nilpotent is (p == 0) and mm.weight == 1
+    # rendering builds at most one scalar per nonzero coefficient
+    text = relation_str(qh)
+    assert len(constructions) <= sum(1 for c in qh.values if c)
+    assert text == relation_str(oracle_presentation("omega", qh.relation, qh.grading.N))

@@ -3,9 +3,11 @@
 golden_sha256.json holds one digest per result, keyed "field:m:n", of
 json.dumps(result_to_dict(compute_sh(m, n, field, trials=1))) for every
 pair with m <= 12 and n <= 2m + 3 outside the refused band, on Q and
-GF(2) (252 results); and one per field, keyed "table:field", of the
-standard output of `shq table --max-m 12`.  A change to any output names
-the keys it moved.
+GF(2) (252 results); one per result, keyed "text:field:m:n", of
+result_to_text of the same results; one per field and seed 0 and 3,
+keyed "text:field:m:n:seed", of result_to_text at (24, 24) and (32, 32);
+and one per field, keyed "table:field", of the standard output of
+`shq table --max-m 12`.  A change to any output names the keys it moved.
 
 Regenerate the file only for a deliberate change of output:
 
@@ -23,9 +25,12 @@ import sys
 import shq
 from shq.cli import main
 from shq.novikov import F2, QQ
-from shq.pipeline import UnsupportedRegimeError, compute_sh, result_to_dict
+from shq.pipeline import UnsupportedRegimeError, compute_sh, result_to_dict, result_to_text
 
 MAX_M = 12
+# partial-mode pairs past MAX_M whose text is pinned, at these seeds
+LARGE_TEXT = ((24, 24), (32, 32))
+LARGE_SEEDS = (0, 3)
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_sha256.json")
 
 
@@ -43,6 +48,11 @@ def golden_hashes() -> dict:
                 except UnsupportedRegimeError:
                     continue
                 out[f"{field.kind}:{m}:{n}"] = _digest(json.dumps(result_to_dict(res)))
+                out[f"text:{field.kind}:{m}:{n}"] = _digest(result_to_text(res))
+        for m, n in LARGE_TEXT:
+            for seed in LARGE_SEEDS:
+                res = compute_sh(m, n, field, seed=seed, trials=1)
+                out[f"text:{field.kind}:{m}:{n}:{seed}"] = _digest(result_to_text(res))
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(["table", "--max-m", str(MAX_M), "--field", field.kind.lower()])

@@ -568,6 +568,26 @@ def test_spectrum_at_m_400_within_one_second():
     assert cp.a[200] and sum(1 for a in cp.a if a) == 1
 
 
+@pytest.mark.parametrize("m, n, field", [(5, 2, QQ), (6, 7, QQ), (8, 3, F2)])
+def test_one_c1_serves_both_ring_checks(monkeypatch, m, n, field):
+    # c1 = -n*w is built once per run and handed to the nilpotency and
+    # the multiplication-matrix checks
+    seen = []
+
+    def recorded(real):
+        def call(pres, x):
+            seen.append((pres, x))
+            return real(pres, x)
+        return call
+
+    for name in ("is_nilpotent", "multiplication_matrix"):
+        monkeypatch.setattr(shq.pipeline, name, recorded(getattr(shq.pipeline, name)))
+    res = compute_sh(m, n, field, trials=1)
+    assert len(seen) == 2 and seen[0][1] is seen[1][1]
+    assert all(pres is res.qh for pres, _ in seen)
+    assert seen[0][1] == res.qh.gen() * -n
+
+
 def test_multiplication_matrix_bases_agree_only_without_corrections():
     # twist one: classical classes are the quantum generator powers
     res = compute_sh(4, 1)

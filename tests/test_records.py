@@ -14,16 +14,18 @@ from shq.blowup import SurfaceRing
 from shq.gw import TauTable
 from shq.linalg import CharPoly
 from shq.localization import WeightVector
-from shq.novikov import GradingContext, Novikov, QQ
+from shq.novikov import F2, GradingContext, Novikov, QQ
 from shq.pipeline import Diagnostic, PartialFacts, Regime, ShResult, ZeroRing, compute_sh
 from shq.ring import RingElement, RingPresentation
+
+from oracles import presentation
 
 zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.t(QQ)
 
 
 def line_presentation():
     """Lambda[w]/(w^2 - t) at N = 2, built afresh on each call."""
-    return RingPresentation("omega", (-t, zero, one), GradingContext(2))
+    return presentation("omega", (-t, zero, one), 2)
 
 
 def _result_fields():
@@ -40,17 +42,18 @@ RECORDS = [
         lambda: {"labels": ("h",), "form": ((1,),), "canonical": (-3,), "euler": 3},
     ),
     (WeightVector, lambda: {"alphas": (3, Fraction(1, 2), -7)}),
-    (CharPoly, lambda: {"size": 2, "a": (zero, -t)}),
+    (CharPoly, lambda: {"field": QQ, "grading": GradingContext(1), "values": (0, -1)}),
     (
         RingPresentation,
         lambda: {
             "generator": "omega",
-            "relation": (-t, zero, one),
+            "field": QQ,
             "grading": GradingContext(2),
+            "values": (-1, 0, 1),
             "unknown_terms": (),
         },
     ),
-    (RingElement, lambda: {"pres": line_presentation(), "coeffs": (one, t)}),
+    (RingElement, lambda: {"pres": line_presentation(), "values": (0, 1), "weight": 3}),
     (Regime, lambda: {"kind": "monotone", "exact_mode": True, "description": "N = 2"}),
     (ZeroRing, lambda: {"reason": "c1 is nilpotent"}),
     (
@@ -109,10 +112,12 @@ def test_different_values_differ():
     assert WeightVector((1, 2)) != WeightVector((2, 1))
     assert TauTable(3, (2, 5, 2)) != TauTable(3, (2, 5, 3))
     pres = line_presentation()
-    other = RingPresentation("omega", (t, zero, one), GradingContext(2))
+    other = presentation("omega", (t, zero, one), 2)
     assert pres != other
-    assert RingElement(pres, (one, t)) != RingElement(pres, (one, zero))
-    assert RingElement(pres, (one, t)) != RingElement(other, (one, t))
+    assert RingElement(pres, (0, 1), 3) != RingElement(pres, (0, 1), 1)
+    assert RingElement(pres, (0, 1), 3) != RingElement(pres, (1, 0), 0)
+    assert RingElement(pres, (0, 1), 3) != RingElement(other, (0, 1), 3)
+    assert CharPoly(QQ, GradingContext(1), (0, -1)) != CharPoly(QQ, GradingContext(2), (0, -1))
 
 
 def test_different_types_never_equal():
@@ -144,16 +149,37 @@ def test_repr_examples():
 
 
 def test_presentation_ignores_its_core():
-    a, b = line_presentation(), line_presentation()
-    assert a._core_at_one is not b._core_at_one
-    assert a == b and hash(a) == hash(b)
-    assert "_core_at_one" not in repr(a)
-    assert repr(a) == (
-        "RingPresentation(generator='omega', relation="
-        f"{(-t, zero, one)!r}, grading=GradingContext(N=2), unknown_terms=())"
-    )
-    object.__setattr__(b, "_core_at_one", None)
+    # the step's core, the nonzero terms of the relation, and the Novikov
+    # views relation, coeffs and a, built on first use, follow from the
+    # stored values
+    a, b = (RingPresentation("omega", QQ, GradingContext(2), (-1, 0, 1)) for _ in range(2))
+    assert a.relation == (-t, zero, one) and b._relation is None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a) == (
+        "RingPresentation(generator='omega', field=CoefficientField('Q'), "
+        "grading=GradingContext(N=2), values=(-1, 0, 1), unknown_terms=())"
+    )
+    object.__setattr__(b, "_terms", None)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    x, y = RingElement(a, (0, 1), 3), RingElement(b, (0, 1), 3)
+    assert x.coeffs == (zero, t) and y._coeffs is None
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    p, q = (CharPoly(QQ, GradingContext(1), (0, -1)) for _ in range(2))
+    assert p.a == (zero, Novikov.monomial(QQ, -1, 2)) and q._a is None
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert repr(p) == (
+        "CharPoly(field=CoefficientField('Q'), grading=GradingContext(N=1), values=(0, -1))"
+    )
+
+
+def test_stored_values_are_normalized():
+    # integral Fractions are stored as ints, GF(2) values as bits, and an
+    # all-zero element has weight 0
+    half = Fraction(1, 2)
+    assert CharPoly(QQ, GradingContext(1), (Fraction(4, 2), half)).values == (2, half)
+    assert type(CharPoly(QQ, GradingContext(1), [Fraction(3)]).values[0]) is int
+    assert CharPoly(F2, GradingContext(1), (3, -2)).values == (1, 0)
+    assert RingElement(line_presentation(), (0, 0), 5).weight == 0
 
 
 def test_surface_ring_refuses_an_asymmetric_form():
@@ -173,15 +199,27 @@ def test_weight_vector_refusals(alphas):
 
 def test_ring_element_refuses_the_wrong_length():
     pres = line_presentation()
-    for coeffs in ((one,), (one, zero, zero)):
+    for values in ((1,), (1, 0, 0)):
         with pytest.raises(ValueError, match="rank-2"):
-            RingElement(pres, coeffs)
+            RingElement(pres, values, 0)
+
+
+def test_ring_element_refuses_values_off_its_weight():
+    # at N = 2 the coefficient of w^k has weight 2d + k: 1 and w mix parities
+    with pytest.raises(ValueError, match="not homogeneous"):
+        RingElement(line_presentation(), (1, 1), 0)
 
 
 def test_presentation_refuses_a_non_monic_relation():
-    for relation in ((-t, zero, one + one), (-t, zero, zero), ()):
+    for values in ((-1, 0, 2), (-1, 0, 0), ()):
         with pytest.raises(ValueError, match="monic"):
-            RingPresentation("omega", relation, GradingContext(2))
+            RingPresentation("omega", QQ, GradingContext(2), values)
+
+
+def test_char_poly_refuses_values_off_its_grading():
+    # a_1 = c_1 * t^(1/2) at N = 2
+    with pytest.raises(ArithmeticError, match="does not fit grading N = 2"):
+        CharPoly(QQ, GradingContext(2), (1, 0))
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
