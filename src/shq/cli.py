@@ -88,7 +88,9 @@ def build_parser() -> _Parser:
 
 
 def _emit(payload) -> int:
-    print(json.dumps(payload, indent=2))
+    # streamed: a large matrix is never held as one string
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return 0
 
 

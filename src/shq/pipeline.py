@@ -47,6 +47,7 @@ structure) can be compared across the two constructions.
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 from typing import Optional, Union
 
 from .blowup import obstruction_bundle_degree
@@ -158,10 +159,6 @@ class ZeroRing(Record):
     def __init__(self, reason: str):
         object.__setattr__(self, "reason", reason)
 
-    @property
-    def rank(self) -> int:
-        return 0
-
 
 class PartialFacts(Record):
     """What is still provable when the matrix has undetermined entries.
@@ -246,19 +243,6 @@ def _lead_from_r(r: LambdaMatrix, m: int, n: int) -> Novikov:
     return Novikov.monomial(r.field, -((-n) ** (N - 1)) * total, 1)
 
 
-def _lead_diagnostic(got: Novikov, lead: Novikov, m: int, n: int, passed: str) -> Diagnostic:
-    """Compare a computed a_N with the closed form lead; the detail is
-    passed when they agree and names the mismatch otherwise."""
-    if got == lead:
-        return Diagnostic("lead_coefficient", True, passed)
-    N = minimal_chern(m, n)
-    return Diagnostic(
-        "lead_coefficient",
-        False,
-        f"a_{N} = {got} does not match (-1)^{N} * {n}^{1 + m} * t = {lead}",
-    )
-
-
 def _classical_omega_ring(m: int, field, ctx, unknown_terms=()) -> RingPresentation:
     return RingPresentation("omega", field, ctx, (0,) * (m + 1) + (1,), unknown_terms)
 
@@ -305,32 +289,25 @@ def compute_sh(
     trials: int = 2,
 ) -> ShResult:
     """Full pipeline for O(-n) over P^m; raises UnsupportedRegimeError
-    in the refused band and ValueError for trials < 1."""
+    in the refused band, and ValueError for trials < 1 or a trials or
+    seed that is not an int."""
     with unlimited_int_digits():
         return _compute_sh(m, n, field, seed, trials)
 
 
 def _compute_sh(m, n, field, seed, trials) -> ShResult:
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"need an integer trials >= 1, got trials={trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"need an integer seed, got seed={seed!r}")
     regime = classify_regime(m, n)
     N = minimal_chern(m, n)
     ctx = GradingContext(N)
     r = build_r_matrix(m, n, field)
-    diags = []
 
-    cp, dims, lead_r, c1 = None, None, None, None
+    cp = annihilates = dims = c1 = None
     if r.is_complete:
         cp, annihilates, dims = spectrum(r)
-        diags.append(
-            Diagnostic(
-                "cayley_hamilton",
-                annihilates,
-                "characteristic polynomial annihilates the matrix"
-                if annihilates
-                else "characteristic polynomial fails to annihilate the matrix",
-            )
-        )
         p, rel_c = stable_relation(cp)
         sh_rank: Union[int, str] = p
         if not _c1_vanishes(field, n):
@@ -354,37 +331,29 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
             sh = ZeroRing(_zero_reason(regime, field, n))
     else:
         # monotone, partial: never fabricate the d >= 2 numbers
-        lead = _lead_coefficient(m, n, field)
-        possible = tuple(range(N, m + 1, N)) if N else ()
+        possible = tuple(range(N, m + 1, N))
         sh = PartialFacts(
             nonzero=True,
             rank_multiple_of=N,
             possible_ranks=possible,
             lead_index=N,
-            lead_coefficient=lead,
+            lead_coefficient=_lead_coefficient(m, n, field),
             undetermined=tuple(sorted(r.unknown)),
         )
         sh_rank = f"positive multiple of {N} (at most {possible[-1]})"
         qh_c = _partial_presentation(m, n, field, ctx)
         qh = change_generator(qh_c, n)
-        lead_r = _lead_from_r(r, m, n)
-        diags.append(
-            _lead_diagnostic(
-                lead_r,
-                lead,
-                m,
-                n,
-                f"a_{N} = (-1)^{N} * {n}^{1 + m} * t = {lead} is nonzero, "
-                "so the stable part survives",
-            )
-        )
 
-    diags.extend(
-        _diagnostics(m, n, field, regime, r, cp, dims, lead_r, qh, c1, sh, sh_rank, seed, trials)
+    run = SimpleNamespace(
+        m=m, n=n, field=field, N=N, regime=regime, r=r, cp=cp, annihilates=annihilates,
+        dims=dims, qh=qh, c1=c1, sh=sh, sh_rank=sh_rank, seed=seed, trials=trials,
     )
-    return ShResult(
-        m, n, field, N, regime, r, cp, qh, qh_c, sh, sh_rank, tuple(diags)
+    diags = tuple(
+        Diagnostic(name, *outcome)
+        for name, check in _CHECKS
+        if (outcome := check(run)) is not None
     )
+    return ShResult(m, n, field, N, regime, r, cp, qh, qh_c, sh, sh_rank, diags)
 
 
 def _correction_degrees(m: int, N: int) -> range:
@@ -409,13 +378,16 @@ def _partial_presentation(m, n, field, ctx) -> RingPresentation:
 
 def vanishing_nilpotency(result: ShResult) -> bool:
     """Is the quantum first Chern class of the line bundle nilpotent?
-    Must agree with SH being the zero ring."""
-    if not _c1_vanishes(result.field, result.n) and not result.qh.complete:
-        raise ValueError(
-            "nilpotency is undecidable from an incomplete presentation"
-        )
-    qh, n = result.qh, result.n
-    return _c1_vanishes(result.field, n) or is_nilpotent(qh, qh.gen() * -n)
+    Must agree with SH being the zero ring.  Where c1 is not zero in the
+    field, an incomplete presentation raises IncompletePresentationError,
+    a ValueError."""
+    return _c1_nilpotent(result.field, result.n, result.qh)
+
+
+def _c1_nilpotent(field, n, qh, c1=None) -> bool:
+    """Whether c1 = -n * omega is nilpotent in qh: zero in the field, or
+    some power vanishes; c1 is built from qh when not given."""
+    return _c1_vanishes(field, n) or is_nilpotent(qh, qh.gen() * -n if c1 is None else c1)
 
 
 def rank_constraints(m: int, n: int, sh_rank: int) -> bool:
@@ -444,166 +416,167 @@ def kodaira_vanishing_applies(m: int, n: int) -> bool:
 _RESIDUE_FROM_N = 20
 
 
-def _diagnostics(
-    m, n, field, regime, r, cp, dims, lead_r, qh, c1, sh, sh_rank, seed, trials
-) -> list:
-    """The cross-checks of one run; lead_r is a_N read off r in partial
-    mode, None otherwise; c1 = -n * omega in qh, None when qh is partial
-    or -n vanishes in the field."""
-    out = []
-    N = minimal_chern(m, n)
-    numeric_rank = sh_rank if isinstance(sh_rank, int) else None
+# -- diagnostics ------------------------------------------------------------
 
-    # nilpotency <=> vanishing
-    if isinstance(sh, PartialFacts):
-        ok = sh.nonzero and bool(lead_r)
-        out.append(
-            Diagnostic(
-                "nilpotency_vanishing",
-                ok,
-                "a_N is nonzero so the class is not nilpotent and SH is not zero"
-                if ok
-                else f"a_{N} = {lead_r} read off r, so nothing shows SH is not zero",
-            )
+
+def _check_cayley_hamilton(run):
+    if run.cp is not None:
+        if run.annihilates:
+            return True, "characteristic polynomial annihilates the matrix"
+        return False, "characteristic polynomial fails to annihilate the matrix"
+
+
+def _lead_check(run, got: Novikov) -> tuple:
+    """a_N as computed, got, against the closed form (-1)^N n^(1+m) t."""
+    N, lead = run.N, _lead_coefficient(run.m, run.n, run.field)
+    closed = f"(-1)^{N} * {run.n}^{1 + run.m} * t"
+    if got != lead:
+        return False, f"a_{N} = {got} does not match {closed} = {lead}"
+    if run.cp is None:
+        return True, f"a_{N} = {closed} = {lead} is nonzero, so the stable part survives"
+    return True, f"a_{N} = {got} matches {closed}"
+
+
+def _check_partial_lead(run):
+    if run.cp is None:
+        return _lead_check(run, _lead_from_r(run.r, run.m, run.n))
+
+
+def _check_nilpotency_vanishing(run):
+    if run.cp is None:
+        lead_r = _lead_from_r(run.r, run.m, run.n)
+        if run.sh.nonzero and lead_r:
+            return True, "a_N is nonzero so the class is not nilpotent and SH is not zero"
+        return False, f"a_{run.N} = {lead_r} read off r, so nothing shows SH is not zero"
+    nil = _c1_nilpotent(run.field, run.n, run.qh, run.c1)
+    vanished = isinstance(run.sh, ZeroRing)
+    return nil == vanished, f"nilpotent = {nil}, SH zero = {vanished}; the two must agree"
+
+
+def _check_rank_constraints(run):
+    m, N = run.m, run.N
+    if run.cp is None:
+        ranks = run.sh.possible_ranks
+        return (
+            all(rank_constraints(m, run.n, k) for k in ranks),
+            f"every candidate rank {list(ranks)} is a multiple of N = {N} below {m + 1}",
+        )
+    detail = f"rank {run.sh_rank} < {m + 1}"
+    if N:
+        detail += f" and divisible by |N| = {abs(N)}"
+    return rank_constraints(m, run.n, run.sh_rank), detail
+
+
+def _check_generalized_kernel(run):
+    if run.cp is None:
+        return None
+    size, dims = run.m + 1 - run.sh_rank, run.dims
+    if dims is None:
+        return False, f"no Jordan chain of length {size} ends at the last basis vector"
+    ok = dims[-1] == size
+    detail = f"generalized kernel has dimension {dims[-1]} = {run.m + 1} - {run.sh_rank}"
+    if not _c1_vanishes(run.field, run.n):
+        ok = ok and zero_block_sizes(dims) == [size]
+        detail += f"; single nilpotent block of size {size}"
+    return ok, detail
+
+
+def _check_complete_lead(run):
+    if run.cp is not None and run.regime.kind == "monotone":
+        return _lead_check(run, run.cp.coefficient(run.N))
+
+
+def _check_multiplication_matrix(run):
+    if run.c1 is None:
+        return None
+    mm = multiplication_matrix(run.qh, run.c1)
+    detail = "multiplication by -n*omega in QH realizes the same operator"
+    if run.n == 1 or run.regime.kind != "monotone":
+        # correction-free power basis: equal matrices, equal char polys
+        return mm == run.r, detail + ", entrywise"
+    # a failed Cayley-Hamilton check on mm fails the diagnostic
+    mm_cp, annihilates, _ = spectrum(mm)
+    return (
+        annihilates and mm_cp == run.cp,
+        detail + " (different bases for n >= 2: characteristic data match)",
+    )
+
+
+def _check_localization_match(run):
+    m, n, seed, trials = run.m, run.n, run.seed, run.trials
+    if n > m:
+        return None
+    expected = subdiagonal_entries(m, n)
+    detail = f"fixed-point sums over {trials} weight samples reproduce every degree-one entry"
+    if n < _RESIDUE_FROM_N:
+        ok = all(
+            localize_row(m, n, sample_weights(m, seed + k)) == expected
+            for k in range(trials)
         )
     else:
-        nil = _c1_vanishes(field, n) or is_nilpotent(qh, c1)
-        vanished = isinstance(sh, ZeroRing)
-        out.append(
-            Diagnostic(
-                "nilpotency_vanishing",
-                nil == vanished,
-                f"nilpotent = {nil}, SH zero = {vanished}; the two must agree",
-            )
+        # every weight difference is at most 2 * max(360, m + 1) < 2^60 <= p,
+        # so p divides no move product
+        p = sample_prime(seed)
+        residues = tuple(e % p for e in expected)
+        ok = all(
+            localize_row(m, n, sample_weights(m, seed + k), p) == residues
+            for k in range(trials)
+        )
+        detail += f" modulo the prime {p}"
+    rows, mod = run.r.rows, run.field.characteristic
+    ok = ok and all(
+        rows[run.N + a - 1].get(a, 0) == (e % mod if mod else e) for a, e in enumerate(expected)
+    )
+    return ok, detail
+
+
+def _check_blowup_match(run):
+    if (run.m, run.n) == (1, 1):
+        deg, mod = obstruction_bundle_degree(), run.field.characteristic
+        return (
+            deg == 1 and run.r.rows[0].get(0, 0) == (deg % mod if mod else deg),
+            "the universal-curve Euler characteristic gives the same degree-one count",
         )
 
-    # rank constraints
-    if numeric_rank is not None:
-        ok = rank_constraints(m, n, numeric_rank)
-        out.append(
-            Diagnostic(
-                "rank_constraints",
-                ok,
-                f"rank {numeric_rank} < {m + 1} and divisible by |N| = {abs(N)}"
-                if N
-                else f"rank {numeric_rank} < {m + 1}",
-            )
-        )
-    else:
-        ok = all(rank_constraints(m, n, k) for k in sh.possible_ranks)
-        out.append(
-            Diagnostic(
-                "rank_constraints",
-                ok,
-                f"every candidate rank {list(sh.possible_ranks)} is a multiple "
-                f"of N = {N} below {m + 1}",
-            )
+
+def _check_kodaira_vanishing(run):
+    if kodaira_vanishing_applies(run.m, run.n):
+        return run.sh_rank == 0, f"twist {run.n} exceeds 2m = {2 * run.m}, so SH must vanish"
+
+
+def _check_calabi_yau_vanishing(run):
+    if run.regime.kind == "calabi_yau":
+        return run.sh_rank == 0, "zero first Chern class forces a nilpotent operator"
+
+
+def _check_char2_even_twist(run):
+    if _c1_vanishes(run.field, run.n):
+        return (
+            run.sh_rank == 0 and not any(run.r.rows),
+            "even twist is zero mod 2: the whole matrix and SH vanish",
         )
 
-    # generalized kernel and block structure (complete matrices only)
-    if cp is not None:
-        p = numeric_rank if numeric_rank is not None else 0
-        gk = dims[-1] if dims else None
-        ok = gk == m + 1 - p
-        detail = f"generalized kernel has dimension {gk} = {m + 1} - {p}"
-        if dims is None:
-            detail = f"no Jordan chain of length {m + 1 - p} ends at the last basis vector"
-        elif not _c1_vanishes(field, n):
-            blocks = zero_block_sizes(dims)
-            ok = ok and blocks == [m + 1 - p]
-            detail += f"; single nilpotent block of size {m + 1 - p}"
-        out.append(Diagnostic("generalized_kernel", ok, detail))
 
-        if regime.kind == "monotone":
-            lead = _lead_coefficient(m, n, field)
-            got = cp.coefficient(N)
-            out.append(
-                _lead_diagnostic(
-                    got, lead, m, n, f"a_{N} = {got} matches (-1)^{N} * {n}^{1 + m} * t"
-                )
-            )
-    if cp is not None and not _c1_vanishes(field, n):
-        mm = multiplication_matrix(qh, c1)
-        detail = "multiplication by -n*omega in QH realizes the same operator"
-        if n == 1 or regime.kind != "monotone":
-            # correction-free power basis: equal matrices, equal char polys
-            ok = mm == r
-            detail += ", entrywise"
-        else:
-            # a failed Cayley-Hamilton check on mm fails the diagnostic
-            mm_cp, annihilates, _ = spectrum(mm)
-            ok = annihilates and mm_cp == cp
-            detail += " (different bases for n >= 2: characteristic data match)"
-        out.append(Diagnostic("multiplication_matrix", ok, detail))
-
-    # r at t = 1, for the entry checks below
-    rows, mod = r.rows, r.field.characteristic
-    # localization cross-check on the degree-one entries
-    if 1 <= n <= m:
-        expected = subdiagonal_entries(m, n)
-        detail = f"fixed-point sums over {trials} weight samples reproduce every degree-one entry"
-        if n < _RESIDUE_FROM_N:
-            ok = all(
-                localize_row(m, n, sample_weights(m, seed + k)) == expected
-                for k in range(trials)
-            )
-        else:
-            # every weight difference is at most 2 * max(360, m + 1) < 2^60 <= p,
-            # so p divides no move product
-            p = sample_prime(seed)
-            residues = tuple(e % p for e in expected)
-            ok = all(
-                localize_row(m, n, sample_weights(m, seed + k), p) == residues
-                for k in range(trials)
-            )
-            detail += f" modulo the prime {p}"
-        ok = ok and all(
-            rows[N + a - 1].get(a, 0) == (e % mod if mod else e)
-            for a, e in enumerate(expected)
-        )
-        out.append(Diagnostic("localization_match", ok, detail))
-
-    if (m, n) == (1, 1):
-        deg = obstruction_bundle_degree()
-        entry_ok = rows[0].get(0, 0) == (deg % mod if mod else deg)
-        out.append(
-            Diagnostic(
-                "blowup_match",
-                deg == 1 and entry_ok,
-                "the universal-curve Euler characteristic gives the same "
-                "degree-one count",
-            )
-        )
-
-    if kodaira_vanishing_applies(m, n):
-        out.append(
-            Diagnostic(
-                "kodaira_vanishing",
-                numeric_rank == 0,
-                f"twist {n} exceeds 2m = {2 * m}, so SH must vanish",
-            )
-        )
-
-    if regime.kind == "calabi_yau":
-        out.append(
-            Diagnostic(
-                "calabi_yau_vanishing",
-                numeric_rank == 0,
-                "zero first Chern class forces a nilpotent operator",
-            )
-        )
-
-    if _c1_vanishes(field, n):
-        out.append(
-            Diagnostic(
-                "char2_even_twist",
-                numeric_rank == 0
-                and r.is_complete
-                and not any(rows),
-                "even twist is zero mod 2: the whole matrix and SH vanish",
-            )
-        )
-    return out
+# The diagnostics of a run, in output order.  Each check reads the values
+# of one run (m, n, field, N, regime, r, cp, annihilates, dims, qh, c1, sh,
+# sh_rank, seed, trials; cp is None in partial mode, and c1 = -n * omega
+# in qh is None there and where -n vanishes in the field) and returns
+# (passed, detail), or None where it does not apply.  What a check calls
+# is looked up in this module at call time, so it can be replaced there.
+_CHECKS = (
+    ("cayley_hamilton", _check_cayley_hamilton),
+    ("lead_coefficient", _check_partial_lead),
+    ("nilpotency_vanishing", _check_nilpotency_vanishing),
+    ("rank_constraints", _check_rank_constraints),
+    ("generalized_kernel", _check_generalized_kernel),
+    ("lead_coefficient", _check_complete_lead),
+    ("multiplication_matrix", _check_multiplication_matrix),
+    ("localization_match", _check_localization_match),
+    ("blowup_match", _check_blowup_match),
+    ("kodaira_vanishing", _check_kodaira_vanishing),
+    ("calabi_yau_vanishing", _check_calabi_yau_vanishing),
+    ("char2_even_twist", _check_char2_even_twist),
+)
 
 
 # -- rendering ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import signal
 import sys
@@ -228,6 +230,32 @@ def test_grr(capsys):
 def test_table(capsys):
     rows = run_json(capsys, "table", "--max-m", "1")
     assert [(r["m"], r["n"]) for r in rows] == [(1, 1), (1, 2), (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rmatrix", "--m", "5", "--n", "2"],
+        ["rmatrix", "--m", "4", "--n", "4", "--field", "gf2"],
+        ["tau", "--n", "5"],
+        ["grr"],
+        ["localize", "--m", "5", "--n", "3", "--a", "1"],
+        ["table", "--max-m", "4"],
+    ],
+)
+def test_json_is_printed_indented_with_one_newline(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_goes_to_the_stdout_of_the_call(capsys):
+    # the stream is looked up when printing, so a redirect captures it
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["grr"]) == 0
+    assert json.loads(buf.getvalue())["obstruction_degree"] == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_output_is_deterministic(capsys):

@@ -359,6 +359,28 @@ def test_refusals_keep_their_order():
     assert str(e.value) == str(UnsupportedRegimeError(3, 5))
 
 
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 4)])
+@pytest.mark.parametrize(
+    "name, value", [("trials", True), ("trials", 1.5), ("trials", "2"),
+                    ("seed", False), ("seed", 1.5), ("seed", "x")],
+)
+def test_trials_and_seed_must_be_integers(m, n, name, value):
+    # refused before any work, whether or not the run would sample weights
+    with pytest.raises(ValueError, match=f"need an integer {name}") as e:
+        compute_sh(m, n, **{name: value})
+    assert str(e.value).endswith(f"got {name}={value!r}")
+
+
+def test_type_refusals_come_first():
+    # trials, then seed, then the arguments and the refused band
+    with pytest.raises(ValueError, match="trials"):
+        compute_sh(0, 5, trials=True, seed="x")
+    with pytest.raises(ValueError, match="seed"):
+        compute_sh(0, 5, seed="x")
+    with pytest.raises(ValueError, match="seed"):
+        compute_sh(3, 5, seed=None)
+
+
 def test_localization_diagnostic_can_fail(corrupt_localize_row):
     res = compute_sh(5, 3, trials=2)
     assert not _diagnostic(res, "localization_match").passed
@@ -419,6 +441,43 @@ def test_diagnostics_all_pass_everywhere():
                 res = compute_sh(m, n, field, trials=1)
                 failed = [d.name for d in res.diagnostics if not d.passed]
                 assert not failed, (m, n, field.kind, failed)
+
+
+CHECK_ORDER = [
+    "cayley_hamilton", "lead_coefficient", "nilpotency_vanishing", "rank_constraints",
+    "generalized_kernel", "lead_coefficient", "multiplication_matrix",
+    "localization_match", "blowup_match", "kodaira_vanishing", "calabi_yau_vanishing",
+    "char2_even_twist",
+]
+
+
+def _table_rows(names) -> list:
+    """The index in CHECK_ORDER of each diagnostic name, matched in order;
+    AssertionError when the names do not follow the table."""
+    rows, i = [], 0
+    for name in names:
+        while i < len(CHECK_ORDER) and CHECK_ORDER[i] != name:
+            i += 1
+        assert i < len(CHECK_ORDER), f"{name} out of table order in {names}"
+        rows.append(i)
+        i += 1
+    return rows
+
+
+def test_every_check_row_fires_in_table_order():
+    # the table holds the output order; each result follows it, names no
+    # check twice, and every row applies to some pair with m <= 6
+    assert [name for name, _ in shq.pipeline._CHECKS] == CHECK_ORDER
+    fired = set()
+    for m in range(1, 7):
+        for n in range(1, 2 * m + 2):
+            if classify_regime(m, n).kind == "unsupported":
+                continue
+            for field in (QQ, F2):
+                names = [d.name for d in compute_sh(m, n, field, trials=1).diagnostics]
+                assert len(set(names)) == len(names), (m, n, field.kind, names)
+                fired.update(_table_rows(names))
+    assert fired == set(range(len(CHECK_ORDER)))
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
