@@ -10,7 +10,6 @@ from .novikov import (
     CoefficientField,
     F2,
     FIELDS,
-    GF2Element,
     GradingContext,
     Novikov,
     QQ,
@@ -20,7 +19,6 @@ __all__ = [
     "CoefficientField",
     "F2",
     "FIELDS",
-    "GF2Element",
     "GradingContext",
     "Novikov",
     "QQ",

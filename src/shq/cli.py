@@ -121,8 +121,7 @@ def _cmd_tau(args) -> int:
         raise ValueError("need n >= 1")
     field = FIELDS[args.field]
     table = tau_table(args.n)
-    reduced = [int(bool(field.of(v))) if field.characteristic else v
-               for v in table.coeffs]
+    reduced = [field.of(v) for v in table.coeffs]
     return _emit(
         {
             "n": args.n,

@@ -35,10 +35,11 @@ characteristic coefficients of a weight-1 matrix are
 a_k = c_k(mat(1)) * t^(k/N), both checks are those of mat(1), ranks are
 those of mat(1) and each kernel vector is D times one of mat(1); with
 N = 0 every t-power is zero.  A matrix is therefore stored as the
-sparse rows of mat(1), ints or Fractions over Q, bits over GF(2), and a
-characteristic polynomial as c_1, ..., c_s, the same kind of values.
-Novikov scalars are built only for kernel vectors and when the entries
-of a matrix or the coefficients a_k are asked for.
+sparse rows of mat(1) and a characteristic polynomial as c_1, ..., c_s,
+both in the one ground-value format of CoefficientField.of: an int (a
+Fraction where not integral) over Q, a bit 0 or 1 over GF(2).  Novikov
+scalars are built only for kernel vectors and when the entries of a
+matrix or the coefficients a_k are asked for, and hold the same values.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 from operator import is_
 from typing import Optional
 
-from .novikov import CoefficientField, GF2Element, Novikov, Record, unknown_term_str
+from .novikov import CoefficientField, Novikov, Record, unknown_term_str
 
 
 class IncompleteMatrixError(ValueError):
@@ -59,10 +60,11 @@ class LambdaMatrix:
     unknowns, stored as its rows at t = 1.
 
     rows[i] maps column j to c of the nonzero entry
-    (i, j) = c * t^((i - j + weight)/N): an int (a Fraction where not
-    integral) over Q, or a bit over GF(2).  The constructor reduces the
-    values it is given mod 2 over GF(2), drops zeros and checks each
-    position against the grading; entries is a view built on first use.
+    (i, j) = c * t^((i - j + weight)/N), a ground value of field.of: an
+    int (a Fraction where not integral) over Q, or a bit over GF(2).
+    The constructor reads each value it is given through field.of, drops
+    zeros and checks each position against the grading; entries is a
+    view built on first use.
     unknown: frozenset of (row, col, t_power), 0-indexed positions whose
         coefficient is undetermined; the entry there is zero.
     """
@@ -70,14 +72,14 @@ class LambdaMatrix:
     __slots__ = ("field", "grading", "weight", "size", "rows", "unknown", "_entries")
 
     def __init__(self, field: CoefficientField, grading, rows, unknown=(), weight: int = 1):
-        N, mod, s = grading.N, field.characteristic, len(rows)
+        N, of, s = grading.N, field.of, len(rows)
         if not s:
             raise ValueError("matrix must be nonempty")
         ground = []
         for i, row in enumerate(rows):
             ground.append({})
             for j, x in row.items():
-                x = x % mod if mod else (x.numerator if x.denominator == 1 else x)
+                x = of(x)
                 if not x:
                     continue
                 if not 0 <= j < s or ((i - j + weight) % N if N else i - j + weight):
@@ -192,8 +194,8 @@ class CharPoly(Record):
     """Monic characteristic polynomial lambda^s + a_1 lambda^(s-1) + ...
     + a_s of a weight-1 matrix, stored at t = 1.
 
-    values holds c_1, ..., c_s, ints or Fractions over Q, bits over
-    GF(2), and a_k = c_k * t^(k/N); a nonzero c_k where N does not divide
+    values holds c_1, ..., c_s as ground values of field.of, and
+    a_k = c_k * t^(k/N); a nonzero c_k where N does not divide
     k raises ArithmeticError.  a, the Novikov coefficients, is a view
     built on first use.
     """
@@ -202,7 +204,7 @@ class CharPoly(Record):
     _fields = __slots__[:-1]
 
     def __init__(self, field: CoefficientField, grading, values):
-        values = _scalars(values, field.characteristic)
+        values = _scalars(values, field)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "values", values)
@@ -232,22 +234,11 @@ class CharPoly(Record):
 # -- the scalars the core runs on ---------------------------------------------
 
 
-def _scalars(values, mod: int) -> tuple:
-    """Values at t = 1 as stored, a tuple reduced mod 2 over GF(2) and
-    over Q with ints where integral; values itself when it is one."""
-    if mod:
-        out = tuple([x % mod for x in values])
-    else:
-        out = tuple([x.numerator if x.denominator == 1 else x for x in values])
+def _scalars(values, field: CoefficientField) -> tuple:
+    """Values at t = 1 as stored: a tuple of their ground values under
+    field.of; values itself when it is one."""
+    out = tuple(map(field.of, values))
     return values if type(values) is tuple and all(map(is_, out, values)) else out
-
-
-def _ground(c):
-    """A nonzero coefficient as a bit over GF(2), over Q as an int where
-    it is integral."""
-    if isinstance(c, GF2Element):
-        return c.v
-    return c.numerator if c.denominator == 1 else c
 
 
 def _t_power(N: int, k: int) -> Optional[int]:
@@ -265,7 +256,7 @@ def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
     d = _t_power(N, k)
     if d is None:
         raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
-    return Novikov.monomial(field, c, d)
+    return Novikov(field, {d: c})
 
 
 # -- the Hessenberg core --------------------------------------------------------

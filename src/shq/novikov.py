@@ -9,6 +9,10 @@ nothing here divides by a scalar.
 
 A scalar is stored as its Laurent polynomial, with no zero coefficients
 stored, so equality of values is literal equality of representations.
+Each coefficient is a ground value as CoefficientField.of gives it: an
+int over Q (a Fraction where not integral), a bit 0 or 1 over GF(2).
+The t = 1 core of linalg and ring stores the same values, so a view
+built from it and a scalar built here hold equal values of equal types.
 
 Grading: t carries cohomological degree 2N, where N is the minimal
 Chern number of the total space.  A GradingContext records N for the
@@ -57,59 +61,6 @@ class Record:
         return f"{type(self).__name__}({args})"
 
 
-class GF2Element:
-    """An element of the field with two elements."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: int):
-        self.v = int(v) & 1
-
-    def _coerce(self, other) -> "GF2Element":
-        if isinstance(other, GF2Element):
-            return other
-        if isinstance(other, int):
-            return GF2Element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GF2Element(self.v ^ other.v)
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GF2Element(self.v & other.v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GF2Element):
-            return self.v == other.v
-        if isinstance(other, int):
-            return self.v == other & 1
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("GF2", self.v))
-
-    def __repr__(self):
-        return str(self.v)
-
-
 class CoefficientField:
     """Ground field of the Novikov scalars: exact rationals or GF(2)."""
 
@@ -117,36 +68,22 @@ class CoefficientField:
         if kind not in ("Q", "GF2"):
             raise ValueError(f"unknown coefficient field {kind!r}")
         self.kind = kind
+        self.characteristic = 0 if kind == "Q" else 2
 
-    def of(self, x) -> Union[Fraction, GF2Element]:
-        """Coerce an int, Fraction, or field element into this field."""
-        if self.kind == "Q":
-            if isinstance(x, Fraction):
-                return x
-            if isinstance(x, int):
-                return Fraction(x)
-        else:
-            if isinstance(x, GF2Element):
-                return x
-            if isinstance(x, int):
-                return GF2Element(x)
-            if isinstance(x, Fraction):
-                if x.denominator % 2 == 0:
-                    raise ZeroDivisionError("denominator not invertible in GF(2)")
-                return GF2Element(x.numerator)
+    def of(self, x) -> Union[int, Fraction]:
+        """The ground value of an int or Fraction: over Q an int, or a
+        Fraction where not integral; over GF(2) a bit, 0 or 1, where an
+        even denominator raises ZeroDivisionError.  A bool reads as the
+        int 0 or 1; any other type raises TypeError."""
+        if isinstance(x, int):
+            return x & 1 if self.characteristic else int(x)
+        if isinstance(x, Fraction):
+            if not self.characteristic:
+                return x.numerator if x.denominator == 1 else x
+            if x.denominator % 2 == 0:
+                raise ZeroDivisionError("denominator not invertible in GF(2)")
+            return x.numerator & 1
         raise TypeError(f"cannot coerce {x!r} into {self}")
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else GF2Element(0)
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else GF2Element(1)
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == "Q" else 2
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.kind == other.kind
@@ -173,23 +110,15 @@ class GradingContext(Record):
         object.__setattr__(self, "N", N)
 
 
-# Laurent polynomials are dicts {exponent: coefficient} with no zero
-# values stored.
-
-
-def _trim(d: dict) -> dict:
-    return {e: c for e, c in d.items() if c}
+# Laurent polynomials are dicts {exponent: coefficient}.  The helpers
+# below may leave zero or unreduced sums; the Novikov constructor reads
+# each coefficient through field.of and drops the zeros.
 
 
 def _padd(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+        out[e] = out.get(e, 0) + c
     return out
 
 
@@ -202,24 +131,20 @@ def _pmul(a: dict, b: dict) -> dict:
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            s = out.get(e)
-            s = ca * cb if s is None else s + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + ca * cb
     return out
 
 
 class Novikov:
-    """A Novikov scalar: the Laurent polynomial num in t, with no zero
-    coefficients stored."""
+    """A Novikov scalar: the Laurent polynomial num in t, its
+    coefficients ground values of field.of, with no zeros stored."""
 
     __slots__ = ("field", "num")
 
     def __init__(self, field: CoefficientField, num: dict):
+        of = field.of
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", _trim(num))
+        object.__setattr__(self, "num", {e: c for e, x in num.items() if (c := of(x))})
 
     def __setattr__(self, name, value):
         raise AttributeError("Novikov scalars are immutable")
@@ -232,15 +157,15 @@ class Novikov:
 
     @classmethod
     def one(cls, field: CoefficientField) -> "Novikov":
-        return cls(field, {0: field.one})
+        return cls(field, {0: 1})
 
     @classmethod
     def constant(cls, field: CoefficientField, value) -> "Novikov":
-        return cls(field, {0: field.of(value)})
+        return cls(field, {0: value})
 
     @classmethod
     def monomial(cls, field: CoefficientField, coeff, power: int) -> "Novikov":
-        return cls(field, {int(power): field.of(coeff)})
+        return cls(field, {int(power): coeff})
 
     @classmethod
     def t(cls, field: CoefficientField, power: int = 1) -> "Novikov":
@@ -262,8 +187,8 @@ class Novikov:
             if other.field != self.field:
                 raise ValueError("coefficient field mismatch")
             return other
-        if isinstance(other, (int, Fraction, GF2Element)):
-            return Novikov(self.field, {0: self.field.of(other)})
+        if isinstance(other, (int, Fraction)):
+            return Novikov(self.field, {0: other})
         return None
 
     def __add__(self, other):
@@ -275,10 +200,7 @@ class Novikov:
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(Novikov)
-        object.__setattr__(out, "field", self.field)
-        object.__setattr__(out, "num", _pneg(self.num))
-        return out
+        return Novikov(self.field, _pneg(self.num))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -314,9 +236,9 @@ class Novikov:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GF2Element)):
+        if isinstance(other, (int, Fraction)):
             try:
-                other = Novikov(self.field, {0: self.field.of(other)})
+                other = Novikov(self.field, {0: other})
             except (TypeError, ZeroDivisionError):
                 return NotImplemented
         if not isinstance(other, Novikov):
@@ -341,7 +263,7 @@ def _term_str(c, e: int) -> str:
     t = "t" if e == 1 else f"t^{e}"
     if c == 1:
         return t
-    if isinstance(c, Fraction) and c == -1:
+    if c == -1:
         return f"-{t}"
     return f"{c}*{t}"
 
@@ -358,7 +280,7 @@ def _laurent_str(d: dict) -> str:
     parts = []
     for e in sorted(d):
         c = d[e]
-        if parts and isinstance(c, Fraction) and c < 0:
+        if parts and c < 0:
             parts.append(f" - {_term_str(-c, e)}")
         elif parts:
             parts.append(f" + {_term_str(c, e)}")

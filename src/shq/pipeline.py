@@ -263,6 +263,8 @@ def _zero_reason(regime: Regime, field: CoefficientField, n: int) -> str:
             "no sphere corrections survive the obstruction bundle; the "
             "classical multiplication is nilpotent"
         )
+    # monotone with c1 nonzero in the field: a_N = (-1)^N n^(1+m) t != 0, so
+    # only a wrong characteristic polynomial gets here, and its checks fail
     return "multiplication by the first Chern class is nilpotent"
 
 

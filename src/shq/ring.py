@@ -13,16 +13,19 @@ computation that depends on the missing numbers.
 
 Every presentation is graded and its relation homogeneous, so it is
 stored the way linalg stores a matrix: the values at t = 1 of its
-relation (ints or Fractions over Q, bits over GF(2)) with its field and
-grading.  An element is stored as the values at t = 1 of its
-coefficients with its weight.  All arithmetic in the quotient is one
-reduction step on these values, multiplication by the generator modulo
-the relation, and the generator change, the nilpotency test and the
-multiplication matrix build no Novikov scalar.  Novikov scalars are read
-only where they come in, by reduce and by multiplying an element with a
-scalar, which raise ValueError unless the input is homogeneous (not
-1 + g, t - 1 or t*g with N = 0).  They are built for the views relation
-and coeffs, and one per nonzero coefficient for rendering.  A
+relation with its field and grading.  An element is stored as the
+values at t = 1 of its coefficients with its weight.  Each constructor
+reads its values through field.of, so they are ground values, ints (a
+Fraction where not integral) over Q and bits over GF(2), the same values
+the Novikov views relation and coeffs hold.  All arithmetic in the
+quotient is one reduction step on these values, multiplication by the
+generator modulo the relation, and the generator change, the nilpotency
+test and the multiplication matrix build no Novikov scalar.  Novikov
+scalars are read only where they come in, by reduce and by multiplying
+an element with a scalar, which raise ValueError unless the input is
+homogeneous (not 1 + g, t - 1 or t*g with N = 0); an int or Fraction
+given to either is read as a constant through field.of.  They are built
+for the views and one per nonzero coefficient for rendering.  A
 multiplication matrix has the grading of its presentation and the
 weight of its element, and is handed over as its rows at t = 1.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from .linalg import LambdaMatrix, _ground, _lift, _scalars
+from .linalg import LambdaMatrix, _lift, _scalars
 from .novikov import CoefficientField, GradingContext, Novikov, Record, unknown_term_str
 
 
@@ -67,7 +70,7 @@ class RingPresentation(Record):
         self, generator: str, field: CoefficientField, grading: GradingContext, values,
         unknown_terms: tuple = (),
     ):
-        values = _scalars(values, field.characteristic)
+        values = _scalars(values, field)
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "grading", grading)
@@ -243,7 +246,7 @@ class RingElement(Record):
     _fields = __slots__[:-1]
 
     def __init__(self, pres: RingPresentation, values, weight: int):
-        values = _scalars(values, pres.field.characteristic)
+        values = _scalars(values, pres.field)
         if not any(values):
             weight = 0
         object.__setattr__(self, "pres", pres)
@@ -278,12 +281,9 @@ class RingElement(Record):
             return RingElement(
                 pres, pres._product(self.values, other.values), self.weight + other.weight
             )
-        if isinstance(other, int):
-            weight, c = 0, other
-        elif isinstance(other, Novikov):
-            weight, (c,) = _at_one(pres.field, pres.grading.N, (other,))
-        else:
+        if not isinstance(other, (int, Fraction, Novikov)):
             return NotImplemented
+        weight, (c,) = _at_one(pres.field, pres.grading.N, (other,))
         return RingElement(pres, [x * c for x in self.values], self.weight + weight)
 
     __rmul__ = __mul__
@@ -366,12 +366,15 @@ def _at_one(field: CoefficientField, N: int, coeffs) -> tuple:
     """
     weight, values = None, []
     for k, x in enumerate(coeffs):
-        if isinstance(x, Novikov) and x.field != field:
+        if not isinstance(x, Novikov):
+            parts = (field.of(x), 0)
+        elif x.field != field:
             raise ValueError("coefficient field mismatch")
-        if not x:
+        else:
+            parts = x.monomial_parts() if x else (0, 0)
+        if parts and not parts[0]:
             values.append(0)
             continue
-        parts = x.monomial_parts() if isinstance(x, Novikov) else (field.of(x), 0)
         w = None if parts is None or (parts[1] and not N) else N * parts[1] + k
         if w is None or weight not in (None, w):
             raise ValueError(
@@ -379,5 +382,5 @@ def _at_one(field: CoefficientField, N: int, coeffs) -> tuple:
                 f"monomial c*t^d of one weight N*d + k, with N = {N}"
             )
         weight = w
-        values.append(_ground(parts[0]))
+        values.append(parts[0])
     return (0 if weight is None else weight), values

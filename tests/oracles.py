@@ -14,7 +14,7 @@ from itertools import permutations
 import sympy
 
 from shq.linalg import LambdaMatrix
-from shq.novikov import QQ, GF2Element, GradingContext, Novikov
+from shq.novikov import QQ, GradingContext, Novikov
 from shq.ring import RingElement, RingPresentation
 
 
@@ -180,7 +180,7 @@ def unit_inverse(x):
     if parts is None:
         raise ArithmeticError(f"{x} is not a unit c*t^d")
     c, d = parts
-    return Novikov.monomial(x.field, c if isinstance(c, GF2Element) else 1 / c, -d)
+    return Novikov.monomial(x.field, Fraction(1) / c, -d)
 
 
 def graded_matrix(entries, N: int, unknown=(), weight: int = 1) -> LambdaMatrix:
@@ -196,8 +196,7 @@ def graded_matrix(entries, N: int, unknown=(), weight: int = 1) -> LambdaMatrix:
             if x and parts is None:
                 raise ValueError(f"{x} is not a monomial")
             if x:
-                c = parts[0]
-                rows[-1][j] = c.v if isinstance(c, GF2Element) else c
+                rows[-1][j] = parts[0]
     mat = LambdaMatrix(entries[0][0].field, GradingContext(N), rows, unknown, weight)
     if mat.entries != tuple(map(tuple, entries)):
         raise ValueError(f"the grid does not fit grading N = {N} at weight {weight}")
@@ -214,8 +213,7 @@ def presentation(generator: str, relation, N: int, unknown_terms=()) -> RingPres
         parts = x.monomial_parts()
         if x and parts is None:
             raise ValueError(f"relation is not homogeneous: {x} is not a monomial")
-        c = parts[0] if x else 0
-        values.append(c.v if isinstance(c, GF2Element) else c)
+        values.append(parts[0] if x else 0)
     field = relation[-1].field if relation else QQ
     pres = RingPresentation(generator, field, GradingContext(N), values, unknown_terms)
     if pres.relation != tuple(relation):

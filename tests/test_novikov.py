@@ -28,6 +28,60 @@ def random_scalar(rng, field):
     return Novikov(field, {e: field.of(c) for e, c in num.items()})
 
 
+# -- ground values -----------------------------------------------------
+
+
+OF_CASES = [
+    (QQ, 5, 5, int),
+    (QQ, -7, -7, int),
+    (QQ, True, 1, int),
+    (QQ, False, 0, int),
+    (QQ, Fraction(6, 3), 2, int),
+    (QQ, Fraction(-1, 3), Fraction(-1, 3), Fraction),
+    (F2, 5, 1, int),
+    (F2, -7, 1, int),
+    (F2, -4, 0, int),
+    (F2, True, 1, int),
+    (F2, False, 0, int),
+    (F2, Fraction(6, 3), 0, int),
+    (F2, Fraction(-1, 3), 1, int),
+    (F2, Fraction(4, 3), 0, int),
+]
+
+
+@pytest.mark.parametrize(
+    "field, x, value, kind", OF_CASES, ids=[f"{f.kind}-{x!r}" for f, x, _, _ in OF_CASES]
+)
+def test_of_gives_the_ground_value(field, x, value, kind):
+    got = field.of(x)
+    assert got == value and type(got) is kind
+
+
+def test_of_refusals():
+    with pytest.raises(ZeroDivisionError):
+        F2.of(Fraction(1, 2))
+    for field in (QQ, F2):
+        for x in (0.5, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                field.of(x)
+    # the constructor reads every coefficient through of
+    with pytest.raises(TypeError):
+        Novikov(QQ, {0: 0.5})
+    with pytest.raises(ZeroDivisionError):
+        Novikov(F2, {1: Fraction(3, 4)})
+
+
+def test_coefficients_are_ground_values():
+    a = Novikov(QQ, {0: Fraction(4, 2), 1: Fraction(1, 2), 2: True})
+    assert a.num == {0: 2, 1: Fraction(1, 2), 2: 1}
+    assert [type(c) for c in a.num.values()] == [int, Fraction, int]
+    b = Novikov(F2, {0: 3, 1: Fraction(-1, 3), 2: -2})
+    assert b.num == {0: 1, 1: 1} and all(type(c) is int for c in b.num.values())
+    assert (-Novikov.t(F2)).num == {1: 1}
+    three_t = Novikov.t(QQ) * Fraction(3, 1)
+    assert three_t.num == {1: 3} and type(three_t.num[1]) is int
+
+
 # -- canonical form ----------------------------------------------------
 
 
@@ -77,7 +131,7 @@ def test_recanonicalise_is_identity():
         for _ in range(300):
             a = random_scalar(rng, field)
             # a zero coefficient is dropped, never stored
-            again = Novikov(field, {**a.num, 9: field.zero})
+            again = Novikov(field, {**a.num, 9: 0})
             assert again.num == a.num and again == a
             assert all(again.num.values())
 
@@ -182,6 +236,17 @@ def test_str_ascending_exponents():
 def test_str_negative_and_fraction_coeffs():
     a = Novikov.monomial(QQ, Fraction(-1, 3), 1) + Novikov.monomial(QQ, -2, 3)
     assert str(a) == "-1/3*t - 2*t^3"
+
+
+def test_int_and_fraction_built_scalars_print_alike():
+    for num in ({0: 1, 1: -2}, {-1: -1, 2: 3}, {0: -1, 1: -1, 3: -5}):
+        a = Novikov(QQ, num)
+        b = Novikov(QQ, {e: Fraction(c) for e, c in num.items()})
+        assert a == b and str(a) == str(b) and repr(a) == repr(b)
+    assert str(Novikov(QQ, {0: 1, 1: -2})) == "1 - 2*t"
+    assert str(Novikov(QQ, {-1: -1, 2: 3})) == "-t^-1 + 3*t^2"
+    a, b = Novikov(F2, {0: 1, 1: -1}), Novikov(F2, {0: Fraction(1), 1: Fraction(-1, 3)})
+    assert a == b and str(a) == str(b) == "1 + t"
 
 
 def test_str_gf2():

@@ -12,7 +12,9 @@ from shq.linalg import char_poly, spectrum
 from shq.novikov import F2, FIELDS, QQ, Novikov
 from shq.pipeline import (
     PartialFacts,
+    Regime,
     _lead_from_r,
+    _zero_reason,
     UnsupportedRegimeError,
     ZeroRing,
     build_r_matrix,
@@ -203,6 +205,16 @@ def test_compute_even_twist_mod_two():
     res = compute_sh(5, 4, F2)
     assert not res.qh.complete
     assert res.qh.unknown_terms == ((2, 2),)
+
+
+def test_monotone_zero_reason_comes_only_with_a_failed_check(corrupt_char_poly):
+    # a_N = (-1)^N n^(1+m) t is nonzero for a monotone twist with c1
+    # nonzero, so SH is zero there only when the solve is wrong: doubled
+    # over GF(2), cp becomes lambda^s, and the diagnostics report it
+    res = compute_sh(2, 1, F2, trials=1)
+    assert res.sh.reason == _zero_reason(Regime("monotone", True, ""), F2, 1)
+    assert not _diagnostic(res, "cayley_hamilton").passed
+    assert compute_sh(2, 1, F2, trials=1).sh_rank == 2
 
 
 def test_compute_odd_twist_mod_two():

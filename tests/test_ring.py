@@ -1,6 +1,7 @@
 """Quotient presentations: reduction, products, generator change."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -289,6 +290,24 @@ def test_scalars_of_another_field_are_refused():
             qh.gen() * scalar
         with pytest.raises(ValueError, match="field mismatch"):
             qh.reduce([zero, scalar])
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_constant_scalars_multiply_like_novikov_constants(field):
+    # an int, a bool or a Fraction is read through field.of on either side
+    qh = compute_sh(3, 1, field, trials=1).qh
+    g = qh.gen()
+    for c in (3, -2, True, Fraction(1, 3), Fraction(-4, 2), Fraction(5, 7)):
+        assert g * c == c * g == g * Novikov.constant(field, c)
+    # the characteristic is a zero constant, of no weight
+    assert qh.reduce([field.characteristic, Fraction(5, 7)]) == g * Fraction(5, 7)
+    if field == QQ:
+        assert str(g * Fraction(1, 2)) == "(1/2)*w"
+    else:
+        with pytest.raises(ZeroDivisionError):
+            g * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        g * 0.5
 
 
 def test_is_nilpotent_checks_the_presentation():

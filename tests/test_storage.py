@@ -2,8 +2,9 @@
 
 r and the multiplication-matrix cross-check are written as ground rows;
 these tests hold them to the Novikov grids built entry by entry, in
-entries, rendering, equality and hash, and check that building, using and
-printing r at large m allocates no s^2 grid of Novikov scalars.
+entries, rendering, equality and hash, check that the stored values and
+the Novikov views hold the same ground values, and check that building,
+using and printing r at large m allocates no s^2 grid of Novikov scalars.
 """
 
 import tracemalloc
@@ -12,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import graded_matrix, novikov_grid_r, novikov_multiplication_matrix
-from shq.linalg import LambdaMatrix
+from shq.linalg import CharPoly, LambdaMatrix
 from shq.novikov import F2, QQ, GradingContext, Novikov
 from shq.pipeline import UnsupportedRegimeError, build_r_matrix, compute_sh
-from shq.ring import multiplication_matrix
+from shq.ring import RingElement, RingPresentation, change_generator, multiplication_matrix
 from test_golden import MAX_M
 
 FIELDS = [QQ, F2]
@@ -115,6 +116,72 @@ def test_the_constructor_reduces_and_checks_the_grading():
         LambdaMatrix(QQ, GradingContext(2), [{0: 1}, {}])
     with pytest.raises(ValueError, match="zero placeholder"):
         LambdaMatrix(QQ, GradingContext(1), [{0: 1}, {}], {(0, 0, 1)})
+
+
+def test_gf2_constructors_read_fractions_as_bits():
+    g = GradingContext(1)
+    mat = LambdaMatrix(F2, g, [{0: Fraction(1, 3), 1: Fraction(2, 5)}, {}])
+    assert mat.rows == ({0: 1}, {})
+    pres = RingPresentation("c", F2, g, (Fraction(1, 3), 1))
+    assert pres.values == (1, 1)
+    assert RingElement(pres, (Fraction(-5, 3),), 0).values == (1,)
+    assert CharPoly(F2, g, (Fraction(1, 3), Fraction(4, 7))).values == (1, 0)
+    for stored in (mat.rows[0].values(), pres.values):
+        assert all(type(c) is int for c in stored)
+    with pytest.raises(ZeroDivisionError):
+        LambdaMatrix(F2, g, [{0: Fraction(1, 2)}])
+    with pytest.raises(ZeroDivisionError):
+        RingPresentation("c", F2, g, (Fraction(1, 2), 1))
+    with pytest.raises(ZeroDivisionError):
+        RingElement(pres, (Fraction(3, 4),), 0)
+    with pytest.raises(ZeroDivisionError):
+        CharPoly(F2, g, (Fraction(1, 2),))
+
+
+def assert_view_holds(field, view, stored):
+    """Each stored value is a ground value of field.of, and the Novikov
+    scalar beside it is zero or one monomial with that coefficient, of
+    the same type."""
+    for x, c in zip(view, stored, strict=True):
+        assert c == field.of(c) and type(c) is type(field.of(c))
+        if c:
+            ((_, got),) = x.num.items()
+            assert got == c and type(got) is type(c)
+        else:
+            assert not x
+
+
+def assert_ring_views_hold(pres):
+    assert_view_holds(pres.field, pres.relation, pres.values)
+    elements = [pres.gen_power(k) for k in range(pres.rank + 2)]
+    elements += [x * y for x in elements for y in elements[1:3]]
+    for x in elements:
+        assert_view_holds(pres.field, x.coeffs, x.values)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("m, n", [(2, 1), (4, 2), (5, 3), (6, 7), (7, 4)])
+def test_views_hold_the_stored_values(field, m, n):
+    res = compute_sh(m, n, field, trials=1)
+    r, cp = res.r_matrix, res.char
+    for i, row in enumerate(r.entries):
+        assert_view_holds(field, row, [r.rows[i].get(j, 0) for j in range(r.size)])
+    assert_view_holds(field, cp.a, cp.values)
+    for pres in (res.qh, res.qh_c, res.sh):
+        if isinstance(pres, RingPresentation):
+            assert_ring_views_hold(pres)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_views_hold_fraction_values(field):
+    # the closed forms are integral; a relation in c with a Fraction
+    # constant term gives Fractions over Q again after c = -3 * omega
+    pres = RingPresentation("c", field, GradingContext(1), (Fraction(1, 3), 0, 1))
+    assert_ring_views_hold(pres)
+    if field is QQ:
+        omega = change_generator(pres, 3)
+        assert omega.values == (Fraction(1, 27), 0, 1)
+        assert_ring_views_hold(omega)
 
 
 def test_repr_builds_no_novikov_grid():
