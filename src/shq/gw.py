@@ -18,6 +18,8 @@ lives in the localization module.
 
 from __future__ import annotations
 
+import functools
+
 from .novikov import Record
 
 
@@ -34,10 +36,12 @@ class TauTable(Record):
         return self.coeffs[a]
 
 
+@functools.lru_cache(maxsize=32)
 def tau_table(n: int) -> TauTable:
     """Expand prod_{A=1}^{n-1} (A*x + (n-A)); ascending coefficients.
 
-    The empty product (n = 1) is 1, so tau(0, 1) = 1.
+    The empty product (n = 1) is 1, so tau(0, 1) = 1.  Memoized: the
+    matrix and the localization check of one run both read it.
     """
     if n < 1:
         raise ValueError(f"twist must be a positive integer, got {n}")

@@ -39,7 +39,9 @@ sparse rows of mat(1) and a characteristic polynomial as c_1, ..., c_s,
 both in the one ground-value format of CoefficientField.of: an int (a
 Fraction where not integral) over Q, a bit 0 or 1 over GF(2).  Novikov
 scalars are built only for kernel vectors and when the entries of a
-matrix or the coefficients a_k are asked for, and hold the same values.
+matrix or the coefficients a_k are asked for, and hold the same values;
+rendering builds none, as each nonzero entry or a_k is one monomial
+c * t^d, rendered from c.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from fractions import Fraction
 from operator import is_
 from typing import Optional
 
-from .novikov import CoefficientField, Novikov, Record, unknown_term_str
+from .novikov import CoefficientField, Novikov, Record, term_str
 
 
 class IncompleteMatrixError(ValueError):
@@ -107,19 +109,13 @@ class LambdaMatrix:
     def entries(self) -> tuple:
         """Rows of Novikov scalars, built on first use."""
         if self._entries is None:
-            self._entries = tuple(map(tuple, self._grid(Novikov.zero(self.field), None)))
+            N, w, field, zero = self.grading.N, self.weight, self.field, Novikov.zero(self.field)
+            grid = [[zero] * self.size for _ in self.rows]
+            for i, row in enumerate(self.rows):
+                for j, c in row.items():
+                    grid[i][j] = _lift(field, N, i - j + w, c)
+            self._entries = tuple(map(tuple, grid))
         return self._entries
-
-    def _grid(self, zero, render):
-        """The entries as an s x s list grid: zero, and each nonzero entry
-        as a Novikov scalar, passed through render if given."""
-        N, w = self.grading.N, self.weight
-        grid = [[zero] * self.size for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j, c in row.items():
-                x = _lift(self.field, N, i - j + w, c)
-                grid[i][j] = render(x) if render else x
-        return grid
 
     @property
     def is_complete(self) -> bool:
@@ -155,11 +151,16 @@ class LambdaMatrix:
         return f"LambdaMatrix[{rows}]"
 
     def to_strings(self) -> list:
-        """Entries as text, unknowns rendered '?*t^d' once per t-power; each
-        zero is '0' and a Novikov scalar is built only for a nonzero entry."""
-        grid, text = self._grid("0", str), {}
+        """Entries as text, as str renders the entries: each zero '0', and
+        each nonzero c * t^d rendered from c with no Novikov scalar built.
+        Unknowns read '?*t^d', one string per t-power."""
+        N, w, text = self.grading.N, self.weight, {}
+        grid = [["0"] * self.size for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j, c in row.items():
+                grid[i][j] = _lift_str(N, i - j + w, c)
         for (i, j, d) in self.unknown:
-            grid[i][j] = text.get(d) or text.setdefault(d, unknown_term_str(d))
+            grid[i][j] = text.get(d) or text.setdefault(d, term_str("?", d))
         return grid
 
     # -- arithmetic --------------------------------------------------------
@@ -209,10 +210,9 @@ class CharPoly(Record):
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_a", None)
-        N = grading.N
         for k, c in enumerate(values, 1):
-            if c and _t_power(N, k) is None:
-                raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
+            if c:
+                _t_power(grading.N, k, c)  # ArithmeticError off the grading
 
     @property
     def size(self) -> int:
@@ -230,6 +230,10 @@ class CharPoly(Record):
         """a_k as a Novikov scalar, 1 <= k <= s."""
         return _lift(self.field, self.grading.N, k, self.values[k - 1])
 
+    def coefficient_str(self, k: int) -> str:
+        """str(self.coefficient(k)), with no scalar built."""
+        return _lift_str(self.grading.N, k, self.values[k - 1])
+
 
 # -- the scalars the core runs on ---------------------------------------------
 
@@ -241,22 +245,25 @@ def _scalars(values, field: CoefficientField) -> tuple:
     return values if type(values) is tuple and all(map(is_, out, values)) else out
 
 
-def _t_power(N: int, k: int) -> Optional[int]:
-    """The t-power of a_k at grading N; None when N does not divide k."""
+def _t_power(N: int, k: int, c) -> int:
+    """The t-power k/N of the weight-k monomial whose value at t = 1 is
+    the nonzero c; 0 when N = 0, ArithmeticError when N does not divide k."""
     if not N:
         return 0
-    return k // N if k % N == 0 else None
+    if k % N:
+        raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
+    return k // N
 
 
 def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
     """The Novikov scalar of weight k whose value at t = 1 is c: zero, or
     c * t^(k/N), such as a_k from c_k(mat(1))."""
-    if not c:
-        return Novikov.zero(field)
-    d = _t_power(N, k)
-    if d is None:
-        raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
-    return Novikov(field, {d: c})
+    return Novikov(field, {_t_power(N, k, c): c}) if c else Novikov.zero(field)
+
+
+def _lift_str(N: int, k: int, c) -> str:
+    """str(_lift(field, N, k, c)), rendered from c with no scalar built."""
+    return term_str(c, _t_power(N, k, c)) if c else "0"
 
 
 # -- the Hessenberg core --------------------------------------------------------

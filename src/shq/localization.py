@@ -37,7 +37,10 @@ vector for all n entries.
 Given a prime p, the same sum is taken modulo p on the inverse move
 products: one modular inverse serves all 1/D_i and one all 1/E_j
 (Montgomery's simultaneous inversion), and each step to the next offset
-multiplies each by one weight difference.  No big integer is kept.
+multiplies each by one weight difference.  The Serre residues are packed
+into one integer per column, a lane of fixed width per row, so each
+column's share of an offset is one big-int product by a word (Kronecker
+substitution one lane deep); every other value kept is below p.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import repeat
 from numbers import Rational
 
 from .novikov import Record
@@ -189,23 +193,35 @@ def _pair_residues(m: int, n: int, weights: WeightVector, p: int) -> list:
     """n^2 * sum_{i <= a} (1/D_i) * sum_{j >= N+a} S(i, j) * (1/E_j) mod p
     for each offset a.  The 1/D_i are inverted at the last offset; as the
     point a leaves the i-plane, each gains the factor x_i - x_a.  The 1/E_j
-    are inverted at offset 0; as N+a-1 leaves, each gains x_j - x_{N+a-1}."""
+    are inverted at offset 0; as N+a-1 leaves, each gains x_j - x_{N+a-1}.
+
+    The Serre table is one integer per column j, j descending: lane i, w
+    bits wide, holds S(i, j) mod p.  A lane of sum_j column_j * (1/E_j)
+    adds at most n products of two residues below p, so with
+    w = 2*bits(p) + bits(n) no lane carries into the next, and each inner
+    sum over j is one big-int product by a word per column."""
     al = _integral(weights)
     N = m + 1 - n
-    # j descending, so the pairs of offset a are the first n - a of row i
-    serre = [
-        [s % p for s in _serre_row(n, x, al[: N + i - 1 : -1])] for i, x in enumerate(al[:n])
-    ]
+    w = 2 * p.bit_length() + n.bit_length()
+    shifts, mask = range(0, n * w, w), (1 << w) - 1
+    ys = al[: N - 1 : -1]
+    # column k is the point a_(m-k), paired with a_i for i <= n - 1 - k; S
+    # is symmetric in its two points (A <-> n - A), so it is their Serre row
+    cols = []
+    for k, y in enumerate(ys):
+        residues = map(operator.mod, _serre_row(n, y, al[: n - k]), repeat(p))
+        cols.append(sum(map(operator.lshift, residues, shifts)))
     inv_ds = [_inverse_moves(al[:n], p)]
     for a in range(n - 1, 0, -1):
         inv_ds.append([v * (x - al[a]) % p for v, x in zip(inv_ds[-1], al[:a])])
-    ys = al[: N - 1 : -1]
     inv_e, out = _inverse_moves(ys, p), []
     for a, inv_d in enumerate(reversed(inv_ds)):
         if a:
             inv_e = [v * (y - al[N + a - 1]) % p for v, y in zip(inv_e, ys[: n - a])]
-        dots = [sum(map(operator.mul, row, inv_e)) for row in serre[: a + 1]]
-        out.append(n * n * sum(map(operator.mul, inv_d, dots)) % p)
+        # the pairs of offset a are the first n - a columns and lanes 0..a
+        total = sum(map(operator.mul, cols, inv_e))
+        inner = map(operator.and_, map(operator.rshift, repeat(total), shifts), repeat(mask))
+        out.append(n * n * sum(map(operator.mul, inv_d, inner)) % p)
     return out
 
 

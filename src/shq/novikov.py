@@ -257,7 +257,10 @@ class Novikov:
         return f"Novikov[{self.field.kind}]({self})"
 
 
-def _term_str(c, e: int) -> str:
+def term_str(c, e: int) -> str:
+    """The monomial c*t^e as text, as str renders a Novikov scalar that is
+    one: '7', 't', '-t^2', '3/4*t^-1'.  A c of '?' gives the undetermined
+    coefficient '?*t^e'."""
     if e == 0:
         return str(c)
     t = "t" if e == 1 else f"t^{e}"
@@ -268,11 +271,6 @@ def _term_str(c, e: int) -> str:
     return f"{c}*{t}"
 
 
-def unknown_term_str(d: int) -> str:
-    """An undetermined coefficient of t^d, rendered '?*t^d'."""
-    return _term_str("?", d)
-
-
 def _laurent_str(d: dict) -> str:
     """Render with exponents ascending, e.g. '-1 + 2*t + t^3'."""
     if not d:
@@ -281,9 +279,9 @@ def _laurent_str(d: dict) -> str:
     for e in sorted(d):
         c = d[e]
         if parts and c < 0:
-            parts.append(f" - {_term_str(-c, e)}")
+            parts.append(f" - {term_str(-c, e)}")
         elif parts:
-            parts.append(f" + {_term_str(c, e)}")
+            parts.append(f" + {term_str(c, e)}")
         else:
-            parts.append(_term_str(c, e))
+            parts.append(term_str(c, e))
     return "".join(parts)

@@ -586,7 +586,7 @@ _CHECKS = (
 
 def _relation_pairs(pres: RingPresentation) -> list:
     return [
-        [str(pres.coefficient(k)), k]
+        [pres.coefficient_str(k), k]
         for k in range(pres.degree, -1, -1)
         if pres.values[k]
     ]
@@ -638,7 +638,7 @@ def matrix_to_dict(r: LambdaMatrix) -> dict:
 def _char_pairs(cp: CharPoly) -> list:
     """[coefficient, power of lambda] of each nonzero term, descending."""
     return [["1", cp.size]] + [
-        [str(cp.coefficient(k)), cp.size - k] for k, c in enumerate(cp.values, 1) if c
+        [cp.coefficient_str(k), cp.size - k] for k, c in enumerate(cp.values, 1) if c
     ]
 
 

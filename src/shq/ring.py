@@ -25,9 +25,10 @@ scalars are read only where they come in, by reduce and by multiplying
 an element with a scalar, which raise ValueError unless the input is
 homogeneous (not 1 + g, t - 1 or t*g with N = 0); an int or Fraction
 given to either is read as a constant through field.of.  They are built
-for the views and one per nonzero coefficient for rendering.  A
-multiplication matrix has the grading of its presentation and the
-weight of its element, and is handed over as its rows at t = 1.
+only for the views: each nonzero coefficient is one monomial c*t^d, and
+coefficient_str renders it from c.  A multiplication matrix has the
+grading of its presentation and the weight of its element, and is handed
+over as its rows at t = 1.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from .linalg import LambdaMatrix, _lift, _scalars
-from .novikov import CoefficientField, GradingContext, Novikov, Record, unknown_term_str
+from .linalg import LambdaMatrix, _lift, _lift_str, _scalars
+from .novikov import CoefficientField, GradingContext, Novikov, Record, term_str
 
 
 class IncompletePresentationError(ValueError):
@@ -125,6 +126,10 @@ class RingPresentation(Record):
         """The Novikov coefficient of g^k in the relation."""
         return _lift(self.field, self.grading.N, self.degree - k, self.values[k])
 
+    def coefficient_str(self, k: int) -> str:
+        """str(self.coefficient(k)), with no scalar built."""
+        return _lift_str(self.grading.N, self.degree - k, self.values[k])
+
     def _require_complete(self, what: str):
         if not self.complete:
             slots = sorted(k for (k, _) in self.unknown_terms)
@@ -208,7 +213,7 @@ class RingPresentation(Record):
         return f"Lambda[{self.symbol}]/({relation_str(self)})"
 
 
-def _term_str(coeff: str, sym: str, k: int) -> str:
+def _gen_term_str(coeff: str, sym: str, k: int) -> str:
     """One term coeff*sym^k of a polynomial in the generator."""
     if k == 0:
         return coeff
@@ -226,9 +231,9 @@ def relation_str(pres: RingPresentation) -> str:
     parts = []
     for k in range(pres.degree, -1, -1):
         if k in unknown:
-            parts.append(_term_str(unknown_term_str(unknown[k]), pres.symbol, k))
+            parts.append(_gen_term_str(term_str("?", unknown[k]), pres.symbol, k))
         elif pres.values[k]:
-            parts.append(_term_str(str(pres.coefficient(k)), pres.symbol, k))
+            parts.append(_gen_term_str(pres.coefficient_str(k), pres.symbol, k))
     return " + ".join(parts)
 
 
@@ -273,6 +278,10 @@ class RingElement(Record):
         """The Novikov coefficient of g^k."""
         return _lift(self.pres.field, self.pres.grading.N, self.weight - k, self.values[k])
 
+    def coefficient_str(self, k: int) -> str:
+        """str(self.coefficient(k)), with no scalar built."""
+        return _lift_str(self.pres.grading.N, self.weight - k, self.values[k])
+
     def __mul__(self, other):
         pres = self.pres
         if isinstance(other, RingElement):
@@ -290,7 +299,7 @@ class RingElement(Record):
 
     def __str__(self):
         parts = [
-            _term_str(str(self.coefficient(k)), self.pres.symbol, k)
+            _gen_term_str(self.coefficient_str(k), self.pres.symbol, k)
             for k in range(len(self.values) - 1, -1, -1)
             if self.values[k]
         ]

@@ -6,7 +6,10 @@ pair with m <= 12 and n <= 2m + 3 outside the refused band, on Q and
 GF(2) (252 results); one per result, keyed "text:field:m:n", of
 result_to_text of the same results; one per field and seed 0 and 3,
 keyed "text:field:m:n:seed", of result_to_text at (24, 24) and (32, 32);
-and one per field, keyed "table:field", of the standard output of
+one per field and seed 0 and 3, keyed "field:m:n:seed", of the JSON at
+the four partial-mode benchmark pairs (24, 24), (28, 22), (28, 28) and
+(32, 32), where the localization check runs modulo a prime; and one per
+field, keyed "table:field", of the standard output of
 `shq table --max-m 12`.  A change to any output names the keys it moved.
 
 Regenerate the file only for a deliberate change of output:
@@ -31,6 +34,8 @@ MAX_M = 12
 # partial-mode pairs past MAX_M whose text is pinned, at these seeds
 LARGE_TEXT = ((24, 24), (32, 32))
 LARGE_SEEDS = (0, 3)
+# partial-mode pairs past MAX_M whose JSON is pinned, at LARGE_SEEDS
+LARGE_JSON = ((24, 24), (28, 22), (28, 28), (32, 32))
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_sha256.json")
 
 
@@ -53,6 +58,10 @@ def golden_hashes() -> dict:
             for seed in LARGE_SEEDS:
                 res = compute_sh(m, n, field, seed=seed, trials=1)
                 out[f"text:{field.kind}:{m}:{n}:{seed}"] = _digest(result_to_text(res))
+        for m, n in LARGE_JSON:
+            for seed in LARGE_SEEDS:
+                res = compute_sh(m, n, field, seed=seed, trials=1)
+                out[f"{field.kind}:{m}:{n}:{seed}"] = _digest(json.dumps(result_to_dict(res)))
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(["table", "--max-m", str(MAX_M), "--field", field.kind.lower()])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shq.gw import subdiagonal_entries, subdiagonal_entry, tau
+from shq.gw import subdiagonal_entries, subdiagonal_entry, tau, tau_table
 from shq.localization import (
     WeightVector,
     _serre_row,
@@ -253,14 +253,17 @@ def test_residue_row_refuses_a_prime_dividing_a_move_product():
 
 def test_residue_row_at_the_partial_benchmark_cases():
     # the inverse move products are walked across all n offsets; both
-    # trials' weights of each seed, as localization_match draws them
-    for m, n in ((24, 24), (28, 22), (28, 28), (32, 32)):
+    # trials' weights of each seed, as localization_match draws them.  The
+    # last three pairs pack many lanes into each Serre column, and 2^61 - 1
+    # gives lanes of the widest residues a 61-bit prime allows
+    pairs = ((24, 24), (28, 22), (28, 28), (32, 32), (48, 48), (64, 33), (64, 64))
+    for m, n in pairs:
         exact = {s: localize_row(m, n, sample_weights(m, s)) for s in range(6)}
         for seed in range(5):
-            p = sample_prime(seed)
-            for s in (seed, seed + 1):
-                row = localize_row(m, n, sample_weights(m, s), p)
-                assert row == tuple(x % p for x in exact[s])
+            for p in (sample_prime(seed), 2**61 - 1):
+                for s in (seed, seed + 1):
+                    row = localize_row(m, n, sample_weights(m, s), p)
+                    assert row == tuple(x % p for x in exact[s])
 
 
 def test_residue_row_refuses_p_at_either_end_of_the_walks():
@@ -278,6 +281,12 @@ def test_seeded_draws_are_memoized():
     assert sample_prime(7) is sample_prime(7)
     assert sample_weights(30, 3) is sample_weights(30, 3)
     assert sample_weights(30, 4) != sample_weights(30, 3)
+
+
+def test_tau_table_is_memoized():
+    # build_r_matrix and localization_match of one run share one expansion
+    assert tau_table(30) is tau_table(30)
+    assert tau_table(31) is not tau_table(30)
 
 
 def test_is_prime_agrees_with_a_sieve():

@@ -15,6 +15,7 @@ from shq.novikov import (
     GradingContext,
     Novikov,
     QQ,
+    term_str,
 )
 
 
@@ -252,6 +253,17 @@ def test_int_and_fraction_built_scalars_print_alike():
 def test_str_gf2():
     a = Novikov.one(F2) + Novikov.t(F2, 2)
     assert str(a) == "1 + t^2"
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_term_str_renders_a_monomial_as_str(field):
+    coeffs = [1, -1, 2, -7, 10**30, Fraction(1, 3), Fraction(-5, 2), Fraction(6, 3)]
+    for c in map(field.of, coeffs if field is QQ else coeffs[:6]):
+        for d in (-2, -1, 0, 1, 2, 13):
+            if c:
+                assert term_str(c, d) == str(Novikov.monomial(field, c, d))
+    assert term_str("?", 0) == "?" and term_str("?", 1) == "?*t"
+    assert term_str("?", 3) == "?*t^3"
 
 
 def test_hash_consistency():

@@ -15,8 +15,20 @@ import pytest
 from oracles import graded_matrix, novikov_grid_r, novikov_multiplication_matrix
 from shq.linalg import CharPoly, LambdaMatrix
 from shq.novikov import F2, QQ, GradingContext, Novikov
-from shq.pipeline import UnsupportedRegimeError, build_r_matrix, compute_sh
-from shq.ring import RingElement, RingPresentation, change_generator, multiplication_matrix
+from shq.pipeline import (
+    UnsupportedRegimeError,
+    build_r_matrix,
+    compute_sh,
+    result_to_dict,
+    result_to_text,
+)
+from shq.ring import (
+    RingElement,
+    RingPresentation,
+    change_generator,
+    multiplication_matrix,
+    relation_str,
+)
 from test_golden import MAX_M
 
 FIELDS = [QQ, F2]
@@ -151,12 +163,19 @@ def assert_view_holds(field, view, stored):
             assert not x
 
 
+def assert_text_holds(owner, view, ks):
+    # the text rendered from the stored values is that of the view
+    assert [owner.coefficient_str(k) for k in ks] == list(map(str, view))
+
+
 def assert_ring_views_hold(pres):
     assert_view_holds(pres.field, pres.relation, pres.values)
+    assert_text_holds(pres, pres.relation, range(len(pres.values)))
     elements = [pres.gen_power(k) for k in range(pres.rank + 2)]
     elements += [x * y for x in elements for y in elements[1:3]]
     for x in elements:
         assert_view_holds(pres.field, x.coeffs, x.values)
+        assert_text_holds(x, x.coeffs, range(len(x.values)))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -166,7 +185,9 @@ def test_views_hold_the_stored_values(field, m, n):
     r, cp = res.r_matrix, res.char
     for i, row in enumerate(r.entries):
         assert_view_holds(field, row, [r.rows[i].get(j, 0) for j in range(r.size)])
+    assert r.to_strings() == [list(map(str, row)) for row in r.entries]
     assert_view_holds(field, cp.a, cp.values)
+    assert_text_holds(cp, cp.a, range(1, cp.size + 1))
     for pres in (res.qh, res.qh_c, res.sh):
         if isinstance(pres, RingPresentation):
             assert_ring_views_hold(pres)
@@ -192,6 +213,31 @@ def test_repr_builds_no_novikov_grid():
     assert "?*t^2" in text
     assert r._entries is None
     assert repr(LambdaMatrix(QQ, GradingContext(1), [{0: 1}, {}])) == "LambdaMatrix[t, 0; 0, 0]"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_rendering_builds_no_novikov_scalar(field, monkeypatch):
+    # each rendered coefficient is one monomial c*t^d, rendered from its
+    # ground value: no scalar per nonzero entry or coefficient
+    r = build_r_matrix(32, 32, field)
+    res = compute_sh(16, 8, field, trials=1)
+    g = res.qh.gen()
+    element = g * g * 3
+    assert res.qh.complete and res.char is not None and element.values[2]
+    built = []
+    init = Novikov.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Novikov, "__init__", counted)
+    r.to_strings()
+    relation_str(res.qh)
+    str(element)
+    result_to_dict(res)
+    result_to_text(res)
+    assert built == []
 
 
 # -- memory --------------------------------------------------------------------
