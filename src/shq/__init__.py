@@ -1,6 +1,6 @@
 """Quantum and symplectic cohomology of line bundles over projective space.
 
-Everything is computed exactly: scalars are Laurent polynomials in one
+Everything is computed exactly: scalars are monomials c*t^d in one
 quantum variable t over the rationals or over GF(2).  The main entry
 point is :func:`shq.pipeline.compute_sh`; the command line front end
 lives in :mod:`shq.cli`.

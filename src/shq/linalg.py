@@ -38,10 +38,11 @@ N = 0 every t-power is zero.  A matrix is therefore stored as the
 sparse rows of mat(1) and a characteristic polynomial as c_1, ..., c_s,
 both in the one ground-value format of CoefficientField.of: an int (a
 Fraction where not integral) over Q, a bit 0 or 1 over GF(2).  Novikov
-scalars are built only for kernel vectors and when the entries of a
-matrix or the coefficients a_k are asked for, and hold the same values;
-rendering builds none, as each nonzero entry or a_k is one monomial
-c * t^d, rendered from c.
+scalars are built only for kernel vectors and, on each call, when the
+entries of a matrix or the coefficients a_k are asked for: the value c
+of weight k lifts to Novikov(field, c, k/N), so the views hold the same
+values.  Rendering builds none, as each nonzero entry or a_k is one
+monomial c * t^d, rendered from c.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ class LambdaMatrix:
     int (a Fraction where not integral) over Q, or a bit over GF(2).
     The constructor reads each value it is given through field.of, drops
     zeros and checks each position against the grading; entries is a
-    view built on first use.
+    view built on each call.
     unknown: frozenset of (row, col, t_power), 0-indexed positions whose
         coefficient is undetermined; the entry there is zero.
     """
 
-    __slots__ = ("field", "grading", "weight", "size", "rows", "unknown", "_entries")
+    __slots__ = ("field", "grading", "weight", "size", "rows", "unknown")
 
     def __init__(self, field: CoefficientField, grading, rows, unknown=(), weight: int = 1):
         N, of, s = grading.N, field.of, len(rows)
@@ -101,21 +102,19 @@ class LambdaMatrix:
                     f"grading needs N*d = {i - j + weight}"
                 )
         self.field, self.grading, self.weight, self.size = field, grading, weight, s
-        self.rows, self.unknown, self._entries = tuple(ground), unknown, None
+        self.rows, self.unknown = tuple(ground), unknown
 
     # -- structure --------------------------------------------------------
 
     @property
     def entries(self) -> tuple:
-        """Rows of Novikov scalars, built on first use."""
-        if self._entries is None:
-            N, w, field, zero = self.grading.N, self.weight, self.field, Novikov.zero(self.field)
-            grid = [[zero] * self.size for _ in self.rows]
-            for i, row in enumerate(self.rows):
-                for j, c in row.items():
-                    grid[i][j] = _lift(field, N, i - j + w, c)
-            self._entries = tuple(map(tuple, grid))
-        return self._entries
+        """Rows of Novikov scalars, built on each call."""
+        N, w, field, zero = self.grading.N, self.weight, self.field, Novikov.zero(self.field)
+        grid = [[zero] * self.size for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j, c in row.items():
+                grid[i][j] = _lift(field, N, i - j + w, c)
+        return tuple(map(tuple, grid))
 
     @property
     def is_complete(self) -> bool:
@@ -198,18 +197,16 @@ class CharPoly(Record):
     values holds c_1, ..., c_s as ground values of field.of, and
     a_k = c_k * t^(k/N); a nonzero c_k where N does not divide
     k raises ArithmeticError.  a, the Novikov coefficients, is a view
-    built on first use.
+    built on each call.
     """
 
-    __slots__ = ("field", "grading", "values", "_a")
-    _fields = __slots__[:-1]
+    __slots__ = ("field", "grading", "values")
 
     def __init__(self, field: CoefficientField, grading, values):
         values = _scalars(values, field)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_a", None)
         for k, c in enumerate(values, 1):
             if c:
                 _t_power(grading.N, k, c)  # ArithmeticError off the grading
@@ -220,11 +217,8 @@ class CharPoly(Record):
 
     @property
     def a(self) -> tuple:
-        """(a_1, ..., a_s) as Novikov scalars, built on first use."""
-        if self._a is None:
-            a = tuple(map(self.coefficient, range(1, self.size + 1)))
-            object.__setattr__(self, "_a", a)
-        return self._a
+        """(a_1, ..., a_s) as Novikov scalars, built on each call."""
+        return tuple(map(self.coefficient, range(1, self.size + 1)))
 
     def coefficient(self, k: int) -> Novikov:
         """a_k as a Novikov scalar, 1 <= k <= s."""
@@ -258,7 +252,7 @@ def _t_power(N: int, k: int, c) -> int:
 def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
     """The Novikov scalar of weight k whose value at t = 1 is c: zero, or
     c * t^(k/N), such as a_k from c_k(mat(1))."""
-    return Novikov(field, {_t_power(N, k, c): c}) if c else Novikov.zero(field)
+    return Novikov(field, c, _t_power(N, k, c) if c else 0)
 
 
 def _lift_str(N: int, k: int, c) -> str:

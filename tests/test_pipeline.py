@@ -421,15 +421,7 @@ def test_localization_residues_from_n_20(monkeypatch):
     )
 
 
-def test_residue_localization_diagnostic_can_fail(monkeypatch):
-    real = shq.pipeline.localize_row
-
-    def corrupted(m, n, weights, p=0):
-        row = list(real(m, n, weights, p))
-        row[1] += 1
-        return tuple(row)
-
-    monkeypatch.setattr(shq.pipeline, "localize_row", corrupted)
+def test_residue_localization_diagnostic_can_fail(corrupt_localize_row):
     res = compute_sh(24, 24, trials=1)
     assert "modulo the prime" in _diagnostic(res, "localization_match").detail
     assert [d.name for d in res.diagnostics if not d.passed] == ["localization_match"]

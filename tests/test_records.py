@@ -148,12 +148,14 @@ def test_repr_examples():
     assert repr(WeightVector((1, -2))) == "WeightVector(alphas=(1, -2))"
 
 
-def test_presentation_ignores_its_core():
-    # the step's core, the nonzero terms of the relation, and the Novikov
-    # views relation, coeffs and a, built on first use, follow from the
-    # stored values
+def test_presentation_ignores_its_core(constructions):
+    # the step's core, the nonzero terms of the relation, follows from the
+    # stored values; the Novikov views relation, coeffs and a are built on
+    # each call, and equality, hash and repr build none
     a, b = (RingPresentation("omega", QQ, GradingContext(2), (-1, 0, 1)) for _ in range(2))
-    assert a.relation == (-t, zero, one) and b._relation is None
+    relation = a.relation
+    assert len(constructions) == 3 and relation == (-t, zero, one)
+    constructions.clear()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert repr(a) == (
         "RingPresentation(generator='omega', field=CoefficientField('Q'), "
@@ -162,11 +164,12 @@ def test_presentation_ignores_its_core():
     object.__setattr__(b, "_terms", None)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     x, y = RingElement(a, (0, 1), 3), RingElement(b, (0, 1), 3)
-    assert x.coeffs == (zero, t) and y._coeffs is None
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
     p, q = (CharPoly(QQ, GradingContext(1), (0, -1)) for _ in range(2))
-    assert p.a == (zero, Novikov.monomial(QQ, -1, 2)) and q._a is None
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert constructions == []
+    assert x.coeffs == (zero, t) and x.coeffs == y.coeffs
+    assert p.a == (zero, Novikov.monomial(QQ, -1, 2)) and p.a == q.a
     assert repr(p) == (
         "CharPoly(field=CoefficientField('Q'), grading=GradingContext(N=1), values=(0, -1))"
     )
