@@ -37,18 +37,21 @@ those of mat(1) and each kernel vector is D times one of mat(1); with
 N = 0 every t-power is zero.  A matrix is therefore stored as the
 sparse rows of mat(1) and a characteristic polynomial as c_1, ..., c_s,
 both in the one ground-value format of CoefficientField.of: an int (a
-Fraction where not integral) over Q, a bit 0 or 1 over GF(2).  Novikov
-scalars are built only for kernel vectors and, on each call, when the
-entries of a matrix or the coefficients a_k are asked for: the value c
-of weight k lifts to Novikov(field, c, k/N), so the views hold the same
-values.  Rendering builds none, as each nonzero entry or a_k is one
-monomial c * t^d, rendered from c.
+Fraction where not integral) over Q, a bit 0 or 1 over GF(2).  The
+grading rule is GradingContext.t_power: a nonzero value of weight k is
+stored only where it gives the t-power d with N*d = k (at N = 0, only
+k = 0 with d = 0), and is refused elsewhere: by the matrix with
+ValueError, and by CharPoly with ArithmeticError.  Novikov scalars are
+built only for kernel vectors and, on each call, when the entries of a
+matrix or the coefficients a_k are asked for: the value c of weight k
+lifts to Novikov(field, c, grading.t_power(k)), so the views hold the
+same values.  Rendering builds none, as each entry or a_k is one
+monomial c * t^d, rendered from c by term_str.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import is_
 from typing import Optional
 
 from .novikov import CoefficientField, Novikov, Record, term_str
@@ -75,7 +78,7 @@ class LambdaMatrix:
     __slots__ = ("field", "grading", "weight", "size", "rows", "unknown")
 
     def __init__(self, field: CoefficientField, grading, rows, unknown=(), weight: int = 1):
-        N, of, s = grading.N, field.of, len(rows)
+        of, power, s = field.of, grading.t_power, len(rows)
         if not s:
             raise ValueError("matrix must be nonempty")
         ground = []
@@ -85,9 +88,9 @@ class LambdaMatrix:
                 x = of(x)
                 if not x:
                     continue
-                if not 0 <= j < s or ((i - j + weight) % N if N else i - j + weight):
+                if not 0 <= j < s or power(i - j + weight) is None:
                     raise ValueError(
-                        f"entry ({i}, {j}) does not fit grading N = {N} at weight {weight}"
+                        f"entry ({i}, {j}) does not fit grading N = {grading.N} at weight {weight}"
                     )
                 ground[-1][j] = x
         unknown = frozenset(unknown)
@@ -96,7 +99,7 @@ class LambdaMatrix:
                 raise ValueError(f"unknown position {(i, j, d)} out of range")
             if j in ground[i]:
                 raise ValueError("unknown positions must hold a zero placeholder")
-            if N * d != i - j + weight:
+            if power(i - j + weight) != d:
                 raise ValueError(
                     f"unknown at ({i}, {j}) declares t-power {d}, "
                     f"grading needs N*d = {i - j + weight}"
@@ -109,11 +112,12 @@ class LambdaMatrix:
     @property
     def entries(self) -> tuple:
         """Rows of Novikov scalars, built on each call."""
-        N, w, field, zero = self.grading.N, self.weight, self.field, Novikov.zero(self.field)
+        power, w, field = self.grading.t_power, self.weight, self.field
+        zero = Novikov.zero(field)
         grid = [[zero] * self.size for _ in self.rows]
         for i, row in enumerate(self.rows):
             for j, c in row.items():
-                grid[i][j] = _lift(field, N, i - j + w, c)
+                grid[i][j] = Novikov(field, c, power(i - j + w))
         return tuple(map(tuple, grid))
 
     @property
@@ -153,11 +157,11 @@ class LambdaMatrix:
         """Entries as text, as str renders the entries: each zero '0', and
         each nonzero c * t^d rendered from c with no Novikov scalar built.
         Unknowns read '?*t^d', one string per t-power."""
-        N, w, text = self.grading.N, self.weight, {}
+        power, w, text = self.grading.t_power, self.weight, {}
         grid = [["0"] * self.size for _ in self.rows]
         for i, row in enumerate(self.rows):
             for j, c in row.items():
-                grid[i][j] = _lift_str(N, i - j + w, c)
+                grid[i][j] = term_str(c, power(i - j + w))
         for (i, j, d) in self.unknown:
             grid[i][j] = text.get(d) or text.setdefault(d, term_str("?", d))
         return grid
@@ -195,21 +199,24 @@ class CharPoly(Record):
     + a_s of a weight-1 matrix, stored at t = 1.
 
     values holds c_1, ..., c_s as ground values of field.of, and
-    a_k = c_k * t^(k/N); a nonzero c_k where N does not divide
-    k raises ArithmeticError.  a, the Novikov coefficients, is a view
-    built on each call.
+    a_k = c_k * t^d with d = grading.t_power(k); a nonzero c_k of a
+    weight k no d fits (N not dividing k, or any k at N = 0) raises
+    ArithmeticError.  a, the Novikov coefficients, is a view built on
+    each call.
     """
 
     __slots__ = ("field", "grading", "values")
 
     def __init__(self, field: CoefficientField, grading, values):
-        values = _scalars(values, field)
+        values = field.of_all(values)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "values", values)
         for k, c in enumerate(values, 1):
-            if c:
-                _t_power(grading.N, k, c)  # ArithmeticError off the grading
+            if c and grading.t_power(k) is None:
+                raise ArithmeticError(
+                    f"{c} of weight {k} at t = 1 does not fit grading N = {grading.N}"
+                )
 
     @property
     def size(self) -> int:
@@ -222,42 +229,11 @@ class CharPoly(Record):
 
     def coefficient(self, k: int) -> Novikov:
         """a_k as a Novikov scalar, 1 <= k <= s."""
-        return _lift(self.field, self.grading.N, k, self.values[k - 1])
+        return Novikov(self.field, self.values[k - 1], self.grading.t_power(k))
 
     def coefficient_str(self, k: int) -> str:
         """str(self.coefficient(k)), with no scalar built."""
-        return _lift_str(self.grading.N, k, self.values[k - 1])
-
-
-# -- the scalars the core runs on ---------------------------------------------
-
-
-def _scalars(values, field: CoefficientField) -> tuple:
-    """Values at t = 1 as stored: a tuple of their ground values under
-    field.of; values itself when it is one."""
-    out = tuple(map(field.of, values))
-    return values if type(values) is tuple and all(map(is_, out, values)) else out
-
-
-def _t_power(N: int, k: int, c) -> int:
-    """The t-power k/N of the weight-k monomial whose value at t = 1 is
-    the nonzero c; 0 when N = 0, ArithmeticError when N does not divide k."""
-    if not N:
-        return 0
-    if k % N:
-        raise ArithmeticError(f"{c} of weight {k} at t = 1 does not fit grading N = {N}")
-    return k // N
-
-
-def _lift(field: CoefficientField, N: int, k: int, c) -> Novikov:
-    """The Novikov scalar of weight k whose value at t = 1 is c: zero, or
-    c * t^(k/N), such as a_k from c_k(mat(1))."""
-    return Novikov(field, c, _t_power(N, k, c) if c else 0)
-
-
-def _lift_str(N: int, k: int, c) -> str:
-    """str(_lift(field, N, k, c)), rendered from c with no scalar built."""
-    return term_str(c, _t_power(N, k, c)) if c else "0"
+        return term_str(self.values[k - 1], self.grading.t_power(k))
 
 
 # -- the Hessenberg core --------------------------------------------------------
@@ -422,7 +398,7 @@ def kernel(mat: LambdaMatrix) -> list:
     of mat (D * v up to a unit, see the module docstring).
     """
     mat._require_complete("kernel")
-    s, N, field, mod = mat.size, mat.grading.N, mat.field, mat.field.characteristic
+    s, power, field, mod = mat.size, mat.grading.t_power, mat.field, mat.field.characteristic
     pivots = _echelon(mat.rows, mod)
     zero = Novikov.zero(field)
     basis = []
@@ -441,7 +417,7 @@ def kernel(mat: LambdaMatrix) -> list:
         i = min(v)
         vec = [zero] * s
         for j, x in v.items():
-            vec[j] = _lift(field, N, j - i, x % mod if mod else Fraction(x) / v[i])
+            vec[j] = Novikov(field, x % mod if mod else Fraction(x) / v[i], power(j - i))
         basis.append(tuple(vec))
     return basis
 

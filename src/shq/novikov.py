@@ -18,14 +18,16 @@ built from it and a scalar built here hold equal values of equal types.
 
 Grading: t carries cohomological degree 2N, where N is the minimal
 Chern number of the total space.  A GradingContext records N for the
-matrices and presentations that carry it: their entries are checked to
-be homogeneous, and graded matrices are computed at t = 1 (see linalg).
+matrices and presentations that carry it, and holds the one grading
+rule: a nonzero value of weight k is c*t^d with N*d = k (d = 0 when
+N = 0), which GradingContext.t_power decides.  Their entries are checked
+against it, and graded matrices are computed at t = 1 (see linalg).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Optional, Union
 
 
@@ -87,6 +89,12 @@ class CoefficientField:
             return x.numerator & 1
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
+    def of_all(self, values) -> tuple:
+        """The ground values of values under of, as a tuple: values
+        itself when it is one already."""
+        out = tuple(map(self.of, values))
+        return values if type(values) is tuple and all(map(is_, out, values)) else out
+
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.kind == other.kind
 
@@ -111,10 +119,21 @@ class GradingContext(Record):
     def __init__(self, N: int):
         object.__setattr__(self, "N", N)
 
+    def t_power(self, k: int) -> Optional[int]:
+        """The t-power d of a nonzero value of weight k, N*d = k, or None
+        when no d fits; at N = 0 only k = 0 fits, with d = 0.  The one
+        grading rule: every check and every lift of a value at t = 1 reads
+        it."""
+        N = self.N
+        if N:
+            return None if k % N else k // N
+        return None if k else 0
+
 
 class Novikov(Record):
     """A Novikov scalar: the monomial coeff * t^power, coeff a ground
-    value of field.of.  Zero is coeff 0 with power 0."""
+    value of field.of.  Zero is coeff 0 with power 0, whatever power is
+    given (such as None, where no t-power fits the weight)."""
 
     __slots__ = ("field", "coeff", "power")
 
@@ -213,17 +232,17 @@ class Novikov(Record):
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        return term_str(self.coeff, self.power) if self.coeff else "0"
+        return term_str(self.coeff, self.power)
 
     def __repr__(self):
         return f"Novikov[{self.field.kind}]({self})"
 
 
 def term_str(c, e: int) -> str:
-    """The monomial c*t^e as text, as str renders a nonzero Novikov
-    scalar: '7', 't', '-t^2', '3/4*t^-1'.  A c of '?' gives the undetermined
-    coefficient '?*t^e'."""
-    if e == 0:
+    """The monomial c*t^e as text, as str renders a Novikov scalar: '0'
+    (whatever e), '7', 't', '-t^2', '3/4*t^-1'.  A c of '?' gives the
+    undetermined coefficient '?*t^e'."""
+    if e == 0 or not c:
         return str(c)
     t = "t" if e == 1 else f"t^{e}"
     if c == 1:

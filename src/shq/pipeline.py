@@ -303,8 +303,8 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
         raise ValueError(f"need an integer seed, got seed={seed!r}")
     regime = classify_regime(m, n)
     N = minimal_chern(m, n)
-    ctx = GradingContext(N)
     r = build_r_matrix(m, n, field)
+    ctx = r.grading
 
     cp = annihilates = dims = c1 = None
     if r.is_complete:
@@ -522,18 +522,16 @@ def _check_localization_match(run):
             for k in range(trials)
         )
         detail += f" modulo the prime {p}"
-    rows, mod = run.r.rows, run.field.characteristic
-    ok = ok and all(
-        rows[run.N + a - 1].get(a, 0) == (e % mod if mod else e) for a, e in enumerate(expected)
-    )
+    rows, of = run.r.rows, run.field.of
+    ok = ok and all(rows[run.N + a - 1].get(a, 0) == of(e) for a, e in enumerate(expected))
     return ok, detail
 
 
 def _check_blowup_match(run):
     if (run.m, run.n) == (1, 1):
-        deg, mod = obstruction_bundle_degree(), run.field.characteristic
+        deg = obstruction_bundle_degree()
         return (
-            deg == 1 and run.r.rows[0].get(0, 0) == (deg % mod if mod else deg),
+            deg == 1 and run.r.rows[0].get(0, 0) == run.field.of(deg),
             "the universal-curve Euler characteristic gives the same degree-one count",
         )
 

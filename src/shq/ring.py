@@ -15,21 +15,24 @@ Every presentation is graded and its relation homogeneous, so it is
 stored the way linalg stores a matrix: the values at t = 1 of its
 relation with its field and grading.  An element is stored as the
 values at t = 1 of its coefficients with its weight.  Each constructor
-reads its values through field.of, so they are ground values, ints (a
-Fraction where not integral) over Q and bits over GF(2), the same values
-the Novikov views relation and coeffs hold.  All arithmetic in the
-quotient is one reduction step on these values, multiplication by the
-generator modulo the relation, and the generator change, the nilpotency
-test and the multiplication matrix build no Novikov scalar.  Novikov
-scalars are read only where they come in, by reduce and by multiplying
-an element with a scalar, which raise ValueError unless the input is
-homogeneous (not 1 + g or t*g with N = 0; t - 1 is refused where it is
-built); an int or Fraction given to either is read as a constant through
-field.of.  Every scalar is one monomial c*t^d, read as its c and d.
-Scalars are built only for the views relation and coeffs, on each call,
-and coefficient_str renders each from c.  A multiplication matrix has
-the grading of its presentation and the weight of its element, and is
-handed over as its rows at t = 1.
+reads its values through field.of_all, so they are ground values, ints
+(a Fraction where not integral) over Q and bits over GF(2), the same
+values the Novikov views relation and coeffs hold, and refuses with
+ValueError a nonzero value of a weight no t-power fits, as
+GradingContext.t_power decides.  All arithmetic in the quotient is one
+reduction step on these values, multiplication by the generator modulo
+the relation, and the generator change, the nilpotency test and the
+multiplication matrix build no Novikov scalar.  Novikov scalars are read
+only where they come in, by reduce and by multiplying an element with a
+scalar, which raise ValueError unless the input is homogeneous (not
+1 + g or t*g with N = 0; t - 1 is refused where it is built); an int or
+Fraction given to either is read as a constant through field.of.  Every
+scalar is one monomial c*t^d, read as its c and d.  Scalars are built
+only for the views relation and coeffs, on each call, each c lifted to
+c*t^d with d = grading.t_power of its weight, and coefficient_str
+renders each from c.  A multiplication matrix has the grading of its
+presentation and the weight of its element, and is handed over as its
+rows at t = 1.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from .linalg import LambdaMatrix, _lift, _lift_str, _scalars
+from .linalg import LambdaMatrix
 from .novikov import CoefficientField, GradingContext, Novikov, Record, term_str
 
 
@@ -53,10 +56,11 @@ class RingPresentation(Record):
     generator g; its length is degree + 1 and its top is one.  The
     quotient has dimension ``degree`` with basis 1, g, ..., g^(degree-1).
     The relation is homogeneous of weight degree: the coefficient of g^k
-    is c * t^((degree - k)/N), so a nonzero value needs N to divide
-    degree - k (k = degree when N = 0).  unknown_terms lists (gen_power,
-    t_power) slots of the relation that carry undetermined corrections;
-    the presentation is complete when there are none.  relation, the
+    is c * t^d with d = grading.t_power(degree - k), so a nonzero value
+    needs N to divide degree - k (k = degree when N = 0).  unknown_terms
+    lists (gen_power, t_power) slots of the relation that carry
+    undetermined corrections; the presentation is complete when there
+    are none.  relation, the
     Novikov coefficients, is a view built on each call.
     """
 
@@ -69,7 +73,7 @@ class RingPresentation(Record):
         self, generator: str, field: CoefficientField, grading: GradingContext, values,
         unknown_terms: tuple = (),
     ):
-        values = _scalars(values, field)
+        values = field.of_all(values)
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "grading", grading)
@@ -79,18 +83,18 @@ class RingPresentation(Record):
             raise ValueError(f"unknown generator {generator!r}")
         if not values or values[-1] != 1:
             raise ValueError("relation must be monic")
-        N, deg = grading.N, self.degree
+        power, deg = grading.t_power, self.degree
         for (k, d) in unknown_terms:
             if not (0 <= k < deg) or d < 1:
                 raise ValueError(f"unknown term {(k, d)} out of range")
             if values[k]:
                 raise ValueError("unknown relation slots must hold zero")
-            if N * d != deg - k:
+            if power(deg - k) != d:
                 raise ValueError(
                     f"unknown term at power {k} declares t-power {d}, "
                     f"homogeneity needs N*d = {deg - k}"
                 )
-        if not _homogeneous(N, deg, values):
+        if any(power(deg - k) is None for k in compress(range(deg + 1), values)):
             raise ValueError(
                 "relation is not homogeneous: the coefficient of g^k must "
                 f"be a monomial c*t^d with N*d = {deg} - k"
@@ -118,11 +122,11 @@ class RingPresentation(Record):
 
     def coefficient(self, k: int) -> Novikov:
         """The Novikov coefficient of g^k in the relation."""
-        return _lift(self.field, self.grading.N, self.degree - k, self.values[k])
+        return Novikov(self.field, self.values[k], self.grading.t_power(self.degree - k))
 
     def coefficient_str(self, k: int) -> str:
         """str(self.coefficient(k)), with no scalar built."""
-        return _lift_str(self.grading.N, self.degree - k, self.values[k])
+        return term_str(self.values[k], self.grading.t_power(self.degree - k))
 
     def _require_complete(self, what: str):
         if not self.complete:
@@ -140,18 +144,20 @@ class RingPresentation(Record):
     def gen_power(self, k: int) -> "RingElement":
         if k < 0:
             raise ValueError("negative generator powers are not elements")
-        self._require_complete("reduction")
-        return RingElement(self, self._horner([0] * k + [1]), k)
+        return self.reduce([0] * k + [1])
 
     def reduce(self, raw) -> "RingElement":
         """Reduce a polynomial in the generator (Novikov coefficients, or
         ints and Fractions as constants, ascending, any length) modulo the
-        relation, by Horner's rule over the step.  Its nonzero
-        coefficients must be monomials c*t^d of one weight N*d + k at g^k,
-        else ValueError."""
+        relation, as the product of 1 with it.  Its nonzero coefficients
+        must be monomials c*t^d of one weight N*d + k at g^k, else
+        ValueError."""
         self._require_complete("reduction")
-        weight, values = _at_one(self.field, self.grading.N, raw)
-        return RingElement(self, self._horner(values), weight)
+        weight, values = _at_one(self.field, self.grading, raw)
+        rank = self.rank
+        # rank 0: the zero ring, where the step has no top to read
+        values = self._product([1] + [0] * (rank - 1), values) if rank else []
+        return RingElement(self, values, weight)
 
     # -- the arithmetic core, on values at t = 1 -----------------------------
 
@@ -167,8 +173,8 @@ class RingPresentation(Record):
         return out
 
     def _product(self, x, y) -> list:
-        """x * y by Horner's rule over the nonzero values of y: one step
-        for each power of g below the top of y."""
+        """x * y by Horner's rule over the nonzero values of y (any
+        length): one step for each power of g below the top of y."""
         mod = self.field.characteristic
         powers = [k for k, c in enumerate(y) if c]
         acc = [0] * self.rank
@@ -183,20 +189,6 @@ class RingPresentation(Record):
             below = k
         for _ in range(below):
             acc = self._step(acc)
-        return acc
-
-    def _horner(self, raw: list) -> list:
-        """The polynomial raw in g (values ascending, any length) modulo
-        the relation: its top rank values, then a step per lower one."""
-        rank, mod = self.rank, self.field.characteristic
-        if not rank:
-            return []
-        split = max(len(raw) - rank, 0)
-        acc = raw[split:] + [0] * (rank + split - len(raw))
-        for c in reversed(raw[:split]):
-            acc = self._step(acc)
-            if c:
-                acc[0] = (acc[0] + c) % mod if mod else acc[0] + c
         return acc
 
     @property
@@ -235,8 +227,8 @@ class RingElement(Record):
     """Element of a quotient presentation, stored at t = 1.
 
     values holds the coefficients at t = 1 ascending in g, length rank;
-    the coefficient of g^k is c * t^((weight - k)/N), so a nonzero value
-    needs N to divide weight - k (k = weight when N = 0).  A zero element
+    the coefficient of g^k is c * t^d with d = grading.t_power(weight - k),
+    so a nonzero value needs N to divide weight - k (k = weight when N = 0).  A zero element
     has weight 0.  coeffs, the Novikov coefficients, is a view built on
     each call.
     """
@@ -244,7 +236,7 @@ class RingElement(Record):
     __slots__ = ("pres", "values", "weight")
 
     def __init__(self, pres: RingPresentation, values, weight: int):
-        values = _scalars(values, pres.field)
+        values = pres.field.of_all(values)
         if not any(values):
             weight = 0
         object.__setattr__(self, "pres", pres)
@@ -252,7 +244,8 @@ class RingElement(Record):
         object.__setattr__(self, "weight", weight)
         if len(values) != pres.rank:
             raise ValueError(f"{len(values)} coefficients for a rank-{pres.rank} quotient")
-        if not _homogeneous(pres.grading.N, weight, values):
+        power = pres.grading.t_power
+        if any(power(weight - k) is None for k in compress(range(len(values)), values)):
             raise ValueError(
                 "element is not homogeneous: the coefficient of g^k must be a "
                 f"monomial c*t^d of one weight N*d + k, with N = {pres.grading.N}"
@@ -265,11 +258,11 @@ class RingElement(Record):
 
     def coefficient(self, k: int) -> Novikov:
         """The Novikov coefficient of g^k."""
-        return _lift(self.pres.field, self.pres.grading.N, self.weight - k, self.values[k])
+        return Novikov(self.pres.field, self.values[k], self.pres.grading.t_power(self.weight - k))
 
     def coefficient_str(self, k: int) -> str:
         """str(self.coefficient(k)), with no scalar built."""
-        return _lift_str(self.pres.grading.N, self.weight - k, self.values[k])
+        return term_str(self.values[k], self.pres.grading.t_power(self.weight - k))
 
     def __mul__(self, other):
         pres = self.pres
@@ -281,7 +274,7 @@ class RingElement(Record):
             )
         if not isinstance(other, (int, Fraction, Novikov)):
             return NotImplemented
-        weight, (c,) = _at_one(pres.field, pres.grading.N, (other,))
+        weight, (c,) = _at_one(pres.field, pres.grading, (other,))
         return RingElement(pres, [x * c for x in self.values], self.weight + weight)
 
     __rmul__ = __mul__
@@ -345,24 +338,16 @@ def is_nilpotent(pres: RingPresentation, x: RingElement) -> bool:
     return not any(power)
 
 
-def _homogeneous(N: int, weight: int, values) -> bool:
-    """Whether each nonzero value at g^k fits weight: N divides
-    weight - k, and k = weight when N = 0."""
-    return not any(
-        (weight - k) % N if N else weight - k for k, c in enumerate(values) if c
-    )
-
-
-def _at_one(field: CoefficientField, N: int, coeffs) -> tuple:
+def _at_one(field: CoefficientField, grading: GradingContext, coeffs) -> tuple:
     """(weight, values at t = 1) of coefficients of g^0, g^1, ...: Novikov
     scalars, or ints and Fractions taken as constants.
 
     They read when they are homogeneous: each nonzero coefficient c * t^d
-    of g^k has the same weight N*d + k, and d = 0 when N = 0; else
-    ValueError, as for a scalar over another field.  A zero list has
-    weight 0.
+    of g^k has a t-power the grading allows, grading.t_power(N*d) = d
+    (so d = 0 when N = 0), and the same weight N*d + k; else ValueError,
+    as for a scalar over another field.  A zero list has weight 0.
     """
-    weight, values = None, []
+    N, weight, values = grading.N, None, []
     for k, x in enumerate(coeffs):
         if not isinstance(x, Novikov):
             c, d = field.of(x), 0
@@ -373,7 +358,7 @@ def _at_one(field: CoefficientField, N: int, coeffs) -> tuple:
         values.append(c)
         if not c:
             continue
-        if (d and not N) or weight not in (None, N * d + k):
+        if grading.t_power(N * d) != d or weight not in (None, N * d + k):
             raise ValueError(
                 "element is not homogeneous: the coefficient of g^k must be a "
                 f"monomial c*t^d of one weight N*d + k, with N = {N}"

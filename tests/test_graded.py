@@ -206,16 +206,18 @@ def test_graded_char_poly_raises_when_the_recurrence_is_wrong(corrupt_char_poly)
 
 
 def test_a_solve_off_the_grading_raises(monkeypatch):
-    # c_1 = 1 has weight 1, which no t-power fits at N = 4
-    r = build_r_matrix(5, 2)
-    cp = char_poly(r)
-    monkeypatch.setattr(shq.linalg, "_solve", lambda op: [1] + [0] * 5)
-    with pytest.raises(ArithmeticError, match="does not fit grading N = 4"):
-        spectrum(r)
-    with pytest.raises(ArithmeticError):
-        char_poly(r)
-    monkeypatch.undo()
-    assert char_poly(r) == cp
+    # c_1 = 1 has weight 1, which no t-power fits at N = 4, nor at the
+    # Calabi-Yau N = 0
+    for (m, n), N in (((5, 2), 4), ((3, 4), 0)):
+        r = build_r_matrix(m, n)
+        cp = char_poly(r)
+        monkeypatch.setattr(shq.linalg, "_solve", lambda op: [1] + [0] * m)
+        with pytest.raises(ArithmeticError, match=f"does not fit grading N = {N}"):
+            spectrum(r)
+        with pytest.raises(ArithmeticError):
+            char_poly(r)
+        monkeypatch.undo()
+        assert char_poly(r) == cp
 
 
 def test_corrupted_r_is_refused():

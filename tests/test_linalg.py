@@ -6,7 +6,6 @@ import random
 import pytest
 
 from shq.linalg import (
-    CharPoly,
     IncompleteMatrixError,
     LambdaMatrix,
     char_poly,

@@ -232,6 +232,10 @@ def test_grading_context_cy():
     assert mat.entries[0][1] == Novikov.constant(QQ, 3)
     with pytest.raises(ValueError):
         LambdaMatrix(QQ, GradingContext(0), [{0: 1}, {}])
+    # so an unknown there has t-power 0 too
+    assert LambdaMatrix(QQ, GradingContext(0), [{}, {}], {(0, 1, 0)}).to_strings()[0][1] == "?"
+    with pytest.raises(ValueError, match="declares t-power 1"):
+        LambdaMatrix(QQ, GradingContext(0), [{}, {}], {(0, 1, 1)})
 
 
 # -- rendering ---------------------------------------------------------

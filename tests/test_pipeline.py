@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shq.pipeline
-from shq.gw import subdiagonal_entry
 from shq.localization import sample_prime
 from shq.linalg import char_poly, spectrum
-from shq.novikov import F2, FIELDS, QQ, Novikov
+from shq.novikov import F2, QQ, Novikov
 from shq.pipeline import (
     PartialFacts,
     Regime,
@@ -29,7 +28,7 @@ from shq.pipeline import (
     unlimited_int_digits,
     vanishing_nilpotency,
 )
-from shq.ring import RingPresentation, multiplication_matrix
+from shq.ring import multiplication_matrix
 
 from oracles import closed_form, novikov_berkowitz
 from test_graded import complete_pairs

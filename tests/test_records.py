@@ -220,9 +220,10 @@ def test_presentation_refuses_a_non_monic_relation():
 
 
 def test_char_poly_refuses_values_off_its_grading():
-    # a_1 = c_1 * t^(1/2) at N = 2
-    with pytest.raises(ArithmeticError, match="does not fit grading N = 2"):
-        CharPoly(QQ, GradingContext(2), (1, 0))
+    # a_1 = c_1 * t^(1/2) at N = 2; at N = 0 no t-power gives a_1 weight 1
+    for field, N in ((QQ, 2), (QQ, 0), (F2, 0)):
+        with pytest.raises(ArithmeticError, match=f"does not fit grading N = {N}"):
+            CharPoly(field, GradingContext(N), (1, 0))
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():

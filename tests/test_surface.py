@@ -166,3 +166,79 @@ def test_the_tracer_installs():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def private_imports(sources: dict) -> list:
+    """(module, name) for each private name a module imports from
+    another module of the package."""
+    return sorted(
+        (module, alias.name)
+        for module, tree in sources.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "shq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def unread_imports(tree: ast.Module) -> list:
+    """Names bound by a top-level import that the module never reads;
+    __future__ imports and names listed in __all__ are exempt."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(set(bound) - read - exported)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = private_imports(_package_sources())
+    assert not found, f"private names imported across src/shq modules: {found}"
+
+
+def test_every_import_is_read():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unread = {
+        str(path.relative_to(ROOT)): names
+        for path in paths
+        if (names := unread_imports(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert not unread, f"imported names that their module never reads: {unread}"
+
+
+def test_the_import_scans_see_each_kind_of_import():
+    sources = {
+        "a": ast.parse("from .b import _helper, public\nfrom shq.c import _other\n"),
+        "b": ast.parse("from ._c import public\nfrom os import _exit\nimport shq\n"),
+    }
+    assert private_imports(sources) == [("a", "_helper"), ("a", "_other")]
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from a import used, unused, exported, shadowed as alias\n"
+        "__all__ = ['exported']\n"
+        "def f(x: used) -> None:\n"
+        "    os.path.join(x)\n"
+        "    alias = 1\n"
+        "    def g():\n"
+        "        import json\n"
+        "        return json\n"
+    )
+    assert unread_imports(tree) == ["alias", "js", "unused"]
