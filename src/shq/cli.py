@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 when the requested (m, n) falls in the
 refused band, 3 on invalid arguments, 4 when `compute` or `table` printed
 a result but a diagnostic failed, or `localize` printed a sample that
-differs from the closed form.  Exact integers print in full, past
+differs from the closed form, 141 when the reader closes standard output
+early (`shq ... | head`), 130 on Ctrl-C; the last two print no
+traceback.  Exact integers print in full, past
 Python's 4300-digit limit on int-to-text conversion.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .blowup import (
@@ -197,7 +200,15 @@ def main(argv=None) -> int:
     # print exact integers in full; the arguments are parsed by now
     try:
         with unlimited_int_digits():
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader gone early raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull: the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        return 130
     except UnsupportedRegimeError as e:
         print(f"shq: {e}", file=sys.stderr)
         return 2

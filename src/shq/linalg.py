@@ -28,6 +28,11 @@ solve never used and a cyclic one (e_0^T mat^k ends in a product of
 superdiagonal entries at column k), so it holds exactly when
 p(mat) = 0; the Jordan chain check asks u = q(mat) e_last, where
 cp = lambda^(s-p) * q, for mat^(s-p-1) u != 0 and mat^(s-p) u = 0.
+The solve, both checks, matrix products and ring's quotients share one
+mat-vec and one Horner loop, mat_vec and horner, on an operator's
+columns {row: value} and sparse vectors {index: value}, so a step costs
+the nonzeros it touches, not s.  Cayley-Hamilton reads mat's rows as
+the columns of its transpose.
 
 Everything computes at t = 1.  With N != 0,
 mat(t) = t^(w/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
@@ -175,14 +180,10 @@ class LambdaMatrix:
         other._require_complete("matrix product")
         if (self.field, self.grading, self.size) != (other.field, other.grading, other.size):
             raise ValueError("a product needs one field, one grading and one size")
-        rows = []
-        for row in self.rows:
-            # row i of the product: the rows of other weighted by row i
-            acc = {}
-            for k, a in row.items():
-                for j, b in other.rows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            rows.append(acc)
+        # row i of the product: the rows of other, the columns of its
+        # transpose, weighted by row i
+        mod = self.field.characteristic
+        rows = [mat_vec(other.rows, row, mod) for row in self.rows]
         return LambdaMatrix(self.field, self.grading, rows, weight=self.weight + other.weight)
 
     def __pow__(self, k: int):
@@ -236,107 +237,104 @@ class CharPoly(Record):
         return term_str(self.values[k - 1], self.grading.t_power(k))
 
 
-# -- the Hessenberg core --------------------------------------------------------
+# -- the shared core ----------------------------------------------------------
+
+
+def mat_vec(cols, v: dict, mod: int) -> dict:
+    """The operator with columns cols, cols[j] = {row: value}, times the
+    sparse vector v = {index: value}, mod mod (0: none), zeros dropped."""
+    out = {}
+    get = out.get
+    for j, x in v.items():
+        for i, a in cols[j].items():
+            out[i] = get(i, 0) + a * x
+    if mod:
+        return {i: y for i, x in out.items() if (y := x % mod)}
+    return {i: x for i, x in out.items() if x}
+
+
+def horner(cols, coeffs, u: dict, mod: int) -> dict:
+    """p(op) u by Horner's rule, op given by its columns as for mat_vec
+    and p = coeffs[0] lambda^k + coeffs[1] lambda^(k-1) + ... + coeffs[k]."""
+    v = {}
+    for c in coeffs:
+        if v:
+            v = mat_vec(cols, v, mod)
+        if c:
+            for i, x in u.items():
+                v[i] = v.get(i, 0) + c * x
+            v = {i: y for i, x in v.items() if (y := x % mod if mod else x)}
+    return v
+
+
+# -- the Hessenberg solve and its checks ----------------------------------------
 
 
 def _hessenberg(mat: LambdaMatrix, what: str):
-    """op of a complete mat of weight 1 whose mat(1) is lower Hessenberg
-    with a nonzero superdiagonal, or zero; ValueError otherwise.  op is
-    (sup, low, mod): the superdiagonal, the (i, j, entry) triples on and
-    below the diagonal, and the modulus of the scalars, all of mat(1)."""
+    """(columns of mat(1), modulus) of a complete mat of weight 1 whose
+    mat(1) is lower Hessenberg with a nonzero superdiagonal, or zero;
+    ValueError otherwise."""
     mat._require_complete(what)
     if mat.weight != 1:
         raise ValueError(f"{what} needs a matrix of weight 1, not {mat.weight}")
-    mod, rows = mat.field.characteristic, mat.rows
-    sup, low = [0] * (len(rows) - 1), []
+    rows, cols = mat.rows, [{} for _ in mat.rows]
     for i, row in enumerate(rows):
         for j, x in row.items():
             if j > i + 1:
                 raise ValueError(f"entry ({i}, {j}) lies above the superdiagonal")
-            if j == i + 1:
-                sup[i] = x
-            else:
-                low.append((i, j, x))
-    if not all(sup) and (low or any(sup)):
+            cols[j][i] = x
+    if any(rows) and not all(i + 1 in row for i, row in enumerate(rows[:-1])):
         raise ValueError("a superdiagonal entry is zero and the matrix is not zero")
-    return sup, low, mod
-
-
-def _apply(op, v: list) -> list:
-    """The matrix times v: the superdiagonal shifts v up, then each
-    entry on or below the diagonal adds its term."""
-    sup, low, mod = op
-    out = [a * x for a, x in zip(sup, v[1:])]
-    out.append(0)
-    for i, j, a in low:
-        if v[j]:
-            out[i] += a * v[j]
-    return [x % mod for x in out] if mod else out
-
-
-def _horner(op, c, e: int) -> list:
-    """q(mat) e_e by Horner's rule, for q = lambda^k + c_1 lambda^(k-1)
-    + ... + c_k with c = [c_1, ..., c_k]."""
-    mod = op[2]
-    v = [0] * (len(op[0]) + 1)
-    v[e] = 1
-    for x in c:
-        v = _apply(op, v)
-        if x:
-            v[e] = (v[e] + x) % mod if mod else v[e] + x
-    return v
+    return cols, mat.field.characteristic
 
 
 def _solve(op) -> list:
     """[c_1, ..., c_s] of an unreduced lower Hessenberg or zero matrix:
-    the Krylov vectors K_k = mat^k e_last, then forward substitution in
-    K_s + c_1 K_(s-1) + ... + c_s K_0 = 0, top row first.  Unverified;
-    callers check it."""
-    s, mod = len(op[0]) + 1, op[2]
-    K = [[0] * (s - 1) + [1]]
+    the sparse Krylov vectors K_k = mat^k e_last, then forward
+    substitution in K_s + c_1 K_(s-1) + ... + c_s K_0 = 0, top row first,
+    with acc the left side so far.  Unverified; callers check it."""
+    cols, mod = op
+    s = len(cols)
+    K = [{s - 1: 1}]
     for _ in range(s):
-        K.append(_apply(op, K[-1]))
-    c, nonzero = [], []
+        K.append(mat_vec(cols, K[-1], mod))
+    acc, c = dict(K[s]), []
     for i in range(s):
-        # row i holds c_1, ..., c_(i+1); K_(s-1-i) starts there, with a
-        # product of superdiagonal entries as its pivot (zero only in the
-        # zero matrix, where every acc is zero too)
-        acc = K[s][i] + sum(x * K[s - k][i] for k, x in nonzero)
-        x = acc % mod if mod else acc
+        # row i fixes c_(i+1), the weight of K_(s-1-i), whose pivot there is
+        # a product of superdiagonal entries (zero only in the zero matrix)
+        x = acc.get(i, 0)
+        x = x % mod if mod else x
         if x:
             piv = K[s - 1 - i][i]
             # an integer matrix has integer c_k, so // is exact
             x = -x // piv if type(x) is int and type(piv) is int else -x / piv
             x = x % mod if mod else x
-            nonzero.append((i + 1, x))
+            for j, y in K[s - 1 - i].items():
+                acc[j] = acc.get(j, 0) + x * y
         c.append(x)
     return c
 
 
-def _annihilates(op, c) -> bool:
+def _annihilates(mat: LambdaMatrix, c) -> bool:
     """Cayley-Hamilton on the cyclic row e_0^T, which the solve never
-    used: e_0^T p(mat) = 0 exactly when p(mat) = 0.  Reversing the basis
-    turns mat^T into a lower Hessenberg matrix again, whose
-    superdiagonal is sup reversed and which sends e_0 to e_last."""
-    sup, low, mod = op
-    s = len(sup) + 1
-    flipped = (sup[::-1], [(s - 1 - j, s - 1 - i, a) for i, j, a in low], mod)
-    return not any(_horner(flipped, c, s - 1))
+    used: e_0^T p(mat) = 0 exactly when p(mat) = 0, by horner through
+    every power on the rows of mat, the columns of its transpose."""
+    return not horner(mat.rows, [1, *c], {0: 1}, mat.field.characteristic)
 
 
 def _chain_dims(op, c) -> Optional[list]:
     """dim ker(mat^j) for j = 0, ..., s - p: min(j, s - p) once the
     Jordan chain of u = q(mat) e_last, cp = lambda^(s-p) q, has length
     exactly s - p; None when it has not.  A zero matrix gives [0, s]."""
-    sup, low, _ = op
+    cols, mod = op
     s = len(c)
-    if not low and not any(sup):
+    if not any(cols):
         return [0, s]
     p = max((k for k, x in enumerate(c, 1) if x), default=0)
-    last, u = None, _horner(op, c[:p], s - 1)
+    last, u = None, horner(cols, [1, *c[:p]], {s - 1: 1}, mod)
     for _ in range(s - p):
-        last, u = u, _apply(op, u)
-    if any(u) or (last is not None and not any(last)):
+        last, u = u, mat_vec(cols, u, mod)
+    if u or (last is not None and not last):
         return None
     return list(range(s - p + 1))
 
@@ -346,7 +344,7 @@ def char_poly(mat: LambdaMatrix) -> CharPoly:
     annihilate the matrix (Cayley-Hamilton)."""
     op = _hessenberg(mat, "characteristic polynomial")
     c = _solve(op)
-    if not _annihilates(op, c):
+    if not _annihilates(mat, c):
         raise ArithmeticError("characteristic polynomial failed to annihilate")
     return CharPoly(mat.field, mat.grading, c)
 
@@ -357,7 +355,7 @@ def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
     char_poly and kernel_dims, a failed check is reported, not raised."""
     op = _hessenberg(mat, "characteristic polynomial")
     c = _solve(op)
-    return CharPoly(mat.field, mat.grading, c), _annihilates(op, c), _chain_dims(op, c)
+    return CharPoly(mat.field, mat.grading, c), _annihilates(mat, c), _chain_dims(op, c)
 
 
 def rank(mat: LambdaMatrix) -> int:

@@ -19,13 +19,15 @@ reads its values through field.of_all, so they are ground values, ints
 (a Fraction where not integral) over Q and bits over GF(2), the same
 values the Novikov views relation and coeffs hold, and refuses with
 ValueError a nonzero value of a weight no t-power fits, as
-GradingContext.t_power decides.  All arithmetic in the quotient is one
-reduction step on these values, multiplication by the generator modulo
-the relation, and the generator change, the nilpotency test and the
-multiplication matrix build no Novikov scalar.  Novikov scalars are read
-only where they come in, by reduce and by multiplying an element with a
-scalar, which raise ValueError unless the input is homogeneous (not
-1 + g or t*g with N = 0; t - 1 is refused where it is built); an int or
+GradingContext.t_power decides.  The quotient runs on linalg's core,
+on sparse vectors {power of g: value}: multiplication by g modulo the
+relation is mat_vec on the companion's columns, stored with the
+presentation, and a product x * y is horner over y's coefficients from
+its top nonzero one, started at x.  None of this, nor the generator
+change, builds a Novikov scalar.  Novikov scalars are read only where
+they come in, by reduce and by multiplying an element with a scalar,
+which raise ValueError unless the input is homogeneous (not 1 + g or
+t*g with N = 0; t - 1 is refused where it is built); an int or
 Fraction given to either is read as a constant through field.of.  Every
 scalar is one monomial c*t^d, read as its c and d.  Scalars are built
 only for the views relation and coeffs, on each call, each c lifted to
@@ -40,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from .linalg import LambdaMatrix
+from .linalg import LambdaMatrix, horner, mat_vec
 from .novikov import CoefficientField, GradingContext, Novikov, Record, term_str
 
 
@@ -64,9 +66,9 @@ class RingPresentation(Record):
     Novikov coefficients, is a view built on each call.
     """
 
-    __slots__ = ("generator", "field", "grading", "values", "unknown_terms", "_terms")
-    # _terms, the nonzero values below the top that the step reads, follows
-    # from values, so equality, hash and repr leave it out
+    __slots__ = ("generator", "field", "grading", "values", "unknown_terms", "_companion")
+    # _companion, the columns of multiplication by g that mat_vec reads,
+    # follows from values, so equality, hash and repr leave it out
     _fields = __slots__[:-1]
 
     def __init__(
@@ -99,7 +101,10 @@ class RingPresentation(Record):
                 "relation is not homogeneous: the coefficient of g^k must "
                 f"be a monomial c*t^d with N*d = {deg} - k"
             )
-        object.__setattr__(self, "_terms", tuple((k, c) for k, c in enumerate(values[:-1]) if c))
+        # g * g^k is g^(k+1), and at the top minus the relation's lower terms
+        top = {k: field.of(-c) for k, c in enumerate(values[:-1]) if c}
+        cols = [{k + 1: 1} for k in range(deg - 1)] + [top] if deg else []
+        object.__setattr__(self, "_companion", cols)
 
     @property
     def complete(self) -> bool:
@@ -154,42 +159,17 @@ class RingPresentation(Record):
         ValueError."""
         self._require_complete("reduction")
         weight, values = _at_one(self.field, self.grading, raw)
-        rank = self.rank
-        # rank 0: the zero ring, where the step has no top to read
-        values = self._product([1] + [0] * (rank - 1), values) if rank else []
-        return RingElement(self, values, weight)
+        # rank 0: the zero ring, where 1 is zero
+        v = self._product({0: 1} if self.rank else {}, _sparse(values))
+        return RingElement(self, _dense(v, self.rank), weight)
 
     # -- the arithmetic core, on values at t = 1 -----------------------------
 
-    def _step(self, v) -> list:
-        """The rank values v of an element times g, modulo the relation."""
-        top = v[-1]
-        out = [0, *v[:-1]]
-        if top:
-            mod = self.field.characteristic
-            for k, c in self._terms:
-                y = out[k] - top * c
-                out[k] = y % mod if mod else y
-        return out
-
-    def _product(self, x, y) -> list:
-        """x * y by Horner's rule over the nonzero values of y (any
-        length): one step for each power of g below the top of y."""
-        mod = self.field.characteristic
-        powers = [k for k, c in enumerate(y) if c]
-        acc = [0] * self.rank
-        below = powers[-1] if powers else 0
-        for k in reversed(powers):
-            for _ in range(below - k):
-                acc = self._step(acc)
-            c = y[k]
-            acc = [a + c * b if b else a for a, b in zip(acc, x)]
-            if mod:
-                acc = [a % mod for a in acc]
-            below = k
-        for _ in range(below):
-            acc = self._step(acc)
-        return acc
+    def _product(self, x: dict, y: dict) -> dict:
+        """x * y of sparse vectors: y(g) x by horner over the companion's
+        columns, from the top nonzero coefficient of y."""
+        y = [y.get(k, 0) for k in range(max(y, default=-1), -1, -1)]
+        return horner(self._companion, y, x, self.field.characteristic)
 
     @property
     def symbol(self) -> str:
@@ -269,9 +249,8 @@ class RingElement(Record):
         if isinstance(other, RingElement):
             if other.pres != pres:
                 raise ValueError("elements live in different presentations")
-            return RingElement(
-                pres, pres._product(self.values, other.values), self.weight + other.weight
-            )
+            v = pres._product(_sparse(self.values), _sparse(other.values))
+            return RingElement(pres, _dense(v, pres.rank), self.weight + other.weight)
         if not isinstance(other, (int, Fraction, Novikov)):
             return NotImplemented
         weight, (c,) = _at_one(pres.field, pres.grading, (other,))
@@ -299,14 +278,14 @@ def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatri
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("multiplication matrix")
-    r, col = pres.rank, x.values
-    # each column is one step on from the column to its right
+    r, col = pres.rank, _sparse(x.values)
+    # each column is the companion times the column to its right
     rows = [{} for _ in range(r)]
     for j in range(r - 1, -1, -1):
-        for k in compress(range(r), col):
-            rows[r - 1 - k][j] = col[k]
+        for k, c in col.items():
+            rows[r - 1 - k][j] = c
         if j:
-            col = pres._step(col)
+            col = mat_vec(pres._companion, col, pres.field.characteristic)
     return LambdaMatrix(pres.field, pres.grading, rows, weight=x.weight)
 
 
@@ -332,10 +311,21 @@ def is_nilpotent(pres: RingPresentation, x: RingElement) -> bool:
     if x.pres != pres:
         raise ValueError("element does not live in this presentation")
     pres._require_complete("nilpotency test")
-    power = x.values
+    power = y = _sparse(x.values)
     for _ in range(pres.rank - 1):
-        power = pres._product(power, x.values)
-    return not any(power)
+        power = pres._product(power, y)
+    return not power
+
+
+def _sparse(values) -> dict:
+    """The sparse vector {power of g: value} of values ascending in g."""
+    return {k: c for k, c in enumerate(values) if c}
+
+
+def _dense(v: dict, rank: int) -> list:
+    """The rank values of an element from its sparse vector."""
+    return [v.get(k, 0) for k in range(rank)]
+
 
 
 def _at_one(field: CoefficientField, grading: GradingContext, coeffs) -> tuple:

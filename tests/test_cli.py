@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import signal
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -136,6 +138,34 @@ def test_compute_failed_localization_exits_4(capsys, corrupt_localize_row):
     d = json.loads(out)
     failed = [x["name"] for x in d["diagnostics"] if not x["pass"]]
     assert failed == ["localization_match"]
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # about 136 kB of JSON, more than a pipe buffers, so the writer is
+    # still writing when the reader goes
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shq.cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shq.cli", "compute", "--m", "100", "--n", "101"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_ctrl_c_exits_130_without_a_traceback(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(shq.cli._COMMANDS, "compute", interrupted)
+    try:
+        result = run(capsys, "compute", "--m", "2", "--n", "1")
+    except KeyboardInterrupt:
+        pytest.fail("main let KeyboardInterrupt through")
+    assert result == (130, "", "")
 
 
 def test_missing_argument_exits_3(capsys):

@@ -8,10 +8,13 @@ import pytest
 from shq.linalg import (
     IncompleteMatrixError,
     LambdaMatrix,
+    _annihilates,
     char_poly,
+    horner,
     jordan_zero_block_sizes,
     kernel,
     kernel_dims,
+    mat_vec,
     rank,
     spectrum,
     stabilization_index,
@@ -20,6 +23,7 @@ from shq.linalg import (
     zero_block_sizes,
 )
 from shq.novikov import F2, GradingContext, Novikov, QQ
+from shq.pipeline import build_r_matrix
 
 from oracles import (
     dense_apply,
@@ -162,6 +166,93 @@ def test_products_match_dense_loops(field):
                 product = a * rhs
                 assert product.weight == a.weight + rhs.weight
                 assert product.entries == dense_product(a.entries, rhs.entries)
+
+
+def lift(field, grading, v: dict, s: int, weight) -> tuple:
+    """The Novikov vector of the sparse vector v at t = 1, component i
+    of weight weight(i)."""
+    return tuple(Novikov(field, v.get(i, 0), grading.t_power(weight(i))) for i in range(s))
+
+
+def columns(mat) -> list:
+    """The columns of mat(1), {row: value} each."""
+    return [{i: row[j] for i, row in enumerate(mat.rows) if j in row} for j in range(mat.size)]
+
+
+def core_draws(field, seed, count=80):
+    """(mat, u, coeffs): a random sparse graded matrix of weight 1 and
+    any shape with s <= 12, a sparse vector whose component i has weight
+    i, and coefficients c_0, ..., c_K with c_k of weight k."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        s, grading = rng.randint(1, 12), GradingContext(rng.choice([-1, 1, 2, 3]))
+
+        def draw(k, density):
+            if grading.t_power(k) is None or rng.random() >= density:
+                return 0
+            return field.of(rng.choice([-3, -2, -1, 1, 3, 5]))
+
+        rows = [{j: draw(i - j + 1, 0.25) for j in range(s)} for i in range(s)]
+        u = {i: x for i in range(s) if (x := draw(i, 0.4))}
+        coeffs = [draw(k, 0.8) for k in range(rng.randint(0, 6))]
+        yield LambdaMatrix(field, grading, rows), u, coeffs
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_mat_vec_and_horner_match_dense_loops(field):
+    # p(mat) u = sum_k a_k mat^(K-k) u with a_k = c_k t^(k/N) is
+    # homogeneous of weight K; the oracle is the dense double loop
+    mod, nontrivial = field.characteristic, 0
+    for mat, u, coeffs in core_draws(field, 261):
+        s, grading, entries = mat.size, mat.grading, mat.entries
+        cols, vec = columns(mat), lift(field, grading, u, s, lambda i: i)
+        got = lift(field, grading, mat_vec(cols, u, mod), s, lambda i: i + 1)
+        assert got == dense_apply(entries, vec)
+        want = (Novikov.zero(field),) * s
+        for k, c in enumerate(coeffs):
+            a = Novikov(field, c, grading.t_power(k))
+            want = tuple(x + a * y for x, y in zip(dense_apply(entries, want), vec))
+        K = len(coeffs) - 1
+        assert lift(field, grading, horner(cols, coeffs, u, mod), s, lambda i: i + K) == want
+        nontrivial += any(want)
+    assert nontrivial >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_horner_on_the_rows_is_the_row_vector_times_p(field):
+    # the rows of mat are the columns of its transpose, so horner over
+    # them gives u^T p(mat); p(mat) by dense products of the entries
+    mod, nontrivial = field.characteristic, 0
+    for mat, u, coeffs in core_draws(field, 262):
+        s, grading = mat.size, mat.grading
+        zero = Novikov.zero(field)
+        p = [[zero] * s for _ in range(s)]
+        for k, c in enumerate(coeffs):
+            a = Novikov(field, c, grading.t_power(k))
+            p = [
+                [x + a if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(dense_product(p, mat.entries))
+            ]
+        # row component i has weight -i, so that of u^T p(mat) at j is K - j
+        row = lift(field, grading, u, s, lambda i: -i)
+        want = tuple(sum((row[i] * p[i][j] for i in range(s)), zero) for j in range(s))
+        K = len(coeffs) - 1
+        assert lift(field, grading, horner(mat.rows, coeffs, u, mod), s, lambda j: K - j) == want
+        nontrivial += any(want)
+    assert nontrivial >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_cayley_hamilton_refuses_each_single_changed_coefficient(field):
+    # r(1) is not symmetric, so a check that read r where it should read
+    # its transpose would pass some of these
+    r = build_r_matrix(8, 3, field)
+    assert list(r.rows) != columns(r)
+    c = list(char_poly(r).values)
+    assert _annihilates(r, c)
+    for k in range(len(c)):
+        changed = c[:k] + [field.of(c[k] + 1)] + c[k + 1:]
+        assert not _annihilates(r, changed), k
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])

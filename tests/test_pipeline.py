@@ -559,6 +559,25 @@ def test_closed_form_past_m_100_within_three_seconds(pair):
     assert isinstance(res.sh, ZeroRing) and res.sh_rank == 0
 
 
+@pytest.mark.parametrize("m, n, field", [(2000, 10, QQ), (2000, 2001, F2)], ids=["Q", "GF2"])
+def test_closed_form_at_s_2001_within_one_second(m, n, field):
+    # sparse Krylov and ring vectors take under 0.1 s here on a 2 vCPU
+    # Xeon; a walk over every column of the operator took 1.8 s at
+    # (2000, 10), and the dense vectors before it 1.2-1.6 s
+    def timed_out(signum, frame):
+        raise TimeoutError(f"compute_sh({m}, {n}) did not return in 1 s")
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(1)
+    try:
+        res = compute_sh(m, n, field, trials=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [d.name for d in res.diagnostics if not d.passed] == []
+    assert res.qh.relation == closed_form(m, n, field)[0]
+
+
 def test_m_96_within_six_seconds():
     # (96, 48) took 9.5-11 s on the Novikov-matrix path; the graded core
     # takes well under a second

@@ -149,9 +149,9 @@ def test_repr_examples():
 
 
 def test_presentation_ignores_its_core(constructions):
-    # the step's core, the nonzero terms of the relation, follows from the
-    # stored values; the Novikov views relation, coeffs and a are built on
-    # each call, and equality, hash and repr build none
+    # the core, the companion's columns, follows from the stored values;
+    # the Novikov views relation, coeffs and a are built on each call, and
+    # equality, hash and repr build none
     a, b = (RingPresentation("omega", QQ, GradingContext(2), (-1, 0, 1)) for _ in range(2))
     relation = a.relation
     assert len(constructions) == 3 and relation == (-t, zero, one)
@@ -161,7 +161,7 @@ def test_presentation_ignores_its_core(constructions):
         "RingPresentation(generator='omega', field=CoefficientField('Q'), "
         "grading=GradingContext(N=2), values=(-1, 0, 1), unknown_terms=())"
     )
-    object.__setattr__(b, "_terms", None)
+    object.__setattr__(b, "_companion", None)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     x, y = RingElement(a, (0, 1), 3), RingElement(b, (0, 1), 3)
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
