@@ -28,10 +28,7 @@ class SurfaceRing(Record):
     __slots__ = ("labels", "form", "canonical", "euler")
 
     def __init__(self, labels: tuple, form: tuple, canonical: tuple, euler: int):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "euler", euler)
+        Record.__init__(self, labels, form, canonical, euler)
         r = len(labels)
         if len(form) != r or any(len(row) != r for row in form):
             raise ValueError(f"form must be {r} x {r}, one row per label")

@@ -28,10 +28,6 @@ class TauTable(Record):
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
     def __getitem__(self, a: int) -> int:
         return self.coeffs[a]
 

@@ -210,9 +210,7 @@ class CharPoly(Record):
 
     def __init__(self, field: CoefficientField, grading, values):
         values = field.of_all(values)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "values", values)
+        Record.__init__(self, field, grading, values)
         for k, c in enumerate(values, 1):
             if c and grading.t_power(k) is None:
                 raise ArithmeticError(
@@ -270,13 +268,13 @@ def horner(cols, coeffs, u: dict, mod: int) -> dict:
 # -- the Hessenberg solve and its checks ----------------------------------------
 
 
-def _hessenberg(mat: LambdaMatrix, what: str):
+def _hessenberg(mat: LambdaMatrix):
     """(columns of mat(1), modulus) of a complete mat of weight 1 whose
     mat(1) is lower Hessenberg with a nonzero superdiagonal, or zero;
     ValueError otherwise."""
-    mat._require_complete(what)
+    mat._require_complete("characteristic polynomial")
     if mat.weight != 1:
-        raise ValueError(f"{what} needs a matrix of weight 1, not {mat.weight}")
+        raise ValueError(f"characteristic polynomial needs a matrix of weight 1, not {mat.weight}")
     rows, cols = mat.rows, [{} for _ in mat.rows]
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -342,18 +340,17 @@ def _chain_dims(op, c) -> Optional[list]:
 def char_poly(mat: LambdaMatrix) -> CharPoly:
     """Characteristic polynomial, verified before returning: it must
     annihilate the matrix (Cayley-Hamilton)."""
-    op = _hessenberg(mat, "characteristic polynomial")
-    c = _solve(op)
-    if not _annihilates(mat, c):
+    cp, annihilates, _ = spectrum(mat)
+    if not annihilates:
         raise ArithmeticError("characteristic polynomial failed to annihilate")
-    return CharPoly(mat.field, mat.grading, c)
+    return cp
 
 
 def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
     """(characteristic polynomial, whether it annihilates the matrix,
-    kernel_dims or None when the Jordan chain check fails).  Unlike
-    char_poly and kernel_dims, a failed check is reported, not raised."""
-    op = _hessenberg(mat, "characteristic polynomial")
+    kernel_dims or None when the Jordan chain check fails), a failed
+    check reported: the one solve, which char_poly and kernel_dims read."""
+    op = _hessenberg(mat)
     c = _solve(op)
     return CharPoly(mat.field, mat.grading, c), _annihilates(mat, c), _chain_dims(op, c)
 
@@ -424,8 +421,7 @@ def kernel_dims(mat: LambdaMatrix) -> list:
     """dim ker(mat^j) for j = 0, 1, ..., k with k the stabilization
     index; the last entry is the dimension of the generalized kernel.
     Raises ArithmeticError when the Jordan chain check fails."""
-    op = _hessenberg(mat, "kernel dimensions")
-    dims = _chain_dims(op, _solve(op))
+    dims = spectrum(mat)[2]
     if dims is None:
         raise ArithmeticError("the Jordan chain of eigenvalue zero has the wrong length")
     return dims

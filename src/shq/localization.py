@@ -62,7 +62,7 @@ class WeightVector(Record):
     __slots__ = ("alphas",)
 
     def __init__(self, alphas: tuple):
-        object.__setattr__(self, "alphas", alphas)
+        Record.__init__(self, alphas)
         if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in alphas):
             raise ValueError(f"torus weights must be ints or Fractions, got {alphas!r}")
         if len(set(alphas)) != len(alphas):

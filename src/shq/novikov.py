@@ -34,10 +34,13 @@ from typing import Optional, Union
 class Record:
     """Base of the immutable value types.
 
-    A subclass lists its fields in __slots__ and sets each one with
-    object.__setattr__ in its own __init__.  Equality (within one class
-    only), hash and the repr Name(field=value, ...) read the fields named
-    by _fields, which defaults to __slots__.
+    A subclass lists its fields in __slots__; _fields, which defaults to
+    __slots__, names the ones that make its value.  Record.__init__ binds
+    them, by position or keyword in that order; a missing, extra,
+    repeated or unknown field raises TypeError.  A subclass that
+    normalizes or checks its arguments keeps its own __init__ and binds
+    through one Record.__init__ call.  Equality (within one class only),
+    hash and the repr Name(field=value, ...) read the same fields.
     """
 
     __slots__ = ()
@@ -45,6 +48,20 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            if len(args) > len(fields) or kwargs.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields {', '.join(fields)}; got "
+                    f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
+                )
+            for name in rest:
+                object.__setattr__(self, name, kwargs[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -116,9 +133,6 @@ class GradingContext(Record):
 
     __slots__ = ("N",)
 
-    def __init__(self, N: int):
-        object.__setattr__(self, "N", N)
-
     def t_power(self, k: int) -> Optional[int]:
         """The t-power d of a nonzero value of weight k, N*d = k, or None
         when no d fits; at N = 0 only k = 0 fits, with d = 0.  The one
@@ -139,9 +153,7 @@ class Novikov(Record):
 
     def __init__(self, field: CoefficientField, coeff, power: int):
         coeff = field.of(coeff)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "power", int(power) if coeff else 0)
+        Record.__init__(self, field, coeff, int(power) if coeff else 0)
 
     # -- constructors ---------------------------------------------------
 

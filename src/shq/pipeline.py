@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
-from typing import Optional, Union
+from typing import Union
 
 from .blowup import obstruction_bundle_degree
 from .gw import subdiagonal_entries
@@ -82,13 +82,9 @@ class UnsupportedRegimeError(ValueError):
 
 
 class Regime(Record):
-    __slots__ = ("kind", "exact_mode", "description")
+    """kind is monotone, calabi_yau, unsupported or large_min_chern."""
 
-    def __init__(self, kind: str, exact_mode: bool, description: str):
-        # kind: monotone | calabi_yau | unsupported | large_min_chern
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "exact_mode", exact_mode)
-        object.__setattr__(self, "description", description)
+    __slots__ = ("kind", "exact_mode", "description")
 
 
 def minimal_chern(m: int, n: int) -> int:
@@ -155,9 +151,6 @@ class ZeroRing(Record):
 
     __slots__ = ("reason",)
 
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
-
 
 class PartialFacts(Record):
     """What is still provable when the matrix has undetermined entries.
@@ -165,58 +158,30 @@ class PartialFacts(Record):
     The leading correction a_N is known in closed form, so the stable
     part is nonzero; homogeneity forces every characteristic
     coefficient index to be a multiple of N, so the rank is one of
-    possible_ranks.  No coefficients are invented for the rest."""
+    possible_ranks.  No coefficients are invented for the rest.
+    lead_coefficient is the Novikov scalar a_N; undetermined holds the
+    unknown entries of r as (row, col, t_power), 0-indexed."""
 
     __slots__ = (
         "nonzero", "rank_multiple_of", "possible_ranks", "lead_index",
         "lead_coefficient", "undetermined",
     )
 
-    def __init__(
-        self, nonzero: bool, rank_multiple_of: int, possible_ranks: tuple, lead_index: int,
-        lead_coefficient: Novikov, undetermined: tuple,
-    ):
-        object.__setattr__(self, "nonzero", nonzero)
-        object.__setattr__(self, "rank_multiple_of", rank_multiple_of)
-        object.__setattr__(self, "possible_ranks", possible_ranks)
-        object.__setattr__(self, "lead_index", lead_index)
-        object.__setattr__(self, "lead_coefficient", lead_coefficient)
-        object.__setattr__(self, "undetermined", undetermined)  # (row, col, t_power), 0-indexed
-
 
 class Diagnostic(Record):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 class ShResult(Record):
+    """The answer for one (m, n, field).  char, a CharPoly, is None in
+    partial mode, and qh_c, QH presented in c, is None when c1 vanishes;
+    sh is a RingPresentation, ZeroRing or PartialFacts, and sh_rank an
+    int, or in partial mode a str naming the possible ranks."""
+
     __slots__ = (
         "m", "n", "field", "N", "regime", "r_matrix", "char", "qh", "qh_c",
         "sh", "sh_rank", "diagnostics",
     )
-
-    def __init__(
-        self, m: int, n: int, field: CoefficientField, N: int, regime: Regime,
-        r_matrix: LambdaMatrix, char: Optional[CharPoly], qh: RingPresentation,
-        qh_c: Optional[RingPresentation], sh: Union[RingPresentation, ZeroRing, PartialFacts],
-        sh_rank: Union[int, str], diagnostics: tuple,
-    ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "r_matrix", r_matrix)
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "qh", qh)
-        object.__setattr__(self, "qh_c", qh_c)
-        object.__setattr__(self, "sh", sh)
-        object.__setattr__(self, "sh_rank", sh_rank)
-        object.__setattr__(self, "diagnostics", diagnostics)
 
 
 def _c1_vanishes(field: CoefficientField, n: int) -> bool:

@@ -76,11 +76,7 @@ class RingPresentation(Record):
         unknown_terms: tuple = (),
     ):
         values = field.of_all(values)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "unknown_terms", unknown_terms)
+        Record.__init__(self, generator, field, grading, values, unknown_terms)
         if generator not in ("omega", "c"):
             raise ValueError(f"unknown generator {generator!r}")
         if not values or values[-1] != 1:
@@ -219,9 +215,7 @@ class RingElement(Record):
         values = pres.field.of_all(values)
         if not any(values):
             weight = 0
-        object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weight", weight)
+        Record.__init__(self, pres, values, weight)
         if len(values) != pres.rank:
             raise ValueError(f"{len(values)} coefficients for a rank-{pres.rank} quotient")
         power = pres.grading.t_power

@@ -85,6 +85,21 @@ def test_positional_and_keyword_construction(cls, fields):
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_wrong_fields_are_refused(cls, fields):
+    kw = fields()
+    values = list(kw.values())
+    first = next(iter(kw))
+    with pytest.raises(TypeError):
+        cls(*values, values[0])  # one positional argument too many
+    with pytest.raises(TypeError):
+        cls(**{name: value for name, value in kw.items() if name != first})  # missing
+    with pytest.raises(TypeError):
+        cls(values[0], **kw)  # the first field by position and by keyword
+    with pytest.raises(TypeError):
+        cls(**kw, extra=1)  # unknown
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
 def test_immutable(cls, fields):
     kw = fields()
     rec = cls(**kw)

@@ -14,6 +14,9 @@ Every top-level private function or class must be referenced from
 
 And every name ``perfbench/tracing.py`` wraps must exist: the tracer
 installs in a fresh interpreter.
+
+Only ``Record.__init__`` binds the fields of a value type: no other class
+sets a name of its own ``_fields`` with ``object.__setattr__``.
 """
 
 import ast
@@ -242,3 +245,72 @@ def test_the_import_scans_see_each_kind_of_import():
         "        return json\n"
     )
     assert unread_imports(tree) == ["alias", "js", "unused"]
+
+
+def _class_fields(cls: ast.ClassDef) -> tuple:
+    """_fields of a Record subclass, from the class-level assignments to
+    __slots__ and _fields in order (_fields defaults to __slots__)."""
+    scope = {}
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("__slots__", "_fields"):
+                expr = ast.Expression(node.value)
+                scope[name] = eval(compile(expr, "<class body>", "eval"), {}, scope)
+    return scope.get("_fields", scope.get("__slots__", ()))
+
+
+def field_setters(sources: dict) -> list:
+    """(module, class, name) for each object.__setattr__ call in a class
+    other than Record that sets one of the class's own fields; a name
+    that is not a string literal counts as a field."""
+    found = []
+    for module, tree in sources.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "Record":
+                continue
+            fields = _class_fields(cls)
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"
+                    and getattr(node.func.value, "id", None) == "object"
+                    and len(node.args) > 1
+                ):
+                    arg = node.args[1]
+                    name = arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg)
+                    if name in fields or not isinstance(arg, ast.Constant):
+                        found.append((module, cls.name, name))
+    return sorted(found)
+
+
+def test_only_record_binds_the_fields():
+    found = field_setters(_package_sources())
+    assert not found, f"fields bound outside Record.__init__: {found}"
+
+
+def test_the_field_setter_scan_sees_each_kind_of_binding():
+    tree = ast.parse(
+        "class Record:\n"
+        "    def __init__(self, *args):\n"
+        "        for name, value in zip(self._fields, args):\n"
+        "            object.__setattr__(self, name, value)\n"
+        "class Plain(Record):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "        Record.__init__(self, a, b)\n"
+        "class Derived(Record):\n"
+        "    __slots__ = ('a', '_cache')\n"
+        "    _fields = __slots__[:-1]\n"
+        "    def __init__(self, a):\n"
+        "        Record.__init__(self, a)\n"
+        "        object.__setattr__(self, '_cache', a)\n"
+        "class Dynamic(Record):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        for f in self.__slots__:\n"
+        "            object.__setattr__(self, f, a)\n"
+    )
+    assert field_setters({"m": tree}) == [("m", "Dynamic", "f"), ("m", "Plain", "a")]
