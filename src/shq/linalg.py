@@ -21,8 +21,11 @@ superdiagonal entries, and forward substitution in
 K_s + c_1 K_(s-1) + ... + c_s K_0 = 0 gives the coefficients (Krylov's
 method, Wilkinson, The Algebraic Eigenvalue Problem, ch. 6).  The
 shape also leaves one Jordan block of eigenvalue zero, so
-dim ker mat^j = min(j, s - p) with p the degree of the stable part,
-and no rank is computed.  Neither check passes by construction:
+dim ker mat^j = min(j, s - p) with p the degree of the stable part.
+The rank is s - dim ker mat, and the Jordan chain u, mat u, ...,
+mat^(s-p-1) u (u below) spans the generalized kernel: there is no
+elimination and no matrix power, and every function here reads the
+one solve.  Neither check passes by construction:
 Cayley-Hamilton evaluates e_0^T p(mat) by Horner's rule, a row the
 solve never used and a cyclic one (e_0^T mat^k ends in a product of
 superdiagonal entries at column k), so it holds exactly when
@@ -37,18 +40,19 @@ the columns of its transpose.
 Everything computes at t = 1.  With N != 0,
 mat(t) = t^(w/N) * D * mat(1) * D^-1 with D = diag(t^(i/N)), so the
 characteristic coefficients of a weight-1 matrix are
-a_k = c_k(mat(1)) * t^(k/N), both checks are those of mat(1), ranks are
-those of mat(1) and each kernel vector is D times one of mat(1); with
-N = 0 every t-power is zero.  A matrix is therefore stored as the
-sparse rows of mat(1) and a characteristic polynomial as c_1, ..., c_s,
-both in the one ground-value format of CoefficientField.of: an int (a
-Fraction where not integral) over Q, a bit 0 or 1 over GF(2).  The
-grading rule is GradingContext.t_power: a nonzero value of weight k is
-stored only where it gives the t-power d with N*d = k (at N = 0, only
-k = 0 with d = 0), and is refused elsewhere: by the matrix with
-ValueError, and by CharPoly with ArithmeticError.  Novikov scalars are
-built only for kernel vectors and, on each call, when the entries of a
-matrix or the coefficients a_k are asked for: the value c of weight k
+a_k = c_k(mat(1)) * t^(k/N), both checks are those of mat(1), the rank
+is that of mat(1) and each generalized kernel vector is D times one of
+mat(1); with N = 0 every t-power is zero.  A matrix is therefore stored
+as the sparse rows of mat(1) and a characteristic polynomial as
+c_1, ..., c_s, both in the one ground-value format of
+CoefficientField.of: an int (a Fraction where not integral) over Q, a
+bit 0 or 1 over GF(2).  The grading rule is GradingContext.t_power: a
+nonzero value of weight k is stored only where it gives the t-power d
+with N*d = k (at N = 0, only k = 0 with d = 0), and is refused
+elsewhere: by the matrix with ValueError, and by CharPoly with
+ArithmeticError.  Novikov scalars are built only for generalized
+kernel vectors and, on each call, when the entries of a matrix or the
+coefficients a_k are asked for: the value c of weight k
 lifts to Novikov(field, c, grading.t_power(k)), so the views hold the
 same values.  Rendering builds none, as each entry or a_k is one
 monomial c * t^d, rendered from c by term_str.
@@ -136,10 +140,6 @@ class LambdaMatrix:
                 f"{what} needs every entry; undetermined positions {pos}"
             )
 
-    @classmethod
-    def identity(cls, field: CoefficientField, grading, s: int) -> "LambdaMatrix":
-        return cls(field, grading, [{i: 1} for i in range(s)], weight=0)
-
     def _key(self):
         # an all-zero matrix has the same entries at every weight
         weight = self.weight if self.unknown or any(self.rows) else None
@@ -185,14 +185,6 @@ class LambdaMatrix:
         mod = self.field.characteristic
         rows = [mat_vec(other.rows, row, mod) for row in self.rows]
         return LambdaMatrix(self.field, self.grading, rows, weight=self.weight + other.weight)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative matrix powers are not needed here")
-        out = self if k else LambdaMatrix.identity(self.field, self.grading, self.size)
-        for _ in range(k - 1):
-            out = out * self
-        return out
 
 
 class CharPoly(Record):
@@ -320,19 +312,28 @@ def _annihilates(mat: LambdaMatrix, c) -> bool:
     return not horner(mat.rows, [1, *c], {0: 1}, mat.field.characteristic)
 
 
-def _chain_dims(op, c) -> Optional[list]:
+def _chain_dims(op, c, chain=None) -> Optional[list]:
     """dim ker(mat^j) for j = 0, ..., s - p: min(j, s - p) once the
-    Jordan chain of u = q(mat) e_last, cp = lambda^(s-p) q, has length
-    exactly s - p; None when it has not.  A zero matrix gives [0, s]."""
+    Jordan chain u, mat u, ..., mat^(s-p-1) u of u = q(mat) e_last,
+    cp = lambda^(s-p) q, has length exactly s - p; None when it has not.
+    A zero matrix gives [0, s] and the chain e_0, ..., e_(s-1).  The
+    chain's vectors are appended to chain when it is a list."""
     cols, mod = op
     s = len(c)
     if not any(cols):
+        if chain is not None:
+            chain.extend({j: 1} for j in range(s))
         return [0, s]
     p = max((k for k, x in enumerate(c, 1) if x), default=0)
-    last, u = None, horner(cols, [1, *c[:p]], {s - 1: 1}, mod)
+    u = horner(cols, [1, *c[:p]], {s - 1: 1}, mod)
     for _ in range(s - p):
-        last, u = u, mat_vec(cols, u, mod)
-    if u or (last is not None and not last):
+        # a zero link ends the chain short, and every later link is zero
+        if not u:
+            return None
+        if chain is not None:
+            chain.append(u)
+        u = mat_vec(cols, u, mod)
+    if u:
         return None
     return list(range(s - p + 1))
 
@@ -346,85 +347,32 @@ def char_poly(mat: LambdaMatrix) -> CharPoly:
     return cp
 
 
-def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
+def spectrum(mat: LambdaMatrix, chain=None) -> tuple[CharPoly, bool, Optional[list]]:
     """(characteristic polynomial, whether it annihilates the matrix,
     kernel_dims or None when the Jordan chain check fails), a failed
-    check reported: the one solve, which char_poly and kernel_dims read."""
+    check reported: the one solve, which every other function here
+    reads.  The Jordan chain at t = 1 is appended to chain when it is a
+    list."""
     op = _hessenberg(mat)
     c = _solve(op)
-    return CharPoly(mat.field, mat.grading, c), _annihilates(mat, c), _chain_dims(op, c)
+    return CharPoly(mat.field, mat.grading, c), _annihilates(mat, c), _chain_dims(op, c, chain)
 
 
-def rank(mat: LambdaMatrix) -> int:
-    mat._require_complete("rank")
-    return len(_echelon(mat.rows, mat.field.characteristic))
-
-
-def _echelon(rows, mod: int) -> dict:
-    """Pivot rows of sparse rows keyed by leading column, by
-    fraction-free elimination mod mod (0: none): each row is reduced
-    against the pivot row of its leading column, as
-    pivot[lead] * row - row[lead] * pivot, until it is zero or leads in
-    a column of its own."""
-    pivots = {}
-    for row in rows:
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                pivots[lead] = row
-                break
-            a, b = prow[lead], row[lead]
-            new = {j: a * x for j, x in row.items()}
-            for j, x in prow.items():
-                new[j] = new.get(j, 0) - b * x
-            row = {j: y for j, x in new.items() if (y := x % mod if mod else x)}
-    return pivots
-
-
-def kernel(mat: LambdaMatrix) -> list:
-    """Basis of the kernel, one vector per free column.
-
-    Back-substitution on the echelon form of mat(1), without dividing:
-    the vector v starts as the free column's unit vector, and a pivot
-    row whose sum with it is nonzero scales it by its pivot and sets
-    its own column to minus that sum.  v is divided by its first nonzero
-    entry v_i and lifted to x_j = v_j * t^((j - i)/N), a kernel vector
-    of mat (D * v up to a unit, see the module docstring).
-    """
-    mat._require_complete("kernel")
-    s, power, field, mod = mat.size, mat.grading.t_power, mat.field, mat.field.characteristic
-    pivots = _echelon(mat.rows, mod)
-    zero = Novikov.zero(field)
-    basis = []
-    for f in range(s):
-        if f in pivots:
-            continue
-        v = {f: 1}
-        for p in sorted(pivots, reverse=True):
-            row = pivots[p]
-            acc = sum(x * v[j] for j, x in row.items() if j in v)
-            if acc % mod if mod else acc:
-                a = row[p]
-                v = {j: a * x for j, x in v.items()}
-                v[p] = -acc
-        # every entry is nonzero: a pivot scales by a nonzero value
-        i = min(v)
-        vec = [zero] * s
-        for j, x in v.items():
-            vec[j] = Novikov(field, x % mod if mod else Fraction(x) / v[i], power(j - i))
-        basis.append(tuple(vec))
-    return basis
-
-
-def kernel_dims(mat: LambdaMatrix) -> list:
+def kernel_dims(mat: LambdaMatrix, chain=None) -> list:
     """dim ker(mat^j) for j = 0, 1, ..., k with k the stabilization
     index; the last entry is the dimension of the generalized kernel.
     Raises ArithmeticError when the Jordan chain check fails."""
-    dims = spectrum(mat)[2]
+    dims = spectrum(mat, chain)[2]
     if dims is None:
         raise ArithmeticError("the Jordan chain of eigenvalue zero has the wrong length")
     return dims
+
+
+def rank(mat: LambdaMatrix) -> int:
+    """s - dim ker mat, from kernel_dims."""
+    mat._require_complete("rank")
+    dims = kernel_dims(mat)
+    return mat.size - (dims[1] if len(dims) > 1 else 0)
 
 
 def stabilization_index(mat: LambdaMatrix) -> int:
@@ -433,9 +381,20 @@ def stabilization_index(mat: LambdaMatrix) -> int:
 
 
 def stabilized_kernel(mat: LambdaMatrix) -> list:
-    """Basis of the generalized kernel, ker(mat^k) at stabilization."""
-    k = stabilization_index(mat)
-    return kernel(mat ** k) if k else []
+    """Basis of the generalized kernel, ker(mat^k) at stabilization: the
+    Jordan chain of kernel_dims, or the unit vectors of a zero matrix.
+    Each chain vector v of mat(1) is divided by its first nonzero entry
+    v_i and lifted to x_j = v_j * t^((j - i)/N), a vector of the
+    generalized kernel of mat (D * v up to a unit, see the module
+    docstring)."""
+    chain, power, field = [], mat.grading.t_power, mat.field
+    kernel_dims(mat, chain)
+    basis = []
+    for v in chain:
+        i = min(v)
+        lift = (Novikov(field, Fraction(v.get(j, 0)) / v[i], power(j - i)) for j in range(mat.size))
+        basis.append(tuple(lift))
+    return basis
 
 
 def zero_block_sizes(dims) -> list:

@@ -147,7 +147,9 @@ class GradingContext(Record):
 class Novikov(Record):
     """A Novikov scalar: the monomial coeff * t^power, coeff a ground
     value of field.of.  Zero is coeff 0 with power 0, whatever power is
-    given (such as None, where no t-power fits the weight)."""
+    given (such as None, where no t-power fits the weight).  It equals a
+    plain int or Fraction x only as the constant x, power 0 and
+    coeff == x with no reduction mod 2, and then hashes as x."""
 
     __slots__ = ("field", "coeff", "power")
 
@@ -172,10 +174,6 @@ class Novikov(Record):
     @classmethod
     def monomial(cls, field: CoefficientField, coeff, power: int) -> "Novikov":
         return cls(field, coeff, power)
-
-    @classmethod
-    def t(cls, field: CoefficientField, power: int = 1) -> "Novikov":
-        return cls(field, 1, power)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -233,13 +231,11 @@ class Novikov(Record):
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            try:
-                other = Novikov(self.field, other, 0)
-            except (TypeError, ZeroDivisionError):
-                return NotImplemented
+            return not self.power and self.coeff == other
         return super().__eq__(other)
 
-    __hash__ = Record.__hash__
+    def __hash__(self):
+        return Record.__hash__(self) if self.power else hash(self.coeff)
 
     # -- rendering ------------------------------------------------------
 

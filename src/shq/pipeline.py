@@ -227,9 +227,9 @@ def _zero_reason(regime: Regime, field: CoefficientField, n: int) -> str:
             "no sphere corrections survive the obstruction bundle; the "
             "classical multiplication is nilpotent"
         )
-    # monotone with c1 nonzero in the field: a_N = (-1)^N n^(1+m) t != 0, so
-    # only a wrong characteristic polynomial gets here, and its checks fail
-    return "multiplication by the first Chern class is nilpotent"
+    # monotone with c1 nonzero in the field: only a wrong solve gets here,
+    # and its cayley_hamilton and lead_coefficient checks fail
+    return "the characteristic polynomial was computed as lambda^s although a_N != 0"
 
 
 class unlimited_int_digits:

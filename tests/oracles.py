@@ -110,6 +110,15 @@ def dense_product(a, b) -> tuple:
     return tuple(rows)
 
 
+def dense_powers(a, k: int) -> list:
+    """[a, a^2, ..., a^k] of a square matrix of Novikov scalars by
+    dense_product."""
+    powers = [a]
+    for _ in range(k - 1):
+        powers.append(dense_product(powers[-1], a))
+    return powers
+
+
 def dense_apply(a, vec) -> tuple:
     """Matrix times vector by the double loop, every zero included."""
     zero = Novikov.zero(a[0][0].field)

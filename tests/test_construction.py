@@ -23,7 +23,7 @@ from shq.ring import (
 
 from oracles import presentation as oracle_presentation
 
-zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.t(QQ)
+zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.monomial(QQ, 1, 1)
 
 
 def matrix(change=None, unknown=((2, 1, 1),), grading=GradingContext(2)):
@@ -39,7 +39,7 @@ def matrix(change=None, unknown=((2, 1, 1),), grading=GradingContext(2)):
 
 def qh_element(coeffs):
     """w^2 + t^2 at N = 1 and the polynomial coeffs in w read into it."""
-    qh = oracle_presentation("omega", (Novikov.t(QQ, 2), zero, one), 1)
+    qh = oracle_presentation("omega", (Novikov.monomial(QQ, 1, 2), zero, one), 1)
     return qh, qh.reduce(coeffs)
 
 

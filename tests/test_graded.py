@@ -1,7 +1,8 @@
-"""linalg's Hessenberg core, rank and kernel against the Novikov-matrix
-Berkowitz recurrence, power walk, elimination and rref they replaced:
-every matrix is read at t = 1, and every shape the core does not take,
-every weight other than 1 and every grid that is not graded is refused."""
+"""linalg's Hessenberg core, rank and generalized kernel against the
+Novikov-matrix Berkowitz recurrence, power walk, elimination and dense
+products they replaced: every matrix is read at t = 1, and every shape
+the core does not take, every weight other than 1 and every grid that
+is not graded is refused."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from shq.linalg import (
     LambdaMatrix,
     char_poly,
     jordan_zero_block_sizes,
-    kernel,
     kernel_dims,
     rank,
     spectrum,
@@ -25,6 +25,8 @@ from shq.pipeline import build_r_matrix, classify_regime
 from shq.ring import RingPresentation, change_generator, multiplication_matrix
 
 from oracles import (
+    _novikov_dot,
+    dense_powers,
     graded_matrix,
     novikov_berkowitz,
     novikov_multiplication_matrix,
@@ -60,8 +62,8 @@ def qh_operator(m, n, field, cp):
 
 
 def assert_matches_oracle(mat):
-    """char_poly, the Cayley-Hamilton check, kernel_dims, rank and kernel
-    equal those of the Novikov-matrix walk and rref."""
+    """char_poly, the Cayley-Hamilton check and kernel_dims equal those
+    of the Novikov-matrix walk."""
     assert mat.weight == 1
     cp, annihilates, dims = spectrum(mat)
     assert cp.a == novikov_berkowitz(mat.entries)
@@ -69,15 +71,24 @@ def assert_matches_oracle(mat):
     assert annihilates
     assert novikov_power_chain(mat.entries, cp.a) == (True, dims)
     assert kernel_dims(mat) == dims
-    assert_rank_and_kernel(mat)
     return cp
 
 
 def assert_rank_and_kernel(mat):
-    """rank and kernel of mat and its square equal the oracles'."""
-    for m in (mat, mat * mat):
-        assert rank(m) == novikov_rank(m.entries)
-        assert kernel(m) == rref_kernel(m.entries)
+    """rank equals the dense elimination's, and stabilized_kernel spans
+    the kernel of mat^k, k the stabilization index: mat applied k times
+    over the Novikov entries kills each vector, and the basis is
+    independent of the dimension kernel_dims gives."""
+    entries, dims = mat.entries, kernel_dims(mat)
+    assert rank(mat) == novikov_rank(entries)
+    basis = stabilized_kernel(mat)
+    assert len(basis) == dims[-1]
+    zero = Novikov.zero(mat.field)
+    for v in basis:
+        for _ in range(len(dims) - 1):
+            v = tuple(_novikov_dot(row, v, zero) for row in entries)
+        assert not any(v)
+    assert not basis or novikov_rank(basis) == len(basis)
 
 
 def unreduced_or_zero(entries) -> bool:
@@ -90,24 +101,27 @@ def unreduced_or_zero(entries) -> bool:
     return units or not any(x for row in entries for x in row)
 
 
+# every entry point of linalg that reads the solve
+SOLVE_READERS = (
+    spectrum, char_poly, kernel_dims, stabilization_index, jordan_zero_block_sizes,
+    rank, stabilized_kernel,
+)
+
+
 def assert_refused(mat):
-    """Every characteristic and kernel-dimension entry point raises
-    ValueError; rank and kernel take any shape."""
-    for f in (spectrum, char_poly, kernel_dims, stabilization_index, jordan_zero_block_sizes):
+    """Every entry point that reads the solve raises ValueError."""
+    for f in SOLVE_READERS:
         with pytest.raises(ValueError, match="superdiagonal"):
             f(mat)
-    assert_rank_and_kernel(mat)
 
 
 def assert_weight_refused(mat):
-    """A matrix of weight other than 1 is refused by char_poly, spectrum
-    and kernel_dims before its shape is looked at; rank and kernel take
-    any weight."""
+    """A matrix of weight other than 1 is refused by every entry point
+    that reads the solve before its shape is looked at."""
     assert mat.weight != 1
-    for f in (spectrum, char_poly, kernel_dims):
+    for f in SOLVE_READERS:
         with pytest.raises(ValueError, match="needs a matrix of weight 1"):
             f(mat)
-    assert_rank_and_kernel(mat)
 
 
 def check_pair(m, n, field):
@@ -136,19 +150,31 @@ def test_every_complete_pair_from_17_to_24(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_stabilized_kernel_matches_the_rref_kernel_up_to_8(field):
+    # the same span as the rref kernel of r^k, k the stabilization index
     nonzero = 0
     for m, n in complete_pairs(8):
         r = build_r_matrix(m, n, field)
-        k = stabilization_index(r)
+        k, basis = stabilization_index(r), stabilized_kernel(r)
         if not k:
-            assert stabilized_kernel(r) == []
+            assert basis == []
             continue
-        power = r ** k
-        expected = rref_kernel(power.entries)
-        assert kernel(power) == expected
-        assert stabilized_kernel(r) == expected
+        expected = rref_kernel(dense_powers(r.entries, k)[-1])
+        assert novikov_rank(basis + expected) == len(basis) == len(expected)
         nonzero += 1
     assert nonzero > 20
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_rank_and_stabilized_kernel_match_the_oracles_up_to_12(field):
+    # r and, where -n is nonzero in the field, multiplication by -n*omega
+    nonzero = 0
+    for m, n in complete_pairs(12):
+        r = build_r_matrix(m, n, field)
+        assert_rank_and_kernel(r)
+        if field.of(-n):
+            assert_rank_and_kernel(qh_operator(m, n, field, char_poly(r)))
+        nonzero += stabilization_index(r) > 0
+    assert nonzero > 40
 
 
 # -- graded matrices in general ---------------------------------------------
@@ -188,12 +214,14 @@ def test_random_graded_matrices(field, N):
         for _ in range(6):
             mat = random_graded(rng, field, s, N)
             cp = assert_matches_oracle(mat)
+            assert_rank_and_kernel(mat)
             if s <= 4:
                 assert [Novikov.one(field), *cp.a] == permutation_charpoly(mat.entries)
             # the general graded matrices of the same draw
             general = random_graded(rng, field, s, N, hessenberg=False)
             if unreduced_or_zero(general.entries):
                 assert_matches_oracle(general)
+                assert_rank_and_kernel(general)
             else:
                 assert_refused(general)
                 refused += 1
@@ -225,7 +253,7 @@ def test_corrupted_r_is_refused():
     for field in FIELDS:
         r = build_r_matrix(6, 3, field)
         # N = 4: entry (0, 5) above the superdiagonal fits t^-1
-        for (i, j), x in (((0, 5), Novikov.t(field, -1)), ((2, 3), Novikov.zero(field))):
+        for (i, j), x in (((0, 5), Novikov.monomial(field, 1, -1)), ((2, 3), Novikov.zero(field))):
             rows = [list(row) for row in r.entries]
             rows[i][j] = x
             assert_refused(graded_matrix(rows, r.grading.N))
@@ -238,7 +266,7 @@ def test_corrupted_r_is_refused():
 def test_rational_function_entries_are_refused(field):
     # no matrix entry, relation coefficient or element coefficient holds
     # 1 + t: the sum is refused where it is built
-    one, t, t2 = Novikov.one(field), Novikov.t(field), Novikov.t(field, 2)
+    one, t, t2 = Novikov.one(field), Novikov.monomial(field, 1, 1), Novikov.monomial(field, 1, 2)
     for build in (lambda: one + t, lambda: t + 1, lambda: 1 - t, lambda: t2 * t + t2):
         with pytest.raises(ValueError, match="not homogeneous"):
             build()
@@ -249,7 +277,7 @@ def test_grading_zero_with_a_t_power_is_refused(field):
     # N = 0 admits only the superdiagonal, and rows at t = 1 only t^0
     # there: a grid with t^2 does not read into rows, and the ring
     # refuses t*g
-    zero, t, t2 = Novikov.zero(field), Novikov.t(field), Novikov.t(field, 2)
+    zero, t, t2 = Novikov.zero(field), Novikov.monomial(field, 1, 1), Novikov.monomial(field, 1, 2)
     one = Novikov.one(field)
     rows = ((zero, t2, zero), (zero, zero, one), (zero, zero, zero))
     with pytest.raises(ValueError, match="does not fit grading N = 0"):
@@ -277,7 +305,7 @@ def test_random_ungraded_matrices(field):
             ]
             positions = [i - j + 1 for i, row in enumerate(rows) for j in row]
             if all(k % N == 0 if N else k == 0 for k in positions):
-                assert_rank_and_kernel(LambdaMatrix(field, GradingContext(N), rows))
+                LambdaMatrix(field, GradingContext(N), rows)
                 continue
             with pytest.raises(ValueError, match=f"does not fit grading N = {N}"):
                 LambdaMatrix(field, GradingContext(N), rows)
@@ -289,7 +317,7 @@ def test_random_ungraded_matrices(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_inhomogeneous_multiplication_matrix_is_refused(field):
-    one, t = Novikov.one(field), Novikov.t(field)
+    one, t = Novikov.one(field), Novikov.monomial(field, 1, 1)
     zero = Novikov.zero(field)
     ctx = GradingContext(2)
     qh = presentation("omega", (zero, zero, t, zero, one), 2)  # w^4 + t*w^2

@@ -1,10 +1,11 @@
 """Graded matrices over the Novikov field: characteristic polynomial,
-rank, kernels and products."""
+rank, generalized kernels and products."""
 
 import random
 
 import pytest
 
+import shq.linalg
 from shq.linalg import (
     IncompleteMatrixError,
     LambdaMatrix,
@@ -12,7 +13,6 @@ from shq.linalg import (
     char_poly,
     horner,
     jordan_zero_block_sizes,
-    kernel,
     kernel_dims,
     mat_vec,
     rank,
@@ -27,13 +27,19 @@ from shq.pipeline import build_r_matrix
 
 from oracles import (
     dense_apply,
+    dense_powers,
     dense_product,
     graded_matrix,
     novikov_rank,
     permutation_charpoly,
     rref_kernel,
 )
-from test_graded import assert_refused, random_graded
+from test_graded import (
+    assert_matches_oracle,
+    assert_rank_and_kernel,
+    assert_refused,
+    random_graded,
+)
 
 
 def mat_q(rows, N=1):
@@ -50,7 +56,7 @@ def draws(rng, field, s, count):
     return [random_graded(rng, field, s, rng.choice([-1, 0, 1, 2])) for _ in range(count)]
 
 
-t = Novikov.t(QQ)
+t = Novikov.monomial(QQ, 1, 1)
 one = Novikov.one(QQ)
 zero = Novikov.zero(QQ)
 
@@ -110,7 +116,7 @@ def test_cayley_hamilton_random(field):
 
 
 def test_char_poly_gf2():
-    tf = Novikov.t(F2)
+    tf = Novikov.monomial(F2, 1, 1)
     m = LambdaMatrix(F2, GradingContext(1), [{0: 1, 1: 1}, {}])
     cp = char_poly(m)
     assert cp.a == (tf, Novikov.zero(F2))
@@ -122,26 +128,34 @@ def test_char_poly_gf2():
 def test_rank_and_kernel():
     m = QUANTUM
     assert rank(m) == 1
-    (v,) = kernel(m)
+    (v,) = stabilized_kernel(m)
     # kernel spanned by (1, t)
     assert v == (one, t)
     assert dense_apply(m.entries, v) == (zero, zero)
 
 
 def test_kernel_of_invertible_is_empty():
-    assert kernel(mat_q([[2 * t, 1], [3 * t * t, 4 * t]])) == []
+    invertible = mat_q([[2 * t, 1], [3 * t * t, 4 * t]])
+    assert stabilized_kernel(invertible) == [] and rank(invertible) == 2
     assert stabilized_kernel(COMPANION) == []
     with pytest.raises(ValueError, match="superdiagonal"):
         stabilized_kernel(scalar_identity(4))
 
 
-def test_kernel_rank_dimension_count():
-    rng = random.Random(23)
-    for _ in range(40):
-        m = random_graded(rng, QQ, 4, rng.choice([-1, 1, 2]), hessenberg=False)
-        assert rank(m) + len(kernel(m)) == 4
-        for v in kernel(m):
-            assert not any(dense_apply(m.entries, v))
+def test_rank_and_stabilized_kernel_read_the_solve_once(monkeypatch):
+    calls = []
+    real = shq.linalg._solve
+
+    def counted(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(shq.linalg, "_solve", counted)
+    for m in (QUANTUM, COMPANION, SHIFT, build_r_matrix(6, 3)):
+        for f in (rank, stabilized_kernel):
+            calls.clear()
+            f(m)
+            assert len(calls) == 1, (f.__name__, m)
 
 
 # -- zero-skipping products against the dense loops ------------------------
@@ -160,7 +174,7 @@ def test_products_match_dense_loops(field):
     # weights add: b * b has weight 2, the identity weight 0
     for N in (-2, 2, 3):
         mats = sparse_matrices(field, 53 + N, N)
-        ident = LambdaMatrix.identity(field, GradingContext(N), 5)
+        ident = LambdaMatrix(field, GradingContext(N), [{i: 1} for i in range(5)], weight=0)
         for a, b in zip(mats, mats[1:]):
             for rhs in (b, b * b, ident):
                 product = a * rhs
@@ -255,64 +269,41 @@ def test_cayley_hamilton_refuses_each_single_changed_coefficient(field):
         assert not _annihilates(r, changed), k
 
 
-@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
-def test_rank_nullity_on_sparse_matrices(field):
-    s, N = 5, 2
-    z = Novikov.zero(field)
-    for k, m in enumerate(sparse_matrices(field, 59, N, s=s)):
-        rows = [list(r) for r in m.entries]
-        if k % 3 == 1:
-            rows[k % s] = [z] * s
-        elif k % 3 == 2:
-            for row in rows:
-                row[k % s] = z
-        m = graded_matrix(rows, N)
-        assert rank(m) + len(kernel(m)) == s
-        for v in kernel(m):
-            assert not any(dense_apply(m.entries, v))
-
-
-def dependent_graded(rng, field, s):
-    """Random s x s matrix of weight 1 at a grading N from -2 to 3,
-    whose entries are Laurent monomials c*t^d, and whose last d rows
-    (d = 0, 1 or 2) are combinations at t = 1 of earlier rows of the
-    same residue mod N, so its kernel has dimension d or more."""
-    N = rng.choice([-2, -1, 1, 2, 3])
-
-    def coefficient():
-        return rng.choice([-2, -1, 1, 3]) if field is QQ else 1
-
-    d = rng.randint(0, min(2, s - 1))
-    rows = [
-        {j: coefficient() for j in range(s) if (i - j + 1) % N == 0 and rng.random() < 0.6}
-        for i in range(s - d)
-    ]
-    for k in range(s - d, s):
-        combo = {}
-        for i, row in enumerate(rows[: s - d]):
-            if (k - i) % N == 0:
-                c = coefficient()
-                for j, x in row.items():
-                    combo[j] = combo.get(j, 0) + c * x
-        rows.append(combo)
+def singular_graded(rng, field, s, N, k) -> LambdaMatrix:
+    """A random graded lower Hessenberg matrix with a nonzero
+    superdiagonal whose last row (k odd) or first column (k even) is
+    zeroed: the shape the core takes, and singular."""
+    rows = [dict(row) for row in random_graded(rng, field, s, N).rows]
+    if k % 2:
+        rows[-1] = {}
+    else:
+        rows = [{j: x for j, x in row.items() if j} for row in rows]
     return LambdaMatrix(field, GradingContext(N), rows)
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
+def test_rank_nullity_on_sparse_matrices(field):
+    # sparse Hessenberg matrices at N = 2, two in three made singular
+    rng, s, singular = random.Random(59), 5, 0
+    for k in range(30):
+        m = singular_graded(rng, field, s, 2, k) if k % 3 else random_graded(rng, field, s, 2)
+        nullity = len(rref_kernel(m.entries))
+        assert rank(m) == novikov_rank(m.entries) == s - nullity
+        singular += nullity > 0
+    assert singular >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_kernel_of_laurent_matrices_against_the_dense_rank(field):
+    # at N < 0 the generalized kernel vectors carry negative t-powers
     rng = random.Random(61 if field is QQ else 62)
     seen_negative = 0
     for s in range(1, 7):
-        for _ in range(8):
-            m = dependent_graded(rng, field, s)
-            basis = kernel(m)
-            assert basis == rref_kernel(m.entries)
-            assert len(basis) == s - novikov_rank(m.entries) == s - rank(m)
-            for v in basis:
-                assert not any(dense_apply(m.entries, v))
-            if basis:
-                assert novikov_rank(basis) == len(basis)
-            seen_negative += any(x.power < 0 for v in basis for x in v if x)
+        for k in range(8):
+            m = singular_graded(rng, field, s, rng.choice([-2, -1, 1, 2, 3]), k)
+            assert_matches_oracle(m)
+            assert_rank_and_kernel(m)
+            seen_negative += any(x.power < 0 for v in stabilized_kernel(m) for x in v if x)
     assert seen_negative >= 5
 
 
@@ -330,14 +321,6 @@ def test_stabilization_index():
 def test_stabilized_kernel_example():
     ker = stabilized_kernel(QUANTUM)
     assert ker == [(one, t)]
-
-
-def test_dim_kernel_powers_nondecreasing():
-    rng = random.Random(31)
-    for _ in range(20):
-        m = random_graded(rng, QQ, 4, rng.choice([-1, 1, 2]), hessenberg=False)
-        dims = [4 - rank(m ** k) for k in range(5)]
-        assert all(a <= b for a, b in zip(dims, dims[1:]))
 
 
 def test_jordan_zero_blocks():
@@ -360,18 +343,18 @@ def test_jordan_blocks_sum_to_generalized_kernel():
 
 
 def test_image_power_rank():
-    m = QUANTUM
-    assert rank(m ** 0) == 2
-    assert rank(m ** 1) == 1
-    assert rank(m ** 2) == 1
+    # rank(m^k) = 2 - dim ker(m^k): 2, then 1 from k = 1 on
+    assert rank(QUANTUM) == 1
+    assert [2 - d for d in kernel_dims(QUANTUM)] == [2, 1]
 
 
 def test_kernel_dims_match_powers():
     rng = random.Random(43)
     for m in draws(rng, QQ, 4, 20):
+        # dim ker(m^k) for k = 0, ..., K + 1, K the stabilization index
         dims = kernel_dims(m)
-        assert dims == [4 - rank(m ** k) for k in range(len(dims))]
-        assert 4 - rank(m ** len(dims)) == dims[-1]
+        powers = dense_powers(m.entries, len(dims))
+        assert dims + dims[-1:] == [0] + [4 - novikov_rank(p) for p in powers]
     assert kernel_dims(SHIFT) == [0, 1, 2, 3]
     assert kernel_dims(COMPANION) == [0]
     with pytest.raises(ValueError, match="superdiagonal"):
@@ -416,7 +399,7 @@ def test_stable_relation_drops_exact_lambda_power():
         assert rel[-1] == 1
         if p:
             assert rel[0]
-        assert p == rank(m ** 4)
+        assert p == novikov_rank(dense_powers(m.entries, 4)[-1])
 
 
 # -- unknown entries --------------------------------------------------------
@@ -460,7 +443,7 @@ def test_matrix_equality_sees_grading_and_weight():
     # the same rows are a different matrix at another weight, grading or
     # field: at N = 1 the identity (weight 0) is not t times it (weight 1)
     g1 = GradingContext(1)
-    ident = LambdaMatrix.identity(QQ, g1, 2)
+    ident = LambdaMatrix(QQ, g1, [{0: 1}, {1: 1}], weight=0)
     t_ident = LambdaMatrix(QQ, g1, [{0: 1}, {1: 1}])
     assert ident.rows == t_ident.rows
     assert ident.entries == ((one, zero), (zero, one))

@@ -76,8 +76,8 @@ def test_coefficients_are_ground_values():
     for c, want in ((3, 1), (Fraction(-1, 3), 1), (-2, 0)):
         b = Novikov(F2, c, 2)
         assert b.coeff == want and type(b.coeff) is int
-    assert (-Novikov.t(F2)).coeff == 1
-    three_t = Novikov.t(QQ) * Fraction(3, 1)
+    assert (-Novikov.monomial(F2, 1, 1)).coeff == 1
+    three_t = Novikov.monomial(QQ, 1, 1) * Fraction(3, 1)
     assert (three_t.coeff, three_t.power) == (3, 1) and type(three_t.coeff) is int
 
 
@@ -94,13 +94,13 @@ def test_zero_representation():
 
 
 def test_t_plus_t():
-    t = Novikov.t(QQ)
+    t = Novikov.monomial(QQ, 1, 1)
     assert t + t == Novikov.monomial(QQ, 2, 1)
     assert str(t + t) == "2*t"
 
 
 def test_gf2_t_plus_t_is_zero():
-    t = Novikov.t(F2)
+    t = Novikov.monomial(F2, 1, 1)
     assert not (t + t)
     assert t + t == Novikov.zero(F2)
 
@@ -109,13 +109,14 @@ def test_invert_constant():
     c = Novikov.constant(QQ, -3)
     assert str(unit_inverse(c)) == "-1/3"
     assert c * unit_inverse(c) == 1
-    assert unit_inverse(Novikov.t(F2, 2)) == Novikov.t(F2, -2)
+    assert unit_inverse(Novikov.monomial(F2, 1, 2)) == Novikov.monomial(F2, 1, -2)
 
 
 def test_denominator_t_powers_absorbed():
     # t is a unit: multiplying by its inverse powers shifts the exponents
-    t = Novikov.t(QQ)
-    assert Novikov.t(QQ, 2) * unit_inverse(Novikov.t(QQ, 3)) == Novikov.t(QQ, -1)
+    t = Novikov.monomial(QQ, 1, 1)
+    t2, t3 = Novikov.monomial(QQ, 1, 2), Novikov.monomial(QQ, 1, 3)
+    assert t2 * unit_inverse(t3) == Novikov.monomial(QQ, 1, -1)
     assert (t + t) ** 3 * unit_inverse(t) == Novikov.monomial(QQ, 8, 2)
     assert unit_inverse(Novikov.monomial(QQ, 4, -2)) == Novikov.monomial(QQ, Fraction(1, 4), 2)
 
@@ -163,14 +164,14 @@ def test_field_axioms_random(field):
 
 
 def test_sums_of_two_t_powers_are_refused():
-    t, one = Novikov.t(QQ), Novikov.one(QQ)
-    for build in (lambda: t + 1, lambda: one - t, lambda: Novikov.t(F2) + 1):
+    t, one = Novikov.monomial(QQ, 1, 1), Novikov.one(QQ)
+    for build in (lambda: t + 1, lambda: one - t, lambda: Novikov.monomial(F2, 1, 1) + 1):
         with pytest.raises(ValueError, match="not homogeneous"):
             build()
     assert t + t == Novikov.monomial(QQ, 2, 1)
     assert t - t == 0 and not (t - t)
     assert 3 * t + (-3) * t == Novikov.zero(QQ)
-    assert Novikov.t(F2) + Novikov.t(F2) == 0
+    assert Novikov.monomial(F2, 1, 1) + Novikov.monomial(F2, 1, 1) == 0
     # zero has no t-power of its own, so it adds to any monomial
     assert Novikov.zero(QQ) + t == t + 0 == t - 0 == t
 
@@ -185,7 +186,7 @@ def test_gf2_self_negation():
 
 def test_powers():
     # only non-negative powers: nothing here inverts a scalar
-    t = Novikov.t(QQ)
+    t = Novikov.monomial(QQ, 1, 1)
     u = Novikov.monomial(QQ, -2, 3)
     assert u ** 0 == Novikov.one(QQ)
     assert u ** 3 == Novikov.monomial(QQ, -8, 9)
@@ -196,7 +197,7 @@ def test_powers():
 
 def test_field_mismatch_rejected():
     with pytest.raises(ValueError):
-        Novikov.t(QQ) + Novikov.t(F2)
+        Novikov.monomial(QQ, 1, 1) + Novikov.monomial(F2, 1, 1)
 
 
 def test_zero_denominator_rejected():
@@ -245,7 +246,7 @@ def test_str_negative_and_fraction_coeffs():
     assert str(Novikov.monomial(QQ, Fraction(-1, 3), 1)) == "-1/3*t"
     assert str(Novikov.monomial(QQ, -2, 3)) == "-2*t^3"
     assert str(Novikov.monomial(QQ, Fraction(3, 4), -1)) == "3/4*t^-1"
-    assert str(-Novikov.t(QQ, 2)) == "-t^2" and str(Novikov.zero(QQ)) == "0"
+    assert str(-Novikov.monomial(QQ, 1, 2)) == "-t^2" and str(Novikov.zero(QQ)) == "0"
 
 
 def test_int_and_fraction_built_scalars_print_alike():
@@ -259,10 +260,10 @@ def test_int_and_fraction_built_scalars_print_alike():
 
 
 def test_str_gf2():
-    assert str(Novikov.t(F2, 2)) == "t^2"
+    assert str(Novikov.monomial(F2, 1, 2)) == "t^2"
     assert str(Novikov.monomial(F2, 3, 0)) == "1"
     assert str(Novikov.monomial(F2, -1, -2)) == "t^-2"
-    assert str(Novikov.t(F2) + Novikov.t(F2)) == "0"
+    assert str(Novikov.monomial(F2, 1, 1) + Novikov.monomial(F2, 1, 1)) == "0"
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
@@ -277,10 +278,22 @@ def test_term_str_renders_a_monomial_as_str(field):
 
 
 def test_hash_consistency():
-    t = Novikov.t(QQ)
+    t = Novikov.monomial(QQ, 1, 1)
     a = (Novikov.one(QQ) - 3) * t ** 2 + t * t
     b = Novikov(QQ, Fraction(-1), 2)
     assert a == b and hash(a) == hash(b)
     # int and Fraction coefficients hash alike, and zero has one hash
     assert hash(Novikov.monomial(QQ, Fraction(4, 2), 1)) == hash(Novikov.monomial(QQ, 2, 1))
     assert hash(Novikov(QQ, 0, 3)) == hash(Novikov.zero(QQ))
+
+
+def test_a_constant_equals_its_number_and_hashes_alike():
+    # a scalar equals a plain int or Fraction x only at t-power 0 with
+    # coefficient x, read in no field, and then hashes as x does
+    three, half, one_f2 = Novikov(QQ, 3, 0), Novikov(QQ, Fraction(1, 2), 0), Novikov(F2, 1, 0)
+    assert three == 3 and half == Fraction(1, 2) and Novikov(QQ, 3, 1) != 3
+    assert one_f2 == 1 and one_f2 != 3 and Novikov(F2, 2, 0) != 2
+    pairs = ((three, 3), (half, Fraction(1, 2)), (one_f2, 1), (Novikov.zero(F2), 0))
+    for scalar, number in pairs:
+        assert scalar == number and hash(scalar) == hash(number)
+        assert len({scalar, number}) == 1 and len({number: 0, scalar: 1}) == 1

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import shq.linalg
 import shq.pipeline
 from shq.localization import sample_prime
 from shq.linalg import char_poly, spectrum
@@ -206,7 +207,7 @@ def test_compute_even_twist_mod_two():
     assert res.qh.unknown_terms == ((2, 2),)
 
 
-def test_monotone_zero_reason_comes_only_with_a_failed_check(corrupt_char_poly):
+def test_monotone_zero_reason_comes_only_with_a_failed_check(corrupt_char_poly, monkeypatch):
     # a_N = (-1)^N n^(1+m) t is nonzero for a monotone twist with c1
     # nonzero, so SH is zero there only when the solve is wrong: doubled
     # over GF(2), cp becomes lambda^s, and the diagnostics report it
@@ -214,6 +215,14 @@ def test_monotone_zero_reason_comes_only_with_a_failed_check(corrupt_char_poly):
     assert res.sh.reason == _zero_reason(Regime("monotone", True, ""), F2, 1)
     assert not _diagnostic(res, "cayley_hamilton").passed
     assert compute_sh(2, 1, F2, trials=1).sh_rank == 2
+    # over Q a solve of zeros gives lambda^4 at (3, 1), where a_3 = -t
+    monkeypatch.setattr(shq.linalg, "_solve", lambda op: [0] * len(op[0]))
+    res = compute_sh(3, 1, QQ, trials=1)
+    assert res.sh.reason == (
+        "the characteristic polynomial was computed as lambda^s although a_N != 0"
+    )
+    failed = {d.name for d in res.diagnostics if not d.passed}
+    assert {"cayley_hamilton", "lead_coefficient"} <= failed
 
 
 def test_compute_odd_twist_mod_two():
@@ -609,6 +618,33 @@ def test_partial_200_within_three_seconds():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
     assert [d.name for d in res.diagnostics if not d.passed] == []
+
+
+def compute_400_200():
+    """compute_sh(400, 200) over Q at the default trials, within 8 s: the
+    residue rows at n >= 200 (about 1.1 s on a 2 vCPU Xeon)."""
+    def timed_out(signum, frame):
+        raise TimeoutError("compute_sh(400, 200) did not return in 8 s")
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(8)
+    try:
+        return compute_sh(400, 200)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_residue_rows_at_n_200():
+    res = compute_400_200()
+    assert "modulo the prime" in _diagnostic(res, "localization_match").detail
+    assert [d.name for d in res.diagnostics if not d.passed] == []
+    assert res.qh.relation == closed_form(400, 200, QQ)[0]
+
+
+def test_residue_rows_at_n_200_catch_a_wrong_row(corrupt_localize_row):
+    res = compute_400_200()
+    assert [d.name for d in res.diagnostics if not d.passed] == ["localization_match"]
 
 
 def test_library_writes_ints_past_4300_digits():

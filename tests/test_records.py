@@ -20,7 +20,7 @@ from shq.ring import RingElement, RingPresentation
 
 from oracles import presentation
 
-zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.t(QQ)
+zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.monomial(QQ, 1, 1)
 
 
 def line_presentation():

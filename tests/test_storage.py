@@ -86,7 +86,7 @@ def test_refused_band_has_no_matrix():
 
 # -- pinned cases ----------------------------------------------------------------
 
-zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.t(QQ)
+zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.monomial(QQ, 1, 1)
 
 
 def test_gradings_that_differ_only_in_n_are_unequal():
@@ -99,7 +99,7 @@ def test_gradings_that_differ_only_in_n_are_unequal():
     # equal rows at t = 1 but t^2 at N = 1 against t at N = 2
     c = LambdaMatrix(QQ, GradingContext(1), [{1: -1}, {0: 1}])
     d = LambdaMatrix(QQ, GradingContext(2), [{1: -1}, {0: 1}])
-    assert c.entries[1][0] == Novikov.t(QQ, 2) and d.entries[1][0] == t
+    assert c.entries[1][0] == Novikov.monomial(QQ, 1, 2) and d.entries[1][0] == t
     assert c != d and d != c
     # the same rows over another field differ too
     q = LambdaMatrix(QQ, GradingContext(1), [{1: 1}, {}])
