@@ -70,7 +70,7 @@ class IncompleteMatrixError(ValueError):
     """Raised when arithmetic touches a matrix with unknown entries."""
 
 
-class LambdaMatrix:
+class LambdaMatrix(Record):
     """Square matrix of Novikov scalars of one weight, optionally with
     unknowns, stored as its rows at t = 1.
 
@@ -82,9 +82,11 @@ class LambdaMatrix:
     view built on each call.
     unknown: frozenset of (row, col, t_power), 0-indexed positions whose
         coefficient is undetermined; the entry there is zero.
+    size, the number of rows, follows from rows.
     """
 
-    __slots__ = ("field", "grading", "weight", "size", "rows", "unknown")
+    __slots__ = ("field", "grading", "rows", "unknown", "weight", "size")
+    _fields = __slots__[:-1]
 
     def __init__(self, field: CoefficientField, grading, rows, unknown=(), weight: int = 1):
         of, power, s = field.of, grading.t_power, len(rows)
@@ -113,8 +115,8 @@ class LambdaMatrix:
                     f"unknown at ({i}, {j}) declares t-power {d}, "
                     f"grading needs N*d = {i - j + weight}"
                 )
-        self.field, self.grading, self.weight, self.size = field, grading, weight, s
-        self.rows, self.unknown = tuple(ground), unknown
+        Record.__init__(self, field, grading, tuple(ground), unknown, weight)
+        object.__setattr__(self, "size", s)
 
     # -- structure --------------------------------------------------------
 
@@ -140,7 +142,7 @@ class LambdaMatrix:
                 f"{what} needs every entry; undetermined positions {pos}"
             )
 
-    def _key(self):
+    def _value(self):
         # an all-zero matrix has the same entries at every weight
         weight = self.weight if self.unknown or any(self.rows) else None
         return (self.field, self.grading, weight, self.rows, self.unknown)
@@ -148,10 +150,10 @@ class LambdaMatrix:
     def __eq__(self, other):
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
-        return self._key() == other._key()
+        return self._value() == other._value()
 
     def __hash__(self):
-        field, grading, weight, rows, unknown = self._key()
+        field, grading, weight, rows, unknown = self._value()
         return hash((field, grading, weight, tuple(frozenset(r.items()) for r in rows), unknown))
 
     def __repr__(self):
@@ -347,22 +349,23 @@ def char_poly(mat: LambdaMatrix) -> CharPoly:
     return cp
 
 
-def spectrum(mat: LambdaMatrix, chain=None) -> tuple[CharPoly, bool, Optional[list]]:
+def spectrum(mat: LambdaMatrix) -> tuple[CharPoly, bool, Optional[list]]:
     """(characteristic polynomial, whether it annihilates the matrix,
     kernel_dims or None when the Jordan chain check fails), a failed
-    check reported: the one solve, which every other function here
-    reads.  The Jordan chain at t = 1 is appended to chain when it is a
-    list."""
+    check reported, from the one solve."""
     op = _hessenberg(mat)
     c = _solve(op)
-    return CharPoly(mat.field, mat.grading, c), _annihilates(mat, c), _chain_dims(op, c, chain)
+    return CharPoly(mat.field, mat.grading, c), _annihilates(mat, c), _chain_dims(op, c)
 
 
 def kernel_dims(mat: LambdaMatrix, chain=None) -> list:
     """dim ker(mat^j) for j = 0, 1, ..., k with k the stabilization
     index; the last entry is the dimension of the generalized kernel.
-    Raises ArithmeticError when the Jordan chain check fails."""
-    dims = spectrum(mat, chain)[2]
+    The solve and its Jordan chain check only: no Cayley-Hamilton pass
+    and no CharPoly.  Raises ArithmeticError when the check fails.  The
+    Jordan chain at t = 1 is appended to chain when it is a list."""
+    op = _hessenberg(mat)
+    dims = _chain_dims(op, _solve(op), chain)
     if dims is None:
         raise ArithmeticError("the Jordan chain of eigenvalue zero has the wrong length")
     return dims
@@ -397,19 +400,13 @@ def stabilized_kernel(mat: LambdaMatrix) -> list:
     return basis
 
 
-def zero_block_sizes(dims) -> list:
-    """Jordan blocks of eigenvalue zero, descending, from kernel_dims."""
-    deltas = [dims[k + 1] - dims[k] for k in range(len(dims) - 1)]
-    deltas.append(0)
-    sizes = []
-    for k in range(len(deltas) - 1, 0, -1):
-        sizes.extend([k] * (deltas[k - 1] - deltas[k]))
-    return sorted(sizes, reverse=True)
-
-
 def jordan_zero_block_sizes(mat: LambdaMatrix) -> list:
-    """Sizes of the Jordan blocks of eigenvalue zero, descending."""
-    return zero_block_sizes(kernel_dims(mat))
+    """Sizes of the Jordan blocks of eigenvalue zero, descending.
+    kernel_dims is [0, 1, ..., k], one block of size k, or [0, s] for
+    the zero matrix, s blocks of size 1."""
+    dims = kernel_dims(mat)
+    k = len(dims) - 1
+    return [k] * (dims[-1] // k) if k else []
 
 
 def stable_relation(cp: CharPoly) -> tuple[int, tuple]:

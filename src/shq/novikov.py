@@ -40,7 +40,8 @@ class Record:
     repeated or unknown field raises TypeError.  A subclass that
     normalizes or checks its arguments keeps its own __init__ and binds
     through one Record.__init__ call.  Equality (within one class only),
-    hash and the repr Name(field=value, ...) read the same fields.
+    hash and the repr Name(field=value, ...) read the same fields, and
+    copy and pickle rebuild a value through its constructor from them.
     """
 
     __slots__ = ()
@@ -81,15 +82,21 @@ class Record:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({args})"
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
-class CoefficientField:
+
+class CoefficientField(Record):
     """Ground field of the Novikov scalars: exact rationals or GF(2)."""
+
+    __slots__ = ("kind", "characteristic")
+    _fields = __slots__[:-1]
 
     def __init__(self, kind: str):
         if kind not in ("Q", "GF2"):
             raise ValueError(f"unknown coefficient field {kind!r}")
-        self.kind = kind
-        self.characteristic = 0 if kind == "Q" else 2
+        Record.__init__(self, kind)
+        object.__setattr__(self, "characteristic", 0 if kind == "Q" else 2)
 
     def of(self, x) -> Union[int, Fraction]:
         """The ground value of an int or Fraction: over Q an int, or a
@@ -111,15 +118,6 @@ class CoefficientField:
         itself when it is one already."""
         out = tuple(map(self.of, values))
         return values if type(values) is tuple and all(map(is_, out, values)) else out
-
-    def __eq__(self, other):
-        return isinstance(other, CoefficientField) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"CoefficientField({self.kind!r})"
 
 
 QQ = CoefficientField("Q")

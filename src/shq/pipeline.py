@@ -255,8 +255,8 @@ def compute_sh(
     trials: int = 2,
 ) -> ShResult:
     """Full pipeline for O(-n) over P^m; raises UnsupportedRegimeError
-    in the refused band, and ValueError for trials < 1 or a trials or
-    seed that is not an int."""
+    in the refused band, and ValueError for trials < 1, a trials or seed
+    that is not an int, or a field that is not a CoefficientField."""
     with unlimited_int_digits():
         return _compute_sh(m, n, field, seed, trials)
 
@@ -266,6 +266,8 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
         raise ValueError(f"need an integer trials >= 1, got trials={trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"need an integer seed, got seed={seed!r}")
+    if not isinstance(field, CoefficientField):
+        raise ValueError(f"need a CoefficientField field, got field={field!r}")
     regime = classify_regime(m, n)
     N = minimal_chern(m, n)
     r = build_r_matrix(m, n, field)

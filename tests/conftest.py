@@ -1,10 +1,30 @@
 # Makes this directory importable so tests can share the oracle helpers.
 
+import contextlib
+import signal
+
 import pytest
 
 import shq.linalg
 import shq.pipeline
 from shq.novikov import Novikov
+
+
+@contextlib.contextmanager
+def budget(seconds: int, message: str):
+    """Raise TimeoutError(message) in the block once seconds have passed
+    (SIGALRM), and restore the previous handler on the way out."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError(message)
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +11,8 @@ import pytest
 import shq.cli
 import shq.pipeline
 from shq.cli import main
+
+from conftest import budget
 
 
 def run(capsys, *argv):
@@ -235,16 +236,8 @@ def test_localize_rejects_fewer_than_one_trial(capsys):
 
 def test_localize_past_the_small_weight_pool(capsys):
     # 801 torus weights, more than the default range of 721 integers holds
-    def timed_out(signum, frame):
-        raise TimeoutError("localize --m 800 did not return")
-
-    old = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(20)
-    try:
+    with budget(20, "localize --m 800 did not return"):
         d = run_json(capsys, "localize", "--m", "800", "--n", "1", "--a", "0")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert d["match"] is True
 
 

@@ -20,7 +20,6 @@ from shq.linalg import (
     stabilization_index,
     stabilized_kernel,
     stable_relation,
-    zero_block_sizes,
 )
 from shq.novikov import F2, GradingContext, Novikov, QQ
 from shq.pipeline import build_r_matrix
@@ -156,6 +155,23 @@ def test_rank_and_stabilized_kernel_read_the_solve_once(monkeypatch):
             calls.clear()
             f(m)
             assert len(calls) == 1, (f.__name__, m)
+
+
+def test_the_kernel_views_skip_cayley_hamilton(monkeypatch):
+    # the views read the solve and the Jordan chain only; spectrum and
+    # char_poly still run the Cayley-Hamilton check
+    views = (rank, kernel_dims, stabilization_index, jordan_zero_block_sizes, stabilized_kernel)
+    mats = (QUANTUM, COMPANION, SHIFT, build_r_matrix(6, 3))
+    expected = [f(m) for m in mats for f in views]
+
+    def refused(mat, c):
+        raise RuntimeError("Cayley-Hamilton ran")
+
+    monkeypatch.setattr(shq.linalg, "_annihilates", refused)
+    assert [f(m) for m in mats for f in views] == expected
+    for f in (spectrum, char_poly):
+        with pytest.raises(RuntimeError, match="Cayley-Hamilton ran"):
+            f(QUANTUM)
 
 
 # -- zero-skipping products against the dense loops ------------------------
@@ -369,7 +385,10 @@ def test_spectrum_agrees_with_the_wrappers():
             assert annihilates
             assert cp == char_poly(m)
             assert dims == kernel_dims(m)
-            assert zero_block_sizes(dims) == jordan_zero_block_sizes(m)
+            # as many blocks as dim ker m, filling the generalized kernel
+            blocks = jordan_zero_block_sizes(m)
+            assert len(blocks) == (dims[1] if len(dims) > 1 else 0)
+            assert sum(blocks) == dims[-1]
 
 
 # -- splitting off the nilpotent part --------------------------------------

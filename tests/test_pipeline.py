@@ -1,5 +1,4 @@
 import json
-import signal
 import sys
 
 import pytest
@@ -31,6 +30,7 @@ from shq.pipeline import (
 )
 from shq.ring import multiplication_matrix
 
+from conftest import budget
 from oracles import closed_form, novikov_berkowitz
 from test_graded import complete_pairs
 
@@ -392,13 +392,19 @@ def test_trials_and_seed_must_be_integers(m, n, name, value):
 
 
 def test_type_refusals_come_first():
-    # trials, then seed, then the arguments and the refused band
+    # trials, then seed, then field, then the arguments and the refused band
     with pytest.raises(ValueError, match="trials"):
         compute_sh(0, 5, trials=True, seed="x")
     with pytest.raises(ValueError, match="seed"):
         compute_sh(0, 5, seed="x")
     with pytest.raises(ValueError, match="seed"):
         compute_sh(3, 5, seed=None)
+    # then the field, before m and n
+    for field in ("Q", None, 2):
+        with pytest.raises(ValueError, match="need a CoefficientField field"):
+            compute_sh(0, 5, field)
+    with pytest.raises(ValueError, match="seed"):
+        compute_sh(3, 1, "Q", seed="x")
 
 
 def test_localization_diagnostic_can_fail(corrupt_localize_row):
@@ -551,17 +557,8 @@ def calabi_yau_and_large_twists_to_200(draw):
 def test_closed_form_past_m_100_within_three_seconds(pair):
     # each such pair takes well under a second
     m, n, field = pair
-
-    def timed_out(signum, frame):
-        raise TimeoutError(f"compute_sh({m}, {n}) did not return in 3 s")
-
-    old = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(3)
-    try:
+    with budget(3, f"compute_sh({m}, {n}) did not return in 3 s"):
         res = compute_sh(m, n, field, trials=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert [d.name for d in res.diagnostics if not d.passed] == []
     qh, sh = closed_form(m, n, field)
     assert sh is None and res.qh.relation == qh
@@ -573,16 +570,8 @@ def test_closed_form_at_s_2001_within_one_second(m, n, field):
     # sparse Krylov and ring vectors take under 0.1 s here on a 2 vCPU
     # Xeon; a walk over every column of the operator took 1.8 s at
     # (2000, 10), and the dense vectors before it 1.2-1.6 s
-    def timed_out(signum, frame):
-        raise TimeoutError(f"compute_sh({m}, {n}) did not return in 1 s")
-
-    old = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(1)
-    try:
+    with budget(1, f"compute_sh({m}, {n}) did not return in 1 s"):
         res = compute_sh(m, n, field, trials=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert [d.name for d in res.diagnostics if not d.passed] == []
     assert res.qh.relation == closed_form(m, n, field)[0]
 
@@ -590,16 +579,8 @@ def test_closed_form_at_s_2001_within_one_second(m, n, field):
 def test_m_96_within_six_seconds():
     # (96, 48) took 9.5-11 s on the Novikov-matrix path; the graded core
     # takes well under a second
-    def timed_out(signum, frame):
-        raise TimeoutError("compute_sh(96, 48) did not return in 6 s")
-
-    old = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(6)
-    try:
+    with budget(6, "compute_sh(96, 48) did not return in 6 s"):
         res = compute_sh(96, 48, trials=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert [d.name for d in res.diagnostics if not d.passed] == []
     assert res.sh_rank == 49
 
@@ -607,32 +588,16 @@ def test_m_96_within_six_seconds():
 def test_partial_200_within_three_seconds():
     # the exact fixed-point sums took about 9 s here; residues mod a prime
     # under one second on a 2 vCPU Xeon
-    def timed_out(signum, frame):
-        raise TimeoutError("compute_sh(200, 200) did not return in 3 s")
-
-    old = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(3)
-    try:
+    with budget(3, "compute_sh(200, 200) did not return in 3 s"):
         res = compute_sh(200, 200, trials=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert [d.name for d in res.diagnostics if not d.passed] == []
 
 
 def compute_400_200():
     """compute_sh(400, 200) over Q at the default trials, within 8 s: the
     residue rows at n >= 200 (about 1.1 s on a 2 vCPU Xeon)."""
-    def timed_out(signum, frame):
-        raise TimeoutError("compute_sh(400, 200) did not return in 8 s")
-
-    old = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(8)
-    try:
+    with budget(8, "compute_sh(400, 200) did not return in 8 s"):
         return compute_sh(400, 200)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_residue_rows_at_n_200():
@@ -671,16 +636,8 @@ def test_int_digit_limit_is_restored_after_an_exception():
 def test_spectrum_at_m_400_within_one_second():
     # the Berkowitz recurrence and a walk over 401 powers took about 3 s
     # on a 2 vCPU Xeon; the Krylov solve and its two checks about 0.04 s
-    def timed_out(signum, frame):
-        raise TimeoutError("spectrum(build_r_matrix(400, 200)) did not return in 1 s")
-
-    old = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(1)
-    try:
+    with budget(1, "spectrum(build_r_matrix(400, 200)) did not return in 1 s"):
         cp, annihilates, dims = spectrum(build_r_matrix(400, 200))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert annihilates and dims == list(range(201))
     assert cp.a[200] and sum(1 for a in cp.a if a) == 1
 

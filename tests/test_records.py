@@ -1,8 +1,11 @@
 """The immutable value types: construction, immutability, value equality
-within one type, hash, repr, and the refusals made at construction.
-Importing the command line loads neither dataclasses nor inspect."""
+within one type, hash, repr, copy and pickle, and the refusals made at
+construction.  Importing the command line loads neither dataclasses nor
+inspect."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +18,10 @@ from shq.gw import TauTable
 from shq.linalg import CharPoly
 from shq.localization import WeightVector
 from shq.novikov import F2, GradingContext, Novikov, QQ
-from shq.pipeline import Diagnostic, PartialFacts, Regime, ShResult, ZeroRing, compute_sh
+from shq.pipeline import (
+    Diagnostic, PartialFacts, Regime, ShResult, ZeroRing, build_r_matrix, compute_sh,
+    result_to_dict,
+)
 from shq.ring import RingElement, RingPresentation
 
 from oracles import presentation
@@ -113,6 +119,49 @@ def test_immutable(cls, fields):
     assert all(getattr(rec, name) is value for name, value in kw.items())
 
 
+def test_fields_and_matrices_are_immutable():
+    r = build_r_matrix(3, 1)
+    for obj, name, value in ((QQ, "kind", "GF2"), (F2, "characteristic", 0),
+                             (r, "weight", 5), (r, "rows", ())):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    assert (QQ.kind, F2.characteristic, r.weight, len(r.rows)) == ("Q", 2, 1, 4)
+
+
+def copies(x) -> list:
+    """x through copy.copy, copy.deepcopy and a pickle round trip."""
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_records_copy_and_pickle(cls, fields):
+    rec = cls(**fields())
+    for y in copies(rec):
+        assert type(y) is cls and y == rec and hash(y) == hash(rec) and repr(y) == repr(rec)
+
+
+def test_scalars_fields_and_matrices_copy_and_pickle():
+    # the derived slots, characteristic and size, are rebuilt
+    r = build_r_matrix(5, 4)
+    assert r.unknown
+    for x in (t, Novikov.monomial(F2, 1, -2), QQ, F2, r):
+        for y in copies(x):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+    assert [y.characteristic for y in copies(F2)] == [2] * 3
+    assert all(y.size == 6 and y.unknown == r.unknown for y in copies(r))
+
+
+@pytest.mark.parametrize(
+    "m, n, field",
+    [(3, 1, QQ), (5, 2, QQ), (3, 3, QQ), (4, 4, F2), (6, 7, QQ)],
+    ids=["3-1-Q", "5-2-Q", "3-3-Q", "4-4-GF2", "6-7-Q"],
+)
+def test_results_copy_and_pickle(m, n, field):
+    res = compute_sh(m, n, field)
+    for y in copies(res):
+        assert y == res and result_to_dict(y) == result_to_dict(res)
+
+
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
 def test_equal_values_compare_and_hash_equal(cls, fields):
     a, b = cls(**fields()), cls(**fields())
@@ -173,7 +222,7 @@ def test_presentation_ignores_its_core(constructions):
     constructions.clear()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert repr(a) == (
-        "RingPresentation(generator='omega', field=CoefficientField('Q'), "
+        "RingPresentation(generator='omega', field=CoefficientField(kind='Q'), "
         "grading=GradingContext(N=2), values=(-1, 0, 1), unknown_terms=())"
     )
     object.__setattr__(b, "_companion", None)
@@ -186,7 +235,7 @@ def test_presentation_ignores_its_core(constructions):
     assert x.coeffs == (zero, t) and x.coeffs == y.coeffs
     assert p.a == (zero, Novikov.monomial(QQ, -1, 2)) and p.a == q.a
     assert repr(p) == (
-        "CharPoly(field=CoefficientField('Q'), grading=GradingContext(N=1), values=(0, -1))"
+        "CharPoly(field=CoefficientField(kind='Q'), grading=GradingContext(N=1), values=(0, -1))"
     )
 
 

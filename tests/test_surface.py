@@ -16,15 +16,21 @@ And every name ``perfbench/tracing.py`` wraps must exist: the tracer
 installs in a fresh interpreter.
 
 Only ``Record.__init__`` binds the fields of a value type: no other class
-sets a name of its own ``_fields`` with ``object.__setattr__``.
+sets a name of its own ``_fields`` with ``object.__setattr__``.  And only
+``Record`` and its subclasses define equality, hash, or refuse to set or
+delete an attribute: there is one value mechanism.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+from shq.novikov import Record
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shq"
@@ -314,3 +320,44 @@ def test_the_field_setter_scan_sees_each_kind_of_binding():
         "            object.__setattr__(self, f, a)\n"
     )
     assert field_setters({"m": tree}) == [("m", "Dynamic", "f"), ("m", "Plain", "a")]
+
+
+VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+
+def values_outside_record(modules) -> list:
+    """Names of the classes defined in modules that define one of
+    VALUE_METHODS and are neither Record nor a subclass of it."""
+    return sorted(
+        cls.__name__
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and VALUE_METHODS & cls.__dict__.keys()
+        and not issubclass(cls, Record)
+    )
+
+
+def test_only_records_define_value_semantics():
+    modules = [importlib.import_module(f"shq.{path.stem}") for path in PACKAGE.glob("*.py")]
+    found = values_outside_record(modules)
+    assert not found, f"value semantics outside Record: {found}"
+
+
+def test_the_value_scan_sees_a_hand_written_value():
+    module = types.ModuleType("m")
+    exec(
+        "from shq.novikov import Record\n"
+        "class Plain:\n"
+        "    def __hash__(self): return 0\n"
+        "class Frozen:\n"
+        "    def __setattr__(self, name, value): raise AttributeError(name)\n"
+        "class Value(Record):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __eq__(self, other): return True\n"
+        "class Bare:\n"
+        "    pass\n",
+        module.__dict__,
+    )
+    assert values_outside_record([module]) == ["Frozen", "Plain"]
