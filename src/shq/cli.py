@@ -12,6 +12,7 @@ Python's 4300-digit limit on int-to-text conversion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,7 +54,9 @@ def _add_mn(p):
     p.add_argument("--n", type=int, required=True, help="twist, O(-n)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process."""
     parser = _Parser(
         prog="shq",
         description="Quantum and symplectic cohomology of O(-n) over P^m "

@@ -23,7 +23,8 @@ the tests sample.
 Every pair term is homogeneous of degree 0 in the weights, so scaling
 them by a common denominator changes nothing and integer weights are
 as generic as rational ones.  The sampled weights are distinct
-integers, and Fraction weights are scaled to integers first.
+integers, and Fraction weights are scaled to integers once per weight
+vector.
 
 The sum is factored.  A pair term is S(i, j) / (D_i * E_j): the Serre
 product S(i, j) of the obstruction weights does not depend on the
@@ -59,14 +60,20 @@ from .novikov import Record
 class WeightVector(Record):
     """Pairwise-distinct torus weights alpha_0, ..., alpha_m."""
 
-    __slots__ = ("alphas",)
+    __slots__ = ("alphas", "_integers")
+    # _integers, the weights times the lcm of their denominators, follows
+    # from alphas, so equality, hash and repr leave it out
+    _fields = __slots__[:-1]
 
     def __init__(self, alphas: tuple):
+        alphas = tuple(alphas)
         Record.__init__(self, alphas)
         if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in alphas):
             raise ValueError(f"torus weights must be ints or Fractions, got {alphas!r}")
         if len(set(alphas)) != len(alphas):
             raise ValueError("torus weights must be pairwise distinct")
+        scale = math.lcm(*(x.denominator for x in alphas))
+        object.__setattr__(self, "_integers", tuple(int(x * scale) for x in alphas))
 
     def __getitem__(self, k: int) -> Rational:
         return self.alphas[k]
@@ -84,6 +91,7 @@ def sample_weights(m: int, seed: int = 0) -> WeightVector:
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES_PRODUCT = math.prod(_BASES)
 
 
 def is_prime(k: int) -> bool:
@@ -92,7 +100,7 @@ def is_prime(k: int) -> bool:
     Webster 2015), so for every 61-bit k."""
     if k < 2:
         return False
-    if any(k % b == 0 for b in _BASES):
+    if math.gcd(k, _BASES_PRODUCT) != 1:
         return k in _BASES
     d, s = k - 1, 0
     while not d & 1:
@@ -133,20 +141,13 @@ def _serre_row(n: int, x: int, ys) -> list:
     return [math.prod(range(n * y + x - y, n * x, x - y)) for y in ys]
 
 
-def _integral(weights: WeightVector) -> list:
-    """The weights times the lcm of their denominators: integers, and
-    every pair term unchanged."""
-    scale = math.lcm(*(x.denominator for x in weights))
-    return [int(x * scale) for x in weights]
-
-
 def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int) -> list:
     """scale * sum_{i, j} S(i, j) / (D_i * E_j) for each offset a, with
     i in 0..a and j in N+a..m.  From one offset to the next the i-plane
     gains the point a and the j-plane loses N+a-1.  Per offset the
     numerator is summed in integers over lcm(D) * lcm(E), then divided
     once."""
-    al = _integral(weights)
+    al = weights._integers
     N = m + 1 - n
     first = offsets[0]
     # S(i, j) is needed only when some offset a has i <= a and N + a <= j
@@ -200,7 +201,7 @@ def _pair_residues(m: int, n: int, weights: WeightVector, p: int) -> list:
     adds at most n products of two residues below p, so with
     w = 2*bits(p) + bits(n) no lane carries into the next, and each inner
     sum over j is one big-int product by a word per column."""
-    al = _integral(weights)
+    al = weights._integers
     N = m + 1 - n
     w = 2 * p.bit_length() + n.bit_length()
     shifts, mask = range(0, n * w, w), (1 << w) - 1

@@ -36,12 +36,13 @@ class Record:
 
     A subclass lists its fields in __slots__; _fields, which defaults to
     __slots__, names the ones that make its value.  Record.__init__ binds
-    them, by position or keyword in that order; a missing, extra,
-    repeated or unknown field raises TypeError.  A subclass that
-    normalizes or checks its arguments keeps its own __init__ and binds
-    through one Record.__init__ call.  Equality (within one class only),
-    hash and the repr Name(field=value, ...) read the same fields, and
-    copy and pickle rebuild a value through its constructor from them.
+    them through the setters of their slot descriptors, by position or
+    keyword in that order; a missing, extra, repeated or unknown field
+    raises TypeError.  A subclass that normalizes or checks its arguments
+    keeps its own __init__ and binds through one Record.__init__ call.
+    Equality (within one class only), hash and the repr Name(field=value,
+    ...) read the same fields, and copy and pickle rebuild a value
+    through its constructor from them.
     """
 
     __slots__ = ()
@@ -49,20 +50,22 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
-        if kwargs or len(args) != len(fields):
+        setters = self._setters
+        for bind, value in zip(setters, args):
+            bind(self, value)
+        if kwargs or len(args) != len(setters):
+            fields = self._fields
             rest = fields[len(args):]
             if len(args) > len(fields) or kwargs.keys() != set(rest):
                 raise TypeError(
                     f"{type(self).__name__} takes the fields {', '.join(fields)}; got "
                     f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
                 )
-            for name in rest:
-                object.__setattr__(self, name, kwargs[name])
+            for bind, name in zip(setters[len(args):], rest):
+                bind(self, kwargs[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -124,7 +124,10 @@ def classify_regime(m: int, n: int) -> Regime:
 
 def build_r_matrix(m: int, n: int, field: CoefficientField = QQ) -> LambdaMatrix:
     """Multiplication by the quantum first Chern class of O(-n) on the
-    basis omega^m, ..., omega, 1."""
+    basis omega^m, ..., omega, 1; ValueError first for a field that is
+    not a CoefficientField."""
+    if not isinstance(field, CoefficientField):
+        raise ValueError(f"need a CoefficientField field, got field={field!r}")
     regime = classify_regime(m, n)
     if regime.kind == "unsupported":
         raise UnsupportedRegimeError(m, n)
@@ -266,11 +269,9 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
         raise ValueError(f"need an integer trials >= 1, got trials={trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"need an integer seed, got seed={seed!r}")
-    if not isinstance(field, CoefficientField):
-        raise ValueError(f"need a CoefficientField field, got field={field!r}")
+    r = build_r_matrix(m, n, field)  # refuses the field before reading m and n
     regime = classify_regime(m, n)
     N = minimal_chern(m, n)
-    r = build_r_matrix(m, n, field)
     ctx = r.grading
 
     cp = annihilates = dims = c1 = None

@@ -181,6 +181,25 @@ def test_unknown_command_exits_3(capsys):
     assert e.value.code == 3
 
 
+def test_the_parser_is_built_once():
+    assert shq.cli.build_parser() is shq.cli.build_parser()
+
+
+def test_repeated_commands_share_no_parser_state(capsys):
+    # one process: the kept parser carries nothing from call to call
+    first = run(capsys, "compute", "--m", "5", "--n", "2")
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as e:
+        main(["compute", "--m", "5", "--n", "2", "--format", "yaml"])
+    assert e.value.code == 3
+    capsys.readouterr()
+    for field in ("q", "gf2"):
+        assert run(capsys, "table", "--max-m", "3", "--field", field)[0] == 0
+    code, out, _ = run(capsys, "compute", "--m", "5", "--n", "2", "--format", "text")
+    assert code == 0 and "SH* = Lambda[w]/(w^4 + 4*t)" in out
+    assert run(capsys, "compute", "--m", "5", "--n", "2") == first
+
+
 def test_rmatrix(capsys):
     d = run_json(capsys, "rmatrix", "--m", "3", "--n", "3")
     assert d["N"] == 1

@@ -304,6 +304,22 @@ def test_is_prime_agrees_with_a_sieve():
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
 
 
+def test_is_prime_agrees_with_trial_division():
+    def trial(k):
+        return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+    assert all(is_prime(k) == trial(k) for k in range(20_000))
+
+
+def test_sample_prime_draws_are_unchanged():
+    assert [sample_prime(seed) for seed in range(10)] == [
+        1481491205600622547, 1174146646898508319, 1992281633327587397,
+        2068651483832928433, 1898940620383269313, 1979648110353563801,
+        1765823875890824311, 1344271184579182781, 1598218165300967633,
+        1231869329985410609,
+    ]
+
+
 def test_sample_prime_is_seeded_and_in_range():
     drawn = [sample_prime(seed) for seed in range(20)]
     assert drawn == [sample_prime(seed) for seed in range(20)]

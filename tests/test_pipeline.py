@@ -403,6 +403,8 @@ def test_type_refusals_come_first():
     for field in ("Q", None, 2):
         with pytest.raises(ValueError, match="need a CoefficientField field"):
             compute_sh(0, 5, field)
+        with pytest.raises(ValueError, match="need a CoefficientField field"):
+            build_r_matrix(0, 5, field)
     with pytest.raises(ValueError, match="seed"):
         compute_sh(3, 1, "Q", seed="x")
 
@@ -565,11 +567,16 @@ def test_closed_form_past_m_100_within_three_seconds(pair):
     assert isinstance(res.sh, ZeroRing) and res.sh_rank == 0
 
 
-@pytest.mark.parametrize("m, n, field", [(2000, 10, QQ), (2000, 2001, F2)], ids=["Q", "GF2"])
+@pytest.mark.parametrize(
+    "m, n, field",
+    [(2000, 10, QQ), (2000, 2001, QQ), (2000, 2001, F2), (2000, 11, F2)],
+    ids=["Q", "Q-calabi-yau", "GF2", "GF2-monotone"],
+)
 def test_closed_form_at_s_2001_within_one_second(m, n, field):
-    # sparse Krylov and ring vectors take under 0.1 s here on a 2 vCPU
-    # Xeon; a walk over every column of the operator took 1.8 s at
-    # (2000, 10), and the dense vectors before it 1.2-1.6 s
+    # each field in both regimes; sparse Krylov and ring vectors take
+    # under 0.1 s here on a 2 vCPU Xeon; a walk over every column of the
+    # operator took 1.8 s at (2000, 10), and the dense vectors before it
+    # 1.2-1.6 s
     with budget(1, f"compute_sh({m}, {n}) did not return in 1 s"):
         res = compute_sh(m, n, field, trials=1)
     assert [d.name for d in res.diagnostics if not d.passed] == []

@@ -83,11 +83,17 @@ IDS = [cls.__name__ for cls, _ in RECORDS]
 def test_positional_and_keyword_construction(cls, fields):
     kw = fields()
     assert list(kw) == list(cls._fields)
+    first, *rest = kw
     by_position, by_keyword = cls(*kw.values()), cls(**kw)
+    mixed = cls(kw[first], **{name: kw[name] for name in rest})
     for name, value in kw.items():
         assert getattr(by_position, name) is value
         assert getattr(by_keyword, name) is value
-    assert by_position == by_keyword
+        assert getattr(mixed, name) is value
+    assert by_position == by_keyword == mixed
+    # derived slots are bound alike
+    for name in cls.__slots__:
+        assert getattr(by_position, name) == getattr(by_keyword, name) == getattr(mixed, name)
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
@@ -262,6 +268,16 @@ def test_surface_ring_refuses_an_asymmetric_form():
 def test_weight_vector_refusals(alphas):
     with pytest.raises(ValueError):
         WeightVector(alphas)
+
+
+def test_weight_vector_keeps_a_tuple():
+    # a caller's list is copied: the value is hashable and stays as checked
+    alphas = [3, Fraction(-2, 3), 5]
+    from_list, from_tuple = WeightVector(alphas), WeightVector(tuple(alphas))
+    alphas.append(7)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert type(from_list.alphas) is tuple and from_list.alphas == (3, Fraction(-2, 3), 5)
+    assert from_list._integers == from_tuple._integers == (9, -2, 15)
 
 
 def test_ring_element_refuses_the_wrong_length():
