@@ -23,16 +23,18 @@ from .novikov import Record
 
 
 class SurfaceRing(Record):
-    """Intersection data of a smooth projective surface."""
+    """Intersection data of a smooth projective surface, its fields kept as tuples."""
 
     __slots__ = ("labels", "form", "canonical", "euler")
 
     def __init__(self, labels: tuple, form: tuple, canonical: tuple, euler: int):
-        Record.__init__(self, labels, form, canonical, euler)
-        r = len(labels)
+        rows = tuple(map(tuple, form))
+        form = form if rows == form else rows
+        Record.__init__(self, tuple(labels), form, tuple(canonical), euler)
+        r = self.rank
         if len(form) != r or any(len(row) != r for row in form):
             raise ValueError(f"form must be {r} x {r}, one row per label")
-        if len(canonical) != r:
+        if len(self.canonical) != r:
             raise ValueError(f"canonical class must have {r} coordinates")
         for p in range(r):
             for q in range(r):
@@ -82,15 +84,12 @@ def blow_up(s: SurfaceRing, k: int = 1) -> SurfaceRing:
         raise ValueError("cannot blow up a negative number of points")
     r = s.rank
     labels = s.labels + tuple(f"e{p + 1}" for p in range(k))
-    form = []
-    for p in range(r):
-        form.append(tuple(s.form[p]) + (0,) * k)
+    form = [row + (0,) * k for row in s.form]
     for p in range(k):
         row = [0] * (r + k)
         row[r + p] = -1
-        form.append(tuple(row))
-    canonical = tuple(s.canonical) + (1,) * k
-    return SurfaceRing(labels, tuple(form), canonical, s.euler + k)
+        form.append(row)
+    return SurfaceRing(labels, form, s.canonical + (1,) * k, s.euler + k)
 
 
 def universal_curve() -> SurfaceRing:

@@ -123,8 +123,6 @@ def _cmd_rmatrix(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    if args.n < 1:
-        raise ValueError("need n >= 1")
     field = FIELDS[args.field]
     table = tau_table(args.n)
     reduced = [field.of(v) for v in table.coeffs]

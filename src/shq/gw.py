@@ -28,9 +28,6 @@ class TauTable(Record):
 
     __slots__ = ("n", "coeffs")
 
-    def __getitem__(self, a: int) -> int:
-        return self.coeffs[a]
-
 
 @functools.lru_cache(maxsize=32)
 def tau_table(n: int) -> TauTable:
@@ -56,7 +53,7 @@ def tau_table(n: int) -> TauTable:
 def tau(a: int, n: int) -> int:
     if not 0 <= a <= n - 1:
         raise ValueError(f"index {a} out of range for twist {n}")
-    return tau_table(n)[a]
+    return tau_table(n).coeffs[a]
 
 
 def subdiagonal_entry(m: int, n: int, a: int) -> int:

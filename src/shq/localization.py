@@ -52,7 +52,6 @@ import operator
 import random
 from fractions import Fraction
 from itertools import repeat
-from numbers import Rational
 
 from .novikov import Record
 
@@ -74,9 +73,6 @@ class WeightVector(Record):
             raise ValueError("torus weights must be pairwise distinct")
         scale = math.lcm(*(x.denominator for x in alphas))
         object.__setattr__(self, "_integers", tuple(int(x * scale) for x in alphas))
-
-    def __getitem__(self, k: int) -> Rational:
-        return self.alphas[k]
 
     def __len__(self) -> int:
         return len(self.alphas)

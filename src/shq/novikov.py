@@ -27,7 +27,7 @@ against it, and graded matrices are computed at t = 1 (see linalg).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter, is_
+from operator import attrgetter, index, is_
 from typing import Optional, Union
 
 
@@ -147,16 +147,17 @@ class GradingContext(Record):
 
 class Novikov(Record):
     """A Novikov scalar: the monomial coeff * t^power, coeff a ground
-    value of field.of.  Zero is coeff 0 with power 0, whatever power is
-    given (such as None, where no t-power fits the weight).  It equals a
-    plain int or Fraction x only as the constant x, power 0 and
+    value of field.of, power an integer (read by operator.index, so a
+    float or str raises TypeError).  Zero is coeff 0 with power 0, whatever
+    power is given (such as None, where no t-power fits the weight).  It
+    equals a plain int or Fraction x only as the constant x, power 0 and
     coeff == x with no reduction mod 2, and then hashes as x."""
 
     __slots__ = ("field", "coeff", "power")
 
     def __init__(self, field: CoefficientField, coeff, power: int):
         coeff = field.of(coeff)
-        Record.__init__(self, field, coeff, int(power) if coeff else 0)
+        Record.__init__(self, field, coeff, index(power) if coeff else 0)
 
     # -- constructors ---------------------------------------------------
 

@@ -192,14 +192,9 @@ def _c1_vanishes(field: CoefficientField, n: int) -> bool:
     return not field.of(-n)
 
 
-def _lead_at_one(m: int, n: int) -> int:
-    """Closed form for a_N at t = 1: (-1)^N n^(1+m)."""
-    return (-1) ** minimal_chern(m, n) * n ** (1 + m)
-
-
 def _lead_coefficient(m: int, n: int, field: CoefficientField) -> Novikov:
     """Closed form for a_N: (-1)^N n^(1+m) t."""
-    return Novikov.monomial(field, _lead_at_one(m, n), 1)
+    return Novikov.monomial(field, (-1) ** minimal_chern(m, n) * n ** (1 + m), 1)
 
 
 def _lead_from_r(r: LambdaMatrix, m: int, n: int) -> Novikov:
@@ -294,7 +289,7 @@ def _compute_sh(m, n, field, seed, trials) -> ShResult:
             # degree fits (2N > m, Calabi-Yau, or large twist)
             qh_c = None
             unknown = () if regime.exact_mode else sorted(_unknown_relation_terms(m, N))
-            qh = _classical_omega_ring(m, field, ctx, tuple(unknown))
+            qh = _classical_omega_ring(m, field, ctx, unknown)
             if p:
                 raise ArithmeticError("even twist over GF(2) left a non-nilpotent operator")
             sh = ZeroRing(_zero_reason(regime, field, n))
@@ -341,8 +336,8 @@ def _partial_presentation(m, n, field, ctx) -> RingPresentation:
     a_N slot, zeros where homogeneity forbids entries, unknowns at d >= 2."""
     N, deg = ctx.N, m + 1
     values = [0] * deg + [1]
-    values[deg - N] = _lead_at_one(m, n)
-    return RingPresentation("c", field, ctx, values, tuple(_unknown_relation_terms(m, N)))
+    values[deg - N] = _lead_coefficient(m, n, field).coeff
+    return RingPresentation("c", field, ctx, values, _unknown_relation_terms(m, N))
 
 
 def vanishing_nilpotency(result: ShResult) -> bool:
@@ -550,7 +545,7 @@ _CHECKS = (
 def _relation_pairs(pres: RingPresentation) -> list:
     return [
         [pres.coefficient_str(k), k]
-        for k in range(pres.degree, -1, -1)
+        for k in range(pres.rank, -1, -1)
         if pres.values[k]
     ]
 

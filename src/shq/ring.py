@@ -55,14 +55,14 @@ class RingPresentation(Record):
     """Lambda[generator] / (relation), relation monic, stored at t = 1.
 
     values holds the relation's coefficients at t = 1, ascending in the
-    generator g; its length is degree + 1 and its top is one.  The
-    quotient has dimension ``degree`` with basis 1, g, ..., g^(degree-1).
-    The relation is homogeneous of weight degree: the coefficient of g^k
-    is c * t^d with d = grading.t_power(degree - k), so a nonzero value
-    needs N to divide degree - k (k = degree when N = 0).  unknown_terms
+    generator g; its length is rank + 1 and its top is one.  The
+    quotient has dimension ``rank`` with basis 1, g, ..., g^(rank-1).
+    The relation is homogeneous of weight rank: the coefficient of g^k
+    is c * t^d with d = grading.t_power(rank - k), so a nonzero value
+    needs N to divide rank - k (k = rank when N = 0).  unknown_terms
     lists (gen_power, t_power) slots of the relation that carry
-    undetermined corrections; the presentation is complete when there
-    are none.  relation, the
+    undetermined corrections, kept as a tuple of pairs; the presentation
+    is complete when there are none.  relation, the
     Novikov coefficients, is a view built on each call.
     """
 
@@ -76,12 +76,14 @@ class RingPresentation(Record):
         unknown_terms: tuple = (),
     ):
         values = field.of_all(values)
+        pairs = tuple(map(tuple, unknown_terms))
+        unknown_terms = unknown_terms if pairs == unknown_terms else pairs
         Record.__init__(self, generator, field, grading, values, unknown_terms)
         if generator not in ("omega", "c"):
             raise ValueError(f"unknown generator {generator!r}")
         if not values or values[-1] != 1:
             raise ValueError("relation must be monic")
-        power, deg = grading.t_power, self.degree
+        power, deg = grading.t_power, self.rank
         for (k, d) in unknown_terms:
             if not (0 <= k < deg) or d < 1:
                 raise ValueError(f"unknown term {(k, d)} out of range")
@@ -107,13 +109,9 @@ class RingPresentation(Record):
         return not self.unknown_terms
 
     @property
-    def degree(self) -> int:
-        return len(self.values) - 1
-
-    @property
     def rank(self) -> int:
         """Dimension over the Novikov field."""
-        return self.degree
+        return len(self.values) - 1
 
     @property
     def relation(self) -> tuple:
@@ -123,11 +121,11 @@ class RingPresentation(Record):
 
     def coefficient(self, k: int) -> Novikov:
         """The Novikov coefficient of g^k in the relation."""
-        return Novikov(self.field, self.values[k], self.grading.t_power(self.degree - k))
+        return Novikov(self.field, self.values[k], self.grading.t_power(self.rank - k))
 
     def coefficient_str(self, k: int) -> str:
         """str(self.coefficient(k)), with no scalar built."""
-        return term_str(self.values[k], self.grading.t_power(self.degree - k))
+        return term_str(self.values[k], self.grading.t_power(self.rank - k))
 
     def _require_complete(self, what: str):
         if not self.complete:
@@ -191,7 +189,7 @@ def relation_str(pres: RingPresentation) -> str:
     """Relation as text, descending powers, unknown slots as '?*t^d'."""
     unknown = dict(pres.unknown_terms)
     parts = []
-    for k in range(pres.degree, -1, -1):
+    for k in range(pres.rank, -1, -1):
         if k in unknown:
             parts.append(_gen_term_str(term_str("?", unknown[k]), pres.symbol, k))
         elif pres.values[k]:
@@ -287,13 +285,13 @@ def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
     """Rewrite a presentation in the quantum first Chern class c as one
     in the quantum hyperplane class omega, via c = -n * omega.
 
-    Substituting and dividing by (-n)^degree rescales the coefficient
-    of c^k by (-n)^(k - degree); over GF(2) an odd -n is one."""
+    Substituting and dividing by (-n)^rank rescales the coefficient
+    of c^k by (-n)^(k - rank); over GF(2) an odd -n is one."""
     if pres.generator != "c":
         raise ValueError("change_generator starts from the c presentation")
     if not pres.field.of(-n):
         raise ValueError("generator change needs -n invertible in the field")
-    deg, values = pres.degree, pres.values
+    deg, values = pres.rank, pres.values
     if not pres.field.characteristic:
         values = [Fraction(c, (-n) ** (deg - k)) if c else 0 for k, c in enumerate(values)]
     return RingPresentation("omega", pres.field, pres.grading, values, pres.unknown_terms)

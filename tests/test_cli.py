@@ -219,8 +219,11 @@ def test_tau(capsys):
     assert d["sum"] == 9
     d = run_json(capsys, "tau", "--n", "3", "--field", "gf2")
     assert d["coefficients"] == [0, 1, 0]
-    code, out, err = run(capsys, "tau", "--n", "0")
-    assert code == 3
+    # the refusal is tau_table's own, not a second check in the command
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "tau", "--n", n)
+        assert code == 3 and out == ""
+        assert err == f"shq: invalid arguments: twist must be a positive integer, got {n}\n"
 
 
 def test_localize(capsys):

@@ -69,6 +69,15 @@ def test_of_refusals():
         Novikov(F2, Fraction(3, 4), 1)
 
 
+def test_a_non_integral_power_is_refused():
+    # the power is read by operator.index, not truncated or parsed by int()
+    for field, coeff, power in ((QQ, 1, 1.5), (QQ, 2, "3"), (F2, 1, 2.0), (QQ, 1, None)):
+        with pytest.raises(TypeError):
+            Novikov(field, coeff, power)
+    # a zero scalar still ignores its power
+    assert Novikov(QQ, 0, 1.5) == Novikov(QQ, 0, "3") == Novikov.zero(QQ)
+
+
 def test_coefficients_are_ground_values():
     for c, want in ((Fraction(4, 2), 2), (Fraction(1, 2), Fraction(1, 2)), (True, 1)):
         a = Novikov(QQ, c, 1)

@@ -280,6 +280,24 @@ def test_weight_vector_keeps_a_tuple():
     assert from_list._integers == from_tuple._integers == (9, -2, 15)
 
 
+def test_list_fields_are_kept_as_tuples():
+    # a caller's lists, nested ones included, are copied into tuples: the
+    # value is hashable, cannot be changed past its checks, and equals the
+    # value built from tuples
+    terms = [(0, 2)]
+    pres = RingPresentation("c", QQ, GradingContext(1), (0, 0, 1), terms)
+    same = RingPresentation("c", QQ, GradingContext(1), (0, 0, 1), ((0, 2),))
+    terms.append((1, 1))
+    assert pres.unknown_terms == ((0, 2),) and type(pres.unknown_terms) is tuple
+    assert pres == same and hash(pres) == hash(same)
+    assert RingPresentation("c", QQ, GradingContext(1), (0, 0, 1), ([0, 2],)) == same
+    surface = SurfaceRing(["h"], [[0]], [0], 1)
+    assert surface == SurfaceRing(("h",), ((0,),), (0,), 1)
+    assert hash(surface) == hash(SurfaceRing(("h",), ((0,),), (0,), 1))
+    assert (surface.labels, surface.form, surface.canonical) == (("h",), ((0,),), (0,))
+    assert all(type(f) is tuple for f in (surface.labels, surface.form, surface.form[0]))
+
+
 def test_ring_element_refuses_the_wrong_length():
     pres = line_presentation()
     for values in ((1,), (1, 0, 0)):
