@@ -28,10 +28,8 @@ class SurfaceRing(Record):
     __slots__ = ("labels", "form", "canonical", "euler")
 
     def __init__(self, labels: tuple, form: tuple, canonical: tuple, euler: int):
-        rows = tuple(map(tuple, form))
-        form = form if rows == form else rows
-        Record.__init__(self, tuple(labels), form, tuple(canonical), euler)
-        r = self.rank
+        Record.__init__(self, labels, form, canonical, euler)
+        r, form = self.rank, self.form
         if len(form) != r or any(len(row) != r for row in form):
             raise ValueError(f"form must be {r} x {r}, one row per label")
         if len(self.canonical) != r:

@@ -124,8 +124,7 @@ def _cmd_rmatrix(args) -> int:
 
 def _cmd_tau(args) -> int:
     field = FIELDS[args.field]
-    table = tau_table(args.n)
-    reduced = [field.of(v) for v in table.coeffs]
+    reduced = field.of_all(tau_table(args.n).coeffs)
     return _emit(
         {
             "n": args.n,

@@ -65,8 +65,8 @@ class WeightVector(Record):
     _fields = __slots__[:-1]
 
     def __init__(self, alphas: tuple):
-        alphas = tuple(alphas)
         Record.__init__(self, alphas)
+        alphas = self.alphas
         if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in alphas):
             raise ValueError(f"torus weights must be ints or Fractions, got {alphas!r}")
         if len(set(alphas)) != len(alphas):

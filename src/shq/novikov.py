@@ -38,8 +38,11 @@ class Record:
     __slots__, names the ones that make its value.  Record.__init__ binds
     them through the setters of their slot descriptors, by position or
     keyword in that order; a missing, extra, repeated or unknown field
-    raises TypeError.  A subclass that normalizes or checks its arguments
-    keeps its own __init__ and binds through one Record.__init__ call.
+    raises TypeError.  A list argument is stored as a tuple, every list
+    and tuple in it a tuple too, so a value built from lists equals and
+    hashes as the one built from tuples.  A subclass that normalizes or
+    checks its arguments keeps its own __init__ and binds through one
+    Record.__init__ call.
     Equality (within one class only), hash and the repr Name(field=value,
     ...) read the same fields, and copy and pickle rebuild a value
     through its constructor from them.
@@ -54,8 +57,6 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         setters = self._setters
-        for bind, value in zip(setters, args):
-            bind(self, value)
         if kwargs or len(args) != len(setters):
             fields = self._fields
             rest = fields[len(args):]
@@ -64,8 +65,9 @@ class Record:
                     f"{type(self).__name__} takes the fields {', '.join(fields)}; got "
                     f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
                 )
-            for bind, name in zip(setters[len(args):], rest):
-                bind(self, kwargs[name])
+            args += tuple(map(kwargs.__getitem__, rest))
+        for bind, value in zip(setters, args):
+            bind(self, _frozen(value) if type(value) is list else value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -87,6 +89,11 @@ class Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+def _frozen(value):
+    """A list or tuple as a tuple, every list and tuple in it a tuple too."""
+    return tuple(map(_frozen, value)) if type(value) in (list, tuple) else value
 
 
 class CoefficientField(Record):

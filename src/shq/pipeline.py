@@ -364,13 +364,6 @@ def rank_constraints(m: int, n: int, sh_rank: int) -> bool:
     return N == 0 or sh_rank % abs(N) == 0
 
 
-def kodaira_vanishing_applies(m: int, n: int) -> bool:
-    """Twist past twice the dimension: classical cohomological vanishing
-    forces SH = 0 (the large-twist regime)."""
-    _validate_mn(m, n)
-    return n > 2 * m
-
-
 # The localization cross-check sums modulo a prime from this twist on, and
 # exactly below.  Residues break even near n = 14, but moving the rule would
 # change the detail text of those runs to save under 1 ms: compute_sh(n, n),
@@ -500,7 +493,7 @@ def _check_blowup_match(run):
 
 
 def _check_kodaira_vanishing(run):
-    if kodaira_vanishing_applies(run.m, run.n):
+    if run.regime.kind == "large_min_chern":
         return run.sh_rank == 0, f"twist {run.n} exceeds 2m = {2 * run.m}, so SH must vanish"
 
 

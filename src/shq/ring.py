@@ -31,10 +31,10 @@ t*g with N = 0; t - 1 is refused where it is built); an int or
 Fraction given to either is read as a constant through field.of.  Every
 scalar is one monomial c*t^d, read as its c and d.  Scalars are built
 only for the views relation and coeffs, on each call, each c lifted to
-c*t^d with d = grading.t_power of its weight, and coefficient_str
-renders each from c.  A multiplication matrix has the grading of its
-presentation and the weight of its element, and is handed over as its
-rows at t = 1.
+c*t^d with d = grading.t_power of its weight, and a presentation's
+coefficient_str renders each relation coefficient from c.  A
+multiplication matrix has the grading of its presentation and the
+weight of its element, and is handed over as its rows at t = 1.
 """
 
 from __future__ import annotations
@@ -232,10 +232,6 @@ class RingElement(Record):
         """The Novikov coefficient of g^k."""
         return Novikov(self.pres.field, self.values[k], self.pres.grading.t_power(self.weight - k))
 
-    def coefficient_str(self, k: int) -> str:
-        """str(self.coefficient(k)), with no scalar built."""
-        return term_str(self.values[k], self.pres.grading.t_power(self.weight - k))
-
     def __mul__(self, other):
         pres = self.pres
         if isinstance(other, RingElement):
@@ -249,14 +245,6 @@ class RingElement(Record):
         return RingElement(pres, [x * c for x in self.values], self.weight + weight)
 
     __rmul__ = __mul__
-
-    def __str__(self):
-        parts = [
-            _gen_term_str(self.coefficient_str(k), self.pres.symbol, k)
-            for k in range(len(self.values) - 1, -1, -1)
-            if self.values[k]
-        ]
-        return " + ".join(parts) if parts else "0"
 
 
 def multiplication_matrix(pres: RingPresentation, x: RingElement) -> LambdaMatrix:
@@ -317,7 +305,6 @@ def _sparse(values) -> dict:
 def _dense(v: dict, rank: int) -> list:
     """The rank values of an element from its sparse vector."""
     return [v.get(k, 0) for k in range(rank)]
-
 
 
 def _at_one(field: CoefficientField, grading: GradingContext, coeffs) -> tuple:

@@ -20,7 +20,6 @@ from shq.pipeline import (
     classify_regime,
     compute_sh,
     exact_rows,
-    kodaira_vanishing_applies,
     minimal_chern,
     rank_constraints,
     result_to_dict,
@@ -486,16 +485,20 @@ def _table_rows(names) -> list:
 
 def test_every_check_row_fires_in_table_order():
     # the table holds the output order; each result follows it, names no
-    # check twice, and every row applies to some pair with m <= 6
+    # check twice, and every row applies to some pair with m <= 8; the
+    # vanishing rows fire in their regimes only, Kodaira's exactly past
+    # twice the dimension and Calabi-Yau's exactly at n = m + 1
     assert [name for name, _ in shq.pipeline._CHECKS] == CHECK_ORDER
     fired = set()
-    for m in range(1, 7):
-        for n in range(1, 2 * m + 2):
+    for m in range(1, 9):
+        for n in range(1, 2 * m + 3):
             if classify_regime(m, n).kind == "unsupported":
                 continue
             for field in (QQ, F2):
                 names = [d.name for d in compute_sh(m, n, field, trials=1).diagnostics]
                 assert len(set(names)) == len(names), (m, n, field.kind, names)
+                assert ("kodaira_vanishing" in names) == (n >= 2 * m + 1), (m, n, names)
+                assert ("calabi_yau_vanishing" in names) == (n == m + 1), (m, n, names)
                 fired.update(_table_rows(names))
     assert fired == set(range(len(CHECK_ORDER)))
 
@@ -703,13 +706,6 @@ def test_rank_constraints():
     assert not rank_constraints(5, 2, 6)
     assert rank_constraints(1, 2, 0)
     assert not rank_constraints(1, 2, 2)
-
-
-def test_kodaira_threshold():
-    assert kodaira_vanishing_applies(3, 7)
-    assert not kodaira_vanishing_applies(3, 6)
-    assert kodaira_vanishing_applies(1, 3)
-    assert not kodaira_vanishing_applies(1, 2)
 
 
 # -- rendering -------------------------------------------------------------

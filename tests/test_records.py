@@ -298,6 +298,22 @@ def test_list_fields_are_kept_as_tuples():
     assert all(type(f) is tuple for f in (surface.labels, surface.form, surface.form[0]))
 
 
+def test_list_arguments_of_plain_records_are_stored_as_tuples():
+    # Record.__init__ freezes every list argument, nested lists included,
+    # also in the records with no __init__ of their own
+    facts = PartialFacts(True, 2, [2, 4], 2, t, [[3, 0, 2]])
+    same = PartialFacts(True, 2, (2, 4), 2, t, ((3, 0, 2),))
+    assert facts == same and hash(facts) == hash(same)
+    assert facts.undetermined == ((3, 0, 2),) and type(facts.undetermined[0]) is tuple
+    table = TauTable(n=3, coeffs=[2, 5, 2])
+    assert table == TauTable(3, (2, 5, 2)) and hash(table) == hash(TauTable(3, (2, 5, 2)))
+    assert type(table.coeffs) is tuple
+    rows = [[1], ([2],)]
+    diagnostic = Diagnostic("x", True, rows)
+    rows[0].append(3)
+    assert diagnostic.detail == ((1,), ((2,),))
+
+
 def test_ring_element_refuses_the_wrong_length():
     pres = line_presentation()
     for values in ((1,), (1, 0, 0)):

@@ -79,7 +79,6 @@ def test_reduce_example():
     # w^2 reduces to -t*w
     el = qh.reduce([zero, zero, one])
     assert el.coeffs == (zero, -t)
-    assert str(el) == "-t*w"
 
 
 def test_reduce_handles_long_input():
@@ -303,7 +302,7 @@ def test_constant_scalars_multiply_like_novikov_constants(field):
     # the characteristic is a zero constant, of no weight
     assert qh.reduce([field.characteristic, Fraction(5, 7)]) == g * Fraction(5, 7)
     if field == QQ:
-        assert str(g * Fraction(1, 2)) == "(1/2)*w"
+        assert (g * Fraction(1, 2)).values == (0, Fraction(1, 2), 0, 0)
     else:
         with pytest.raises(ZeroDivisionError):
             g * Fraction(1, 2)

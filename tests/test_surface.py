@@ -90,14 +90,14 @@ def dead_names(sources: dict, extra_trees=(), strings=()) -> list:
     )
 
 
-def _tracing_strings() -> set:
-    """("module", "name") for each "module.name[.method]" string."""
+def tracing_targets() -> set:
+    """("module", "name[.method]") for each "module.name[.method]" string."""
     out = set()
     for node in ast.walk(ast.parse(TRACING.read_text())):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            parts = node.value.split(".")
-            if len(parts) >= 2 and all(p.isidentifier() for p in parts):
-                out.add((parts[0], parts[1]))
+            module, *rest = node.value.split(".")
+            if rest and all(p.isidentifier() for p in [module, *rest]):
+                out.add((module, ".".join(rest)))
     return out
 
 
@@ -119,7 +119,7 @@ def test_every_public_name_is_reached():
     dead = dead_names(
         sources,
         extra_trees=[ast.parse(CONTRACT.read_text())],
-        strings=_tracing_strings() | _script_entries(),
+        strings={(m, q.split(".")[0]) for m, q in tracing_targets()} | _script_entries(),
     )
     assert not dead, (
         "public names in src/shq with no caller in the package, the "
