@@ -20,11 +20,9 @@ The result is a weight-independent integer equal to n^2 * tau(a, n);
 weight independence of the whole sum (not of individual terms) is what
 the tests sample.
 
-Every pair term is homogeneous of degree 0 in the weights, so scaling
-them by a common denominator changes nothing and integer weights are
-as generic as rational ones.  The sampled weights are distinct
-integers, and Fraction weights are scaled to integers once per weight
-vector.
+Every pair term is homogeneous of degree 0 in the weights, so integer
+weights are as generic as rational ones.  The weights are a tuple of
+pairwise-distinct ints; any other weight is refused.
 
 The sum is factored.  A pair term is S(i, j) / (D_i * E_j): the Serre
 product S(i, j) of the obstruction weights does not depend on the
@@ -53,37 +51,13 @@ import random
 from fractions import Fraction
 from itertools import repeat
 
-from .novikov import Record
-
-
-class WeightVector(Record):
-    """Pairwise-distinct torus weights alpha_0, ..., alpha_m."""
-
-    __slots__ = ("alphas", "_integers")
-    # _integers, the weights times the lcm of their denominators, follows
-    # from alphas, so equality, hash and repr leave it out
-    _fields = __slots__[:-1]
-
-    def __init__(self, alphas: tuple):
-        Record.__init__(self, alphas)
-        alphas = self.alphas
-        if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in alphas):
-            raise ValueError(f"torus weights must be ints or Fractions, got {alphas!r}")
-        if len(set(alphas)) != len(alphas):
-            raise ValueError("torus weights must be pairwise distinct")
-        scale = math.lcm(*(x.denominator for x in alphas))
-        object.__setattr__(self, "_integers", tuple(int(x * scale) for x in alphas))
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
 
 @functools.lru_cache(maxsize=32)
-def sample_weights(m: int, seed: int = 0) -> WeightVector:
+def sample_weights(m: int, seed: int = 0) -> tuple:
     """Deterministic generic integer weights for a torus of rank m+1:
     distinct draws from a range at least twice the rank."""
     top = max(360, m + 1)
-    return WeightVector(tuple(random.Random(seed).sample(range(-top, top + 1), m + 1)))
+    return tuple(random.Random(seed).sample(range(-top, top + 1), m + 1))
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -124,11 +98,15 @@ def sample_prime(seed: int = 0) -> int:
             return k
 
 
-def _check(m: int, n: int, weights: WeightVector) -> None:
+def _check(m: int, n: int, weights: tuple) -> None:
     if not 1 <= n <= m:
         raise ValueError(f"fixed-point count needs 1 <= n <= m, got n={n}, m={m}")
     if len(weights) != m + 1:
         raise ValueError(f"need {m + 1} torus weights, got {len(weights)}")
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in weights):
+        raise ValueError(f"torus weights must be ints, got {weights!r}")
+    if len(set(weights)) != len(weights):
+        raise ValueError("torus weights must be pairwise distinct")
 
 
 def _serre_row(n: int, x: int, ys) -> list:
@@ -137,13 +115,13 @@ def _serre_row(n: int, x: int, ys) -> list:
     return [math.prod(range(n * y + x - y, n * x, x - y)) for y in ys]
 
 
-def _pair_sums(m: int, n: int, weights: WeightVector, offsets: range, scale: int) -> list:
+def _pair_sums(m: int, n: int, weights: tuple, offsets: range, scale: int) -> list:
     """scale * sum_{i, j} S(i, j) / (D_i * E_j) for each offset a, with
     i in 0..a and j in N+a..m.  From one offset to the next the i-plane
     gains the point a and the j-plane loses N+a-1.  Per offset the
     numerator is summed in integers over lcm(D) * lcm(E), then divided
     once."""
-    al = weights._integers
+    al = weights
     N = m + 1 - n
     first = offsets[0]
     # S(i, j) is needed only when some offset a has i <= a and N + a <= j
@@ -186,7 +164,7 @@ def _inverse_moves(xs: list, p: int) -> list:
     return out
 
 
-def _pair_residues(m: int, n: int, weights: WeightVector, p: int) -> list:
+def _pair_residues(m: int, n: int, weights: tuple, p: int) -> list:
     """n^2 * sum_{i <= a} (1/D_i) * sum_{j >= N+a} S(i, j) * (1/E_j) mod p
     for each offset a.  The 1/D_i are inverted at the last offset; as the
     point a leaves the i-plane, each gains the factor x_i - x_a.  The 1/E_j
@@ -197,7 +175,7 @@ def _pair_residues(m: int, n: int, weights: WeightVector, p: int) -> list:
     adds at most n products of two residues below p, so with
     w = 2*bits(p) + bits(n) no lane carries into the next, and each inner
     sum over j is one big-int product by a word per column."""
-    al = weights._integers
+    al = weights
     N = m + 1 - n
     w = 2 * p.bit_length() + n.bit_length()
     shifts, mask = range(0, n * w, w), (1 << w) - 1
@@ -222,7 +200,7 @@ def _pair_residues(m: int, n: int, weights: WeightVector, p: int) -> list:
     return out
 
 
-def fixed_point_integral(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
+def fixed_point_integral(m: int, n: int, a: int, weights: tuple) -> Fraction:
     """Sum of reciprocal Euler classes over all fixed graphs: -n times
     the pair sum.  Equals -n * tau(a, n) for any generic weights."""
     _check(m, n, weights)
@@ -231,14 +209,14 @@ def fixed_point_integral(m: int, n: int, a: int, weights: WeightVector) -> Fract
     return _pair_sums(m, n, weights, range(a, a + 1), -n)[0]
 
 
-def localize_entry(m: int, n: int, a: int, weights: WeightVector) -> Fraction:
+def localize_entry(m: int, n: int, a: int, weights: tuple) -> Fraction:
     """Degree-one matrix entry by localization: the perturbed base plane
     meets the zero section in -n copies of the constraint cycle, so the
     fixed-point integral is rescaled by -n.  Equals n^2 * tau(a, n)."""
     return -n * fixed_point_integral(m, n, a, weights)
 
 
-def localize_row(m: int, n: int, weights: WeightVector, p: int = 0) -> tuple:
+def localize_row(m: int, n: int, weights: tuple, p: int = 0) -> tuple:
     """localize_entry for every offset a = 0, ..., n-1 at once, from one
     Serre table: the n degree-one entries n^2 * tau(a, n).  Given a prime
     p, the entries as residues mod p; ValueError if p divides a move

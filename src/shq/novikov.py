@@ -228,11 +228,6 @@ class Novikov(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        return Novikov(self.field, self.coeff ** k, self.power * k)
-
     # -- comparisons ----------------------------------------------------
 
     def __bool__(self):

@@ -659,8 +659,8 @@ def exact_rows(max_m: int, field: CoefficientField = QQ) -> tuple[list, list]:
     large-twist representative (all larger twists behave identically).
     Returns (rows, failed), failed the (m, n) of each pair with a failed
     diagnostic."""
-    if max_m < 1:
-        raise ValueError("need max_m >= 1")
+    if isinstance(max_m, bool) or not isinstance(max_m, int) or max_m < 1:
+        raise ValueError(f"need an integer max_m >= 1, got {max_m!r}")
     rows, failed = [], []
     for m in range(1, max_m + 1):
         ns = list(range(1, (m + 1) // 2 + 1)) + [m + 1, 2 * m + 1]

@@ -76,15 +76,14 @@ class RingPresentation(Record):
         unknown_terms: tuple = (),
     ):
         values = field.of_all(values)
-        pairs = tuple(map(tuple, unknown_terms))
-        unknown_terms = unknown_terms if pairs == unknown_terms else pairs
-        Record.__init__(self, generator, field, grading, values, unknown_terms)
+        # passed as a list, so that Record freezes the pairs inside it too
+        Record.__init__(self, generator, field, grading, values, list(unknown_terms))
         if generator not in ("omega", "c"):
             raise ValueError(f"unknown generator {generator!r}")
         if not values or values[-1] != 1:
             raise ValueError("relation must be monic")
         power, deg = grading.t_power, self.rank
-        for (k, d) in unknown_terms:
+        for (k, d) in self.unknown_terms:
             if not (0 <= k < deg) or d < 1:
                 raise ValueError(f"unknown term {(k, d)} out of range")
             if values[k]:

@@ -8,7 +8,6 @@ import pytest
 
 from shq.gw import subdiagonal_entries, subdiagonal_entry, tau, tau_table
 from shq.localization import (
-    WeightVector,
     _serre_row,
     fixed_point_integral,
     is_prime,
@@ -30,47 +29,53 @@ def two_graphs(a0, a1) -> tuple:
 
 
 def test_two_graph_warmup():
-    a0, a1 = Fraction(3), Fraction(-2)
+    a0, a1 = 3, -2
     c0, c1 = two_graphs(a0, a1)
-    assert c0 == -a0 / (a0 - a1)
-    assert c1 == -a1 / (a1 - a0)
-    assert c0 + c1 == -1 == fixed_point_integral(1, 1, 0, WeightVector((a0, a1)))
+    assert c0 == Fraction(-a0, a0 - a1)
+    assert c1 == Fraction(-a1, a1 - a0)
+    assert c0 + c1 == -1 == fixed_point_integral(1, 1, 0, (a0, a1))
 
 
 def test_two_graph_sum_weight_independent():
     rng = random.Random(2)
     for _ in range(50):
-        a0 = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
-        a1 = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+        a0, a1 = rng.randint(-20, 20), rng.randint(-20, 20)
         if a0 == a1:
             continue
         assert sum(two_graphs(a0, a1)) == -1
-        assert fixed_point_integral(1, 1, 0, WeightVector((a0, a1))) == -1
+        assert fixed_point_integral(1, 1, 0, (a0, a1)) == -1
 
 
 def test_two_graph_exact_for_int_weights():
     c0, c1 = two_graphs(3, -2)
     assert (c0, c1) == (Fraction(-3, 5), Fraction(-2, 5))
-    got = fixed_point_integral(1, 1, 0, WeightVector((3, -2)))
+    got = fixed_point_integral(1, 1, 0, (3, -2))
     assert type(got) is Fraction and got == c0 + c1 == -1
 
 
 def test_two_graph_rejects_equal_weights():
-    with pytest.raises(ValueError):
-        WeightVector((Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        fixed_point_integral(1, 1, 0, (1, 1))
 
 
-def test_weight_vector_distinctness():
-    with pytest.raises(ValueError):
-        WeightVector((Fraction(1), Fraction(2), Fraction(1)))
+ENTRY_POINTS = {
+    "localize_row": lambda w: localize_row(2, 1, w),
+    "localize_entry": lambda w: localize_entry(2, 1, 0, w),
+    "fixed_point_integral": lambda w: fixed_point_integral(2, 1, 0, w),
+}
 
 
-def test_weight_vector_refuses_inexact_weights():
-    # every answer is exact: only ints (not bools) and Fractions are weights
-    for alphas in ((0.5, 1.5, 2.5), (1, 2.0), (True, 3), (0, False), (Fraction(1, 2), "3")):
-        with pytest.raises(ValueError):
-            WeightVector(alphas)
-    assert WeightVector((0, -4, Fraction(7, 3))).alphas == (0, -4, Fraction(7, 3))
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "weights",
+    [(0, Fraction(1, 2), 3), (0, True, 3), (0, 2.0, 3), (0, 3, 0)],
+    ids=["fraction", "bool", "float", "repeated"],
+)
+def test_weights_must_be_distinct_ints(entry, weights):
+    # every answer is exact and every term finite: the weights are ints
+    # (not bools), no two equal; each entry point refuses any other
+    with pytest.raises(ValueError, match="torus weights must be"):
+        ENTRY_POINTS[entry](weights)
 
 
 def test_sample_weights_deterministic_and_distinct():
@@ -78,10 +83,10 @@ def test_sample_weights_deterministic_and_distinct():
         for seed in range(20):
             w1 = sample_weights(m, seed)
             w2 = sample_weights(m, seed)
-            assert w1.alphas == w2.alphas
+            assert type(w1) is tuple and w1 == w2
             assert len(w1) == m + 1
-            assert len(set(w1.alphas)) == m + 1
-            assert all(type(x) is int for x in w1.alphas)
+            assert len(set(w1)) == m + 1
+            assert all(type(x) is int for x in w1)
 
 
 def test_o_minus_one_over_line():
@@ -104,7 +109,7 @@ def test_fixed_graphs_merge_to_the_fixed_point_integral():
     for m, n, seed in [(4, 3, 7), (5, 2, 1), (6, 4, 3), (3, 3, 0)]:
         w = sample_weights(m, seed)
         for a in range(n):
-            terms = fixed_graph_terms(m, n, a, w.alphas)
+            terms = fixed_graph_terms(m, n, a, w)
             assert len(terms) == 2 * (a + 1) * (n - a)
             assert sum(terms.values()) == fixed_point_integral(m, n, a, w)
 
@@ -134,7 +139,7 @@ def test_matches_closed_form_and_oracle():
         got = localize_entry(m, n, a, w)
         assert got == subdiagonal_entry(m, n, a)
         assert got == n * n * tau(a, n)
-        assert got == sympy_entry(m, n, a, w.alphas)
+        assert got == sympy_entry(m, n, a, w)
     for seed in range(3):
         assert localize_entry(5, 3, 1, sample_weights(5, seed)) == 9 * tau(1, 3)
 
@@ -142,7 +147,7 @@ def test_matches_closed_form_and_oracle():
 def test_translation_invariance():
     # adding a constant to every weight does not move the sum
     w = sample_weights(4, 5)
-    shifted = WeightVector(tuple(x + Fraction(7, 3) for x in w.alphas))
+    shifted = tuple(x + 7 for x in w)
     assert localize_entry(4, 3, 1, w) == localize_entry(4, 3, 1, shifted)
 
 
@@ -150,15 +155,16 @@ def test_scaling_the_weights_changes_nothing():
     # every pair term is homogeneous of degree 0 in the weights, which is
     # why integer weights are as generic as rational ones
     w = sample_weights(5, 9)
-    for c in (Fraction(-7, 3), Fraction(1, 11), 5):
-        scaled = WeightVector(tuple(c * x for x in w.alphas))
+    for c in (-7, 11, 5):
+        scaled = tuple(c * x for x in w)
         assert localize_entry(5, 3, 1, scaled) == localize_entry(5, 3, 1, w)
         assert localize_row(5, 3, scaled) == localize_row(5, 3, w)
 
 
 def test_results_are_fractions_for_int_and_fraction_weights():
+    # the weights are ints, the entries exact Fractions
     w = sample_weights(4, 2)
-    for weights in (w, WeightVector(tuple(Fraction(x, 3) for x in w.alphas))):
+    for weights in (w, tuple(3 * x + 1 for x in w)):
         assert type(localize_entry(4, 3, 1, weights)) is Fraction
         assert all(type(x) is Fraction for x in localize_row(4, 3, weights))
 
@@ -166,7 +172,7 @@ def test_results_are_fractions_for_int_and_fraction_weights():
 def test_individual_terms_do_depend_on_weights():
     # only the full sum is an invariant
     w1, w2 = sample_weights(3, 0), sample_weights(3, 1)
-    t1, t2 = fixed_graph_terms(3, 2, 0, w1.alphas), fixed_graph_terms(3, 2, 0, w2.alphas)
+    t1, t2 = fixed_graph_terms(3, 2, 0, w1), fixed_graph_terms(3, 2, 0, w2)
     assert all(t1[key] != t2[key] for key in t1)
     assert fixed_point_integral(3, 2, 0, w1) == fixed_point_integral(3, 2, 0, w2)
 
@@ -187,9 +193,10 @@ def test_input_validation():
         localize_row(4, 2, w)  # wrong number of weights
 
 
-def _fraction_weights(w):
-    # distinct rationals with several denominators
-    return WeightVector(tuple(Fraction(x, 1 + k % 4) for k, x in enumerate(w.alphas)))
+def _scaled_weights(w):
+    # the distinct rationals x / (1 + k % 4) times 12: distinct ints whose
+    # ratios are not those of w
+    return tuple(12 * x // (1 + k % 4) for k, x in enumerate(w))
 
 
 def test_localize_row_matches_entries_and_oracles():
@@ -198,17 +205,15 @@ def test_localize_row_matches_entries_and_oracles():
     for m in range(1, 13):
         for n in range(1, m + 1):
             w = sample_weights(m, m + n)
-            # 1/2, 1/3, ...: equal numerators, distinct only with their denominators
-            unit = WeightVector(tuple(Fraction(1, k + 2) for k in range(m + 1)))
-            for weights in (w, _fraction_weights(w), unit):
+            for weights in (w, _scaled_weights(w)):
                 row = localize_row(m, n, weights)
                 assert len(row) == n
                 assert all(type(x) is Fraction for x in row)
                 for a in range(n):
-                    assert row[a] == pair_sum_entry(m, n, a, weights.alphas)
+                    assert row[a] == pair_sum_entry(m, n, a, weights)
                     assert -n * fixed_point_integral(m, n, a, weights) == row[a]
                     if m <= 6:
-                        assert row[a] == sympy_entry(m, n, a, weights.alphas)
+                        assert row[a] == sympy_entry(m, n, a, weights)
                 assert row == subdiagonal_entries(m, n)
 
 
@@ -232,8 +237,7 @@ def test_residue_row_is_the_exact_row_mod_p():
     for m in range(1, 13):
         for n in range(1, m + 1):
             w = sample_weights(m, m + n)
-            unit = WeightVector(tuple(Fraction(1, k + 2) for k in range(m + 1)))
-            for weights in (w, _fraction_weights(w), unit):
+            for weights in (w, _scaled_weights(w)):
                 exact = localize_row(m, n, weights)
                 for p in primes:
                     row = localize_row(m, n, weights, p)
@@ -247,8 +251,8 @@ def test_residue_row_refuses_a_prime_dividing_a_move_product():
     p = sample_prime(0)
     for alphas in ((0, p, 1, 2), (0, 1, 2, 2 + p)):
         with pytest.raises(ValueError, match=f"the prime {p} divides a move product"):
-            localize_row(3, 3, WeightVector(alphas), p)
-        assert localize_row(3, 3, WeightVector(alphas)) == subdiagonal_entries(3, 3)
+            localize_row(3, 3, alphas, p)
+        assert localize_row(3, 3, alphas) == subdiagonal_entries(3, 3)
 
 
 def test_residue_row_at_the_partial_benchmark_cases():
@@ -273,8 +277,8 @@ def test_residue_row_refuses_p_at_either_end_of_the_walks():
     p = sample_prime(1)
     for alphas in ((0, 1, p, 2, 3), (0, 1, 2, 3, 2 + p)):
         with pytest.raises(ValueError, match=f"the prime {p} divides a move product"):
-            localize_row(4, 3, WeightVector(alphas), p)
-        assert localize_row(4, 3, WeightVector(alphas)) == subdiagonal_entries(4, 3)
+            localize_row(4, 3, alphas, p)
+        assert localize_row(4, 3, alphas) == subdiagonal_entries(4, 3)
 
 
 def test_seeded_draws_are_memoized():

@@ -126,7 +126,7 @@ def test_denominator_t_powers_absorbed():
     t = Novikov.monomial(QQ, 1, 1)
     t2, t3 = Novikov.monomial(QQ, 1, 2), Novikov.monomial(QQ, 1, 3)
     assert t2 * unit_inverse(t3) == Novikov.monomial(QQ, 1, -1)
-    assert (t + t) ** 3 * unit_inverse(t) == Novikov.monomial(QQ, 8, 2)
+    assert (t + t) * (t + t) * (t + t) * unit_inverse(t) == Novikov.monomial(QQ, 8, 2)
     assert unit_inverse(Novikov.monomial(QQ, 4, -2)) == Novikov.monomial(QQ, Fraction(1, 4), 2)
 
 
@@ -147,19 +147,16 @@ def test_recanonicalise_is_identity():
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_field_axioms_random(field):
-    """The ring axioms on monomials, products and powers at any t-powers
+    """The ring axioms on monomials, products at any t-powers
     and sums at one, and inverses of exactly the nonzero ones."""
     rng = random.Random(42 if field is QQ else 43)
     one = Novikov.one(field)
     zero = Novikov.zero(field)
     for _ in range(1000):
         a, b, c = (random_scalar(rng, field) for _ in range(3))
-        k = rng.randint(0, 4)
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * one == a
-        assert a ** k * a == a ** (k + 1)
-        assert (a * b) ** k == a ** k * b ** k
         # b and c moved to the t-power of a: every sum below is homogeneous
         b, c = (Novikov(field, x.coeff, a.power) for x in (b, c))
         d = random_scalar(rng, field)
@@ -191,17 +188,6 @@ def test_gf2_self_negation():
         a = random_scalar(rng, F2)
         assert -a == a
         assert a + a == Novikov.zero(F2)
-
-
-def test_powers():
-    # only non-negative powers: nothing here inverts a scalar
-    t = Novikov.monomial(QQ, 1, 1)
-    u = Novikov.monomial(QQ, -2, 3)
-    assert u ** 0 == Novikov.one(QQ)
-    assert u ** 3 == Novikov.monomial(QQ, -8, 9)
-    assert t ** 2 == t * t and Novikov.zero(QQ) ** 0 == Novikov.one(QQ)
-    with pytest.raises(TypeError):
-        t ** -2
 
 
 def test_field_mismatch_rejected():
@@ -288,7 +274,7 @@ def test_term_str_renders_a_monomial_as_str(field):
 
 def test_hash_consistency():
     t = Novikov.monomial(QQ, 1, 1)
-    a = (Novikov.one(QQ) - 3) * t ** 2 + t * t
+    a = (Novikov.one(QQ) - 3) * Novikov.monomial(QQ, 1, 2) + t * t
     b = Novikov(QQ, Fraction(-1), 2)
     assert a == b and hash(a) == hash(b)
     # int and Fraction coefficients hash alike, and zero has one hash

@@ -758,5 +758,7 @@ def test_exact_rows():
     assert rows[0]["sh"] == "w + t"
     assert rows[1]["sh"] == "0"
     assert all(r["regime"] != "unsupported" for r in rows)
-    with pytest.raises(ValueError):
-        exact_rows(0)
+    # max_m is refused as compute_sh refuses m: a bool, a float and a str too
+    for max_m in (0, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="need an integer max_m >= 1"):
+            exact_rows(max_m)

@@ -77,7 +77,6 @@ OPERATORS = {
     ast.Add: ("__add__",),
     ast.Sub: ("__sub__", "__rsub__"),
     ast.Mult: ("__mul__",),
-    ast.Pow: ("__pow__",),
     ast.USub: ("__neg__",),
 }
 

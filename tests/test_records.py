@@ -16,7 +16,6 @@ import shq
 from shq.blowup import SurfaceRing
 from shq.gw import TauTable
 from shq.linalg import CharPoly
-from shq.localization import WeightVector
 from shq.novikov import F2, GradingContext, Novikov, QQ
 from shq.pipeline import (
     Diagnostic, PartialFacts, Regime, ShResult, ZeroRing, build_r_matrix, compute_sh,
@@ -47,7 +46,6 @@ RECORDS = [
         SurfaceRing,
         lambda: {"labels": ("h",), "form": ((1,),), "canonical": (-3,), "euler": 3},
     ),
-    (WeightVector, lambda: {"alphas": (3, Fraction(1, 2), -7)}),
     (CharPoly, lambda: {"field": QQ, "grading": GradingContext(1), "values": (0, -1)}),
     (
         RingPresentation,
@@ -179,7 +177,6 @@ def test_equal_values_compare_and_hash_equal(cls, fields):
 def test_different_values_differ():
     assert GradingContext(2) != GradingContext(3)
     assert Diagnostic("a", True, "b") != Diagnostic("a", True, "c")
-    assert WeightVector((1, 2)) != WeightVector((2, 1))
     assert TauTable(3, (2, 5, 2)) != TauTable(3, (2, 5, 3))
     pres = line_presentation()
     other = presentation("omega", (t, zero, one), 2)
@@ -215,7 +212,6 @@ def test_repr_examples():
         repr(Diagnostic("lead_coefficient", False, "x"))
         == "Diagnostic(name='lead_coefficient', passed=False, detail='x')"
     )
-    assert repr(WeightVector((1, -2))) == "WeightVector(alphas=(1, -2))"
 
 
 def test_presentation_ignores_its_core(constructions):
@@ -258,26 +254,6 @@ def test_stored_values_are_normalized():
 def test_surface_ring_refuses_an_asymmetric_form():
     with pytest.raises(ValueError, match="symmetric"):
         SurfaceRing(("a", "b"), ((0, 1), (2, 0)), (0, 0), 4)
-
-
-@pytest.mark.parametrize(
-    "alphas",
-    [(1, True, 3), (1, 2.0, 3), (1, 2, 1), (Fraction(1, 2), Fraction(2, 4))],
-    ids=["bool", "float", "repeated", "repeated_fraction"],
-)
-def test_weight_vector_refusals(alphas):
-    with pytest.raises(ValueError):
-        WeightVector(alphas)
-
-
-def test_weight_vector_keeps_a_tuple():
-    # a caller's list is copied: the value is hashable and stays as checked
-    alphas = [3, Fraction(-2, 3), 5]
-    from_list, from_tuple = WeightVector(alphas), WeightVector(tuple(alphas))
-    alphas.append(7)
-    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
-    assert type(from_list.alphas) is tuple and from_list.alphas == (3, Fraction(-2, 3), 5)
-    assert from_list._integers == from_tuple._integers == (9, -2, 15)
 
 
 def test_list_fields_are_kept_as_tuples():

@@ -173,14 +173,18 @@ def test_change_generator_example():
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
 def test_change_generator_matches_novikov_powers(field):
-    # the rescaling (-n)^(k - degree) taken as a power of a Novikov scalar
+    # the rescaling (-n)^(k - degree) taken as a Novikov constant, the power
+    # of the inverse of -n
     rng = random.Random(7)
     for n in (1, 3, 5):
         # N = 1: the coefficient of c^k is a multiple of t^(6-k)
         rel = [Novikov.monomial(field, rng.randint(-3, 3), 6 - k) for k in range(6)]
         pres = presentation("c", tuple(rel) + (Novikov.one(field),), 1)
         s = Novikov.constant(field, -n)
-        expected = tuple(c * unit_inverse(s) ** (6 - k) for k, c in enumerate(pres.relation))
+        expected = tuple(
+            c * Novikov.monomial(field, unit_inverse(s).coeff ** (6 - k), 0)
+            for k, c in enumerate(pres.relation)
+        )
         assert change_generator(pres, n).relation == expected
 
 
