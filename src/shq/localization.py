@@ -220,8 +220,12 @@ def localize_row(m: int, n: int, weights: tuple, p: int = 0) -> tuple:
     """localize_entry for every offset a = 0, ..., n-1 at once, from one
     Serre table: the n degree-one entries n^2 * tau(a, n).  Given a prime
     p, the entries as residues mod p; ValueError if p divides a move
-    product, where the residues would say nothing."""
+    product, where the residues would say nothing.  A p that is not an
+    int (a bool included), or is negative or 1, raises ValueError; it is
+    not tested for primality."""
     _check(m, n, weights)
+    if type(p) is not int or p < 0 or p == 1:
+        raise ValueError(f"the modulus must be 0 or an int of at least 2, got {p!r}")
     if p:
         return tuple(_pair_residues(m, n, weights, p))
     return tuple(_pair_sums(m, n, weights, range(n), n * n))

@@ -1,13 +1,13 @@
-"""Exact arithmetic with one-variable Novikov scalars.
+"""One-variable Novikov scalars, as values.
 
 Quantum and symplectic cohomology of a line bundle over projective
 space are graded modules over the Novikov ring, the Laurent polynomials
 in t over a ground field (the rationals, or the field with two
 elements).  Every structure constant they carry is homogeneous, so a
-Novikov scalar here is one monomial c*t^d.  Products, powers and
-negatives stay monomials; a sum of two nonzero monomials with different
-t-powers is not homogeneous and raises ValueError.  The units are the
-monomials with c nonzero; nothing here divides by a scalar.
+Novikov scalar here is one monomial c*t^d.  They are all computed at
+t = 1 on ground values (see linalg and ring), so a scalar is a value
+that is built, compared, hashed and printed, never computed with: it
+has no sum, product, negative or inverse.
 
 A scalar is stored as its coefficient c and t-power d, zero as c = 0
 with d = 0, so equality of values is literal equality of
@@ -183,50 +183,6 @@ class Novikov(Record):
     @classmethod
     def monomial(cls, field: CoefficientField, coeff, power: int) -> "Novikov":
         return cls(field, coeff, power)
-
-    # -- arithmetic -----------------------------------------------------
-
-    def _coerce(self, other) -> Optional["Novikov"]:
-        if isinstance(other, Novikov):
-            if other.field != self.field:
-                raise ValueError("coefficient field mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Novikov(self.field, other, 0)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.coeff and other.coeff and self.power != other.power:
-            raise ValueError(f"the sum of {self} and {other} is not homogeneous")
-        return Novikov(self.field, self.coeff + other.coeff, self.power or other.power)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Novikov(self.field, -self.coeff, self.power)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Novikov(self.field, self.coeff * other.coeff, self.power + other.power)
-
-    __rmul__ = __mul__
 
     # -- comparisons ----------------------------------------------------
 

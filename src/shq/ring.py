@@ -27,7 +27,7 @@ its top nonzero one, started at x.  None of this, nor the generator
 change, builds a Novikov scalar.  Novikov scalars are read only where
 they come in, by reduce and by multiplying an element with a scalar,
 which raise ValueError unless the input is homogeneous (not 1 + g or
-t*g with N = 0; t - 1 is refused where it is built); an int or
+t*g with N = 0; no scalar holds t - 1, since scalars have no sum); an int or
 Fraction given to either is read as a constant through field.of.  Every
 scalar is one monomial c*t^d, read as its c and d.  Scalars are built
 only for the views relation and coeffs, on each call, each c lifted to

@@ -5,6 +5,14 @@ implementation: sympy symbolics, brute-force enumeration over
 permutations, dense loops over every entry, or classical closed
 forms.  Tests freeze values produced here against the package's own
 answers.
+
+The package's Novikov scalars are values without arithmetic.  The
+arithmetic of monomials c*t^d that the oracles and the tests run is
+owned here, by Scalar: sums at one t-power, negatives and products,
+with an int or Fraction read as a constant.  Each oracle lifts the
+scalars it takes in into Scalar, and a Scalar equals and hashes as the
+Novikov scalar with the same field, coefficient and power, so the
+oracles' answers compare directly with the package's.
 """
 
 import math
@@ -16,6 +24,77 @@ import sympy
 from shq.linalg import LambdaMatrix
 from shq.novikov import QQ, GradingContext, Novikov
 from shq.ring import RingElement, RingPresentation
+
+
+class Scalar(Novikov):
+    """A Novikov scalar c*t^d with monomial arithmetic: +, - and * with
+    another scalar of its field or with an int or Fraction (a constant),
+    on either side, and unary -.  A sum of two nonzero monomials at
+    different t-powers is not homogeneous, and a sum or product across
+    two fields has no field: both raise ValueError."""
+
+    __slots__ = ()
+    # Record reads an empty __slots__ as no fields
+    _fields = Novikov._fields
+
+    def __eq__(self, other):
+        if isinstance(other, Novikov):
+            return self._key(self) == other._key(other)
+        return Novikov.__eq__(self, other)
+
+    __hash__ = Novikov.__hash__
+
+    def _coerce(self, other):
+        if isinstance(other, Novikov):
+            if other.field != self.field:
+                raise ValueError("coefficient field mismatch")
+            return lift(other)
+        if isinstance(other, (int, Fraction)):
+            return Scalar(self.field, other, 0)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.coeff and other.coeff and self.power != other.power:
+            raise ValueError(f"the sum of {self} and {other} is not homogeneous")
+        return Scalar(self.field, self.coeff + other.coeff, self.power or other.power)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Scalar(self.field, -self.coeff, self.power)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + -self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return Scalar(self.field, self.coeff * other.coeff, self.power + other.power)
+
+    __rmul__ = __mul__
+
+
+def lift(x) -> Scalar:
+    """The Novikov scalar x as a Scalar: x itself when it is one."""
+    return x if type(x) is Scalar else Scalar(x.field, x.coeff, x.power)
+
+
+def lift_rows(rows) -> list:
+    """A grid of Novikov scalars as lists of Scalars."""
+    return [list(map(lift, row)) for row in rows]
 
 
 def sympy_tau(n: int) -> list[int]:
@@ -38,10 +117,11 @@ def permutation_charpoly(entries) -> list:
     det = sum_k c_k * lambda^(s - k), c_0 = 1.  Exponential in the
     size; keep matrices small.
     """
+    entries = lift_rows(entries)
     s = len(entries)
     field = entries[0][0].field
-    zero = Novikov.zero(field)
-    one = Novikov.one(field)
+    zero = Scalar.zero(field)
+    one = Scalar.one(field)
     # polynomial in lambda with Novikov coefficients: list ascending
     def padd(a, b):
         out = [zero] * max(len(a), len(b))
@@ -96,8 +176,9 @@ def permutation_charpoly(entries) -> list:
 def dense_product(a, b) -> tuple:
     """Product of two square matrices of Novikov scalars (rows of
     entries) by the triple loop, every zero included."""
+    a, b = lift_rows(a), lift_rows(b)
     s = len(a)
-    zero = Novikov.zero(a[0][0].field)
+    zero = Scalar.zero(a[0][0].field)
     rows = []
     for i in range(s):
         row = []
@@ -121,7 +202,8 @@ def dense_powers(a, k: int) -> list:
 
 def dense_apply(a, vec) -> tuple:
     """Matrix times vector by the double loop, every zero included."""
-    zero = Novikov.zero(a[0][0].field)
+    a, vec = lift_rows(a), list(map(lift, vec))
+    zero = Scalar.zero(a[0][0].field)
     out = []
     for row in a:
         acc = zero
@@ -144,9 +226,10 @@ def novikov_berkowitz(entries) -> tuple:
     recurrence run on the Novikov entries themselves, every scalar
     canonicalised after each operation: the path the graded core
     replaced."""
+    entries = lift_rows(entries)
     s = len(entries)
     field = entries[0][0].field
-    one, zero = Novikov.one(field), Novikov.zero(field)
+    one, zero = Scalar.one(field), Scalar.zero(field)
     E = entries
     C = [one, -E[0][0]]
     for i in range(1, s):
@@ -164,7 +247,7 @@ def novikov_rank(entries) -> int:
     """Rank over the Novikov scalars by dense Gaussian elimination that
     never divides: each row under the pivot row P becomes
     P[c] * row - row[c] * P."""
-    rows = [list(r) for r in entries]
+    rows = lift_rows(entries)
     r = 0
     for c in range(len(rows[0])):
         pr = next((k for k in range(r, len(rows)) if rows[k][c]), None)
@@ -184,7 +267,7 @@ def unit_inverse(x):
     """1/(c*t^d) = c^-1 * t^-d; zero raises ZeroDivisionError."""
     if not x:
         raise ZeroDivisionError("inverting zero Novikov scalar")
-    return Novikov.monomial(x.field, Fraction(1) / x.coeff, -x.power)
+    return Scalar.monomial(x.field, Fraction(1) / x.coeff, -x.power)
 
 
 def graded_matrix(entries, N: int, unknown=(), weight: int = 1) -> LambdaMatrix:
@@ -222,7 +305,7 @@ def ring_sum(a, b):
     coefficients and reading the sum back, which needs one weight."""
     if a.pres != b.pres:
         raise ValueError("elements live in different presentations")
-    return a.pres.reduce([x + y for x, y in zip(a.coeffs, b.coeffs)])
+    return a.pres.reduce([lift(x) + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 def rref_kernel(entries) -> list:
@@ -231,7 +314,7 @@ def rref_kernel(entries) -> list:
     meets is inverted, so it needs pivots that are units c*t^d, as in
     any graded matrix."""
     s = len(entries)
-    rows = [list(r) for r in entries]
+    rows = lift_rows(entries)
     r = 0
     pivots = []
     for c in range(s):
@@ -249,7 +332,7 @@ def rref_kernel(entries) -> list:
         r += 1
         if r == s:
             break
-    zero, one = Novikov.zero(entries[0][0].field), Novikov.one(entries[0][0].field)
+    zero, one = Scalar.zero(entries[0][0].field), Scalar.one(entries[0][0].field)
     basis = []
     for f in range(s):
         if f in pivots:
@@ -267,10 +350,11 @@ def novikov_power_chain(entries, a) -> tuple:
     """(whether lambda^s + a_1 lambda^(s-1) + ... + a_s annihilates the
     matrix, dim ker(M^j) for j = 0, 1, ... up to stabilization), from
     the powers M, ..., M^s multiplied out over Novikov scalars."""
+    entries = lift_rows(entries)
     s = len(entries)
     field = entries[0][0].field
-    zero = Novikov.zero(field)
-    coeffs = (Novikov.one(field),) + tuple(a)
+    zero = Scalar.zero(field)
+    coeffs = (Scalar.one(field),) + tuple(map(lift, a))
     # each column as its nonzero (row, entry) pairs
     cols = [[(k, row[q]) for k, row in enumerate(entries) if row[q]] for q in range(s)]
     residual = [[coeffs[s] if p == q else zero for q in range(s)] for p in range(s)]
@@ -301,9 +385,10 @@ def novikov_reduce(relation, raw) -> tuple:
     """A polynomial in the generator (Novikov coefficients ascending, any
     length) modulo the monic relation, by cancelling the top power with
     a multiple of the relation, top down."""
+    relation = list(map(lift, relation))
     deg = len(relation) - 1
-    zero = Novikov.zero(relation[-1].field)
-    coeffs = list(raw) + [zero] * max(deg - len(raw), 0)
+    zero = Scalar.zero(relation[-1].field)
+    coeffs = list(map(lift, raw)) + [zero] * max(deg - len(raw), 0)
     for k in range(len(coeffs) - 1, deg - 1, -1):
         f = coeffs[k]
         if not f:
@@ -317,7 +402,8 @@ def novikov_reduce(relation, raw) -> tuple:
 def novikov_product(relation, a, b) -> tuple:
     """Product of two reduced elements (coefficient tuples) by the
     schoolbook convolution over Novikov scalars, then novikov_reduce."""
-    zero = Novikov.zero(relation[-1].field)
+    a, b = list(map(lift, a)), list(map(lift, b))
+    zero = Scalar.zero(relation[-1].field)
     raw = [zero] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -331,7 +417,7 @@ def novikov_multiplication_matrix(pres, x) -> tuple:
     basis g^(rank-1), ..., g, 1: column j is the full product
     x * g^(rank-1-j)."""
     r = pres.rank
-    zero, one = Novikov.zero(pres.field), Novikov.one(pres.field)
+    zero, one = Scalar.zero(pres.field), Scalar.one(pres.field)
     cols = []
     for j in range(r):
         g_power = novikov_reduce(pres.relation, [zero] * (r - 1 - j) + [one])
@@ -347,14 +433,14 @@ def novikov_grid_r(m: int, n: int, field) -> tuple:
     N = 1 + m - n >= 1, and the d >= 2 positions d*N + a - 1, a with
     a < min(n, m + 1 - d*N) as unknowns unless -n vanishes in the field."""
     s, N = m + 1, 1 + m - n
-    zero = Novikov.zero(field)
+    zero = Scalar.zero(field)
     grid = [[zero] * s for _ in range(s)]
     for i in range(m):
-        grid[i][i + 1] = Novikov.constant(field, -n)
+        grid[i][i + 1] = Scalar.constant(field, -n)
     unknown = set()
     if N >= 1:
         for a, c in enumerate(sympy_tau(n)):
-            grid[N + a - 1][a] = Novikov.monomial(field, n * n * c, 1)
+            grid[N + a - 1][a] = Scalar.monomial(field, n * n * c, 1)
         if field.of(-n):
             for d in range(2, m // N + 1):
                 unknown.update((d * N + a - 1, a, d) for a in range(min(n, m + 1 - d * N)))
@@ -363,7 +449,7 @@ def novikov_grid_r(m: int, n: int, field) -> tuple:
 
 def novikov_is_nilpotent(pres, x) -> bool:
     """Whether x^rank vanishes, by rank schoolbook products."""
-    power = novikov_reduce(pres.relation, [Novikov.one(pres.field)])
+    power = novikov_reduce(pres.relation, [Scalar.one(pres.field)])
     for _ in range(pres.rank):
         power = novikov_product(pres.relation, power, x.coeffs)
     return not any(power)
@@ -380,10 +466,10 @@ def closed_form(m: int, n: int, field) -> tuple:
     GF(2) makes it vanish: QH is classical and SH = 0.  So do the
     Calabi-Yau twist n = m + 1 and the large twists n >= 2m + 1.
     """
-    zero, one = Novikov.zero(field), Novikov.one(field)
+    zero, one = Scalar.zero(field), Scalar.one(field)
     qh = [zero] * (m + 1) + [one]
     if 2 * n <= m + 1:
-        coeff = Novikov.monomial(field, n ** n, 1)
+        coeff = Scalar.monomial(field, n ** n, 1)
         if coeff:
             N = 1 + m - n
             qh[n] = coeff

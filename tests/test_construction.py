@@ -23,7 +23,7 @@ from shq.ring import (
 
 from oracles import presentation as oracle_presentation
 
-zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.monomial(QQ, 1, 1)
+zero, one = Novikov.zero(QQ), Novikov.one(QQ)
 
 
 def matrix(change=None, unknown=((2, 1, 1),), grading=GradingContext(2)):
@@ -35,12 +35,6 @@ def matrix(change=None, unknown=((2, 1, 1),), grading=GradingContext(2)):
         i, j, c = change
         rows[i][j] = c
     return LambdaMatrix(QQ, grading, rows, unknown)
-
-
-def qh_element(coeffs):
-    """w^2 + t^2 at N = 1 and the polynomial coeffs in w read into it."""
-    qh = oracle_presentation("omega", (Novikov.monomial(QQ, 1, 2), zero, one), 1)
-    return qh, qh.reduce(coeffs)
 
 
 def presentation(relation=None, unknown=((0, 2),), generator="omega"):
@@ -55,7 +49,6 @@ REFUSALS = {
     * LambdaMatrix(F2, GradingContext(2), [{}] * 3),
     "matrix-non-square": lambda: matrix((0, 3, 1)),
     "matrix-empty": lambda: LambdaMatrix(QQ, GradingContext(2), ()),
-    "matrix-non-monomial-entry": lambda: multiplication_matrix(*qh_element((zero, one + t))),
     "matrix-off-grading-entry": lambda: matrix((0, 0, 1)),
     "matrix-off-grading-unknown": lambda: matrix(unknown=((2, 1, 2),)),
     "matrix-out-of-range-unknown": lambda: matrix(unknown=((2, 3, 1),)),
@@ -65,9 +58,6 @@ REFUSALS = {
         (zero, zero, zero, zero, Novikov.constant(QQ, 2)), ()
     ),
     "relation-empty": lambda: presentation((), ()),
-    "relation-non-monomial-coefficient": lambda: presentation(
-        (zero, zero, Novikov.monomial(QQ, 3, 1) + one, zero, one)
-    ),
     "relation-off-grading-coefficient": lambda: presentation(
         (zero, zero, Novikov.monomial(QQ, 3, 2), zero, one)
     ),

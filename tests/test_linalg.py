@@ -25,6 +25,7 @@ from shq.novikov import F2, GradingContext, Novikov, QQ
 from shq.pipeline import build_r_matrix
 
 from oracles import (
+    Scalar,
     dense_apply,
     dense_powers,
     dense_product,
@@ -45,7 +46,7 @@ def mat_q(rows, N=1):
     """A matrix over Q of weight 1 at grading N, from a grid of ints and
     Novikov monomials."""
     return graded_matrix(
-        [[x if isinstance(x, Novikov) else Novikov.constant(QQ, x) for x in r] for r in rows], N
+        [[x if isinstance(x, Novikov) else Scalar.constant(QQ, x) for x in r] for r in rows], N
     )
 
 
@@ -55,9 +56,9 @@ def draws(rng, field, s, count):
     return [random_graded(rng, field, s, rng.choice([-1, 0, 1, 2])) for _ in range(count)]
 
 
-t = Novikov.monomial(QQ, 1, 1)
-one = Novikov.one(QQ)
-zero = Novikov.zero(QQ)
+t = Scalar.monomial(QQ, 1, 1)
+one = Scalar.one(QQ)
+zero = Scalar.zero(QQ)
 
 # graded examples at N = 1: the smallest quantum operator (m = n = 1),
 # the companion matrix of (L - 2t)(L - 3t), the shift and t times the
@@ -201,7 +202,7 @@ def test_products_match_dense_loops(field):
 def lift(field, grading, v: dict, s: int, weight) -> tuple:
     """The Novikov vector of the sparse vector v at t = 1, component i
     of weight weight(i)."""
-    return tuple(Novikov(field, v.get(i, 0), grading.t_power(weight(i))) for i in range(s))
+    return tuple(Scalar(field, v.get(i, 0), grading.t_power(weight(i))) for i in range(s))
 
 
 def columns(mat) -> list:
@@ -238,9 +239,9 @@ def test_mat_vec_and_horner_match_dense_loops(field):
         cols, vec = columns(mat), lift(field, grading, u, s, lambda i: i)
         got = lift(field, grading, mat_vec(cols, u, mod), s, lambda i: i + 1)
         assert got == dense_apply(entries, vec)
-        want = (Novikov.zero(field),) * s
+        want = (Scalar.zero(field),) * s
         for k, c in enumerate(coeffs):
-            a = Novikov(field, c, grading.t_power(k))
+            a = Scalar(field, c, grading.t_power(k))
             want = tuple(x + a * y for x, y in zip(dense_apply(entries, want), vec))
         K = len(coeffs) - 1
         assert lift(field, grading, horner(cols, coeffs, u, mod), s, lambda i: i + K) == want
@@ -255,10 +256,10 @@ def test_horner_on_the_rows_is_the_row_vector_times_p(field):
     mod, nontrivial = field.characteristic, 0
     for mat, u, coeffs in core_draws(field, 262):
         s, grading = mat.size, mat.grading
-        zero = Novikov.zero(field)
+        zero = Scalar.zero(field)
         p = [[zero] * s for _ in range(s)]
         for k, c in enumerate(coeffs):
-            a = Novikov(field, c, grading.t_power(k))
+            a = Scalar(field, c, grading.t_power(k))
             p = [
                 [x + a if i == j else x for j, x in enumerate(row)]
                 for i, row in enumerate(dense_product(p, mat.entries))

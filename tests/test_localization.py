@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,16 @@ def test_residue_row_at_the_partial_benchmark_cases():
                 for s in (seed, seed + 1):
                     row = localize_row(m, n, sample_weights(m, s), p)
                     assert row == tuple(x % p for x in exact[s])
+
+
+@pytest.mark.parametrize("p", [True, False, None, 2.0, "3", Fraction(5), -1, -7, 1])
+def test_residue_row_refuses_a_modulus_that_is_no_int_above_one(p):
+    # checked before any work, by type and range only: p = 0 is the
+    # exact row, and every int from 2 on is taken as a prime
+    refusal = f"the modulus must be 0 or an int of at least 2, got {re.escape(repr(p))}"
+    with pytest.raises(ValueError, match=refusal):
+        localize_row(3, 3, sample_weights(3, 0), p)
+    assert localize_row(3, 3, sample_weights(3, 0), 0) == subdiagonal_entries(3, 3)
 
 
 def test_residue_row_refuses_p_at_either_end_of_the_walks():

@@ -1,15 +1,19 @@
-"""Novikov scalar arithmetic on the monomials c*t^d: canonical form, ring
-axioms, the refusal of sums of two t-powers, units, grading.
+"""Novikov scalars, the monomials c*t^d, as values: canonical form,
+equality, grading, rendering.  The package has no arithmetic on them;
+the monomial arithmetic the oracles own (oracles.Scalar) is tested
+here: ring axioms, the refusal of sums of two t-powers, units.
 
 The package never divides a Novikov scalar; the unit inverse the oracles
-use (oracles.unit_inverse) is tested here."""
+use (oracles.unit_inverse) is tested here too."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import unit_inverse
+from oracles import Scalar, lift, unit_inverse
 from shq.linalg import LambdaMatrix
 from shq.novikov import (
     F2,
@@ -21,9 +25,9 @@ from shq.novikov import (
 
 
 def random_scalar(rng, field):
-    """A random monomial c*t^d, sometimes zero."""
+    """A random monomial c*t^d, sometimes zero, as an oracle Scalar."""
     c = Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if field is QQ else rng.randint(0, 1)
-    return Novikov(field, c, rng.randint(-3, 5))
+    return Scalar(field, c, rng.randint(-3, 5))
 
 
 # -- ground values -----------------------------------------------------
@@ -85,8 +89,9 @@ def test_coefficients_are_ground_values():
     for c, want in ((3, 1), (Fraction(-1, 3), 1), (-2, 0)):
         b = Novikov(F2, c, 2)
         assert b.coeff == want and type(b.coeff) is int
-    assert (-Novikov.monomial(F2, 1, 1)).coeff == 1
-    three_t = Novikov.monomial(QQ, 1, 1) * Fraction(3, 1)
+    # and so are those of the oracles' sums and products
+    assert (-Scalar.monomial(F2, 1, 1)).coeff == 1
+    three_t = Scalar.monomial(QQ, 1, 1) * Fraction(3, 1)
     assert (three_t.coeff, three_t.power) == (3, 1) and type(three_t.coeff) is int
 
 
@@ -102,20 +107,50 @@ def test_zero_representation():
     assert Novikov(QQ, 0, 5) == z and Novikov(F2, 2, 3) == Novikov.zero(F2)
 
 
-def test_t_plus_t():
+def test_a_scalar_has_no_arithmetic():
+    # a Novikov scalar is a value; sums and products are the oracles'
+    names = (
+        "_coerce", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+    )
+    assert [name for name in names if hasattr(Novikov, name)] == []
     t = Novikov.monomial(QQ, 1, 1)
+    for build in (lambda: t + t, lambda: t * 2, lambda: 1 - t, lambda: -t):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_the_oracle_scalar_is_the_novikov_value():
+    # a Scalar equals, and hashes as, the Novikov scalar with its field,
+    # coefficient and power, and copies and pickles as a Scalar
+    rng = random.Random(3)
+    for field in (QQ, F2):
+        for _ in range(200):
+            a = random_scalar(rng, field)
+            b = Novikov(field, a.coeff, a.power)
+            assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1
+            assert type(lift(b)) is Scalar and lift(b) == b and lift(a) is a
+            for again in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+                assert type(again) is Scalar and again == a
+            assert Scalar(field, a.coeff, a.power + 1) != b or not a
+    assert Scalar._fields == Novikov._fields == ("field", "coeff", "power")
+    assert Scalar.one(QQ) == 1 and hash(Scalar.one(QQ)) == hash(1)
+    assert Scalar.one(QQ) != Novikov.one(F2)
+
+
+def test_t_plus_t():
+    t = Scalar.monomial(QQ, 1, 1)
     assert t + t == Novikov.monomial(QQ, 2, 1)
     assert str(t + t) == "2*t"
 
 
 def test_gf2_t_plus_t_is_zero():
-    t = Novikov.monomial(F2, 1, 1)
+    t = Scalar.monomial(F2, 1, 1)
     assert not (t + t)
     assert t + t == Novikov.zero(F2)
 
 
 def test_invert_constant():
-    c = Novikov.constant(QQ, -3)
+    c = Scalar.constant(QQ, -3)
     assert str(unit_inverse(c)) == "-1/3"
     assert c * unit_inverse(c) == 1
     assert unit_inverse(Novikov.monomial(F2, 1, 2)) == Novikov.monomial(F2, 1, -2)
@@ -123,8 +158,8 @@ def test_invert_constant():
 
 def test_denominator_t_powers_absorbed():
     # t is a unit: multiplying by its inverse powers shifts the exponents
-    t = Novikov.monomial(QQ, 1, 1)
-    t2, t3 = Novikov.monomial(QQ, 1, 2), Novikov.monomial(QQ, 1, 3)
+    t = Scalar.monomial(QQ, 1, 1)
+    t2, t3 = Scalar.monomial(QQ, 1, 2), Scalar.monomial(QQ, 1, 3)
     assert t2 * unit_inverse(t3) == Novikov.monomial(QQ, 1, -1)
     assert (t + t) * (t + t) * (t + t) * unit_inverse(t) == Novikov.monomial(QQ, 8, 2)
     assert unit_inverse(Novikov.monomial(QQ, 4, -2)) == Novikov.monomial(QQ, Fraction(1, 4), 2)
@@ -150,15 +185,15 @@ def test_field_axioms_random(field):
     """The ring axioms on monomials, products at any t-powers
     and sums at one, and inverses of exactly the nonzero ones."""
     rng = random.Random(42 if field is QQ else 43)
-    one = Novikov.one(field)
-    zero = Novikov.zero(field)
+    one = Scalar.one(field)
+    zero = Scalar.zero(field)
     for _ in range(1000):
         a, b, c = (random_scalar(rng, field) for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * one == a
         # b and c moved to the t-power of a: every sum below is homogeneous
-        b, c = (Novikov(field, x.coeff, a.power) for x in (b, c))
+        b, c = (Scalar(field, x.coeff, a.power) for x in (b, c))
         d = random_scalar(rng, field)
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
@@ -170,14 +205,14 @@ def test_field_axioms_random(field):
 
 
 def test_sums_of_two_t_powers_are_refused():
-    t, one = Novikov.monomial(QQ, 1, 1), Novikov.one(QQ)
-    for build in (lambda: t + 1, lambda: one - t, lambda: Novikov.monomial(F2, 1, 1) + 1):
+    t, one = Scalar.monomial(QQ, 1, 1), Scalar.one(QQ)
+    for build in (lambda: t + 1, lambda: one - t, lambda: Scalar.monomial(F2, 1, 1) + 1):
         with pytest.raises(ValueError, match="not homogeneous"):
             build()
     assert t + t == Novikov.monomial(QQ, 2, 1)
     assert t - t == 0 and not (t - t)
     assert 3 * t + (-3) * t == Novikov.zero(QQ)
-    assert Novikov.monomial(F2, 1, 1) + Novikov.monomial(F2, 1, 1) == 0
+    assert Scalar.monomial(F2, 1, 1) + Novikov.monomial(F2, 1, 1) == 0
     # zero has no t-power of its own, so it adds to any monomial
     assert Novikov.zero(QQ) + t == t + 0 == t - 0 == t
 
@@ -191,8 +226,10 @@ def test_gf2_self_negation():
 
 
 def test_field_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Novikov.monomial(QQ, 1, 1) + Novikov.monomial(F2, 1, 1)
+    t_q, t_2 = Scalar.monomial(QQ, 1, 1), Scalar.monomial(F2, 1, 1)
+    for build in (lambda: t_q + t_2, lambda: t_q * t_2, lambda: t_2 - Novikov.one(QQ)):
+        with pytest.raises(ValueError, match="coefficient field mismatch"):
+            build()
 
 
 def test_zero_denominator_rejected():
@@ -215,8 +252,8 @@ def test_monomial_degree():
 def test_monomial_degree_multiplicative():
     rng = random.Random(11)
     for _ in range(200):
-        a = Novikov.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
-        b = Novikov.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
+        a = Scalar.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
+        b = Scalar.monomial(QQ, Fraction(rng.randint(1, 9)), rng.randint(-3, 4))
         ab = a * b
         assert (ab.coeff, ab.power) == (a.coeff * b.coeff, a.power + b.power)
 
@@ -241,7 +278,7 @@ def test_str_negative_and_fraction_coeffs():
     assert str(Novikov.monomial(QQ, Fraction(-1, 3), 1)) == "-1/3*t"
     assert str(Novikov.monomial(QQ, -2, 3)) == "-2*t^3"
     assert str(Novikov.monomial(QQ, Fraction(3, 4), -1)) == "3/4*t^-1"
-    assert str(-Novikov.monomial(QQ, 1, 2)) == "-t^2" and str(Novikov.zero(QQ)) == "0"
+    assert str(Novikov.monomial(QQ, -1, 2)) == "-t^2" and str(Novikov.zero(QQ)) == "0"
 
 
 def test_int_and_fraction_built_scalars_print_alike():
@@ -258,7 +295,7 @@ def test_str_gf2():
     assert str(Novikov.monomial(F2, 1, 2)) == "t^2"
     assert str(Novikov.monomial(F2, 3, 0)) == "1"
     assert str(Novikov.monomial(F2, -1, -2)) == "t^-2"
-    assert str(Novikov.monomial(F2, 1, 1) + Novikov.monomial(F2, 1, 1)) == "0"
+    assert str(Scalar.monomial(F2, 1, 1) + Scalar.monomial(F2, 1, 1)) == "0"
 
 
 @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "GF2"])
@@ -273,8 +310,8 @@ def test_term_str_renders_a_monomial_as_str(field):
 
 
 def test_hash_consistency():
-    t = Novikov.monomial(QQ, 1, 1)
-    a = (Novikov.one(QQ) - 3) * Novikov.monomial(QQ, 1, 2) + t * t
+    t = Scalar.monomial(QQ, 1, 1)
+    a = (Scalar.one(QQ) - 3) * Scalar.monomial(QQ, 1, 2) + t * t
     b = Novikov(QQ, Fraction(-1), 2)
     assert a == b and hash(a) == hash(b)
     # int and Fraction coefficients hash alike, and zero has one hash

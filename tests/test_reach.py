@@ -12,9 +12,6 @@ entered there, or be kept for a stated reason:
   ``tests/test_acceptance.py`` (scanned as ``test_surface`` scans
   references);
 - ``perfbench/tracing.py`` wraps it by name;
-- it is the Novikov method of an operator that ``tests/oracles.py``
-  applies (matched by operator kind, since the scan does not type the
-  operands);
 - it is part of the ``Record`` protocol, or a ``__hash__`` or ``__repr__``;
 - a kept function names it, so it runs when that one does.
 
@@ -29,8 +26,6 @@ import subprocess
 import sys
 
 from test_surface import CONTRACT, PACKAGE, ROOT, _names_in, tracing_targets
-
-ORACLES = ROOT / "tests" / "oracles.py"
 
 # pairs from every regime: monotone exact with n = 1 and n >= 2, partial
 # below and past the residue cross-check's n = 20, Calabi-Yau, large twist
@@ -72,14 +67,6 @@ sys.setprofile(None)
 json.dump({"codes": codes, "entered": sorted(entered)}, sys.stdout)
 """
 
-# operator node -> the Novikov methods that apply it
-OPERATORS = {
-    ast.Add: ("__add__",),
-    ast.Sub: ("__sub__", "__rsub__"),
-    ast.Mult: ("__mul__",),
-    ast.USub: ("__neg__",),
-}
-
 RECORD_PROTOCOL = {
     "novikov.Record.__setattr__": "immutability",
     "novikov.Record.__delattr__": "immutability",
@@ -112,17 +99,10 @@ def first_line(node: ast.FunctionDef) -> int:
     return min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
-def keep_reasons(defined: dict, contract: ast.AST, tracing: set, oracles: ast.AST) -> dict:
+def keep_reasons(defined: dict, contract: ast.AST, tracing: set) -> dict:
     """{"module.qualname": reason} of each function of defined kept
     though no flow enters it."""
     names = set(_names_in(contract))
-    operators = {
-        name
-        for node in ast.walk(oracles)
-        for kind, methods in OPERATORS.items()
-        if isinstance(getattr(node, "op", None), kind)
-        for name in methods
-    }
     keep = dict(RECORD_PROTOCOL)
     for qualname in defined:
         module, inner = qualname.split(".", 1)
@@ -131,8 +111,6 @@ def keep_reasons(defined: dict, contract: ast.AST, tracing: set, oracles: ast.AS
             keep[qualname] = "read by the acceptance contract"
         elif (module, inner) in tracing:
             keep[qualname] = "wrapped by perfbench/tracing.py"
-        elif ".Novikov." in qualname and name in operators:
-            keep[qualname] = "an operator tests/oracles.py applies"
         elif name in ("__hash__", "__repr__"):
             keep[qualname] = "hash and repr of a value"
     # what a kept function names runs with it
@@ -180,12 +158,7 @@ def test_every_function_is_entered_or_kept():
     assert {0, 2, 3} <= set(probe["codes"]) <= {0, 2, 3}, probe["codes"]
     defined = functions(_sources())
     assert "pipeline.compute_sh" in defined and "novikov.Record.__init__" in defined
-    keep = keep_reasons(
-        defined,
-        ast.parse(CONTRACT.read_text()),
-        tracing_targets(),
-        ast.parse(ORACLES.read_text()),
-    )
+    keep = keep_reasons(defined, ast.parse(CONTRACT.read_text()), tracing_targets())
     missing = sorted(set(RECORD_PROTOCOL) - set(defined))
     assert not missing, f"kept functions that src/shq no longer defines: {missing}"
     found = unreached(defined, {tuple(x) for x in probe["entered"]}, keep)
@@ -215,16 +188,16 @@ def test_the_reach_scan_sees_each_rule():
     defined = functions({"m": ("m.py", ast.parse(source))})
     assert first_line(defined["m.Value.view"][1]) == 4
     assert "m.run.<locals>.inner" in defined
-    keep = keep_reasons(defined, ast.parse("x.view"), {("m", "traced")}, ast.parse("a + b"))
+    keep = keep_reasons(defined, ast.parse("x.view"), {("m", "traced")})
     assert {q: r for q, r in keep.items() if q.startswith("m.")} == {
         "m.Value.__hash__": "hash and repr of a value",
         "m.Value.view": "read by the acceptance contract",
-        "m.Novikov.__add__": "an operator tests/oracles.py applies",
-        "m.Novikov._coerce": "named by kept m.Novikov.__add__",
         "m.helper": "named by kept m.Value.view",
         "m.traced": "wrapped by perfbench/tracing.py",
     }
+    # an operator no flow enters is reported, on a Novikov scalar too
     entered = {("m.py", 13)}
     assert unreached(defined, entered, keep) == [
-        "m.Novikov.__neg__", "m.Value.__add__", "m.Value.dead", "m.run.<locals>.inner",
+        "m.Novikov.__add__", "m.Novikov.__neg__", "m.Novikov._coerce",
+        "m.Value.__add__", "m.Value.dead", "m.run.<locals>.inner",
     ]

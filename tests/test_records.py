@@ -26,11 +26,12 @@ from shq.ring import RingElement, RingPresentation
 from oracles import presentation
 
 zero, one, t = Novikov.zero(QQ), Novikov.one(QQ), Novikov.monomial(QQ, 1, 1)
+minus_t = Novikov.monomial(QQ, -1, 1)
 
 
 def line_presentation():
     """Lambda[w]/(w^2 - t) at N = 2, built afresh on each call."""
-    return presentation("omega", (-t, zero, one), 2)
+    return presentation("omega", (minus_t, zero, one), 2)
 
 
 def _result_fields():
@@ -220,7 +221,7 @@ def test_presentation_ignores_its_core(constructions):
     # equality, hash and repr build none
     a, b = (RingPresentation("omega", QQ, GradingContext(2), (-1, 0, 1)) for _ in range(2))
     relation = a.relation
-    assert len(constructions) == 3 and relation == (-t, zero, one)
+    assert len(constructions) == 3 and relation == (minus_t, zero, one)
     constructions.clear()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert repr(a) == (
