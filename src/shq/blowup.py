@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gw import h1_p1
-from .novikov import Record
+from .novikov import Record, need_int
 
 
 class SurfaceRing(Record):
@@ -78,8 +78,7 @@ def product_of_lines() -> SurfaceRing:
 
 def blow_up(s: SurfaceRing, k: int = 1) -> SurfaceRing:
     """Blow up k distinct points."""
-    if k < 0:
-        raise ValueError("cannot blow up a negative number of points")
+    need_int("k", k, 0)
     r = s.rank
     labels = s.labels + tuple(f"e{p + 1}" for p in range(k))
     form = [row + (0,) * k for row in s.form]

@@ -24,10 +24,11 @@ from .blowup import (
 )
 from .gw import subdiagonal_entry, tau_table
 from .localization import localize_entry, sample_weights
-from .novikov import FIELDS
+from .novikov import FIELDS, need_int
 from .pipeline import (
     UnsupportedRegimeError,
     build_r_matrix,
+    classify_regime,
     compute_sh,
     exact_rows,
     matrix_to_dict,
@@ -136,10 +137,10 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    if args.trials < 1:
-        raise ValueError("need --trials >= 1")
+    seeds = range(args.seed, args.seed + need_int("trials", args.trials, 1))
+    if classify_regime(args.m, args.n).kind == "unsupported":
+        raise UnsupportedRegimeError(args.m, args.n)
     expected = subdiagonal_entry(args.m, args.n, args.a)
-    seeds = range(args.seed, args.seed + args.trials)
     values = [
         localize_entry(args.m, args.n, args.a, sample_weights(args.m, seed))
         for seed in seeds

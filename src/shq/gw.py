@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .novikov import Record
+from .novikov import Record, need_int
 
 
 class TauTable(Record):
@@ -29,15 +29,14 @@ class TauTable(Record):
     __slots__ = ("n", "coeffs")
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def tau_table(n: int) -> TauTable:
     """Expand prod_{A=1}^{n-1} (A*x + (n-A)); ascending coefficients.
 
     The empty product (n = 1) is 1, so tau(0, 1) = 1.  Memoized: the
     matrix and the localization check of one run both read it.
     """
-    if n < 1:
-        raise ValueError(f"twist must be a positive integer, got {n}")
+    need_int("n", n, 1)
     coeffs = [1]
     for A in range(1, n):
         B = n - A
@@ -51,9 +50,7 @@ def tau_table(n: int) -> TauTable:
 
 
 def tau(a: int, n: int) -> int:
-    if not 0 <= a <= n - 1:
-        raise ValueError(f"index {a} out of range for twist {n}")
-    return tau_table(n).coeffs[a]
+    return tau_table(n).coeffs[need_int("a", a, 0, n - 1)]
 
 
 def subdiagonal_entry(m: int, n: int, a: int) -> int:
@@ -64,16 +61,12 @@ def subdiagonal_entry(m: int, n: int, a: int) -> int:
     weights on both markings, i.e. 0 <= a <= n-1, and the row index
     stays inside the matrix, i.e. n <= m (equivalently N >= 1).
     """
-    entries = subdiagonal_entries(m, n)
-    if not 0 <= a <= n - 1:
-        raise ValueError(f"offset {a} out of range 0..{n - 1}")
-    return entries[a]
+    return subdiagonal_entries(m, n)[need_int("a", a, 0, n - 1)]
 
 
 def subdiagonal_entries(m: int, n: int) -> tuple:
     """subdiagonal_entry for a = 0, ..., n-1, from one tau table."""
-    if not 1 <= n <= m:
-        raise ValueError(f"degree-one entries need 1 <= n <= m, got n={n}, m={m}")
+    need_int("n", n, 1, need_int("m", m, 1))
     return tuple(n * n * c for c in tau_table(n).coeffs)
 
 

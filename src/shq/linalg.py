@@ -63,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .novikov import CoefficientField, Novikov, Record, term_str
+from .novikov import CoefficientField, Novikov, Record, need_int, term_str
 
 
 class IncompleteMatrixError(ValueError):
@@ -222,11 +222,12 @@ class CharPoly(Record):
 
     def coefficient(self, k: int) -> Novikov:
         """a_k as a Novikov scalar, 1 <= k <= s."""
-        return Novikov(self.field, self.values[k - 1], self.grading.t_power(k))
+        c = self.values[need_int("k", k, 1, self.size) - 1]
+        return Novikov(self.field, c, self.grading.t_power(k))
 
     def coefficient_str(self, k: int) -> str:
         """str(self.coefficient(k)), with no scalar built."""
-        return term_str(self.values[k - 1], self.grading.t_power(k))
+        return term_str(self.values[need_int("k", k, 1, self.size) - 1], self.grading.t_power(k))
 
 
 # -- the shared core ----------------------------------------------------------

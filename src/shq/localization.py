@@ -21,8 +21,8 @@ weight independence of the whole sum (not of individual terms) is what
 the tests sample.
 
 Every pair term is homogeneous of degree 0 in the weights, so integer
-weights are as generic as rational ones.  The weights are a tuple of
-pairwise-distinct ints; any other weight is refused.
+weights are as generic as rational ones.  Weights are distinct ints in
+a tuple, and m, n, a ints as need_int accepts; others raise ValueError.
 
 The sum is factored.  A pair term is S(i, j) / (D_i * E_j): the Serre
 product S(i, j) of the obstruction weights does not depend on the
@@ -51,13 +51,15 @@ import random
 from fractions import Fraction
 from itertools import repeat
 
+from .novikov import need_int
 
-@functools.lru_cache(maxsize=32)
+
+@functools.lru_cache(maxsize=32, typed=True)
 def sample_weights(m: int, seed: int = 0) -> tuple:
     """Deterministic generic integer weights for a torus of rank m+1:
     distinct draws from a range at least twice the rank."""
-    top = max(360, m + 1)
-    return tuple(random.Random(seed).sample(range(-top, top + 1), m + 1))
+    top = max(360, need_int("m", m, 1) + 1)
+    return tuple(random.Random(need_int("seed", seed)).sample(range(-top, top + 1), m + 1))
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -68,7 +70,7 @@ def is_prime(k: int) -> bool:
     """Trial division by the first twelve primes, then strong-probable-prime
     rounds to those bases: exact for every k < 3.1 * 10^23 (Sorenson and
     Webster 2015), so for every 61-bit k."""
-    if k < 2:
+    if need_int("k", k) < 2:
         return False
     if math.gcd(k, _BASES_PRODUCT) != 1:
         return k in _BASES
@@ -88,10 +90,10 @@ def is_prime(k: int) -> bool:
     return True
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)
 def sample_prime(seed: int = 0) -> int:
     """A prime in [2^60, 2^61), deterministic in the seed."""
-    rng = random.Random(seed)
+    rng = random.Random(need_int("seed", seed))
     while True:
         k = rng.randrange(1 << 60, 1 << 61) | 1
         if is_prime(k):
@@ -99,8 +101,7 @@ def sample_prime(seed: int = 0) -> int:
 
 
 def _check(m: int, n: int, weights: tuple) -> None:
-    if not 1 <= n <= m:
-        raise ValueError(f"fixed-point count needs 1 <= n <= m, got n={n}, m={m}")
+    need_int("n", n, 1, need_int("m", m, 1))
     if len(weights) != m + 1:
         raise ValueError(f"need {m + 1} torus weights, got {len(weights)}")
     if any(isinstance(x, bool) or not isinstance(x, int) for x in weights):
@@ -204,8 +205,7 @@ def fixed_point_integral(m: int, n: int, a: int, weights: tuple) -> Fraction:
     """Sum of reciprocal Euler classes over all fixed graphs: -n times
     the pair sum.  Equals -n * tau(a, n) for any generic weights."""
     _check(m, n, weights)
-    if not 0 <= a <= n - 1:
-        raise ValueError(f"offset {a} out of range 0..{n - 1}")
+    need_int("a", a, 0, n - 1)
     return _pair_sums(m, n, weights, range(a, a + 1), -n)[0]
 
 
@@ -213,7 +213,7 @@ def localize_entry(m: int, n: int, a: int, weights: tuple) -> Fraction:
     """Degree-one matrix entry by localization: the perturbed base plane
     meets the zero section in -n copies of the constraint cycle, so the
     fixed-point integral is rescaled by -n.  Equals n^2 * tau(a, n)."""
-    return -n * fixed_point_integral(m, n, a, weights)
+    return -fixed_point_integral(m, n, a, weights) * n
 
 
 def localize_row(m: int, n: int, weights: tuple, p: int = 0) -> tuple:

@@ -96,6 +96,18 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if type(value) in (list, tuple) else value
 
 
+def need_int(name: str, value, low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """value when its type is int (so not a bool), with low <= value <=
+    high, a bound of None open; else ValueError naming name.  The one
+    rule for the integer arguments of the package's entry points."""
+    if type(value) is int and (low is None or low <= value) and (high is None or value <= high):
+        return value
+    rule = name if low is None else f"{name} >= {low}"
+    if high is not None:
+        rule = f"{name} <= {high}" if low is None else f"{low} <= {name} <= {high}"
+    raise ValueError(f"need an integer {rule}, got {name}={value!r}")
+
+
 class CoefficientField(Record):
     """Ground field of the Novikov scalars: exact rationals or GF(2)."""
 
@@ -146,6 +158,7 @@ class GradingContext(Record):
         when no d fits; at N = 0 only k = 0 fits, with d = 0.  The one
         grading rule: every check and every lift of a value at t = 1 reads
         it."""
+        need_int("k", k)
         N = self.N
         if N:
             return None if k % N else k // N

@@ -59,7 +59,7 @@ from .linalg import (
     stable_relation,
 )
 from .localization import localize_row, sample_prime, sample_weights
-from .novikov import CoefficientField, GradingContext, Novikov, QQ, Record
+from .novikov import CoefficientField, GradingContext, Novikov, QQ, Record, need_int
 from .ring import (
     RingPresentation,
     change_generator,
@@ -91,14 +91,8 @@ def minimal_chern(m: int, n: int) -> int:
     return 1 + m - n
 
 
-def _validate_mn(m: int, n: int):
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (m, n)) or m < 1 or n < 1:
-        raise ValueError(f"need integers m >= 1 and n >= 1, got m={m!r}, n={n!r}")
-
-
 def classify_regime(m: int, n: int) -> Regime:
-    _validate_mn(m, n)
-    N = minimal_chern(m, n)
+    N = minimal_chern(need_int("m", m, 1), need_int("n", n, 1))
     if n <= m:
         exact = 2 * N > m
         tail = (
@@ -260,10 +254,8 @@ def compute_sh(
 
 
 def _compute_sh(m, n, field, seed, trials) -> ShResult:
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"need an integer trials >= 1, got trials={trials!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"need an integer seed, got seed={seed!r}")
+    need_int("trials", trials, 1)
+    need_int("seed", seed)
     r = build_r_matrix(m, n, field)  # refuses the field before reading m and n
     regime = classify_regime(m, n)
     N = minimal_chern(m, n)
@@ -357,9 +349,8 @@ def _c1_nilpotent(field, n, qh, c1=None) -> bool:
 def rank_constraints(m: int, n: int, sh_rank: int) -> bool:
     """Structural bounds on a computed rank: strictly below m+1, and a
     multiple of |N| when N is nonzero."""
-    _validate_mn(m, n)
-    N = minimal_chern(m, n)
-    if not 0 <= sh_rank <= m:
+    N = minimal_chern(need_int("m", m, 1), need_int("n", n, 1))
+    if not 0 <= need_int("sh_rank", sh_rank) <= m:
         return False
     return N == 0 or sh_rank % abs(N) == 0
 
@@ -659,8 +650,7 @@ def exact_rows(max_m: int, field: CoefficientField = QQ) -> tuple[list, list]:
     large-twist representative (all larger twists behave identically).
     Returns (rows, failed), failed the (m, n) of each pair with a failed
     diagnostic."""
-    if isinstance(max_m, bool) or not isinstance(max_m, int) or max_m < 1:
-        raise ValueError(f"need an integer max_m >= 1, got {max_m!r}")
+    need_int("max_m", max_m, 1)
     rows, failed = [], []
     for m in range(1, max_m + 1):
         ns = list(range(1, (m + 1) // 2 + 1)) + [m + 1, 2 * m + 1]

@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import compress
 
 from .linalg import LambdaMatrix, horner, mat_vec
-from .novikov import CoefficientField, GradingContext, Novikov, Record, term_str
+from .novikov import CoefficientField, GradingContext, Novikov, Record, need_int, term_str
 
 
 class IncompletePresentationError(ValueError):
@@ -119,12 +119,14 @@ class RingPresentation(Record):
         return tuple(map(self.coefficient, range(len(self.values))))
 
     def coefficient(self, k: int) -> Novikov:
-        """The Novikov coefficient of g^k in the relation."""
-        return Novikov(self.field, self.values[k], self.grading.t_power(self.rank - k))
+        """The Novikov coefficient of g^k in the relation, 0 <= k <= rank."""
+        c = self.values[need_int("k", k, 0, self.rank)]
+        return Novikov(self.field, c, self.grading.t_power(self.rank - k))
 
     def coefficient_str(self, k: int) -> str:
         """str(self.coefficient(k)), with no scalar built."""
-        return term_str(self.values[k], self.grading.t_power(self.rank - k))
+        c = self.values[need_int("k", k, 0, self.rank)]
+        return term_str(c, self.grading.t_power(self.rank - k))
 
     def _require_complete(self, what: str):
         if not self.complete:
@@ -140,9 +142,7 @@ class RingPresentation(Record):
         return self.gen_power(1)
 
     def gen_power(self, k: int) -> "RingElement":
-        if k < 0:
-            raise ValueError("negative generator powers are not elements")
-        return self.reduce([0] * k + [1])
+        return self.reduce([0] * need_int("k", k, 0) + [1])
 
     def reduce(self, raw) -> "RingElement":
         """Reduce a polynomial in the generator (Novikov coefficients, or
@@ -228,8 +228,9 @@ class RingElement(Record):
         return tuple(map(self.coefficient, range(len(self.values))))
 
     def coefficient(self, k: int) -> Novikov:
-        """The Novikov coefficient of g^k."""
-        return Novikov(self.pres.field, self.values[k], self.pres.grading.t_power(self.weight - k))
+        """The Novikov coefficient of g^k, 0 <= k < rank."""
+        pres, c = self.pres, self.values[need_int("k", k, 0, len(self.values) - 1)]
+        return Novikov(pres.field, c, pres.grading.t_power(self.weight - k))
 
     def __mul__(self, other):
         pres = self.pres
@@ -274,6 +275,7 @@ def change_generator(pres: RingPresentation, n: int) -> RingPresentation:
 
     Substituting and dividing by (-n)^rank rescales the coefficient
     of c^k by (-n)^(k - rank); over GF(2) an odd -n is one."""
+    need_int("n", n, 1)
     if pres.generator != "c":
         raise ValueError("change_generator starts from the c presentation")
     if not pres.field.of(-n):

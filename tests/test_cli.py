@@ -223,7 +223,7 @@ def test_tau(capsys):
     for n in ("0", "-3"):
         code, out, err = run(capsys, "tau", "--n", n)
         assert code == 3 and out == ""
-        assert err == f"shq: invalid arguments: twist must be a positive integer, got {n}\n"
+        assert err == f"shq: invalid arguments: need an integer n >= 1, got n={n}\n"
 
 
 def test_localize(capsys):
@@ -234,6 +234,20 @@ def test_localize(capsys):
     assert [s["value"] for s in d["samples"]] == [4, 4]
     code, out, err = run(capsys, "localize", "--m", "2", "--n", "2", "--a", "5")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "m, n, code", [(3, 5, 2), (3, 6, 2), (4, 8, 2), (3, 4, 3), (3, 7, 3), (1, 3, 3)]
+)
+def test_localize_exits_2_in_the_refused_band(capsys, m, n, code):
+    # as compute and rmatrix do; the Calabi-Yau and large twists outside
+    # the band have no degree-one entries and stay invalid arguments
+    got, out, err = run(capsys, "localize", "--m", str(m), "--n", str(n), "--a", "0")
+    assert (got, out) == (code, "")
+    if code == 2:
+        assert err == f"shq: {shq.pipeline.UnsupportedRegimeError(m, n)}\n"
+    else:
+        assert err == f"shq: invalid arguments: need an integer 1 <= n <= {m}, got n={n}\n"
 
 
 def test_localize_reports_a_wrong_value_as_a_mismatch(capsys, monkeypatch):

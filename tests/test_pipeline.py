@@ -371,7 +371,7 @@ def test_refusals_keep_their_order():
     # trials first, then the arguments, then the refused band
     with pytest.raises(ValueError, match="trials >= 1"):
         compute_sh(3, 5, trials=0)
-    with pytest.raises(ValueError, match="need integers m >= 1"):
+    with pytest.raises(ValueError, match="need an integer m >= 1"):
         compute_sh(0, 5)
     with pytest.raises(UnsupportedRegimeError) as e:
         compute_sh(3, 5)
